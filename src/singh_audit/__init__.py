@@ -37,7 +37,6 @@ from .special_math import (
     student_t_cdf,
 )
 from .structures import (
-    NEVER,
     ConfidenceValue,
     Dataset,
     DegenerateDataError,
@@ -60,7 +59,6 @@ __all__ = [
     "Dataset",
     "DegenerateDataError",
     "DomainError",
-    "NEVER",
     "ParameterGrid",
     "Scenario",
     "ScenarioParseError",

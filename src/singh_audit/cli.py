@@ -10,6 +10,7 @@ from pathlib import Path
 from .presets import PRESETS
 from .runner import run_preset, run_scenario
 from .scenario import ScenarioParseError, ScenarioValidationError, parse_scenario
+from .special_math import _MAX_SEED
 
 __all__ = ["main"]
 
@@ -17,8 +18,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
-
-_MAX_SEED = 2**64
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,8 @@ to the per-index maximum of sorted values (larger required confidence means
 less coverage), so the combined precise curve and a band's upper curve take
 the index-wise maximum while a band's lower curve takes the index-wise
 minimum; the resulting band brackets what the structure can guarantee
-anywhere on the grid.
+anywhere on the grid. A never-covered replicate is +inf in its column, so
+it sorts last and passes through the index-wise min/max unchanged.
 """
 
 from __future__ import annotations
@@ -53,20 +54,6 @@ class ParameterGrid:
         return len(self.thetas)
 
 
-# NEVER values sort above every finite required confidence; +inf keeps that
-# ordering inside the index-wise min/max without a special case.
-_NEVER_VALUE = np.inf
-
-
-def _column(curve: SinghCurve) -> np.ndarray:
-    return np.concatenate((curve.required, np.full(curve.never_count, _NEVER_VALUE)))
-
-
-def _from_column(column: np.ndarray, m: int) -> SinghCurve:
-    finite = column[np.isfinite(column)]
-    return SinghCurve(finite, m=m, never_count=m - finite.size)
-
-
 def global_singh(
     structure: StructureSpec,
     family: TargetSpec,
@@ -88,8 +75,7 @@ def global_singh(
         for j, theta in enumerate(grid.thetas)
     ]
     if isinstance(results[0], SinghBand):
-        lower = np.min([_column(r.lower_curve) for r in results], axis=0)
-        upper = np.max([_column(r.upper_curve) for r in results], axis=0)
-        return SinghBand(_from_column(lower, m), _from_column(upper, m))
-    combined = np.max([_column(r) for r in results], axis=0)
-    return _from_column(combined, m)
+        lower = np.min([r.lower_curve.required for r in results], axis=0)
+        upper = np.max([r.upper_curve.required for r in results], axis=0)
+        return SinghBand(SinghCurve(lower), SinghCurve(upper))
+    return SinghCurve(np.max([r.required for r in results], axis=0))

@@ -24,8 +24,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _curve_alphas(curve: SinghCurve) -> np.ndarray:
-    printed = ["0"] + [_fmt(v) for v in curve.required] + ["1"]
+def _curve_alphas(values: np.ndarray) -> np.ndarray:
+    """0, the printed finite sorted ``values``, then 1, as floats."""
+    printed = ["0"] + [_fmt(v) for v in values[np.isfinite(values)]] + ["1"]
     return np.array([float(s) for s in printed], dtype=np.float64)
 
 
@@ -38,12 +39,9 @@ def emit_csv(result, path) -> Path:
     """
     path = Path(path)
     if isinstance(result, SinghBand):
-        merged = SinghCurve(
-            np.sort(np.concatenate((result.lower_curve.required, result.upper_curve.required))),
-            m=2 * result.m - result.lower_curve.never_count - result.upper_curve.never_count,
-            never_count=0,
+        alphas = _curve_alphas(
+            np.sort(np.concatenate((result.lower_curve.required, result.upper_curve.required)))
         )
-        alphas = _curve_alphas(merged)
         lower = eval_curve(result.lower_curve, alphas)
         upper = eval_curve(result.upper_curve, alphas)
         lines = ["alpha,coverage_lower,coverage_upper"]
@@ -52,7 +50,7 @@ def emit_csv(result, path) -> Path:
         ]
         never = result.lower_curve.never_count
     else:
-        alphas = _curve_alphas(result)
+        alphas = _curve_alphas(result.required)
         coverage = eval_curve(result, alphas)
         lines = ["alpha,coverage"]
         lines += [f"{_fmt(a)},{_fmt(c)}" for a, c in zip(alphas, coverage)]
@@ -112,13 +110,11 @@ def _path(d: str, color: str, dash: str, width: float = 1.6) -> str:
 def _step_path(curve: SinghCurve) -> str:
     """Staircase path of the curve's empirical CDF over alpha in [0, 1]."""
     values = np.unique(curve.required)
+    values = values[(values > 0.0) & np.isfinite(values)]
     start = eval_curve(curve, 0.0)
     parts = [f"M {_px(_tx(0.0))} {_px(_ty(start))}"]
-    for v in values:
-        if v == 0.0:
-            continue
-        y = eval_curve(curve, float(v))
-        parts.append(f"H {_px(_tx(float(v)))} V {_px(_ty(y))}")
+    for v, y in zip(values.tolist(), eval_curve(curve, values).tolist()):
+        parts.append(f"H {_px(_tx(v))} V {_px(_ty(y))}")
     parts.append(f"H {_px(_tx(1.0))}")
     return " ".join(parts)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .global_engine import ParameterGrid
 from .singh_engine import TargetSpec
-from .special_math import DomainError
+from .special_math import _MAX_SEED, DomainError
 from .structures import StructureSpec
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
 ]
 
 OUTPUT_KINDS = ("csv", "svg", "report")
-
-_MAX_SEED = 2**64
 
 
 class ScenarioParseError(ValueError):

@@ -17,8 +17,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .special_math import DomainError, SeededStream, sample_bernoulli, sample_mixture, sample_normal, sample_scaled_bernoulli
-from .structures import NEVER, Dataset, StructureSpec, evaluate_structure
+from .special_math import (
+    DomainError,
+    SeededStream,
+    check_mixture,
+    sample_bernoulli,
+    sample_mixture,
+    sample_normal,
+    sample_scaled_bernoulli,
+)
+from .structures import Dataset, StructureSpec, evaluate_structure
 
 __all__ = [
     "UnsupportedTargetError",
@@ -85,12 +93,9 @@ class TargetSpec:
                 raise DomainError("mean must be positive")
         else:
             self._need(weights=self.weights, mus=self.mus, sigmas=self.sigmas)
-            w = tuple(float(v) for v in self.weights)
-            if abs(sum(w) - 1.0) > 1e-9:
-                raise DomainError("mixture weights must sum to 1")
-            object.__setattr__(self, "weights", w)
-            object.__setattr__(self, "mus", tuple(float(v) for v in self.mus))
-            object.__setattr__(self, "sigmas", tuple(float(v) for v in self.sigmas))
+            arrays = check_mixture(self.weights, self.mus, self.sigmas)
+            for name, arr in zip(("weights", "mus", "sigmas"), arrays):
+                object.__setattr__(self, name, tuple(arr.tolist()))
 
     def _need(self, **fields) -> None:
         for name, value in fields.items():
@@ -151,33 +156,30 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class SinghCurve:
-    """Sorted required-confidence values with NEVER outcomes held aside.
+    """Sorted required-confidence values, one per replicate or atom.
 
-    Monte Carlo curves weight every value 1/m. Exact enumeration curves carry
-    explicit per-value probability weights instead, with the NEVER mass equal
-    to whatever the weights leave uncovered; either way
-    ``len(required) + never_count == m``.
+    A replicate that no confidence level covers holds +inf, which sorts last
+    and stays uncovered at every alpha, so ``m`` counts all of them. Monte
+    Carlo curves weight every value 1/m; exact enumeration curves carry
+    explicit per-value probability weights instead.
     """
 
     required: np.ndarray
-    m: int
-    never_count: int = 0
     weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.required, dtype=np.float64).copy()
-        if arr.ndim != 1:
-            raise DomainError("required values must be a 1-D list")
-        if arr.size and (np.diff(arr) < 0.0).any():
+        if arr.ndim != 1 or arr.size < 1:
+            raise DomainError("required values must be a non-empty 1-D list")
+        if np.isnan(arr).any():
+            raise DomainError("required values must not be NaN")
+        # Compare neighbours directly: a difference of two +inf is NaN.
+        if (arr[1:] < arr[:-1]).any():
             raise DomainError("required values must be sorted ascending")
-        if arr.size and (arr[0] < 0.0 or arr[-1] > 1.0):
-            raise DomainError("required values must lie in [0, 1]")
+        if arr[0] < 0.0 or ((arr > 1.0) & (arr < np.inf)).any():
+            raise DomainError("required values must lie in [0, 1] or be +inf")
         arr.flags.writeable = False
         object.__setattr__(self, "required", arr)
-        if self.m < 1 or self.never_count < 0:
-            raise DomainError("m must be >= 1 and never_count >= 0")
-        if arr.size + self.never_count != self.m:
-            raise DomainError("value count plus never_count must equal m")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64).copy()
             if w.shape != arr.shape or (w < 0.0).any() or w.sum() > 1.0 + 1e-9:
@@ -186,10 +188,18 @@ class SinghCurve:
             object.__setattr__(self, "weights", w)
 
     @property
+    def m(self) -> int:
+        return int(self.required.size)
+
+    @property
+    def never_count(self) -> int:
+        """Replicates (or atoms) that no confidence level covers."""
+        return self.m - int(np.searchsorted(self.required, np.inf))
+
+    @property
     def never_fraction(self) -> float:
-        if self.weights is not None:
-            return float(max(0.0, 1.0 - self.weights.sum()))
-        return self.never_count / self.m
+        """Probability mass left uncovered even at alpha = 1."""
+        return 1.0 - eval_curve(self, 1.0)
 
 
 @dataclass(frozen=True)
@@ -245,8 +255,8 @@ def _coverage_curve(result) -> SinghCurve:
 def eval_curve(curve: SinghCurve, alpha):
     """Fraction of replicates whose required confidence is at most ``alpha``.
 
-    NEVER replicates are uncovered at every level, including alpha = 1.
-    Accepts a scalar or an array of levels.
+    Replicates requiring +inf are uncovered at every level, including
+    alpha = 1. Accepts a scalar or an array of levels.
     """
     a = np.asarray(alpha, dtype=np.float64)
     if (a < 0.0).any() or (a > 1.0).any():
@@ -284,11 +294,8 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
     draw_count = n + 1 if target.predictive else n
     discrete = target.family in ("bernoulli", "scaled_bernoulli")
     memo: dict = {}
-    values: list[float] = []
     lowers: list[float] = []
     uppers: list[float] = []
-    never = 0
-    precise = structure.is_precise
     truth = None if target.predictive else target.theta0
     for i in range(m):
         x = target.draw(stream.substream(i), draw_count)
@@ -308,38 +315,33 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
                 memo[key] = cv
         else:
             cv = evaluate_structure(structure, point, Dataset(body))
-        if cv is NEVER:
-            never += 1
-        elif precise:
-            values.append(cv.lower)
-        else:
-            lowers.append(cv.lower)
-            uppers.append(cv.upper)
-    if precise:
-        return SinghCurve(np.sort(np.asarray(values)), m=m, never_count=never)
-    return SinghBand(
-        SinghCurve(np.sort(np.asarray(lowers)), m=m),
-        SinghCurve(np.sort(np.asarray(uppers)), m=m),
-    )
+        lowers.append(cv.lower)
+        uppers.append(cv.upper)
+    lower = SinghCurve(np.sort(lowers))
+    if structure.is_precise:
+        return lower
+    return SinghBand(lower, SinghCurve(np.sort(uppers)))
 
 
 def _binomial_weights(n: int, p: float) -> np.ndarray:
-    return np.array(
-        [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)],
-        dtype=np.float64,
-    )
+    """Binomial(n, p) probabilities of k = 0..n.
+
+    Formed in log space: math.comb(n, k) stops converting to float near
+    n = 1030, while its logarithm stays small.
+    """
+    if p == 0.0 or p == 1.0:
+        weights = np.zeros(n + 1)
+        weights[0 if p == 0.0 else n] = 1.0
+        return weights
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+    k = np.arange(n + 1, dtype=np.float64)
+    log_comb = log_fact[n] - log_fact - log_fact[::-1]
+    return np.exp(log_comb + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
-def _weighted_curve(entries: list[tuple[float, float]], never_atoms: int) -> SinghCurve:
-    values = np.asarray([v for v, _ in entries], dtype=np.float64)
-    weights = np.asarray([w for _, w in entries], dtype=np.float64)
+def _weighted_curve(values: list[float], weights: np.ndarray) -> SinghCurve:
     order = np.argsort(values, kind="stable")
-    return SinghCurve(
-        values[order],
-        m=len(entries) + never_atoms,
-        never_count=never_atoms,
-        weights=weights[order],
-    )
+    return SinghCurve(np.asarray(values)[order], weights=weights[order])
 
 
 def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
@@ -359,28 +361,17 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     value = 1.0 if target.family == "bernoulli" else target.mean / target.p
     truth = target.theta0
     weights = _binomial_weights(n, rate)
-    precise = structure.is_precise
-    atoms: list[tuple[float, float]] = []
-    lower_atoms: list[tuple[float, float]] = []
-    upper_atoms: list[tuple[float, float]] = []
-    never_atoms = 0
+    lowers: list[float] = []
+    uppers: list[float] = []
     for k in range(n + 1):
         data = Dataset(np.concatenate((np.full(k, value), np.zeros(n - k))))
         cv = evaluate_structure(structure, truth, data)
-        w = float(weights[k])
-        if cv is NEVER:
-            never_atoms += 1
-        elif precise:
-            atoms.append((cv.lower, w))
-        else:
-            lower_atoms.append((cv.lower, w))
-            upper_atoms.append((cv.upper, w))
-    if precise:
-        return _weighted_curve(atoms, never_atoms)
-    return SinghBand(
-        _weighted_curve(lower_atoms, never_atoms),
-        _weighted_curve(upper_atoms, never_atoms),
-    )
+        lowers.append(cv.lower)
+        uppers.append(cv.upper)
+    lower = _weighted_curve(lowers, weights)
+    if structure.is_precise:
+        return lower
+    return SinghBand(lower, _weighted_curve(uppers, weights))
 
 
 def max_coverage_deficit(result, grid: int = DEFAULT_GRID_POINTS) -> float:

@@ -25,6 +25,7 @@ __all__ = [
     "sample_bernoulli",
     "sample_scaled_bernoulli",
     "sample_mixture",
+    "check_mixture",
 ]
 
 _MAX_SEED = 2**64
@@ -284,14 +285,12 @@ def sample_scaled_bernoulli(
     return (target_mean / p) * (stream.generator().random(n) < p)
 
 
-def sample_mixture(
-    stream: SeededStream,
-    weights: "list[float] | np.ndarray",
-    mus: "list[float] | np.ndarray",
-    sigmas: "list[float] | np.ndarray",
-    n: int,
-) -> np.ndarray:
-    """``n`` independent draws from a finite Gaussian mixture."""
+def check_mixture(weights, mus, sigmas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gaussian mixture parameters as float arrays, or DomainError if invalid.
+
+    The three lists must have one equal, non-zero length; the weights must be
+    non-negative and sum to 1, and every sigma must be positive.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     mus = np.asarray(mus, dtype=np.float64)
     sigmas = np.asarray(sigmas, dtype=np.float64)
@@ -305,6 +304,18 @@ def sample_mixture(
         raise DomainError("mixture weights must be non-negative")
     if (sigmas <= 0.0).any():
         raise DomainError("sigmas must be positive")
+    return weights, mus, sigmas
+
+
+def sample_mixture(
+    stream: SeededStream,
+    weights: "list[float] | np.ndarray",
+    mus: "list[float] | np.ndarray",
+    sigmas: "list[float] | np.ndarray",
+    n: int,
+) -> np.ndarray:
+    """``n`` independent draws from a finite Gaussian mixture."""
+    weights, mus, sigmas = check_mixture(weights, mus, sigmas)
     if weights.size == 1:
         # Single component consumes the stream exactly like sample_normal.
         return sample_normal(stream, float(mus[0]), float(sigmas[0]), n)
@@ -314,3 +325,4 @@ def sample_mixture(
     component = rng.choice(weights.size, size=n, p=weights)
     z = rng.standard_normal(n)
     return mus[component] + sigmas[component] * z
+

@@ -17,7 +17,6 @@ import numpy as np
 from .special_math import DomainError, reg_inc_beta, student_t_cdf
 
 __all__ = [
-    "NEVER",
     "DegenerateDataError",
     "Dataset",
     "ConfidenceValue",
@@ -47,28 +46,6 @@ PRECISE_KINDS = frozenset({"student_t_pivot", "jeffreys", "chebyshev_ucl"})
 
 class DegenerateDataError(ValueError):
     """The dataset carries no information for the structure (e.g. zero spread)."""
-
-
-class _Never:
-    """Sentinel for a truth no confidence level can cover.
-
-    Distinct from required confidence 1: a value of 1 would still count as
-    covered at alpha = 1, overstating coverage for e.g. a zero-variance
-    Chebyshev bound that sits strictly below the target forever.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NEVER"
-
-
-NEVER = _Never()
 
 
 @dataclass(frozen=True)
@@ -107,7 +84,8 @@ class ConfidenceValue:
 
     The two bound evaluations of an imprecise structure can arrive in either
     order, so construction sorts them; downstream code never branches on
-    labels.
+    labels. A bound of +inf marks a truth no confidence level covers: it
+    sorts above every alpha, so it stays uncovered even at alpha = 1.
     """
 
     lower: float
@@ -117,8 +95,8 @@ class ConfidenceValue:
         lo, hi = float(self.lower), float(self.upper)
         if lo > hi:
             lo, hi = hi, lo
-        if not (0.0 <= lo and hi <= 1.0):
-            raise DomainError("confidence bounds must lie in [0, 1]")
+        if not (0.0 <= lo and (hi <= 1.0 or hi == math.inf)):
+            raise DomainError("confidence bounds must lie in [0, 1] or be +inf")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -241,14 +219,14 @@ def _check_alpha_for_ucl(alpha: float) -> float:
     return alpha
 
 
-def chebyshev_required_confidence(mu: float, data: Dataset):
-    """Smallest ``alpha`` whose Chebyshev UCL reaches ``mu``; NEVER if none does.
+def chebyshev_required_confidence(mu: float, data: Dataset) -> ConfidenceValue:
+    """Smallest ``alpha`` whose Chebyshev UCL reaches ``mu``; +inf if none does.
 
     Inverts the UCL algebraically: alpha = 1 - (((mu - mean) sqrt(n) / sd)^2
     + 1)^-1 for mu above the sample mean, which round-trips through
     ``chebyshev_ucl`` to 1e-9. A target at or below the mean needs no
     confidence at all; a zero-spread sample below the target can never reach
-    it at any level.
+    it at any level, so it requires +inf.
     """
     if data.n < 2:
         raise DomainError("need at least two samples for a Chebyshev bound")
@@ -257,13 +235,13 @@ def chebyshev_required_confidence(mu: float, data: Dataset):
         return ConfidenceValue.precise(0.0)
     sd = data.sd()
     if sd == 0.0:
-        return NEVER
+        return ConfidenceValue.precise(math.inf)
     z = (mu - mean) * math.sqrt(data.n) / sd
     return ConfidenceValue.precise(1.0 - 1.0 / (z * z + 1.0))
 
 
-def evaluate_structure(spec: StructureSpec, truth: float, data: Dataset):
-    """Required confidence of ``spec`` for ``truth``: ConfidenceValue or NEVER."""
+def evaluate_structure(spec: StructureSpec, truth: float, data: Dataset) -> ConfidenceValue:
+    """Required confidence of ``spec`` for ``truth`` (+inf where no level covers)."""
     if spec.kind == "student_t_pivot":
         return student_t_pivot(truth, data)
     if spec.kind == "jeffreys":

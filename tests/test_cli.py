@@ -99,6 +99,21 @@ def test_cli_validation_error(tmp_path, capsys):
     assert "c must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "weights, mus, sigmas",
+    [("0.5,0.5", "4,5,6", "3,1.5"), ("-0.5,1.5", "4,5", "3,1.5"), ("0.5,0.5", "4,5", "3,0")],
+)
+def test_cli_bad_mixture_is_a_validation_error(tmp_path, capsys, weights, mus, sigmas):
+    path = tmp_path / "mix.singh"
+    path.write_text(
+        "structure = empirical_predictive\ntarget = gaussian_mixture\npredict = true\n"
+        f"weights = {weights}\nmus = {mus}\nsigmas = {sigmas}\nn = 10\nm = 20\n"
+    )
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_cli_missing_file(tmp_path, capsys):
     code = main(["run", "--scenario", str(tmp_path / "absent.singh"), "--out", str(tmp_path)])
     assert code == EXIT_RUNTIME

@@ -9,11 +9,6 @@ from singh_audit.structures import StructureSpec
 GRID = np.linspace(0.0, 1.0, 1001)
 
 
-def with_never(curve):
-    """Stored column including NEVER entries as +inf, for index-wise checks."""
-    return np.concatenate((curve.required, np.full(curve.never_count, np.inf)))
-
-
 # --- parameter grids ---
 
 
@@ -63,8 +58,8 @@ def test_band_envelope_brackets_every_grid_point():
     combined = global_singh(spec, family, grid, n, m, stream)
     for j, theta in enumerate(grid.thetas):
         point = singh_curve(spec, family.with_truth(theta), n, m, stream.substream(j * m))
-        assert (combined.lower_curve.required <= with_never(point.lower_curve)).all()
-        assert (with_never(combined.upper_curve) >= with_never(point.upper_curve)).all()
+        assert (combined.lower_curve.required <= point.lower_curve.required).all()
+        assert (combined.upper_curve.required >= point.upper_curve.required).all()
 
 
 def test_precise_envelope_is_indexwise_maximum():
@@ -88,12 +83,12 @@ def test_extending_grid_moves_envelopes_outward():
     stream = SeededStream(44)
     base = global_singh(spec, family, ParameterGrid((0.2, 0.5)), n, m, stream)
     extended = global_singh(spec, family, ParameterGrid((0.2, 0.5, 0.8)), n, m, stream)
-    assert (extended.lower_curve.required <= with_never(base.lower_curve)).all()
-    assert (with_never(extended.upper_curve) >= with_never(base.upper_curve)).all()
+    assert (extended.lower_curve.required <= base.lower_curve.required).all()
+    assert (extended.upper_curve.required >= base.upper_curve.required).all()
 
 
 def test_global_handles_never_columns():
-    # sweeping the target mean upward drives low-count replicates to NEVER
+    # sweeping the target mean upward drives low-count replicates to +inf
     spec = StructureSpec("chebyshev_ucl")
     family = TargetSpec.scaled_bernoulli(0.3, 2.0)
     grid = ParameterGrid((0.5, 2.0, 4.0))
@@ -101,6 +96,24 @@ def test_global_handles_never_columns():
     assert combined.m == 200
     assert combined.never_count > 0
     assert eval_curve(combined, 1.0) == (200 - combined.never_count) / 200
+
+
+def test_fig8_style_envelope_with_never_columns_is_indexwise_max():
+    # several grid points hold +inf (never-covered) replicates; the envelope
+    # is the plain index-wise maximum of the per-point sorted arrays
+    spec = StructureSpec("chebyshev_ucl")
+    family = TargetSpec.scaled_bernoulli(0.3, 2.0)
+    grid = ParameterGrid.uniform(0.5, 4.0, 6)
+    n, m = 5, 300
+    stream = SeededStream(48)
+    combined = global_singh(spec, family, grid, n, m, stream)
+    cols = [
+        singh_curve(spec, family.with_truth(t), n, m, stream.substream(j * m)).required
+        for j, t in enumerate(grid.thetas)
+    ]
+    assert sum(np.isinf(c).any() for c in cols) >= 2
+    assert np.array_equal(combined.required, np.max(cols, axis=0))
+    assert combined.never_count == max(int(np.isinf(c).sum()) for c in cols)
 
 
 def test_global_determinism():

@@ -18,9 +18,8 @@ from singh_audit.special_math import SeededStream
 from singh_audit.structures import StructureSpec
 
 
-def curve(*values, m=None, never=0):
-    values = np.asarray(sorted(values), dtype=np.float64)
-    return SinghCurve(values, m=m if m is not None else len(values) + never, never_count=never)
+def curve(*values, never=0):
+    return SinghCurve(np.asarray(sorted(values) + [np.inf] * never, dtype=np.float64))
 
 
 def read_csv(path):

@@ -9,6 +9,7 @@ from singh_audit.singh_engine import (
     SinghCurve,
     TargetSpec,
     UnsupportedTargetError,
+    _binomial_weights,
     classify,
     dkw_epsilon,
     eval_curve,
@@ -17,14 +18,14 @@ from singh_audit.singh_engine import (
     singh_curve,
 )
 from singh_audit.special_math import DomainError, SeededStream
-from singh_audit.structures import NEVER, Dataset, StructureSpec, evaluate_structure
+from singh_audit.structures import Dataset, StructureSpec, evaluate_structure
 
 GRID = np.linspace(0.0, 1.0, 1001)
 
 
-def curve_of(*values, m=None, never=0, weights=None):
+def curve_of(*values, never=0, weights=None):
     vals = np.sort(np.asarray(values, dtype=np.float64))
-    return SinghCurve(vals, m=m or (len(values) + never), never_count=never, weights=weights)
+    return SinghCurve(np.concatenate((vals, np.full(never, np.inf))), weights=weights)
 
 
 # --- target specs ---
@@ -67,14 +68,31 @@ def test_target_with_truth():
 
 def test_curve_validation():
     with pytest.raises(DomainError):
-        SinghCurve(np.array([0.4, 0.2]), m=2)
+        SinghCurve(np.array([0.4, 0.2]))
     with pytest.raises(DomainError):
-        SinghCurve(np.array([0.2, 1.4]), m=2)
+        SinghCurve(np.array([0.2, 1.4]))
     with pytest.raises(DomainError):
-        SinghCurve(np.array([0.2]), m=3, never_count=1)
+        SinghCurve(np.array([0.2, 1.4, np.inf]))
     with pytest.raises(DomainError):
-        SinghCurve(np.array([0.2]), m=1, weights=np.array([0.5, 0.5]))
-    assert curve_of(0.1, never=2).never_fraction == pytest.approx(2 / 3)
+        SinghCurve(np.array([np.inf, 0.2]))
+    with pytest.raises(DomainError):
+        SinghCurve(np.array([0.2, np.nan]))
+    with pytest.raises(DomainError):
+        SinghCurve(np.array([-np.inf, 0.2]))
+    with pytest.raises(DomainError):
+        SinghCurve(np.array([]))
+    with pytest.raises(DomainError):
+        SinghCurve(np.array([0.2]), weights=np.array([0.5, 0.5]))
+    # trailing +inf, +inf must pass the sort check without a RuntimeWarning
+    c = curve_of(0.1, never=2)
+    assert (c.m, c.never_count) == (3, 2)
+    assert c.never_fraction == pytest.approx(2 / 3)
+
+
+def test_weighted_never_fraction_is_probability_mass():
+    c = curve_of(0.2, 0.6, never=1, weights=np.array([0.5, 0.3, 0.2]))
+    assert c.never_count == 1
+    assert c.never_fraction == pytest.approx(0.2)
 
 
 def test_band_requires_matching_m():
@@ -206,8 +224,8 @@ def test_chebyshev_run_records_never():
         StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.2, 2.0), 5, 2000,
         SeededStream(26),
     )
-    assert curve.never_count > 0
-    assert curve.required.size + curve.never_count == 2000
+    assert curve.required.size == curve.m == 2000
+    assert np.isinf(curve.required).sum() == curve.never_count > 0
 
 
 # --- exact enumeration ---
@@ -237,9 +255,13 @@ def test_exact_chebyshev_case_study_step():
         StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.2, 2.0), 5
     )
     # every dataset with a success sits at required confidence 0; the
-    # all-zero dataset (mass 0.8^5) is NEVER
+    # all-zero dataset (mass 0.8^5) is never covered: one +inf atom
     assert curve.never_count == 1
-    assert (curve.required == 0.0).all()
+    assert curve.m == 6
+    (inf_idx,) = np.nonzero(np.isinf(curve.required))
+    assert inf_idx.tolist() == [5]
+    assert curve.weights[5] == pytest.approx(0.8**5, abs=1e-15)
+    assert (curve.required[:5] == 0.0).all()
     assert eval_curve(curve, 0.95) == pytest.approx(1.0 - 0.8**5, abs=1e-12)
     assert curve.never_fraction == pytest.approx(0.8**5, abs=1e-12)
 
@@ -272,13 +294,29 @@ def test_exact_matches_binomial_mixture_of_values():
         )
 
 
+def test_binomial_weights_match_scipy_at_large_n():
+    # math.comb(n, k) cannot convert to float from n = 1030 on
+    n = 2000
+    for p in (0.01, 0.3, 0.5, 0.999):
+        ref = stats.binom.pmf(np.arange(n + 1), n, p)
+        assert np.abs(_binomial_weights(n, p) - ref).max() <= 1e-12
+    assert np.array_equal(_binomial_weights(4, 0.0), [1.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(_binomial_weights(4, 1.0), [0.0, 0.0, 0.0, 0.0, 1.0])
+
+
+def test_exact_runs_at_large_n():
+    curve = exact_singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.3), 2000)
+    assert curve.m == 2001
+    assert curve.weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
 # --- metrics and classification ---
 
 
 def test_max_deficit_reference_points():
     covered = curve_of(0.0, 0.0, 0.0)
     assert max_coverage_deficit(covered) == 0.0
-    never_only = SinghCurve(np.array([]), m=2, never_count=2)
+    never_only = curve_of(never=2)
     assert max_coverage_deficit(never_only) == 1.0
     with pytest.raises(DomainError):
         max_coverage_deficit(covered, grid=1)

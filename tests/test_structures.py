@@ -9,7 +9,6 @@ from scipy import special as sp
 
 from singh_audit.special_math import DomainError
 from singh_audit.structures import (
-    NEVER,
     ConfidenceValue,
     Dataset,
     DegenerateDataError,
@@ -89,11 +88,6 @@ def test_structure_spec_shape():
     assert StructureSpec("jeffreys").min_n == 1
     assert StructureSpec("jeffreys").is_precise
     assert not StructureSpec("clopper_pearson").is_precise
-
-
-def test_never_is_a_singleton():
-    assert repr(NEVER) == "NEVER"
-    assert type(NEVER)() is NEVER
 
 
 # --- student_t_pivot ---
@@ -268,8 +262,9 @@ def test_chebyshev_covered_at_zero_confidence():
     assert cv.lower == 0.0
 
 
-def test_chebyshev_never_sentinel():
-    assert chebyshev_required_confidence(3.0, Dataset([2.0, 2.0])) is NEVER
+def test_chebyshev_never_covered_requires_inf():
+    cv = chebyshev_required_confidence(3.0, Dataset([2.0, 2.0]))
+    assert cv.is_precise and cv.lower == math.inf
     # at or below the degenerate mean is still covered for free
     assert chebyshev_required_confidence(2.0, Dataset([2.0, 2.0])).lower == 0.0
 
