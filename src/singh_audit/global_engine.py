@@ -64,9 +64,10 @@ def global_singh(
 ):
     """Envelope Singh result across ``grid``, one full run per grid point.
 
-    Grid point j runs on substreams ``stream.substream(j * m)`` onward, so
-    point j's replicate i sees exactly the data a local run with the same
-    offset would see; a one-point grid reproduces that local run bit for bit.
+    Grid point j runs a local ``singh_curve`` rooted at
+    ``stream.substream(j * m)``, whose blocks take the ceil(m / BLOCK) <= m
+    substreams from there on, so the grid points' substreams are disjoint
+    and a one-point grid reproduces the local run bit for bit.
     ``family`` supplies every parameter except the truth, which the grid
     replaces.
     """

@@ -2,9 +2,9 @@
 
 Everything here is byte-deterministic: a fixed scenario and seed must
 reproduce identical files, so plots are written as hand-assembled SVG 1.1
-rather than through a charting library, and all numbers go through one
-9-significant-digit formatter. CSV coverage values are evaluated at the
-printed (rounded) alpha, which keeps an emitted file exactly consistent with
+rather than through a charting library, and CSV numbers are printed with 9
+significant digits. CSV coverage values are evaluated at the printed
+(rounded) alpha, which keeps an emitted file exactly consistent with
 re-evaluating the curve at the alphas it lists.
 """
 
@@ -20,14 +20,18 @@ from .singh_engine import CoverageReport, SinghBand, SinghCurve, eval_curve
 __all__ = ["emit_csv", "emit_svg", "emit_svg_overlay", "emit_report"]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+def _curve_alphas(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct CSV alphas and how many rows each fills.
 
-
-def _curve_alphas(values: np.ndarray) -> np.ndarray:
-    """0, the printed finite sorted ``values``, then 1, as floats."""
-    printed = ["0"] + [_fmt(v) for v in values[np.isfinite(values)]] + ["1"]
-    return np.array([float(s) for s in printed], dtype=np.float64)
+    The rows list 0, every finite value as printed, then 1. Printing is
+    monotone, so equal alphas are neighbours, and coverage is a function of
+    alpha, so each distinct alpha is one row repeated. A Bernoulli-family
+    curve has at most n + 1 distinct values however many replicates it
+    holds, and each is printed once.
+    """
+    distinct, index = np.unique(values[np.isfinite(values)], return_inverse=True)
+    printed = np.array([float(f"{v:.9g}") for v in distinct.tolist()], dtype=np.float64)
+    return np.unique(np.concatenate(([0.0], printed[index], [1.0])), return_counts=True)
 
 
 def emit_csv(result, path) -> Path:
@@ -39,23 +43,21 @@ def emit_csv(result, path) -> Path:
     """
     path = Path(path)
     if isinstance(result, SinghBand):
-        alphas = _curve_alphas(
-            np.sort(np.concatenate((result.lower_curve.required, result.upper_curve.required)))
+        alphas, counts = _curve_alphas(
+            np.concatenate((result.lower_curve.required, result.upper_curve.required))
         )
-        lower = eval_curve(result.lower_curve, alphas)
-        upper = eval_curve(result.upper_curve, alphas)
-        lines = ["alpha,coverage_lower,coverage_upper"]
-        lines += [
-            f"{_fmt(a)},{_fmt(lo)},{_fmt(up)}" for a, lo, up in zip(alphas, lower, upper)
-        ]
+        lower = eval_curve(result.lower_curve, alphas).tolist()
+        upper = eval_curve(result.upper_curve, alphas).tolist()
+        header = "alpha,coverage_lower,coverage_upper"
+        rows = [f"{a:.9g},{lo:.9g},{up:.9g}" for a, lo, up in zip(alphas.tolist(), lower, upper)]
         never = result.lower_curve.never_count
     else:
-        alphas = _curve_alphas(result.required)
-        coverage = eval_curve(result, alphas)
-        lines = ["alpha,coverage"]
-        lines += [f"{_fmt(a)},{_fmt(c)}" for a, c in zip(alphas, coverage)]
+        alphas, counts = _curve_alphas(result.required)
+        coverage = eval_curve(result, alphas).tolist()
+        header = "alpha,coverage"
+        rows = [f"{a:.9g},{c:.9g}" for a, c in zip(alphas.tolist(), coverage)]
         never = result.never_count
-    lines.append(f"# never={never}")
+    lines = [header, *np.repeat(np.array(rows, dtype=object), counts).tolist(), f"# never={never}"]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 

@@ -20,9 +20,10 @@ import numpy as np
 from .special_math import (
     DomainError,
     SeededStream,
+    _component_cdf,
+    _draw_mixture,
     check_mixture,
     sample_bernoulli,
-    sample_mixture,
     sample_normal,
     sample_scaled_bernoulli,
 )
@@ -43,11 +44,18 @@ __all__ = [
 ]
 
 TARGET_FAMILIES = ("normal", "bernoulli", "scaled_bernoulli", "gaussian_mixture")
+COUNT_FAMILIES = ("bernoulli", "scaled_bernoulli")
+
+# Replicates per substream in a Monte Carlo run (stream layout v2).
+BLOCK = 4096
 
 DEFAULT_GRID_POINTS = 1001
 # Conservatism must show across the central α range; at the extreme tails
 # every coverage curve converges to the diagonal and the test has no power.
 CONSERVATIVE_RANGE = (0.1, 0.9)
+# Tolerance tube of an exact (weighted) curve: it has no sampling noise, so
+# only rounding in the atom values and weights is forgiven.
+EXACT_TOLERANCE = 1e-9
 
 
 class UnsupportedTargetError(ValueError):
@@ -96,6 +104,9 @@ class TargetSpec:
             arrays = check_mixture(self.weights, self.mus, self.sigmas)
             for name, arr in zip(("weights", "mus", "sigmas"), arrays):
                 object.__setattr__(self, name, tuple(arr.tolist()))
+            # Checked once here, so draws skip re-validation.
+            weights, mus, sigmas = arrays
+            object.__setattr__(self, "_mixture", (_component_cdf(weights), mus, sigmas))
 
     def _need(self, **fields) -> None:
         for name, value in fields.items():
@@ -144,14 +155,15 @@ class TargetSpec:
             return replace(self, mean=float(theta))
         raise UnsupportedTargetError("a mixture has no single truth parameter to sweep")
 
-    def draw(self, stream: SeededStream, count: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` draws from the target, continuing ``rng``'s sequence."""
         if self.family == "normal":
-            return sample_normal(stream, self.mu, self.sigma, count)
+            return sample_normal(rng, self.mu, self.sigma, count)
         if self.family == "bernoulli":
-            return sample_bernoulli(stream, self.p, count)
+            return sample_bernoulli(rng, self.p, count)
         if self.family == "scaled_bernoulli":
-            return sample_scaled_bernoulli(stream, self.p, self.mean, count)
-        return sample_mixture(stream, self.weights, self.mus, self.sigmas, count)
+            return sample_scaled_bernoulli(rng, self.p, self.mean, count)
+        return _draw_mixture(rng, *self._mixture, count)
 
 
 @dataclass(frozen=True)
@@ -281,42 +293,89 @@ def _check_run_args(structure: StructureSpec, target: TargetSpec, n: int, m: int
         raise DomainError("predictive targets pair with empirical_predictive only")
 
 
-def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream):
-    """Monte Carlo Singh result: m replicates of size n, one substream each.
+def _blocks(m: int) -> list[tuple[int, int]]:
+    """(block index, replicate count) of the BLOCK-sized slices of m replicates."""
+    return [(b, min(BLOCK, m - start)) for b, start in enumerate(range(0, m, BLOCK))]
 
-    Every replicate i draws its dataset from ``stream.substream(i)`` and
-    records the structure's required confidence at the truth (for predictive
-    targets, at the (n+1)-th draw). Precise structures return a SinghCurve;
-    imprecise ones return a SinghBand built from the same replicates, so the
-    result is a pure function of (structure, target, n, m, stream).
+
+def _count_values(
+    structure: StructureSpec, target: TargetSpec, n: int, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Required-confidence bounds of a two-point target at each success count.
+
+    Every structure sees a Bernoulli-family dataset only through its success
+    count k, so the dataset of k successes followed by n - k zeros stands
+    for all of them. Both engines evaluate structures here.
+    """
+    value = 1.0 if target.family == "bernoulli" else target.mean / target.p
+    truth = target.theta0
+    lowers = np.empty(counts.size)
+    uppers = np.empty(counts.size)
+    for i, k in enumerate(counts.tolist()):
+        data = Dataset(np.concatenate((np.full(k, value), np.zeros(n - k))))
+        cv = evaluate_structure(structure, truth, data)
+        lowers[i] = cv.lower
+        uppers[i] = cv.upper
+    return lowers, uppers
+
+
+def _drawn_count_values(
+    structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream
+) -> tuple[np.ndarray, np.ndarray]:
+    # One Binomial(n, p) success count per replicate; each distinct count
+    # is evaluated once, and only counts actually drawn are evaluated.
+    counts = np.concatenate([
+        stream.substream(b).generator().binomial(n, target.p, size)
+        for b, size in _blocks(m)
+    ])
+    atoms, index = np.unique(counts, return_inverse=True)
+    lowers, uppers = _count_values(structure, target, n, atoms)
+    return lowers[index], uppers[index]
+
+
+def _drawn_row_values(
+    structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream
+) -> tuple[np.ndarray, np.ndarray]:
+    # One dataset per replicate, drawn in turn from its block's generator;
+    # rows are drawn one at a time so memory stays O(n), not O(BLOCK * n).
+    draw_count = n + 1 if target.predictive else n
+    truth = None if target.predictive else target.theta0
+    lowers = np.empty(m)
+    uppers = np.empty(m)
+    i = 0
+    for b, size in _blocks(m):
+        rng = stream.substream(b).generator()
+        for _ in range(size):
+            x = target.draw(rng, draw_count)
+            if target.predictive:
+                cv = evaluate_structure(structure, float(x[n]), Dataset(x[:n]))
+            else:
+                cv = evaluate_structure(structure, truth, Dataset(x))
+            lowers[i] = cv.lower
+            uppers[i] = cv.upper
+            i += 1
+    return lowers, uppers
+
+
+def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream):
+    """Monte Carlo Singh result: m replicates of size n in blocks of BLOCK.
+
+    Stream layout v2: block b holds replicates ``b * BLOCK`` onward (the
+    last block may be short) and draws them all from one generator,
+    ``stream.substream(b).generator()``. A non-predictive Bernoulli-family
+    target draws one Binomial(n, p) success count per replicate, in
+    replicate order; every other target draws replicate i's dataset as the
+    i-th row of its block, and a predictive target's truth is that row's
+    (n+1)-th draw. Block boundaries depend only on m, so the result is a
+    pure function of (structure, target, n, m, stream). Precise structures
+    return a SinghCurve; imprecise ones return a SinghBand built from the
+    same replicates.
     """
     _check_run_args(structure, target, n, m)
-    draw_count = n + 1 if target.predictive else n
-    discrete = target.family in ("bernoulli", "scaled_bernoulli")
-    memo: dict = {}
-    lowers: list[float] = []
-    uppers: list[float] = []
-    truth = None if target.predictive else target.theta0
-    for i in range(m):
-        x = target.draw(stream.substream(i), draw_count)
-        if target.predictive:
-            point = float(x[n])
-            body = x[:n]
-        else:
-            point = truth
-            body = x
-        if discrete:
-            # Value depends on the data only through the success count, so
-            # identical counts reuse one evaluation.
-            key = (float(body.sum()), point)
-            cv = memo.get(key)
-            if cv is None:
-                cv = evaluate_structure(structure, point, Dataset(body))
-                memo[key] = cv
-        else:
-            cv = evaluate_structure(structure, point, Dataset(body))
-        lowers.append(cv.lower)
-        uppers.append(cv.upper)
+    if target.family in COUNT_FAMILIES and not target.predictive:
+        lowers, uppers = _drawn_count_values(structure, target, n, m, stream)
+    else:
+        lowers, uppers = _drawn_row_values(structure, target, n, m, stream)
     lower = SinghCurve(np.sort(lowers))
     if structure.is_precise:
         return lower
@@ -339,9 +398,9 @@ def _binomial_weights(n: int, p: float) -> np.ndarray:
     return np.exp(log_comb + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
-def _weighted_curve(values: list[float], weights: np.ndarray) -> SinghCurve:
+def _weighted_curve(values: np.ndarray, weights: np.ndarray) -> SinghCurve:
     order = np.argsort(values, kind="stable")
-    return SinghCurve(np.asarray(values)[order], weights=weights[order])
+    return SinghCurve(values[order], weights=weights[order])
 
 
 def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
@@ -350,24 +409,16 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     For Bernoulli-family targets the dataset enters every structure only
     through its success count k, so the full distribution of required
     confidence is the n+1 values at k = 0..n carrying binomial weights. This
-    is the zero-noise reference the Monte Carlo path is validated against.
+    is the zero-noise reference the Monte Carlo path is validated against;
+    both evaluate the structure through the same per-count helper.
     """
-    if target.family not in ("bernoulli", "scaled_bernoulli"):
+    if target.family not in COUNT_FAMILIES:
         raise UnsupportedTargetError("exact enumeration needs a bernoulli or scaled_bernoulli target")
     if target.predictive:
         raise UnsupportedTargetError("exact enumeration does not cover predictive targets")
     _check_run_args(structure, target, n, m=1)
-    rate = target.p
-    value = 1.0 if target.family == "bernoulli" else target.mean / target.p
-    truth = target.theta0
-    weights = _binomial_weights(n, rate)
-    lowers: list[float] = []
-    uppers: list[float] = []
-    for k in range(n + 1):
-        data = Dataset(np.concatenate((np.full(k, value), np.zeros(n - k))))
-        cv = evaluate_structure(structure, truth, data)
-        lowers.append(cv.lower)
-        uppers.append(cv.upper)
+    weights = _binomial_weights(n, target.p)
+    lowers, uppers = _count_values(structure, target, n, np.arange(n + 1))
     lower = _weighted_curve(lowers, weights)
     if structure.is_precise:
         return lower
@@ -388,7 +439,12 @@ def max_coverage_deficit(result, grid: int = DEFAULT_GRID_POINTS) -> float:
 
 
 def classify(result, delta: float = 0.01) -> CoverageReport:
-    """Label a Singh result against its DKW tolerance tube.
+    """Label a Singh result against its tolerance tube.
+
+    A Monte Carlo curve's tube is its DKW band at ``delta``; an exact
+    (weighted) curve has no sampling noise, so its tube is the rounding
+    tolerance ``EXACT_TOLERANCE`` and ``delta`` plays no part. The report's
+    ``dkw_epsilon`` holds the half-width used.
 
     overconfident: the coverage-relevant curve dips below alpha - epsilon
     somewhere. favourable: it stays inside the tube everywhere. conservative:
@@ -397,7 +453,7 @@ def classify(result, delta: float = 0.01) -> CoverageReport:
     only the central range discriminates). valid: everything else.
     """
     curve = _coverage_curve(result)
-    eps = dkw_epsilon(curve.m, delta)
+    eps = dkw_epsilon(curve.m, delta) if curve.weights is None else EXACT_TOLERANCE
     alphas = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     gap = eval_curve(curve, alphas) - alphas
     lo, hi = CONSERVATIVE_RANGE

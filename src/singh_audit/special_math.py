@@ -2,11 +2,14 @@
 
 The regularized incomplete beta function and the Student-t CDF are computed
 with the standard continued-fraction expansion so results are identical on
-every platform and carry no heavyweight dependency. Sampling goes through
+every platform and carry no heavyweight dependency. Randomness comes from
 ``SeededStream``, a splittable handle that derives statistically independent
-substreams from a single master seed by index arithmetic; every Monte Carlo
-replicate in the package owns one substream, which makes results independent
-of worker count and execution order.
+substreams from a single master seed by index arithmetic. The samplers draw
+from a ``numpy.random.Generator`` that such a stream hands out. Monte Carlo
+runs (stream layout v2) give each fixed-size block of replicates one
+substream, and the replicates of a block consume its generator in order;
+block boundaries depend only on the replicate count, which makes results
+independent of worker count and execution order.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ class SeededStream:
     """Reproducible random source identified by (master_seed, stream_index).
 
     Equal fields replay the exact same draws. Distinct stream indices give
-    independent streams, so splitting work is just index arithmetic: replicate
-    ``i`` of a run rooted at index ``b`` uses index ``b + i``. Callers that
-    split are responsible for handing out disjoint index blocks.
+    independent streams, so splitting work is just index arithmetic: block
+    ``b`` of a Monte Carlo run rooted at index ``r`` uses index ``r + b``,
+    one generator for all the replicates of the block. Callers that split
+    are responsible for handing out disjoint index ranges.
     """
 
     master_seed: int
@@ -166,9 +170,15 @@ def _ln_front(x: float, a: float, b: float) -> float:
     )
 
 
+# Shapes up to 1e4 converge within about 115 iterations; Beta(1e6, 2e6)
+# near its mean would need 542, so it is refused rather than truncated.
+_CF_MAX_ITERATIONS = 400
+
+
 def _beta_cf(x: float, a: float, b: float) -> float:
     # Modified Lentz evaluation of the continued fraction for I_x(a, b),
-    # valid (fast-converging) for x < (a + 1) / (a + b + 2).
+    # valid (fast-converging) for x < (a + 1) / (a + b + 2). Raises
+    # DomainError instead of returning an unconverged value.
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
@@ -179,7 +189,7 @@ def _beta_cf(x: float, a: float, b: float) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, 400):
+    for m in range(1, _CF_MAX_ITERATIONS):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -201,8 +211,10 @@ def _beta_cf(x: float, a: float, b: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            break
-    return h
+            return h
+    raise DomainError(
+        f"incomplete beta continued fraction did not converge at x={x!r}, a={a!r}, b={b!r}"
+    )
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
@@ -210,7 +222,9 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
     Degenerate shapes follow the point-mass conventions: a = 0 is a point
     mass at 0 (the CDF is 1 for every x >= 0) and b = 0 is a point mass at 1
-    (0 below 1, then 1). Absolute error is below 1e-12 for a, b <= 1e4.
+    (0 below 1, then 1). Absolute error is below 1e-12 for a, b <= 1e4;
+    where the continued fraction does not converge (shapes near 1e6 and
+    beyond) it raises DomainError.
     """
     x = _check_prob(x, "x")
     if a < 0.0 or b < 0.0:
@@ -248,27 +262,27 @@ def student_t_cdf(t: float, nu: float) -> float:
     return tail if t < 0.0 else 1.0 - tail
 
 
-def sample_normal(stream: SeededStream, mu: float, sigma: float, n: int) -> np.ndarray:
-    """``n`` independent N(mu, sigma) draws from the stream."""
+def sample_normal(rng: np.random.Generator, mu: float, sigma: float, n: int) -> np.ndarray:
+    """``n`` independent N(mu, sigma) draws from ``rng``."""
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
     if n < 1:
         raise DomainError("n must be at least 1")
     # Location-scale on standard normals keeps (mu=4, sigma=3) an exact
-    # affine image of (mu=0, sigma=1) under the same stream.
-    return mu + sigma * stream.generator().standard_normal(n)
+    # affine image of (mu=0, sigma=1) under the same generator state.
+    return mu + sigma * rng.standard_normal(n)
 
 
-def sample_bernoulli(stream: SeededStream, p: float, n: int) -> np.ndarray:
+def sample_bernoulli(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     """``n`` independent indicator draws with success probability ``p``."""
     p = _check_prob(p, "p")
     if n < 1:
         raise DomainError("n must be at least 1")
-    return (stream.generator().random(n) < p).astype(np.float64)
+    return (rng.random(n) < p).astype(np.float64)
 
 
 def sample_scaled_bernoulli(
-    stream: SeededStream, p: float, target_mean: float, n: int
+    rng: np.random.Generator, p: float, target_mean: float, n: int
 ) -> np.ndarray:
     """Two-point draws on {0, target_mean/p} with population mean target_mean.
 
@@ -282,7 +296,7 @@ def sample_scaled_bernoulli(
         raise DomainError("target_mean must be positive")
     if n < 1:
         raise DomainError("n must be at least 1")
-    return (target_mean / p) * (stream.generator().random(n) < p)
+    return (target_mean / p) * (rng.random(n) < p)
 
 
 def check_mixture(weights, mus, sigmas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -307,8 +321,37 @@ def check_mixture(weights, mus, sigmas) -> tuple[np.ndarray, np.ndarray, np.ndar
     return weights, mus, sigmas
 
 
+def _component_cdf(weights: np.ndarray) -> np.ndarray:
+    """Cumulative mixture weights, normalised to end at exactly 1."""
+    cdf = weights.cumsum()
+    return cdf / cdf[-1]
+
+
+def _draw_mixture(
+    rng: np.random.Generator,
+    cdf: np.ndarray,
+    mus: np.ndarray,
+    sigmas: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """``n`` mixture draws from checked parameters, with no checks of its own.
+
+    ``cdf`` comes from ``_component_cdf``. Components are picked by the same
+    inverse-CDF lookup as ``rng.choice(size, p=weights)``, so the draws
+    equal that call's, without its per-call validation of the weights.
+    """
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    if cdf.size == 1:
+        # Single component consumes the generator exactly like sample_normal.
+        return mus[0] + sigmas[0] * rng.standard_normal(n)
+    component = cdf.searchsorted(rng.random(n), side="right")
+    z = rng.standard_normal(n)
+    return mus[component] + sigmas[component] * z
+
+
 def sample_mixture(
-    stream: SeededStream,
+    rng: np.random.Generator,
     weights: "list[float] | np.ndarray",
     mus: "list[float] | np.ndarray",
     sigmas: "list[float] | np.ndarray",
@@ -316,13 +359,4 @@ def sample_mixture(
 ) -> np.ndarray:
     """``n`` independent draws from a finite Gaussian mixture."""
     weights, mus, sigmas = check_mixture(weights, mus, sigmas)
-    if weights.size == 1:
-        # Single component consumes the stream exactly like sample_normal.
-        return sample_normal(stream, float(mus[0]), float(sigmas[0]), n)
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    rng = stream.generator()
-    component = rng.choice(weights.size, size=n, p=weights)
-    z = rng.standard_normal(n)
-    return mus[component] + sigmas[component] * z
-
+    return _draw_mixture(rng, _component_cdf(weights), mus, sigmas, n)

@@ -41,6 +41,13 @@ def test_csv_single_value_exact_text(tmp_path):
     )
 
 
+def test_csv_repeats_rows_of_equal_values(tmp_path):
+    out = emit_csv(curve(0.5, 0.25, 0.5, 0.5, never=1), tmp_path / "c.csv")
+    assert out.read_text(encoding="utf-8") == (
+        "alpha,coverage\n0,0\n0.25,0.2\n0.5,0.8\n0.5,0.8\n0.5,0.8\n1,0.8\n# never=1\n"
+    )
+
+
 def test_csv_never_only(tmp_path):
     out = emit_csv(curve(never=1), tmp_path / "c.csv")
     assert out.read_text(encoding="utf-8") == (

@@ -4,6 +4,8 @@ from scipy import special as sp
 from scipy import stats
 
 from singh_audit.singh_engine import (
+    BLOCK,
+    EXACT_TOLERANCE,
     CoverageReport,
     SinghBand,
     SinghCurve,
@@ -18,7 +20,12 @@ from singh_audit.singh_engine import (
     singh_curve,
 )
 from singh_audit.special_math import DomainError, SeededStream
-from singh_audit.structures import Dataset, StructureSpec, evaluate_structure
+from singh_audit.structures import (
+    Dataset,
+    DegenerateDataError,
+    StructureSpec,
+    evaluate_structure,
+)
 
 GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -161,20 +168,79 @@ def test_singh_curve_is_deterministic():
     assert a.m == b.m == 300
 
 
-def test_singh_curve_memoization_matches_direct_evaluation():
+def test_bernoulli_replicates_replay_binomial_counts_per_block():
+    # Layout v2: block b draws one Binomial(n, p) count per replicate from
+    # substream(b); each replicate's value is the structure at that count.
     spec = StructureSpec("clopper_pearson")
     target = TargetSpec.bernoulli(0.3)
     stream = SeededStream(22)
-    n, m = 7, 200
+    n, m = 7, BLOCK + 200
     result = singh_curve(spec, target, n, m, stream)
+    counts = np.concatenate((
+        stream.substream(0).generator().binomial(n, 0.3, BLOCK),
+        stream.substream(1).generator().binomial(n, 0.3, m - BLOCK),
+    ))
     lowers, uppers = [], []
-    for i in range(m):
-        x = target.draw(stream.substream(i), n)
-        cv = evaluate_structure(spec, target.theta0, Dataset(x))
+    for k in counts.tolist():
+        data = Dataset(np.concatenate((np.ones(k), np.zeros(n - k))))
+        cv = evaluate_structure(spec, target.theta0, data)
         lowers.append(cv.lower)
         uppers.append(cv.upper)
     assert np.array_equal(result.lower_curve.required, np.sort(lowers))
     assert np.array_equal(result.upper_curve.required, np.sort(uppers))
+
+
+def test_normal_replicates_replay_rows_of_their_block():
+    # Layout v2: replicate i of block b is the i-th row drawn from
+    # substream(b)'s generator; the last block is short.
+    spec = StructureSpec("student_t_pivot")
+    target = TargetSpec.normal(4.0, 3.0)
+    stream = SeededStream(27)
+    n, m = 6, BLOCK + 3
+    result = singh_curve(spec, target, n, m, stream)
+    values = []
+    for b, size in ((0, BLOCK), (1, 3)):
+        rng = stream.substream(b).generator()
+        for _ in range(size):
+            x = 4.0 + 3.0 * rng.standard_normal(n)
+            values.append(evaluate_structure(spec, 4.0, Dataset(x)).lower)
+    assert np.array_equal(result.required, np.sort(values))
+
+
+def test_one_generator_per_block_and_one_evaluation_per_drawn_count(monkeypatch):
+    # Entry points are looked up at call time, so wrappers patched onto the
+    # module (as the benchmark's tracer does) see every call.
+    from singh_audit import singh_engine
+
+    calls = {"generator": 0, "evaluate": 0}
+    generator, evaluate = SeededStream.generator, singh_engine.evaluate_structure
+
+    def counting_generator(self):
+        calls["generator"] += 1
+        return generator(self)
+
+    def counting_evaluate(*args):
+        calls["evaluate"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(SeededStream, "generator", counting_generator)
+    monkeypatch.setattr(singh_engine, "evaluate_structure", counting_evaluate)
+    curve = singh_curve(
+        StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), 12, 2 * BLOCK + 1, SeededStream(29)
+    )
+    assert calls["generator"] == 3
+    assert calls["evaluate"] == np.unique(curve.required).size <= 13
+
+
+def test_t_pivot_on_bernoulli_raises_only_for_drawn_degenerate_counts():
+    spec = StructureSpec("student_t_pivot")
+    # p = 0.5, n = 30: k = 0 or 30 has probability 2e-9, so no draw is
+    # degenerate and the run succeeds.
+    curve = singh_curve(spec, TargetSpec.bernoulli(0.5), 30, 500, SeededStream(28))
+    assert curve.m == 500
+    # p = 0.05, n = 5: k = 0 (probability 0.77) is drawn, zero spread.
+    with pytest.raises(DegenerateDataError):
+        singh_curve(spec, TargetSpec.bernoulli(0.05), 5, 50, SeededStream(28))
 
 
 def test_band_ordering_is_exact():
@@ -376,6 +442,28 @@ def test_classify_report_fields():
     assert report.dkw_epsilon == pytest.approx(dkw_epsilon(500, 0.05))
     assert -1.0 <= report.max_deficit <= 1.0
     assert report.conservatism_area == 0.0  # precise structures have no band
+
+
+def test_classify_exact_curve_uses_rounding_tolerance():
+    # An exact curve has no sampling noise: exact Jeffreys at n = 30 dips
+    # 0.071 below the diagonal, which a DKW tube with m = n + 1 atoms
+    # (epsilon 0.29) would have passed as favourable.
+    curve = exact_singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.5), 30)
+    report = classify(curve)
+    assert report.classification == "overconfident"
+    assert report.dkw_epsilon == EXACT_TOLERANCE
+    assert report.max_deficit == pytest.approx(0.071, abs=0.001)
+    assert report.m == 31
+
+
+def test_classify_exact_clopper_pearson_band_forgives_rounding_only():
+    # Its lower curve touches the diagonal to within rounding (a max deficit
+    # of ~1e-15 here), which the tolerance forgives, and clears it between.
+    band = exact_singh_curve(StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.4), 10)
+    report = classify(band)
+    assert report.max_deficit <= 1e-12
+    assert report.classification == "conservative"
+    assert report.dkw_epsilon == EXACT_TOLERANCE
 
 
 def test_conservatism_area_monotone_in_c():

@@ -97,6 +97,13 @@ def test_beta_rejects_bad_shapes():
         reg_inc_beta(1.5, 2.0, 2.0)
 
 
+def test_beta_refuses_unconverged_continued_fraction():
+    # Beta(1e6, 2e6) near its mean needs more continued-fraction terms than
+    # the iteration cap; an error replaces a silently truncated value.
+    with pytest.raises(DomainError, match="did not converge"):
+        reg_inc_beta(1.0 / 3.0, 1e6, 2e6)
+
+
 @given(a=SHAPES, b=SHAPES, x1=PROBS, x2=PROBS)
 @settings(max_examples=200, deadline=None)
 def test_beta_monotone_in_x(a, b, x1, x2):
@@ -194,33 +201,33 @@ def test_stream_validation():
 
 def test_sample_normal_is_affine_in_location_scale():
     s = SeededStream(3)
-    shifted = sample_normal(s, 4.0, 3.0, 256)
-    standard = sample_normal(s, 0.0, 1.0, 256)
+    shifted = sample_normal(s.generator(), 4.0, 3.0, 256)
+    standard = sample_normal(s.generator(), 0.0, 1.0, 256)
     assert np.array_equal(shifted, 4.0 + 3.0 * standard)
 
 
 def test_sample_normal_moments():
-    x = sample_normal(SeededStream(4), 2.0, 5.0, 200_000)
+    x = sample_normal(SeededStream(4).generator(), 2.0, 5.0, 200_000)
     n = x.size
     assert abs(x.mean() - 2.0) < 5 * 5.0 / math.sqrt(n)
     assert abs(x.std(ddof=1) - 5.0) < 5 * 5.0 / math.sqrt(2 * n)
 
 
 def test_sample_bernoulli_support_and_mean():
-    x = sample_bernoulli(SeededStream(5), 0.3, 100_000)
+    x = sample_bernoulli(SeededStream(5).generator(), 0.3, 100_000)
     assert set(np.unique(x)) <= {0.0, 1.0}
     se = math.sqrt(0.3 * 0.7 / x.size)
     assert abs(x.mean() - 0.3) < 5 * se
 
 
 def test_sample_bernoulli_degenerate_rates():
-    assert not sample_bernoulli(SeededStream(6), 0.0, 1000).any()
-    assert sample_bernoulli(SeededStream(6), 1.0, 1000).all()
+    assert not sample_bernoulli(SeededStream(6).generator(), 0.0, 1000).any()
+    assert sample_bernoulli(SeededStream(6).generator(), 1.0, 1000).all()
 
 
 def test_sample_scaled_bernoulli_support_and_mean():
     p, target = 0.2, 2.0
-    x = sample_scaled_bernoulli(SeededStream(7), p, target, 1_000_000)
+    x = sample_scaled_bernoulli(SeededStream(7).generator(), p, target, 1_000_000)
     assert set(np.unique(x)) <= {0.0, target / p}
     se = target * math.sqrt((1 - p) / p) / math.sqrt(x.size)
     assert abs(x.mean() - target) < 5 * se
@@ -228,18 +235,18 @@ def test_sample_scaled_bernoulli_support_and_mean():
 
 def test_sample_mixture_single_component_matches_normal():
     s = SeededStream(8)
-    mixed = sample_mixture(s, [1.0], [4.0], [3.0], 128)
-    assert np.array_equal(mixed, sample_normal(s, 4.0, 3.0, 128))
+    mixed = sample_mixture(s.generator(), [1.0], [4.0], [3.0], 128)
+    assert np.array_equal(mixed, sample_normal(s.generator(), 4.0, 3.0, 128))
 
 
 def test_sample_mixture_mean():
-    x = sample_mixture(SeededStream(9), [0.5, 0.5], [4.0, 5.0], [3.0, 1.5], 200_000)
+    x = sample_mixture(SeededStream(9).generator(), [0.5, 0.5], [4.0, 5.0], [3.0, 1.5], 200_000)
     sd = math.sqrt(0.5 * (3.0**2 + 4.0**2) + 0.5 * (1.5**2 + 5.0**2) - 4.5**2)
     assert abs(x.mean() - 4.5) < 5 * sd / math.sqrt(x.size)
 
 
 def test_sampler_validation():
-    s = SeededStream(10)
+    s = SeededStream(10).generator()
     with pytest.raises(DomainError):
         sample_normal(s, 0.0, 0.0, 10)
     with pytest.raises(DomainError):
