@@ -47,12 +47,8 @@ def _effective_outputs(scenario: Scenario, fmt: str | None) -> frozenset[str]:
     return frozenset(chosen)
 
 
-def run_scenario(scenario: Scenario, out_dir, fmt: str | None = None) -> list[Path]:
-    """Run one scenario and write its requested artifacts into ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = _effective_outputs(scenario, fmt)
-    result, report = run_analysis(scenario)
+def _emit(scenario: Scenario, result, report: CoverageReport, out: Path, outputs) -> list[Path]:
+    """Write one run's artifacts named after the scenario, in csv, svg, report order."""
     stem = _slug(scenario.name)
     written: list[Path] = []
     if "csv" in outputs:
@@ -62,6 +58,14 @@ def run_scenario(scenario: Scenario, out_dir, fmt: str | None = None) -> list[Pa
     if "report" in outputs:
         written.append(emit_report(report, out / f"{stem}.json", scenario.name))
     return written
+
+
+def run_scenario(scenario: Scenario, out_dir, fmt: str | None = None) -> list[Path]:
+    """Run one scenario and write its requested artifacts into ``out_dir``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    result, report = run_analysis(scenario)
+    return _emit(scenario, result, report, out, _effective_outputs(scenario, fmt))
 
 
 def run_preset(name: str, out_dir, replicates: int | None = None) -> list[Path]:
@@ -80,11 +84,8 @@ def run_preset(name: str, out_dir, replicates: int | None = None) -> list[Path]:
     for scenario in scenarios:
         result, report = run_analysis(scenario)
         ran.append((scenario, result, report))
-        stem = _slug(scenario.name)
-        if "csv" in scenario.outputs:
-            written.append(emit_csv(result, out / f"{stem}.csv"))
-        if "report" in scenario.outputs:
-            written.append(emit_report(report, out / f"{stem}.json", scenario.name))
+        # A preset's plots are its figures, drawn below, not one per run.
+        written += _emit(scenario, result, report, out, scenario.outputs - {"svg"})
     for plot_stem, indices in preset.plots:
         if len(indices) == 1:
             scenario, result, report = ran[indices[0]]

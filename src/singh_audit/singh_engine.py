@@ -27,7 +27,7 @@ from .special_math import (
     sample_normal,
     sample_scaled_bernoulli,
 )
-from .structures import Dataset, StructureSpec, evaluate_structure
+from .structures import StructureSpec, evaluate_counts, evaluate_structure
 
 __all__ = [
     "UnsupportedTargetError",
@@ -48,6 +48,10 @@ COUNT_FAMILIES = ("bernoulli", "scaled_bernoulli")
 
 # Replicates per substream in a Monte Carlo run (stream layout v2).
 BLOCK = 4096
+# Sample elements per batched structure evaluation: rows are drawn and
+# evaluated in chunks of at most this many elements (at least one row), so
+# memory stays O(max(n, CHUNK_ELEMENTS)) and never O(BLOCK * n).
+CHUNK_ELEMENTS = 2**15
 
 DEFAULT_GRID_POINTS = 1001
 # Conservatism must show across the central α range; at the extreme tails
@@ -155,15 +159,25 @@ class TargetSpec:
             return replace(self, mean=float(theta))
         raise UnsupportedTargetError("a mixture has no single truth parameter to sweep")
 
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` draws from the target, continuing ``rng``'s sequence."""
+    def draw(self, rng: np.random.Generator, rows: int, count: int) -> np.ndarray:
+        """A (rows, count) block of draws, continuing ``rng``'s sequence.
+
+        Row i equals the i-th of ``rows`` successive ``count``-draw calls.
+        Normal and Bernoulli-family blocks are one generator call filled in
+        row-major order; a mixture draws row by row, because each row
+        interleaves its component picks with its normals.
+        """
+        size = rows * count
         if self.family == "normal":
-            return sample_normal(rng, self.mu, self.sigma, count)
+            return sample_normal(rng, self.mu, self.sigma, size).reshape(rows, count)
         if self.family == "bernoulli":
-            return sample_bernoulli(rng, self.p, count)
+            return sample_bernoulli(rng, self.p, size).reshape(rows, count)
         if self.family == "scaled_bernoulli":
-            return sample_scaled_bernoulli(rng, self.p, self.mean, count)
-        return _draw_mixture(rng, *self._mixture, count)
+            return sample_scaled_bernoulli(rng, self.p, self.mean, size).reshape(rows, count)
+        block = np.empty((rows, count))
+        for row in block:
+            row[:] = _draw_mixture(rng, *self._mixture, count)
+        return block
 
 
 @dataclass(frozen=True)
@@ -236,7 +250,13 @@ class SinghBand:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Classification and summary statistics for one Singh result."""
+    """Classification and summary statistics for one Singh result.
+
+    ``m`` and ``never_count`` count replicates of a Monte Carlo curve, but
+    atoms (one per success count) of an exact weighted curve, whatever
+    their probability; the never-covered probability mass is the curve's
+    ``SinghCurve.never_fraction``.
+    """
 
     classification: str
     max_deficit: float
@@ -287,7 +307,7 @@ def _check_run_args(structure: StructureSpec, target: TargetSpec, n: int, m: int
         raise DomainError("m must be at least 1")
     if n < structure.min_n:
         raise DomainError(f"{structure.kind} needs n >= {structure.min_n}")
-    if structure.kind in ("jeffreys", "clopper_pearson", "scaled_cbox") and target.family != "bernoulli":
+    if structure.reads_count and target.family != "bernoulli":
         raise DomainError(f"{structure.kind} requires a bernoulli target")
     if (structure.kind == "empirical_predictive") != target.predictive:
         raise DomainError("predictive targets pair with empirical_predictive only")
@@ -298,24 +318,33 @@ def _blocks(m: int) -> list[tuple[int, int]]:
     return [(b, min(BLOCK, m - start)) for b, start in enumerate(range(0, m, BLOCK))]
 
 
+def _chunks(total: int, width: int) -> list[tuple[int, int]]:
+    """(start, rows) slices of ``total`` rows of ``width`` elements within CHUNK_ELEMENTS."""
+    step = max(1, CHUNK_ELEMENTS // width)
+    return [(start, min(step, total - start)) for start in range(0, total, step)]
+
+
 def _count_values(
     structure: StructureSpec, target: TargetSpec, n: int, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Required-confidence bounds of a two-point target at each success count.
 
-    Every structure sees a Bernoulli-family dataset only through its success
-    count k, so the dataset of k successes followed by n - k zeros stands
-    for all of them. Both engines evaluate structures here.
+    Count-reading structures are evaluated straight from k. The others see
+    the dataset of k successes followed by n - k zeros, which stands for
+    every dataset with k successes; those rows are built and evaluated in
+    chunks. Both engines evaluate structures here.
     """
-    value = 1.0 if target.family == "bernoulli" else target.mean / target.p
     truth = target.theta0
+    if structure.reads_count:
+        return evaluate_counts(structure, truth, n, counts)
+    value = 1.0 if target.family == "bernoulli" else target.mean / target.p
+    columns = np.arange(n)
     lowers = np.empty(counts.size)
     uppers = np.empty(counts.size)
-    for i, k in enumerate(counts.tolist()):
-        data = Dataset(np.concatenate((np.full(k, value), np.zeros(n - k))))
-        cv = evaluate_structure(structure, truth, data)
-        lowers[i] = cv.lower
-        uppers[i] = cv.upper
+    for start, rows in _chunks(counts.size, n):
+        stop = start + rows
+        x = np.where(columns < counts[start:stop, None], value, 0.0)
+        lowers[start:stop], uppers[start:stop] = evaluate_structure(structure, truth, x)
     return lowers, uppers
 
 
@@ -336,24 +365,25 @@ def _drawn_count_values(
 def _drawn_row_values(
     structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    # One dataset per replicate, drawn in turn from its block's generator;
-    # rows are drawn one at a time so memory stays O(n), not O(BLOCK * n).
-    draw_count = n + 1 if target.predictive else n
+    """Bounds of m replicates whose datasets are rows drawn from their block.
+
+    Each block's generator hands out its rows in chunks of at most
+    CHUNK_ELEMENTS elements, and each chunk is one ``evaluate_structure``
+    call on a (rows, n) matrix; a predictive row's (n+1)-th draw is its
+    truth. Chunking changes neither the draws nor the values, only memory.
+    """
+    width = n + 1 if target.predictive else n
     truth = None if target.predictive else target.theta0
     lowers = np.empty(m)
     uppers = np.empty(m)
-    i = 0
     for b, size in _blocks(m):
         rng = stream.substream(b).generator()
-        for _ in range(size):
-            x = target.draw(rng, draw_count)
+        for start, rows in _chunks(size, width):
+            x = target.draw(rng, rows, width)
             if target.predictive:
-                cv = evaluate_structure(structure, float(x[n]), Dataset(x[:n]))
-            else:
-                cv = evaluate_structure(structure, truth, Dataset(x))
-            lowers[i] = cv.lower
-            uppers[i] = cv.upper
-            i += 1
+                truth, x = x[:, n], x[:, :n]
+            i = b * BLOCK + start
+            lowers[i:i + rows], uppers[i:i + rows] = evaluate_structure(structure, truth, x)
     return lowers, uppers
 
 
@@ -366,10 +396,12 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
     target draws one Binomial(n, p) success count per replicate, in
     replicate order; every other target draws replicate i's dataset as the
     i-th row of its block, and a predictive target's truth is that row's
-    (n+1)-th draw. Block boundaries depend only on m, so the result is a
-    pure function of (structure, target, n, m, stream). Precise structures
-    return a SinghCurve; imprecise ones return a SinghBand built from the
-    same replicates.
+    (n+1)-th draw. Rows are drawn and evaluated in chunks of at most
+    CHUNK_ELEMENTS sample elements, so a block never becomes one (BLOCK, n)
+    matrix; chunk bounds change no value. Block boundaries depend only on
+    m, so the result is a pure function of (structure, target, n, m,
+    stream). Precise structures return a SinghCurve; imprecise ones return
+    a SinghBand built from the same replicates.
     """
     _check_run_args(structure, target, n, m)
     if target.family in COUNT_FAMILIES and not target.predictive:

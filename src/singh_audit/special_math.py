@@ -2,7 +2,10 @@
 
 The regularized incomplete beta function and the Student-t CDF are computed
 with the standard continued-fraction expansion so results are identical on
-every platform and carry no heavyweight dependency. Randomness comes from
+every platform and carry no heavyweight dependency. Their array forms
+(``reg_inc_beta_array``, ``student_t_cdf_array``) run the continued fraction
+on every element at once and equal the scalar functions bit for bit; the
+scalar functions stay the reference. Randomness comes from
 ``SeededStream``, a splittable handle that derives statistically independent
 substreams from a single master seed by index arithmetic. The samplers draw
 from a ``numpy.random.Generator`` that such a stream hands out. Monte Carlo
@@ -23,7 +26,9 @@ __all__ = [
     "DomainError",
     "SeededStream",
     "reg_inc_beta",
+    "reg_inc_beta_array",
     "student_t_cdf",
+    "student_t_cdf_array",
     "sample_normal",
     "sample_bernoulli",
     "sample_scaled_bernoulli",
@@ -249,6 +254,103 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return max(0.0, 1.0 - front * _beta_cf(1.0 - x, b, a) / b)
 
 
+def _beta_cf_array(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # _beta_cf on every lane at once, in the same IEEE operations and order,
+    # so each lane equals the scalar result bit for bit. A lane leaves the
+    # loop at the iteration the scalar would return; lanes are independent,
+    # so dropping converged ones changes nothing for the rest.
+    tiny = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d = np.where(np.abs(d) < tiny, tiny, d)
+    d = 1.0 / d
+    h = d
+    out = np.empty_like(x)
+    lanes = np.arange(x.size)
+    # Python floats overflow to inf and make NaN silently; so do these lanes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, _CF_MAX_ITERATIONS):
+            m2 = 2 * m
+            aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+            d = 1.0 + aa * d
+            d = np.where(np.abs(d) < tiny, tiny, d)
+            c = 1.0 + aa / c
+            c = np.where(np.abs(c) < tiny, tiny, c)
+            d = 1.0 / d
+            h = h * (d * c)
+            aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+            d = 1.0 + aa * d
+            d = np.where(np.abs(d) < tiny, tiny, d)
+            c = 1.0 + aa / c
+            c = np.where(np.abs(c) < tiny, tiny, c)
+            d = 1.0 / d
+            delta = d * c
+            h = h * delta
+            done = np.abs(delta - 1.0) < 1e-16
+            if done.any():
+                out[lanes[done]] = h[done]
+                if done.all():
+                    return out
+                keep = ~done
+                lanes, x, a, b, qab, qap, qam, c, d, h = (
+                    v[keep] for v in (lanes, x, a, b, qab, qap, qam, c, d, h)
+                )
+    raise DomainError(
+        "incomplete beta continued fraction did not converge at "
+        f"x={float(x[0])!r}, a={float(a[0])!r}, b={float(b[0])!r}"
+    )
+
+
+def reg_inc_beta_array(x, a, b) -> np.ndarray:
+    """``reg_inc_beta`` elementwise over broadcast arrays, bit for bit.
+
+    Same conventions, limits and errors as the scalar function, which stays
+    the reference: one element outside the domain, or one continued fraction
+    that does not converge, raises DomainError for the whole call. The
+    continued fraction runs on all lanes at once; the front factor is formed
+    per element with the scalar ``_ln_front`` and ``math.exp``, because
+    numpy's ``log``/``log1p``/``exp`` can differ from ``math``'s in the last
+    place.
+    """
+    x, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, a, b)))
+    inside = (x >= 0.0) & (x <= 1.0)
+    if not inside.all():
+        raise DomainError(f"x must lie in [0, 1], got {float(x[~inside][0])!r}")
+    if (a < 0.0).any() or (b < 0.0).any():
+        raise DomainError("shape parameters must be non-negative")
+    if ((a == 0.0) & (b == 0.0)).any():
+        raise DomainError("shape parameters must not both be zero")
+    # The scalar function's early returns, in its order of precedence.
+    out = np.select(
+        [a == 0.0, b == 0.0, x == 0.0, x == 1.0, (x == 0.5) & (a == b)],
+        [1.0, (x == 1.0).astype(np.float64), 0.0, 1.0, 0.5],
+        np.nan,
+    )
+    live = np.isnan(out)
+    xs, as_, bs = x[live], a[live], b[live]
+    front = np.array(
+        [math.exp(_ln_front(*v)) for v in zip(xs.tolist(), as_.tolist(), bs.tolist())],
+        dtype=np.float64,
+    )
+    values = np.empty_like(xs)
+    # The clamps mirror the scalar min(1.0, v) and max(0.0, v) exactly.
+    low = xs < (as_ + 1.0) / (as_ + bs + 2.0)
+    if low.any():
+        xl, al, bl = xs[low], as_[low], bs[low]
+        v = front[low] * _beta_cf_array(xl, al, bl) / al
+        values[low] = np.where(v < 1.0, v, 1.0)
+    high = ~low
+    if high.any():
+        xh, ah, bh = xs[high], as_[high], bs[high]
+        v = 1.0 - front[high] * _beta_cf_array(1.0 - xh, bh, ah) / bh
+        values[high] = np.where(v > 0.0, v, 0.0)
+    out[live] = values
+    return out
+
+
 def student_t_cdf(t: float, nu: float) -> float:
     """CDF of the Student-t distribution with ``nu`` degrees of freedom."""
     if nu <= 0.0:
@@ -260,6 +362,17 @@ def student_t_cdf(t: float, nu: float) -> float:
     x = nu / (nu + t * t)
     tail = 0.5 * reg_inc_beta(x, 0.5 * nu, 0.5)
     return tail if t < 0.0 else 1.0 - tail
+
+
+def student_t_cdf_array(t, nu: float) -> np.ndarray:
+    """``student_t_cdf`` at each element of ``t``, bit for bit."""
+    if nu <= 0.0:
+        raise DomainError("degrees of freedom must be positive")
+    t = np.asarray(t, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        x = nu / (nu + t * t)
+    tail = 0.5 * reg_inc_beta_array(x, 0.5 * nu, 0.5)
+    return np.where(t == 0.0, 0.5, np.where(t < 0.0, tail, 1.0 - tail))
 
 
 def sample_normal(rng: np.random.Generator, mu: float, sigma: float, n: int) -> np.ndarray:

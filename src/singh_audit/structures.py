@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_math import DomainError, reg_inc_beta, student_t_cdf
+from .special_math import DomainError, reg_inc_beta, student_t_cdf, student_t_cdf_array
 
 __all__ = [
     "DegenerateDataError",
@@ -31,6 +31,7 @@ __all__ = [
     "chebyshev_ucl",
     "chebyshev_required_confidence",
     "evaluate_structure",
+    "evaluate_counts",
 ]
 
 STRUCTURE_KINDS = (
@@ -42,6 +43,8 @@ STRUCTURE_KINDS = (
     "chebyshev_ucl",
 )
 PRECISE_KINDS = frozenset({"student_t_pivot", "jeffreys", "chebyshev_ucl"})
+# Structures that see a binary dataset only through its success count.
+COUNT_KINDS = frozenset({"jeffreys", "clopper_pearson", "scaled_cbox"})
 
 
 class DegenerateDataError(ValueError):
@@ -133,6 +136,11 @@ class StructureSpec:
     def min_n(self) -> int:
         return 2 if self.kind in ("student_t_pivot", "chebyshev_ucl") else 1
 
+    @property
+    def reads_count(self) -> bool:
+        """True when the structure needs binary data and reads only its success count."""
+        return self.kind in COUNT_KINDS
+
 
 def _require_binary(data: Dataset, kind: str) -> int:
     if not data.is_binary():
@@ -159,8 +167,11 @@ def student_t_pivot(mu: float, data: Dataset) -> ConfidenceValue:
 def jeffreys(theta: float, data: Dataset) -> ConfidenceValue:
     """Posterior CDF of a binomial rate at ``theta`` under the Jeffreys prior."""
     k = _require_binary(data, "jeffreys")
-    theta = float(theta)
-    return ConfidenceValue.precise(reg_inc_beta(theta, k + 0.5, data.n - k + 0.5))
+    return ConfidenceValue.precise(_jeffreys_at(float(theta), data.n, k))
+
+
+def _jeffreys_at(theta: float, n: int, k: int) -> float:
+    return reg_inc_beta(theta, k + 0.5, n - k + 0.5)
 
 
 def clopper_pearson(theta: float, data: Dataset) -> ConfidenceValue:
@@ -182,11 +193,12 @@ def scaled_cbox(theta: float, data: Dataset, c: float) -> ConfidenceValue:
     if not c > 0.0:
         raise DomainError("c must be positive")
     k = _require_binary(data, "scaled_cbox")
-    theta = float(theta)
-    n = data.n
-    one = reg_inc_beta(theta, k + c, n - k)
-    other = reg_inc_beta(theta, k, n - k + c)
-    return ConfidenceValue(one, other)
+    return ConfidenceValue(*_cbox_at(float(theta), data.n, k, c))
+
+
+def _cbox_at(theta: float, n: int, k: int, c: float) -> tuple[float, float]:
+    # The two bounding CDFs, in either order.
+    return reg_inc_beta(theta, k + c, n - k), reg_inc_beta(theta, k, n - k + c)
 
 
 def empirical_predictive(x_next: float, data: Dataset) -> ConfidenceValue:
@@ -240,18 +252,74 @@ def chebyshev_required_confidence(mu: float, data: Dataset) -> ConfidenceValue:
     return ConfidenceValue.precise(1.0 - 1.0 / (z * z + 1.0))
 
 
-def evaluate_structure(spec: StructureSpec, truth: float, data: Dataset) -> ConfidenceValue:
-    """Required confidence of ``spec`` for ``truth`` (+inf where no level covers)."""
-    if spec.kind == "student_t_pivot":
-        return student_t_pivot(truth, data)
+def evaluate_counts(spec: StructureSpec, truth, n: int, counts) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of a count-reading structure at each success count of n draws.
+
+    For the kinds in ``COUNT_KINDS`` the success count k stands for every
+    binary dataset of size n with k ones, so no dataset is built. ``truth``
+    is a scalar or one value per count. Each entry equals the scalar
+    structure function on such a dataset, bit for bit; one scalar
+    ``reg_inc_beta`` per bound is faster than the array continued fraction
+    at the few distinct counts a run evaluates.
+    """
+    if not spec.reads_count:
+        raise DomainError(f"{spec.kind} does not read a success count")
+    ks = np.asarray(counts, dtype=np.int64)
+    thetas = np.broadcast_to(np.asarray(truth, dtype=np.float64), ks.shape).tolist()
+    pairs = zip(thetas, ks.tolist())
     if spec.kind == "jeffreys":
-        return jeffreys(truth, data)
-    if spec.kind == "clopper_pearson":
-        return clopper_pearson(truth, data)
-    if spec.kind == "scaled_cbox":
-        return scaled_cbox(truth, data, spec.c)
+        value = np.array([_jeffreys_at(theta, n, k) for theta, k in pairs], dtype=np.float64)
+        return value, value
+    c = 1.0 if spec.kind == "clopper_pearson" else spec.c
+    bounds = np.array([_cbox_at(theta, n, k, c) for theta, k in pairs], dtype=np.float64)
+    bounds = bounds.reshape(-1, 2)
+    return bounds.min(axis=1), bounds.max(axis=1)
+
+
+def evaluate_structure(spec: StructureSpec, truth, samples) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) required confidence of ``spec`` for each row of ``samples``.
+
+    ``samples`` is a (rows, n) matrix holding one dataset per row, and
+    ``truth`` is a scalar or one value per row (a predictive target's next
+    draw). The bounds are equal for precise structures, and +inf where no
+    level covers. Row i equals the scalar structure function on
+    ``Dataset(samples[i])`` bit for bit: the moment kernels reduce along
+    axis 1, and the t pivot runs ``student_t_cdf_array``. A row the
+    structure cannot handle (a zero-spread t pivot, non-binary data for a
+    count kind) raises for the whole call.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2 or x.size == 0:
+        raise DomainError("samples must be a non-empty (rows, n) matrix")
+    n = x.shape[1]
+    if spec.reads_count:
+        if not ((x == 0.0) | (x == 1.0)).all():
+            raise DomainError(f"{spec.kind} requires binary {{0,1}} data")
+        return evaluate_counts(spec, truth, n, np.rint(x.sum(axis=1)))
     if spec.kind == "empirical_predictive":
-        return empirical_predictive(truth, data)
+        x_next = np.asarray(truth, dtype=np.float64)[..., None]
+        below = (x <= x_next).sum(axis=1) / (n + 1)
+        above = (n + 1 - (x >= x_next).sum(axis=1)) / (n + 1)
+        return np.minimum(below, above), np.maximum(below, above)
+    mu = np.asarray(truth, dtype=np.float64)
+    if spec.kind == "student_t_pivot":
+        if n < 2:
+            raise DegenerateDataError("need at least two samples for a t pivot")
+        sd = x.std(axis=1, ddof=1)
+        if (sd == 0.0).any():
+            raise DegenerateDataError("zero sample standard deviation")
+        with np.errstate(over="ignore"):
+            t = (mu - x.mean(axis=1)) / (sd / math.sqrt(n))
+        value = student_t_cdf_array(t, n - 1)
+        return value, value
     if spec.kind == "chebyshev_ucl":
-        return chebyshev_required_confidence(truth, data)
+        if n < 2:
+            raise DomainError("need at least two samples for a Chebyshev bound")
+        mean = x.mean(axis=1)
+        sd = x.std(axis=1, ddof=1)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            z = (mu - mean) * math.sqrt(n) / sd
+            value = 1.0 - 1.0 / (z * z + 1.0)
+        value = np.where(mu <= mean, 0.0, np.where(sd == 0.0, np.inf, value))
+        return value, value
     raise DomainError(f"unknown structure kind {spec.kind!r}")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -5,6 +7,7 @@ from scipy import stats
 
 from singh_audit.singh_engine import (
     BLOCK,
+    CHUNK_ELEMENTS,
     EXACT_TOLERANCE,
     CoverageReport,
     SinghBand,
@@ -19,12 +22,14 @@ from singh_audit.singh_engine import (
     max_coverage_deficit,
     singh_curve,
 )
-from singh_audit.special_math import DomainError, SeededStream
+from singh_audit.special_math import DomainError, SeededStream, sample_mixture
 from singh_audit.structures import (
     Dataset,
     DegenerateDataError,
     StructureSpec,
-    evaluate_structure,
+    clopper_pearson,
+    empirical_predictive,
+    student_t_pivot,
 )
 
 GRID = np.linspace(0.0, 1.0, 1001)
@@ -183,7 +188,7 @@ def test_bernoulli_replicates_replay_binomial_counts_per_block():
     lowers, uppers = [], []
     for k in counts.tolist():
         data = Dataset(np.concatenate((np.ones(k), np.zeros(n - k))))
-        cv = evaluate_structure(spec, target.theta0, data)
+        cv = clopper_pearson(target.theta0, data)
         lowers.append(cv.lower)
         uppers.append(cv.upper)
     assert np.array_equal(result.lower_curve.required, np.sort(lowers))
@@ -192,7 +197,9 @@ def test_bernoulli_replicates_replay_binomial_counts_per_block():
 
 def test_normal_replicates_replay_rows_of_their_block():
     # Layout v2: replicate i of block b is the i-th row drawn from
-    # substream(b)'s generator; the last block is short.
+    # substream(b)'s generator; the last block is short. Rows drawn and
+    # evaluated one at a time by the scalar pivot give the same values as
+    # the chunked block draws and the batched kernel.
     spec = StructureSpec("student_t_pivot")
     target = TargetSpec.normal(4.0, 3.0)
     stream = SeededStream(27)
@@ -203,17 +210,67 @@ def test_normal_replicates_replay_rows_of_their_block():
         rng = stream.substream(b).generator()
         for _ in range(size):
             x = 4.0 + 3.0 * rng.standard_normal(n)
-            values.append(evaluate_structure(spec, 4.0, Dataset(x)).lower)
+            values.append(student_t_pivot(4.0, Dataset(x)).lower)
     assert np.array_equal(result.required, np.sort(values))
+
+
+def test_mixture_predictive_replicates_replay_rows_across_chunks():
+    # n + 1 = 41 draws per row: a chunk holds CHUNK_ELEMENTS // 41 = 799
+    # rows, so the first block spans six chunks. Mixture rows interleave
+    # component picks and normals, and the next draw is the row's last.
+    spec = StructureSpec("empirical_predictive")
+    weights, mus, sigmas = [0.5, 0.5], [4.0, 5.0], [3.0, 1.5]
+    target = TargetSpec.mixture(weights, mus, sigmas, predictive=True)
+    stream = SeededStream(30)
+    n, m = 40, BLOCK + 3
+    assert BLOCK > 5 * (CHUNK_ELEMENTS // (n + 1))
+    band = singh_curve(spec, target, n, m, stream)
+    lowers, uppers = [], []
+    for b, size in ((0, BLOCK), (1, 3)):
+        rng = stream.substream(b).generator()
+        for _ in range(size):
+            x = sample_mixture(rng, weights, mus, sigmas, n + 1)
+            cv = empirical_predictive(float(x[n]), Dataset(x[:n]))
+            lowers.append(cv.lower)
+            uppers.append(cv.upper)
+    assert np.array_equal(band.lower_curve.required, np.sort(lowers))
+    assert np.array_equal(band.upper_curve.required, np.sort(uppers))
+
+
+def _required_digest(result) -> str:
+    curves = (result.lower_curve, result.upper_curve) if isinstance(result, SinghBand) else (result,)
+    digest = hashlib.sha256()
+    for curve in curves:
+        digest.update(curve.required.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("structure, target, n, seed, expected", [
+    (StructureSpec("student_t_pivot"), TargetSpec.normal(4.0, 3.0), 10, 101,
+     "61b74528b0c3ab8bf1dbde46c695f3bfc13ec150ffb001df4f7e58c2f5895471"),
+    (StructureSpec("empirical_predictive"),
+     TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5], predictive=True), 10, 104,
+     "dad68f0bb867993128d399080155f211dfa6bd6075e79ac58f9aee0c255dcd3d"),
+    (StructureSpec("chebyshev_ucl"), TargetSpec.normal(4.0, 3.0), 30, 7,
+     "ea3ff3cf37f9ef7f5b9ad836bae38301075ea0685f9d99cc19ce4f5cbc862039"),
+], ids=["fig1", "fig4", "chebyshev_normal"])
+def test_required_values_are_frozen(structure, target, n, seed, expected):
+    # sha256 of the float64 bytes of `required` (lower then upper curve for
+    # a band) at m = BLOCK + 5, computed with the per-row kernels of stream
+    # layout v2. Any change to a kernel's bits, the draws or the layout
+    # shows here.
+    result = singh_curve(structure, target, n, BLOCK + 5, SeededStream(seed))
+    assert _required_digest(result) == expected
 
 
 def test_one_generator_per_block_and_one_evaluation_per_drawn_count(monkeypatch):
     # Entry points are looked up at call time, so wrappers patched onto the
-    # module (as the benchmark's tracer does) see every call.
-    from singh_audit import singh_engine
+    # modules (as the benchmark's tracer does) see every call.
+    from singh_audit import singh_engine, structures
 
-    calls = {"generator": 0, "evaluate": 0}
-    generator, evaluate = SeededStream.generator, singh_engine.evaluate_structure
+    calls = {"generator": 0, "evaluate": 0, "beta": 0}
+    generator = SeededStream.generator
+    evaluate, beta = singh_engine.evaluate_structure, structures.reg_inc_beta
 
     def counting_generator(self):
         calls["generator"] += 1
@@ -223,13 +280,58 @@ def test_one_generator_per_block_and_one_evaluation_per_drawn_count(monkeypatch)
         calls["evaluate"] += 1
         return evaluate(*args)
 
+    def counting_beta(*args):
+        calls["beta"] += 1
+        return beta(*args)
+
     monkeypatch.setattr(SeededStream, "generator", counting_generator)
     monkeypatch.setattr(singh_engine, "evaluate_structure", counting_evaluate)
-    curve = singh_curve(
-        StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), 12, 2 * BLOCK + 1, SeededStream(29)
+    monkeypatch.setattr(structures, "reg_inc_beta", counting_beta)
+    m = 2 * BLOCK + 1
+
+    # A count-reading structure: one scalar reg_inc_beta per distinct count
+    # drawn, and no dataset rows at all.
+    curve = singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), 12, m, SeededStream(29))
+    assert calls == {"generator": 3, "evaluate": 0, "beta": np.unique(curve.required).size}
+    assert calls["beta"] <= 13
+
+    # A row target: one batched evaluation per chunk. n = 10 gives chunks
+    # of 3,276 rows, so each full block takes two and the last one.
+    calls.update(generator=0, evaluate=0, beta=0)
+    singh_curve(StructureSpec("student_t_pivot"), TargetSpec.normal(0.0, 1.0), 10, m, SeededStream(29))
+    assert CHUNK_ELEMENTS // 10 == 3276
+    assert calls == {"generator": 3, "evaluate": 5, "beta": 0}
+
+    # A moment structure on a count target: the distinct counts' two-point
+    # rows fit one chunk.
+    calls.update(generator=0, evaluate=0)
+    singh_curve(
+        StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.2, 2.0), 30, m, SeededStream(29)
     )
-    assert calls["generator"] == 3
-    assert calls["evaluate"] == np.unique(curve.required).size <= 13
+    assert calls == {"generator": 3, "evaluate": 1, "beta": 0}
+
+
+def test_row_chunks_stay_within_the_element_budget(monkeypatch):
+    # No (BLOCK, n) matrix: every evaluated chunk holds at most
+    # CHUNK_ELEMENTS samples, or a single row when one row is larger.
+    from singh_audit import singh_engine
+
+    shapes = []
+    evaluate = singh_engine.evaluate_structure
+
+    def recording_evaluate(spec, truth, samples):
+        shapes.append(samples.shape)
+        return evaluate(spec, truth, samples)
+
+    monkeypatch.setattr(singh_engine, "evaluate_structure", recording_evaluate)
+    spec, target = StructureSpec("student_t_pivot"), TargetSpec.normal(0.0, 1.0)
+    curve = singh_curve(spec, target, 200_000, 3, SeededStream(34))
+    assert curve.m == 3
+    assert shapes == [(1, 200_000)] * 3
+    shapes.clear()
+    singh_curve(spec, target, 30, BLOCK, SeededStream(34))
+    assert sum(rows for rows, _ in shapes) == BLOCK
+    assert all(rows * n <= CHUNK_ELEMENTS for rows, n in shapes)
 
 
 def test_t_pivot_on_bernoulli_raises_only_for_drawn_degenerate_counts():

@@ -11,11 +11,13 @@ from singh_audit.special_math import (
     DomainError,
     SeededStream,
     reg_inc_beta,
+    reg_inc_beta_array,
     sample_bernoulli,
     sample_mixture,
     sample_normal,
     sample_scaled_bernoulli,
     student_t_cdf,
+    student_t_cdf_array,
 )
 
 SHAPES = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -121,6 +123,71 @@ def test_beta_reflection_symmetry(a, b, k):
     assert total == pytest.approx(1.0, abs=5e-13)
 
 
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# Shapes spanning both continued-fraction branches and the Stirling front
+# factor paths, plus the degenerate point masses at 0 and 1.
+ARRAY_SHAPES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-3, max_value=1e4, allow_nan=False),
+    st.integers(min_value=1, max_value=60).map(lambda k: k / 2.0),
+)
+ARRAY_XS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), PROBS)
+
+
+@given(
+    points=st.lists(
+        st.tuples(ARRAY_XS, ARRAY_SHAPES, ARRAY_SHAPES).filter(lambda p: p[1] or p[2]),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_beta_array_equals_scalar_bit_for_bit(points):
+    x, a, b = (list(column) for column in zip(*points))
+    scalar = [reg_inc_beta(*p) for p in points]
+    assert _bits(reg_inc_beta_array(x, a, b)) == _bits(scalar)
+
+
+def test_beta_array_covers_branches_and_conventions():
+    # Endpoints, the exact symmetric median, both point masses, and lanes
+    # on each side of the branch point (a + 1) / (a + b + 2).
+    x = [0.0, 1.0, 0.5, 0.5, 0.3, 1.0, 0.1, 0.9, 0.95]
+    a = [2.0, 2.0, 3.0, 0.0, 5.0, 4.0, 2.0, 2.0, 3.0]
+    b = [3.0, 3.0, 3.0, 2.0, 0.0, 0.0, 8.0, 2.0, 0.5]
+    below = [xi < (ai + 1.0) / (ai + bi + 2.0) for xi, ai, bi in zip(x, a, b)][6:]
+    assert below == [True, False, False]
+    assert _bits(reg_inc_beta_array(x, a, b)) == _bits([reg_inc_beta(*p) for p in zip(x, a, b)])
+    assert reg_inc_beta_array(0.25, 2.0, [1.0, 3.0]).shape == (2,)
+
+
+def test_beta_array_refuses_an_unconverged_lane():
+    # One lane that cannot converge fails the whole call, like the scalar.
+    with pytest.raises(DomainError, match="did not converge"):
+        reg_inc_beta_array([0.2, 1.0 / 3.0, 0.7], [2.0, 1e6, 3.0], [3.0, 2e6, 1.0])
+    with pytest.raises(DomainError):
+        reg_inc_beta_array([0.5, 1.5], 2.0, 2.0)
+    with pytest.raises(DomainError):
+        reg_inc_beta_array([0.5, 0.5], [2.0, -1.0], 2.0)
+    with pytest.raises(DomainError):
+        reg_inc_beta_array([0.5, 0.5], [2.0, 0.0], [2.0, 0.0])
+
+
+@given(
+    ts=st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=-1e200, max_value=1e200, allow_nan=False)),
+        min_size=1,
+        max_size=30,
+    ),
+    nu=st.one_of(st.integers(min_value=1, max_value=200), SHAPES),
+)
+@settings(max_examples=200, deadline=None)
+def test_t_cdf_array_equals_scalar_bit_for_bit(ts, nu):
+    assert _bits(student_t_cdf_array(ts, nu)) == _bits([student_t_cdf(t, nu) for t in ts])
+
+
 # --- Student-t CDF ---
 
 
@@ -164,6 +231,8 @@ def test_t_cdf_rejects_bad_nu():
         student_t_cdf(0.0, 0.0)
     with pytest.raises(DomainError):
         student_t_cdf(0.0, -3.0)
+    with pytest.raises(DomainError):
+        student_t_cdf_array([0.0], 0.0)
 
 
 # --- seeded streams ---

@@ -17,6 +17,7 @@ from singh_audit.structures import (
     chebyshev_ucl,
     clopper_pearson,
     empirical_predictive,
+    evaluate_counts,
     evaluate_structure,
     jeffreys,
     scaled_cbox,
@@ -292,32 +293,128 @@ def test_chebyshev_round_trip(values, bump):
     assert chebyshev_ucl(cv.lower, d) == pytest.approx(mu, abs=1e-9)
 
 
-# --- dispatcher ---
+# --- batched evaluation against the scalar reference ---
 
 
-def test_evaluate_structure_dispatch():
-    d = binary(3, 6)
-    assert evaluate_structure(StructureSpec("jeffreys"), 0.4, d) == jeffreys(0.4, d)
-    assert evaluate_structure(
-        StructureSpec("clopper_pearson"), 0.4, d
-    ) == clopper_pearson(0.4, d)
-    assert evaluate_structure(
-        StructureSpec("scaled_cbox", c=2.0), 0.4, d
-    ) == scaled_cbox(0.4, d, 2.0)
-    cont = Dataset([1.0, 2.0, 4.0])
-    assert evaluate_structure(
-        StructureSpec("student_t_pivot"), 2.0, cont
-    ) == student_t_pivot(2.0, cont)
-    assert evaluate_structure(
-        StructureSpec("empirical_predictive"), 2.5, cont
-    ) == empirical_predictive(2.5, cont)
-    assert evaluate_structure(
-        StructureSpec("chebyshev_ucl"), 5.0, cont
-    ) == chebyshev_required_confidence(5.0, cont)
+def scalar_structure(spec, truth, data):
+    """The scalar reference function of ``spec`` on one dataset."""
+    if spec.kind == "scaled_cbox":
+        return scaled_cbox(truth, data, spec.c)
+    return {
+        "student_t_pivot": student_t_pivot,
+        "jeffreys": jeffreys,
+        "clopper_pearson": clopper_pearson,
+        "empirical_predictive": empirical_predictive,
+        "chebyshev_ucl": chebyshev_required_confidence,
+    }[spec.kind](truth, data)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def assert_rows_match_scalar(spec, truths, samples):
+    """Batched bounds equal the scalar ones row for row, or both raise."""
+    try:
+        refs = [scalar_structure(spec, t, Dataset(row)) for t, row in zip(truths, samples)]
+    except DegenerateDataError:
+        truth = truths if spec.kind == "empirical_predictive" else truths[0]
+        with pytest.raises(DegenerateDataError):
+            evaluate_structure(spec, truth, samples)
+        return
+    truth = np.array(truths) if spec.kind == "empirical_predictive" else truths[0]
+    lower, upper = evaluate_structure(spec, truth, samples)
+    assert bits(lower) == bits([cv.lower for cv in refs])
+    assert bits(upper) == bits([cv.upper for cv in refs])
+
+
+# Few distinct values, so rows tie with each other and with the truth.
+TIED = st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.25])
+REALS = st.one_of(TIED, st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
+PROBS_OR_ENDS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+)
+ALL_SPECS = [
+    StructureSpec("student_t_pivot"),
+    StructureSpec("jeffreys"),
+    StructureSpec("clopper_pearson"),
+    StructureSpec("scaled_cbox", c=0.5),
+    StructureSpec("scaled_cbox", c=3.0),
+    StructureSpec("empirical_predictive"),
+    StructureSpec("chebyshev_ucl"),
+]
+
+
+@given(spec=st.sampled_from(ALL_SPECS), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_batched_rows_equal_scalar_structure(spec, data):
+    n = data.draw(st.integers(min_value=2, max_value=12), label="n")
+    rows = data.draw(st.integers(min_value=1, max_value=8), label="rows")
+    values = st.sampled_from([0.0, 1.0]) if spec.reads_count else REALS
+    samples = np.array(
+        data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=rows, max_size=rows))
+    )
+    if data.draw(st.booleans(), label="zero-spread row"):
+        samples[data.draw(st.integers(0, rows - 1))] = samples[0, 0]
+    if spec.kind == "empirical_predictive":
+        truths = data.draw(st.lists(REALS, min_size=rows, max_size=rows))
+    elif spec.reads_count:
+        truths = [data.draw(PROBS_OR_ENDS)] * rows
+    else:
+        truths = [data.draw(REALS)] * rows
+    assert_rows_match_scalar(spec, truths, samples)
+
+
+def test_batched_zero_spread_rows():
+    samples = np.array([[1.0, 2.0, 4.0], [3.0, 3.0, 3.0]])
+    # The t pivot has no value on a zero-spread row, so the whole call raises.
+    with pytest.raises(DegenerateDataError):
+        evaluate_structure(StructureSpec("student_t_pivot"), 3.5, samples)
+    # Chebyshev: a constant row below the truth never covers it.
+    lower, upper = evaluate_structure(StructureSpec("chebyshev_ucl"), 3.5, samples)
+    assert lower[1] == upper[1] == math.inf
+    assert lower[0] == chebyshev_required_confidence(3.5, Dataset(samples[0])).lower
+    assert evaluate_structure(StructureSpec("chebyshev_ucl"), 3.0, samples)[0][1] == 0.0
+
+
+def test_batched_predictive_ties_land_in_both_counts():
+    samples = np.array([[1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0]])
+    lower, upper = evaluate_structure(StructureSpec("empirical_predictive"), [2.0, 2.0], samples)
+    # n + 1 = 5: row one has 3 values <= 2 and 3 values >= 2, row two 4 and 4.
+    assert lower.tolist() == [2 / 5, 1 / 5]
+    assert upper.tolist() == [3 / 5, 4 / 5]
+    assert_rows_match_scalar(StructureSpec("empirical_predictive"), [2.0, 2.0], samples)
+
+
+@pytest.mark.parametrize("n", [1, 7, 30])
+def test_counts_equal_scalar_on_every_count(n):
+    ks = np.arange(n + 1)
+    for spec in ALL_SPECS:
+        if not spec.reads_count:
+            with pytest.raises(DomainError):
+                evaluate_counts(spec, 0.4, n, ks)
+            continue
+        for theta in (0.0, 0.05, 0.4, 1.0):
+            lower, upper = evaluate_counts(spec, theta, n, ks)
+            refs = [scalar_structure(spec, theta, binary(k, n)) for k in range(n + 1)]
+            assert bits(lower) == bits([cv.lower for cv in refs])
+            assert bits(upper) == bits([cv.upper for cv in refs])
+
+
+def test_batched_evaluation_validation():
+    with pytest.raises(DomainError):
+        evaluate_structure(StructureSpec("student_t_pivot"), 0.0, np.array([1.0, 2.0]))
+    with pytest.raises(DomainError):
+        evaluate_structure(StructureSpec("jeffreys"), 0.4, np.array([[1.0, 0.5]]))
+    with pytest.raises(DegenerateDataError):
+        evaluate_structure(StructureSpec("student_t_pivot"), 0.0, np.array([[1.0]]))
+    with pytest.raises(DomainError):
+        evaluate_structure(StructureSpec("chebyshev_ucl"), 0.0, np.array([[1.0]]))
 
 
 def test_structure_values_monotone_in_theta():
-    # every structure's bounds rise with the candidate value
+    # every structure's bounds rise with the candidate value; one row per
+    # candidate value exercises per-row truths
     d = binary(2, 6)
     for spec in (
         StructureSpec("jeffreys"),
@@ -325,19 +422,12 @@ def test_structure_values_monotone_in_theta():
         StructureSpec("scaled_cbox", c=0.5),
         StructureSpec("scaled_cbox", c=3.0),
     ):
-        prev = None
-        for theta in THETAS:
-            cv = evaluate_structure(spec, float(theta), d)
-            if prev is not None:
-                assert cv.lower >= prev.lower - 1e-15
-                assert cv.upper >= prev.upper - 1e-15
-            prev = cv
-    cont = Dataset([1.0, 2.0, 4.0])
+        lower, upper = evaluate_structure(spec, THETAS, np.tile(d.samples, (THETAS.size, 1)))
+        assert (np.diff(lower) >= -1e-15).all()
+        assert (np.diff(upper) >= -1e-15).all()
+    cont = np.array([1.0, 2.0, 4.0])
+    xs = np.linspace(-10.0, 10.0, 81)
     for spec in (StructureSpec("student_t_pivot"), StructureSpec("empirical_predictive")):
-        prev = None
-        for x in np.linspace(-10.0, 10.0, 81):
-            cv = evaluate_structure(spec, float(x), cont)
-            if prev is not None:
-                assert cv.lower >= prev.lower - 1e-15
-                assert cv.upper >= prev.upper - 1e-15
-            prev = cv
+        lower, upper = evaluate_structure(spec, xs, np.tile(cont, (xs.size, 1)))
+        assert (np.diff(lower) >= -1e-15).all()
+        assert (np.diff(upper) >= -1e-15).all()
