@@ -20,18 +20,22 @@ from .singh_engine import CoverageReport, SinghBand, SinghCurve, eval_curve
 __all__ = ["emit_csv", "emit_svg", "emit_svg_overlay", "emit_report"]
 
 
-def _curve_alphas(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct CSV alphas and how many rows each fills.
+def _curve_alphas(values: np.ndarray) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Distinct CSV alphas, their printed form, and how many rows each fills.
 
     The rows list 0, every finite value as printed, then 1. Printing is
     monotone, so equal alphas are neighbours, and coverage is a function of
     alpha, so each distinct alpha is one row repeated. A Bernoulli-family
     curve has at most n + 1 distinct values however many replicates it
-    holds, and each is printed once.
+    holds, and each is printed once; the printed text is reused for the
+    row, since a 9-digit decimal prints back as itself.
     """
     distinct, index = np.unique(values[np.isfinite(values)], return_inverse=True)
-    printed = np.array([float(f"{v:.9g}") for v in distinct.tolist()], dtype=np.float64)
-    return np.unique(np.concatenate(([0.0], printed[index], [1.0])), return_counts=True)
+    texts = ["0", *(f"{v:.9g}" for v in distinct.tolist()), "1"]
+    printed = np.array([float(t) for t in texts], dtype=np.float64)
+    rows = np.concatenate(([1], np.bincount(index, minlength=distinct.size), [1]))
+    alphas, first = np.unique(printed, return_index=True)
+    return alphas, [texts[i] for i in first.tolist()], np.add.reduceat(rows, first)
 
 
 def emit_csv(result, path) -> Path:
@@ -43,19 +47,19 @@ def emit_csv(result, path) -> Path:
     """
     path = Path(path)
     if isinstance(result, SinghBand):
-        alphas, counts = _curve_alphas(
+        alphas, texts, counts = _curve_alphas(
             np.concatenate((result.lower_curve.required, result.upper_curve.required))
         )
         lower = eval_curve(result.lower_curve, alphas).tolist()
         upper = eval_curve(result.upper_curve, alphas).tolist()
         header = "alpha,coverage_lower,coverage_upper"
-        rows = [f"{a:.9g},{lo:.9g},{up:.9g}" for a, lo, up in zip(alphas.tolist(), lower, upper)]
+        rows = [f"{a},{lo:.9g},{up:.9g}" for a, lo, up in zip(texts, lower, upper)]
         never = result.lower_curve.never_count
     else:
-        alphas, counts = _curve_alphas(result.required)
+        alphas, texts, counts = _curve_alphas(result.required)
         coverage = eval_curve(result, alphas).tolist()
         header = "alpha,coverage"
-        rows = [f"{a:.9g},{c:.9g}" for a, c in zip(alphas.tolist(), coverage)]
+        rows = [f"{a},{c:.9g}" for a, c in zip(texts, coverage)]
         never = result.never_count
     lines = [header, *np.repeat(np.array(rows, dtype=object), counts).tolist(), f"# never={never}"]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

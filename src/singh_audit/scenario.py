@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .global_engine import ParameterGrid
 from .singh_engine import TargetSpec
-from .special_math import _MAX_SEED, DomainError
+from .special_math import _MAX_SEED, MAX_ACCURATE_SHAPE, DomainError
 from .structures import StructureSpec
 
 __all__ = [
@@ -219,6 +219,12 @@ def parse_scenario(text: str) -> Scenario:
     n = entries["n"]
     if n < structure.min_n:
         raise _fail(f"{structure.kind} needs n >= {structure.min_n}")
+    shape = structure.max_beta_shape(n)
+    if shape > MAX_ACCURATE_SHAPE:
+        raise _fail(
+            f"{structure.kind} at n = {n} needs Beta shapes up to {shape:g}, "
+            f"beyond the accurate range (at most {MAX_ACCURATE_SHAPE:g})"
+        )
     m = entries.get("m", 10_000)
     if m < 1:
         raise _fail("m must be at least 1")

@@ -46,7 +46,8 @@ __all__ = [
 TARGET_FAMILIES = ("normal", "bernoulli", "scaled_bernoulli", "gaussian_mixture")
 COUNT_FAMILIES = ("bernoulli", "scaled_bernoulli")
 
-# Replicates per substream in a Monte Carlo run (stream layout v2).
+# Replicates per substream in a Monte Carlo run (stream layout v3; a
+# mixture block also draws its normals from the substream's child 0).
 BLOCK = 4096
 # Sample elements per batched structure evaluation: rows are drawn and
 # evaluated in chunks of at most this many elements (at least one row), so
@@ -159,13 +160,22 @@ class TargetSpec:
             return replace(self, mean=float(theta))
         raise UnsupportedTargetError("a mixture has no single truth parameter to sweep")
 
-    def draw(self, rng: np.random.Generator, rows: int, count: int) -> np.ndarray:
+    def draw(
+        self,
+        rng: np.random.Generator,
+        rows: int,
+        count: int,
+        normals: np.random.Generator | None = None,
+    ) -> np.ndarray:
         """A (rows, count) block of draws, continuing ``rng``'s sequence.
 
-        Row i equals the i-th of ``rows`` successive ``count``-draw calls.
         Normal and Bernoulli-family blocks are one generator call filled in
-        row-major order; a mixture draws row by row, because each row
-        interleaves its component picks with its normals.
+        row-major order, so row i equals the i-th of ``rows`` successive
+        ``count``-draw calls. A mixture block (stream layout v3) takes all
+        its component picks from one ``rng`` call and all its normals from
+        one call on ``normals`` (default ``rng``), both in row-major order.
+        With ``normals`` a generator of its own, successive calls therefore
+        continue both sequences row by row, whatever their ``rows``.
         """
         size = rows * count
         if self.family == "normal":
@@ -174,10 +184,7 @@ class TargetSpec:
             return sample_bernoulli(rng, self.p, size).reshape(rows, count)
         if self.family == "scaled_bernoulli":
             return sample_scaled_bernoulli(rng, self.p, self.mean, size).reshape(rows, count)
-        block = np.empty((rows, count))
-        for row in block:
-            row[:] = _draw_mixture(rng, *self._mixture, count)
-        return block
+        return _draw_mixture(rng, *self._mixture, size, normals).reshape(rows, count)
 
 
 @dataclass(frozen=True)
@@ -370,16 +377,20 @@ def _drawn_row_values(
     Each block's generator hands out its rows in chunks of at most
     CHUNK_ELEMENTS elements, and each chunk is one ``evaluate_structure``
     call on a (rows, n) matrix; a predictive row's (n+1)-th draw is its
-    truth. Chunking changes neither the draws nor the values, only memory.
+    truth. A mixture block draws its normals from the block's child stream
+    0. Chunking changes neither the draws nor the values, only memory.
     """
     width = n + 1 if target.predictive else n
     truth = None if target.predictive else target.theta0
     lowers = np.empty(m)
     uppers = np.empty(m)
+    mixture = target.family == "gaussian_mixture"
     for b, size in _blocks(m):
-        rng = stream.substream(b).generator()
+        block = stream.substream(b)
+        rng = block.generator()
+        normals = block.generator(child=0) if mixture else None
         for start, rows in _chunks(size, width):
-            x = target.draw(rng, rows, width)
+            x = target.draw(rng, rows, width, normals)
             if target.predictive:
                 truth, x = x[:, n], x[:, :n]
             i = b * BLOCK + start
@@ -390,15 +401,20 @@ def _drawn_row_values(
 def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream):
     """Monte Carlo Singh result: m replicates of size n in blocks of BLOCK.
 
-    Stream layout v2: block b holds replicates ``b * BLOCK`` onward (the
+    Stream layout v3: block b holds replicates ``b * BLOCK`` onward (the
     last block may be short) and draws them all from one generator,
     ``stream.substream(b).generator()``. A non-predictive Bernoulli-family
     target draws one Binomial(n, p) success count per replicate, in
     replicate order; every other target draws replicate i's dataset as the
     i-th row of its block, and a predictive target's truth is that row's
-    (n+1)-th draw. Rows are drawn and evaluated in chunks of at most
-    CHUNK_ELEMENTS sample elements, so a block never becomes one (BLOCK, n)
-    matrix; chunk bounds change no value. Block boundaries depend only on
+    (n+1)-th draw. A Gaussian-mixture block is the one exception to a
+    single generator: its component picks come from that generator and its
+    normals from the block's child stream,
+    ``stream.substream(b).generator(child=0)``, each consumed in row order
+    (v2 interleaved picks and normals row by row in one generator; v3
+    changed mixture results only). Rows are drawn and evaluated in chunks
+    of at most CHUNK_ELEMENTS sample elements, so a block never becomes one
+    (BLOCK, n) matrix; chunk bounds change no value. Block boundaries depend only on
     m, so the result is a pure function of (structure, target, n, m,
     stream). Precise structures return a SinghCurve; imprecise ones return
     a SinghBand built from the same replicates.

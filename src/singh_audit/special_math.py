@@ -9,10 +9,14 @@ scalar functions stay the reference. Randomness comes from
 ``SeededStream``, a splittable handle that derives statistically independent
 substreams from a single master seed by index arithmetic. The samplers draw
 from a ``numpy.random.Generator`` that such a stream hands out. Monte Carlo
-runs (stream layout v2) give each fixed-size block of replicates one
+runs (stream layout v3) give each fixed-size block of replicates one
 substream, and the replicates of a block consume its generator in order;
 block boundaries depend only on the replicate count, which makes results
-independent of worker count and execution order.
+independent of worker count and execution order. A Gaussian-mixture block
+is drawn from two generators of its substream: the component picks from
+the substream's own generator and the normals from its child stream 0
+(``generator(child=0)``), each consumed in row order, so a whole chunk of
+rows takes one call of each.
 """
 
 from __future__ import annotations
@@ -67,9 +71,15 @@ class SeededStream:
         """The stream ``offset`` places after this one."""
         return SeededStream(self.master_seed, self.stream_index + offset)
 
-    def generator(self) -> np.random.Generator:
-        """A fresh generator positioned at the start of this stream."""
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
+    def generator(self, child: int | None = None) -> np.random.Generator:
+        """A fresh generator positioned at the start of this stream.
+
+        With ``child`` set it starts the stream's independent child stream
+        of that number instead: spawn key ``(stream_index, child)``, the key
+        ``SeedSequence.spawn`` gives the stream's children.
+        """
+        key = (self.stream_index,) if child is None else (self.stream_index, child)
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=key)
         return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -175,9 +185,71 @@ def _ln_front(x: float, a: float, b: float) -> float:
     )
 
 
+def _each(fn, values: np.ndarray) -> np.ndarray:
+    # A ``math`` function at every element: numpy's log, log1p and exp can
+    # differ from math's in the last place.
+    return np.fromiter(map(fn, values.tolist()), np.float64, values.size)
+
+
+def _ln_front_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """``_ln_front`` at every element of ``x`` for one pair of shapes, bit for bit.
+
+    The shape-only terms (lgamma, the Stirling corrections, log1p(small /
+    large)) are computed once. Only the log and log1p of per-element values
+    run per element, through ``math``; the rest is numpy arithmetic, which
+    rounds like Python floats, in the scalar's left-to-right order.
+    """
+    xc = 1.0 - x
+    xc_err = (1.0 - xc) - x
+    if a <= b:
+        small, large = a, b
+        x_small, x_large = x, xc
+        xs_err, xl_err = 0.0, xc_err
+    else:
+        small, large = b, a
+        x_small, x_large = xc, x
+        xs_err, xl_err = xc_err, 0.0
+    total = small + large
+    total_err = small - (total - large)
+    if small >= _STIRLING_MIN:
+        d_small = _scaled_dev(x_small, xs_err, total, total_err, small)
+        d_large = _scaled_dev(x_large, xl_err, total, total_err, large)
+        out = np.full(x.shape, -math.inf)
+        live = (d_small > -1.0) & (d_large > -1.0)
+        out[live] = (
+            small * _each(math.log1p, d_small[live])
+            + large * _each(math.log1p, d_large[live])
+            + 0.5 * math.log(small * large / (total * 2.0 * math.pi))
+            - _stirling_corr(small)
+            - _stirling_corr(large)
+            + _stirling_corr(total)
+        )
+        return out
+    if large >= _STIRLING_MIN:
+        return (
+            small * _each(math.log, x_small * total)
+            + small * (xs_err / x_small + total_err / total)
+            + large * _each(math.log, x_large)
+            + large * (xl_err / x_large)
+            - math.lgamma(small)
+            + (large - 0.5) * math.log1p(small / large)
+            - small
+            + _stirling_corr(total)
+            - _stirling_corr(large)
+        )
+    return (
+        (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+        + a * _each(math.log, x)
+        + b * _each(math.log1p, -x)
+    )
+
+
 # Shapes up to 1e4 converge within about 115 iterations; Beta(1e6, 2e6)
 # near its mean would need 542, so it is refused rather than truncated.
 _CF_MAX_ITERATIONS = 400
+# Largest shape for which reg_inc_beta's absolute error is documented below
+# 1e-12; scenarios that need larger shapes are refused at validation.
+MAX_ACCURATE_SHAPE = 1e4
 
 
 def _beta_cf(x: float, a: float, b: float) -> float:
@@ -227,7 +299,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
     Degenerate shapes follow the point-mass conventions: a = 0 is a point
     mass at 0 (the CDF is 1 for every x >= 0) and b = 0 is a point mass at 1
-    (0 below 1, then 1). Absolute error is below 1e-12 for a, b <= 1e4;
+    (0 below 1, then 1). Absolute error is below 1e-12 for a, b <=
+    ``MAX_ACCURATE_SHAPE`` (1e4);
     where the continued fraction does not converge (shapes near 1e6 and
     beyond) it raises DomainError.
     """
@@ -310,10 +383,9 @@ def reg_inc_beta_array(x, a, b) -> np.ndarray:
     Same conventions, limits and errors as the scalar function, which stays
     the reference: one element outside the domain, or one continued fraction
     that does not converge, raises DomainError for the whole call. The
-    continued fraction runs on all lanes at once; the front factor is formed
-    per element with the scalar ``_ln_front`` and ``math.exp``, because
-    numpy's ``log``/``log1p``/``exp`` can differ from ``math``'s in the last
-    place.
+    continued fraction runs on all lanes at once, and the front factor's
+    shape-only terms are computed once per distinct ``(a, b)`` (once per
+    call for the t pivot, whose lanes all share ``(nu/2, 1/2)``).
     """
     x, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, a, b)))
     inside = (x >= 0.0) & (x <= 1.0)
@@ -331,10 +403,10 @@ def reg_inc_beta_array(x, a, b) -> np.ndarray:
     )
     live = np.isnan(out)
     xs, as_, bs = x[live], a[live], b[live]
-    front = np.array(
-        [math.exp(_ln_front(*v)) for v in zip(xs.tolist(), as_.tolist(), bs.tolist())],
-        dtype=np.float64,
-    )
+    front = np.full_like(xs, np.nan)
+    for ag, bg in set(zip(as_.tolist(), bs.tolist())):
+        lanes = (as_ == ag) & (bs == bg)
+        front[lanes] = _each(math.exp, _ln_front_array(xs[lanes], ag, bg))
     values = np.empty_like(xs)
     # The clamps mirror the scalar min(1.0, v) and max(0.0, v) exactly.
     low = xs < (as_ + 1.0) / (as_ + bs + 2.0)
@@ -446,21 +518,24 @@ def _draw_mixture(
     mus: np.ndarray,
     sigmas: np.ndarray,
     n: int,
+    normals: np.random.Generator | None = None,
 ) -> np.ndarray:
     """``n`` mixture draws from checked parameters, with no checks of its own.
 
-    ``cdf`` comes from ``_component_cdf``. Components are picked by the same
-    inverse-CDF lookup as ``rng.choice(size, p=weights)``, so the draws
-    equal that call's, without its per-call validation of the weights.
+    ``cdf`` comes from ``_component_cdf``. The ``n`` component picks come
+    from one ``rng.random`` call, by the same inverse-CDF lookup as
+    ``rng.choice(size, p=weights)`` but without its per-call validation of
+    the weights; the ``n`` normals come from one ``standard_normal`` call on
+    ``normals`` (by default ``rng`` itself, after the picks).
     """
     if n < 1:
         raise DomainError("n must be at least 1")
+    normals = rng if normals is None else normals
     if cdf.size == 1:
-        # Single component consumes the generator exactly like sample_normal.
-        return mus[0] + sigmas[0] * rng.standard_normal(n)
+        # A single component draws no picks, only normals, like sample_normal.
+        return mus[0] + sigmas[0] * normals.standard_normal(n)
     component = cdf.searchsorted(rng.random(n), side="right")
-    z = rng.standard_normal(n)
-    return mus[component] + sigmas[component] * z
+    return mus[component] + sigmas[component] * normals.standard_normal(n)
 
 
 def sample_mixture(

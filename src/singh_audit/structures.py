@@ -136,6 +136,23 @@ class StructureSpec:
     def min_n(self) -> int:
         return 2 if self.kind in ("student_t_pivot", "chebyshev_ucl") else 1
 
+    def max_beta_shape(self, n: int) -> float:
+        """Largest Beta shape ``reg_inc_beta`` sees for a dataset of n draws.
+
+        The t pivot evaluates I_x((n-1)/2, 1/2); the count kinds evaluate
+        shapes up to n + c (c = 1/2 for Jeffreys, 1 for Clopper-Pearson, the
+        structure's c for scaled_cbox). Kinds without a Beta CDF return 0.
+        """
+        if self.kind == "student_t_pivot":
+            return (n - 1) / 2.0
+        if self.kind == "jeffreys":
+            return n + 0.5
+        if self.kind == "clopper_pearson":
+            return n + 1.0
+        if self.kind == "scaled_cbox":
+            return n + self.c
+        return 0.0
+
     @property
     def reads_count(self) -> bool:
         """True when the structure needs binary data and reads only its success count."""

@@ -114,6 +114,36 @@ def test_cli_bad_mixture_is_a_validation_error(tmp_path, capsys, weights, mus, s
     assert "validation error" in capsys.readouterr().err
 
 
+BIG_N = "structure = {kind}\ntarget = {target}\nn = {n}\nm = 20\nseed = 3\noutputs = report\n"
+
+
+@pytest.mark.parametrize("kind, target, n", [
+    ("jeffreys", "bernoulli\ntheta0 = 0.3333333333333333", 3_000_000),
+    ("jeffreys", "bernoulli\ntheta0 = 0.3333333333333333", 10_000),
+    ("clopper_pearson", "bernoulli\ntheta0 = 0.4", 10_000),
+    ("student_t_pivot", "normal\nmu = 0\nsigma = 1", 20_002),
+], ids=["jeffreys_3e6", "jeffreys_1e4", "clopper_pearson_1e4", "t_pivot_20002"])
+def test_cli_rejects_n_beyond_the_accurate_beta_range(tmp_path, capsys, kind, target, n):
+    # Shapes above 1e4 (n + 1/2 for Jeffreys, n + 1 for Clopper-Pearson,
+    # (n - 1)/2 for the t pivot) fail validation instead of at run time.
+    path = tmp_path / "big.singh"
+    path.write_text(BIG_N.format(kind=kind, target=target, n=n))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert "beyond the accurate range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, target, n", [
+    ("jeffreys", "bernoulli\ntheta0 = 0.3333333333333333", 9_999),
+    ("student_t_pivot", "normal\nmu = 0\nsigma = 1", 20_001),
+], ids=["jeffreys_9999", "t_pivot_20001"])
+def test_cli_accepts_n_just_under_the_accurate_beta_range(tmp_path, kind, target, n):
+    path = tmp_path / "big.singh"
+    path.write_text(BIG_N.format(kind=kind, target=target, n=n))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    assert json.loads((tmp_path / "scenario.json").read_text())["m"] == 20
+
+
 def test_cli_missing_file(tmp_path, capsys):
     code = main(["run", "--scenario", str(tmp_path / "absent.singh"), "--out", str(tmp_path)])
     assert code == EXIT_RUNTIME

@@ -22,7 +22,7 @@ from singh_audit.singh_engine import (
     max_coverage_deficit,
     singh_curve,
 )
-from singh_audit.special_math import DomainError, SeededStream, sample_mixture
+from singh_audit.special_math import DomainError, SeededStream
 from singh_audit.structures import (
     Dataset,
     DegenerateDataError,
@@ -214,27 +214,48 @@ def test_normal_replicates_replay_rows_of_their_block():
     assert np.array_equal(result.required, np.sort(values))
 
 
-def test_mixture_predictive_replicates_replay_rows_across_chunks():
-    # n + 1 = 41 draws per row: a chunk holds CHUNK_ELEMENTS // 41 = 799
-    # rows, so the first block spans six chunks. Mixture rows interleave
-    # component picks and normals, and the next draw is the row's last.
-    spec = StructureSpec("empirical_predictive")
-    weights, mus, sigmas = [0.5, 0.5], [4.0, 5.0], [3.0, 1.5]
-    target = TargetSpec.mixture(weights, mus, sigmas, predictive=True)
-    stream = SeededStream(30)
-    n, m = 40, BLOCK + 3
-    assert BLOCK > 5 * (CHUNK_ELEMENTS // (n + 1))
-    band = singh_curve(spec, target, n, m, stream)
+def _mixture_replay(weights, mus, sigmas, seed, n, m):
+    # Stream layout v3 from numpy alone: block b's component picks are
+    # uniforms from spawn key (b,) and its normals standard normals from
+    # spawn key (b, 0); row i of a block takes the i-th n + 1 of each, and
+    # a row's last draw is the next draw the band predicts.
+    cdf, mus, sigmas = np.cumsum(weights), np.asarray(mus), np.asarray(sigmas)
     lowers, uppers = [], []
-    for b, size in ((0, BLOCK), (1, 3)):
-        rng = stream.substream(b).generator()
-        for _ in range(size):
-            x = sample_mixture(rng, weights, mus, sigmas, n + 1)
+    for b, start in enumerate(range(0, m, BLOCK)):
+        picks, normals = (
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+            for key in ((b,), (b, 0))
+        )
+        for _ in range(min(BLOCK, m - start)):
+            component = np.searchsorted(cdf, picks.random(n + 1), side="right")
+            x = mus[component] + sigmas[component] * normals.standard_normal(n + 1)
             cv = empirical_predictive(float(x[n]), Dataset(x[:n]))
             lowers.append(cv.lower)
             uppers.append(cv.upper)
-    assert np.array_equal(band.lower_curve.required, np.sort(lowers))
-    assert np.array_equal(band.upper_curve.required, np.sort(uppers))
+    return np.sort(lowers), np.sort(uppers)
+
+
+def test_mixture_predictive_replicates_replay_rows_across_chunks():
+    # n + 1 = 41 draws per row: a chunk holds CHUNK_ELEMENTS // 41 = 799
+    # rows, so the first block spans six chunks. Rows replayed one at a
+    # time by the scalar kernel equal the chunk-wide draws.
+    weights, mus, sigmas = [0.5, 0.5], [4.0, 5.0], [3.0, 1.5]
+    target = TargetSpec.mixture(weights, mus, sigmas, predictive=True)
+    n, m = 40, BLOCK + 3
+    assert BLOCK > 5 * (CHUNK_ELEMENTS // (n + 1))
+    band = singh_curve(StructureSpec("empirical_predictive"), target, n, m, SeededStream(30))
+    lowers, uppers = _mixture_replay(weights, mus, sigmas, 30, n, m)
+    assert np.array_equal(band.lower_curve.required, lowers)
+    assert np.array_equal(band.upper_curve.required, uppers)
+
+
+# fig4's band at m = BLOCK + 5 under stream layout v3.
+FIG4_DIGEST = "5599031047642c83d77c286d0d6ee4ce71b62d0f7be766f09c45babf5da7ab7a"
+
+
+def test_fig4_digest_replays_from_numpy_alone():
+    lowers, uppers = _mixture_replay([0.5, 0.5], [4.0, 5.0], [3.0, 1.5], 104, 10, BLOCK + 5)
+    assert hashlib.sha256(lowers.tobytes() + uppers.tobytes()).hexdigest() == FIG4_DIGEST
 
 
 def _required_digest(result) -> str:
@@ -250,17 +271,35 @@ def _required_digest(result) -> str:
      "61b74528b0c3ab8bf1dbde46c695f3bfc13ec150ffb001df4f7e58c2f5895471"),
     (StructureSpec("empirical_predictive"),
      TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5], predictive=True), 10, 104,
-     "dad68f0bb867993128d399080155f211dfa6bd6075e79ac58f9aee0c255dcd3d"),
+     FIG4_DIGEST),
     (StructureSpec("chebyshev_ucl"), TargetSpec.normal(4.0, 3.0), 30, 7,
      "ea3ff3cf37f9ef7f5b9ad836bae38301075ea0685f9d99cc19ce4f5cbc862039"),
 ], ids=["fig1", "fig4", "chebyshev_normal"])
 def test_required_values_are_frozen(structure, target, n, seed, expected):
     # sha256 of the float64 bytes of `required` (lower then upper curve for
-    # a band) at m = BLOCK + 5, computed with the per-row kernels of stream
-    # layout v2. Any change to a kernel's bits, the draws or the layout
-    # shows here.
+    # a band) at m = BLOCK + 5. fig1 and Chebyshev were computed with the
+    # per-row kernels of stream layout v2, which v3 left as they were; fig4
+    # is pinned under v3, and the test above rebuilds it from numpy alone.
+    # Any change to a kernel's bits, the draws or the layout shows here.
     result = singh_curve(structure, target, n, BLOCK + 5, SeededStream(seed))
     assert _required_digest(result) == expected
+
+
+@pytest.mark.parametrize("structure, target, n, seed", [
+    (StructureSpec("student_t_pivot"), TargetSpec.normal(4.0, 3.0), 10, 101),
+    (StructureSpec("chebyshev_ucl"), TargetSpec.normal(4.0, 3.0), 30, 7),
+    (StructureSpec("empirical_predictive"),
+     TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5], predictive=True), 10, 104),
+], ids=["fig1", "chebyshev_normal", "fig4"])
+def test_chunk_size_changes_no_value(monkeypatch, structure, target, n, seed):
+    # CHUNK_ELEMENTS is a memory setting, not a layout constant: 64-element
+    # chunks (a few rows each) give the same values as the default.
+    from singh_audit import singh_engine
+
+    expected = singh_curve(structure, target, n, BLOCK + 5, SeededStream(seed))
+    monkeypatch.setattr(singh_engine, "CHUNK_ELEMENTS", 64)
+    result = singh_curve(structure, target, n, BLOCK + 5, SeededStream(seed))
+    assert _required_digest(result) == _required_digest(expected)
 
 
 def test_one_generator_per_block_and_one_evaluation_per_drawn_count(monkeypatch):

@@ -151,6 +151,35 @@ def test_beta_array_equals_scalar_bit_for_bit(points):
     assert _bits(reg_inc_beta_array(x, a, b)) == _bits(scalar)
 
 
+SMALL_SHAPES = st.floats(min_value=1e-3, max_value=19.99, allow_nan=False)
+LARGE_SHAPES = st.floats(min_value=20.0, max_value=1e4, allow_nan=False)
+# One (a, b) pair per call, from each front-factor branch: both shapes below
+# the Stirling threshold 20, one at or above it (either way round), and both
+# at or above it; plus the t pivot's (nu/2, 1/2).
+SHARED_SHAPES = st.one_of(
+    st.tuples(SMALL_SHAPES, SMALL_SHAPES),
+    st.tuples(SMALL_SHAPES, LARGE_SHAPES),
+    st.tuples(LARGE_SHAPES, SMALL_SHAPES),
+    st.tuples(LARGE_SHAPES, LARGE_SHAPES),
+    st.sampled_from([1, 9, 40, 39999]).map(lambda nu: (nu / 2.0, 0.5)),
+)
+
+
+@given(shapes=SHARED_SHAPES, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_beta_array_with_shared_shapes_equals_scalar_bit_for_bit(shapes, data):
+    # Every lane shares (a, b), so the front factor's shape terms are formed
+    # once; x is drawn anywhere in [0, 1] and within a few standard
+    # deviations of the mean, where large shapes are not saturated.
+    a, b = shapes
+    mean, sd = a / (a + b), math.sqrt(a * b / (a + b) ** 2 / (a + b + 1.0))
+    near = st.floats(min_value=-6.0, max_value=6.0).map(
+        lambda z: min(1.0, max(0.0, mean + z * sd))
+    )
+    xs = data.draw(st.lists(st.one_of(PROBS, near), min_size=1, max_size=40))
+    assert _bits(reg_inc_beta_array(xs, a, b)) == _bits([reg_inc_beta(x, a, b) for x in xs])
+
+
 def test_beta_array_covers_branches_and_conventions():
     # Endpoints, the exact symmetric median, both point masses, and lanes
     # on each side of the branch point (a + 1) / (a + b + 2).
