@@ -36,27 +36,12 @@ from .special_math import (
     sample_scaled_bernoulli,
     student_t_cdf,
 )
-from .structures import (
-    ConfidenceValue,
-    Dataset,
-    DegenerateDataError,
-    StructureSpec,
-    chebyshev_required_confidence,
-    chebyshev_ucl,
-    clopper_pearson,
-    empirical_predictive,
-    evaluate_structure,
-    jeffreys,
-    scaled_cbox,
-    student_t_pivot,
-)
+from .structures import DegenerateDataError, StructureSpec, chebyshev_ucl, evaluate_structure
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoverageReport",
-    "ConfidenceValue",
-    "Dataset",
     "DegenerateDataError",
     "DomainError",
     "ParameterGrid",
@@ -69,17 +54,13 @@ __all__ = [
     "StructureSpec",
     "TargetSpec",
     "UnsupportedTargetError",
-    "chebyshev_required_confidence",
     "chebyshev_ucl",
     "classify",
-    "clopper_pearson",
     "dkw_epsilon",
-    "empirical_predictive",
     "eval_curve",
     "evaluate_structure",
     "exact_singh_curve",
     "global_singh",
-    "jeffreys",
     "max_coverage_deficit",
     "parse_scenario",
     "reg_inc_beta",
@@ -87,9 +68,7 @@ __all__ = [
     "sample_mixture",
     "sample_normal",
     "sample_scaled_bernoulli",
-    "scaled_cbox",
     "singh_curve",
     "student_t_cdf",
-    "student_t_pivot",
     "__version__",
 ]

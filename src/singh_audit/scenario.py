@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .global_engine import ParameterGrid
-from .singh_engine import TargetSpec
-from .special_math import _MAX_SEED, MAX_ACCURATE_SHAPE, DomainError
+from .singh_engine import TargetSpec, check_run_args
+from .special_math import _MAX_SEED, DomainError
 from .structures import StructureSpec
 
 __all__ = [
@@ -95,15 +95,15 @@ _CONVERTERS = {
     "outputs": lambda raw: frozenset(p.strip() for p in raw.split(",")),
 }
 
-# Which target keys each family consumes, locally and under a grid (the grid
-# replaces the family's truth parameter).
-_FAMILY_KEYS = {
-    "normal": {"local": {"mu", "sigma"}, "global": {"sigma"}},
-    "bernoulli": {"local": {"theta0"}, "global": set()},
-    "scaled_bernoulli": {"local": {"p", "mean"}, "global": {"p"}},
-    "gaussian_mixture": {"local": {"weights", "mus", "sigmas"}, "global": None},
+
+def _key(family: str, field: str) -> str:
+    """The scenario key of a TargetSpec field: a bernoulli rate is ``theta0``."""
+    return "theta0" if (family, field) == ("bernoulli", "p") else field
+
+
+_TARGET_KEYS = {
+    _key(family, x) for family, (fields, _) in TargetSpec.FAMILY_FIELDS.items() for x in fields
 }
-_TARGET_KEYS = {"p", "mu", "sigma", "theta0", "mean", "weights", "mus", "sigmas"}
 _GRID_KEYS = ("grid_lo", "grid_hi", "grid_k")
 
 
@@ -137,11 +137,14 @@ def _fail(message: str) -> ScenarioValidationError:
     return ScenarioValidationError(message)
 
 
-def _build_target(entries: dict, family: str, is_global: bool, predictive: bool, grid):
-    mode = "global" if is_global else "local"
-    allowed = _FAMILY_KEYS[family][mode]
-    if allowed is None:
-        raise _fail("a gaussian_mixture target has no truth parameter to sweep on a grid")
+def _build_target(entries: dict, family: str, predictive: bool, grid):
+    # Under a grid the family's truth field takes the first grid value and
+    # has no key of its own.
+    fields, truth = TargetSpec.FAMILY_FIELDS[family]
+    if grid is not None and truth is None:
+        raise _fail(f"a {family} target has no truth parameter to sweep on a grid")
+    keys = {x: _key(family, x) for x in fields if grid is None or x != truth}
+    allowed = set(keys.values())
     present = _TARGET_KEYS & entries.keys()
     missing = allowed - present
     if missing:
@@ -149,19 +152,11 @@ def _build_target(entries: dict, family: str, is_global: bool, predictive: bool,
     extra = present - allowed
     if extra:
         raise _fail(f"key {sorted(extra)[0]!r} does not apply to a {family} target here")
+    values = {x: entries[key] for x, key in keys.items()}
+    if grid is not None:
+        values[truth] = grid.thetas[0]
     try:
-        if family == "normal":
-            mu = grid.thetas[0] if is_global else entries["mu"]
-            return TargetSpec.normal(mu, entries["sigma"], predictive=predictive)
-        if family == "bernoulli":
-            theta0 = grid.thetas[0] if is_global else entries["theta0"]
-            return TargetSpec.bernoulli(theta0, predictive=predictive)
-        if family == "scaled_bernoulli":
-            mean = grid.thetas[0] if is_global else entries["mean"]
-            return TargetSpec.scaled_bernoulli(entries["p"], mean, predictive=predictive)
-        return TargetSpec.mixture(
-            entries["weights"], entries["mus"], entries["sigmas"], predictive=predictive
-        )
+        return TargetSpec(family=family, predictive=predictive, **values)
     except DomainError as exc:
         raise _fail(str(exc)) from None
 
@@ -201,33 +196,21 @@ def parse_scenario(text: str) -> Scenario:
         raise _fail(str(exc)) from None
 
     family = entries["target"]
-    if family not in _FAMILY_KEYS:
+    if family not in TargetSpec.FAMILY_FIELDS:
         raise _fail(f"unknown target {family!r}")
 
     predictive = bool(entries.get("predict", False))
-    if predictive != (structure.kind == "empirical_predictive"):
-        if predictive:
-            raise _fail("predict = true applies only to empirical_predictive")
-        raise _fail("empirical_predictive requires predict = true")
-
     grid = _build_grid(entries, family)
     if grid is not None and predictive:
         raise _fail("predictive scenarios cannot use a parameter grid")
 
-    target = _build_target(entries, family, grid is not None, predictive, grid)
-
+    target = _build_target(entries, family, predictive, grid)
     n = entries["n"]
-    if n < structure.min_n:
-        raise _fail(f"{structure.kind} needs n >= {structure.min_n}")
-    shape = structure.max_beta_shape(n)
-    if shape > MAX_ACCURATE_SHAPE:
-        raise _fail(
-            f"{structure.kind} at n = {n} needs Beta shapes up to {shape:g}, "
-            f"beyond the accurate range (at most {MAX_ACCURATE_SHAPE:g})"
-        )
     m = entries.get("m", 10_000)
-    if m < 1:
-        raise _fail("m must be at least 1")
+    try:
+        check_run_args(structure, target, n, m)
+    except DomainError as exc:
+        raise _fail(str(exc)) from None
     seed = entries.get("seed", 0)
     if not 0 <= seed < _MAX_SEED:
         raise _fail("seed must be a 64-bit unsigned integer")

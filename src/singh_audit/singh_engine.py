@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .special_math import (
+    MAX_ACCURATE_SHAPE,
     DomainError,
     SeededStream,
     _component_cdf,
@@ -36,6 +38,7 @@ __all__ = [
     "SinghBand",
     "CoverageReport",
     "dkw_epsilon",
+    "check_run_args",
     "singh_curve",
     "exact_singh_curve",
     "eval_curve",
@@ -43,7 +46,6 @@ __all__ = [
     "max_coverage_deficit",
 ]
 
-TARGET_FAMILIES = ("normal", "bernoulli", "scaled_bernoulli", "gaussian_mixture")
 COUNT_FAMILIES = ("bernoulli", "scaled_bernoulli")
 
 # Replicates per substream in a Monte Carlo run (stream layout v3; a
@@ -77,6 +79,15 @@ class TargetSpec:
     replicate.
     """
 
+    # The fields each family takes, and the one holding its truth; a
+    # mixture's truth is its derived mean, so it has no field to sweep.
+    FAMILY_FIELDS: ClassVar[dict[str, tuple[tuple[str, ...], str | None]]] = {
+        "normal": (("mu", "sigma"), "mu"),
+        "bernoulli": (("p",), "p"),
+        "scaled_bernoulli": (("p", "mean"), "mean"),
+        "gaussian_mixture": (("weights", "mus", "sigmas"), None),
+    }
+
     family: str
     mu: float | None = None
     sigma: float | None = None
@@ -88,35 +99,29 @@ class TargetSpec:
     predictive: bool = False
 
     def __post_init__(self) -> None:
-        if self.family not in TARGET_FAMILIES:
+        if self.family not in self.FAMILY_FIELDS:
             raise DomainError(f"unknown target family {self.family!r}")
+        for name in self.FAMILY_FIELDS[self.family][0]:
+            if getattr(self, name) is None:
+                raise DomainError(f"{self.family} target requires {name}")
         if self.family == "normal":
-            self._need(mu=self.mu, sigma=self.sigma)
             if not self.sigma > 0.0:
                 raise DomainError("sigma must be positive")
         elif self.family == "bernoulli":
-            self._need(p=self.p)
             if not 0.0 <= self.p <= 1.0:
                 raise DomainError("rate must lie in [0, 1]")
         elif self.family == "scaled_bernoulli":
-            self._need(p=self.p, mean=self.mean)
             if not 0.0 < self.p <= 1.0:
                 raise DomainError("p must lie in (0, 1]")
             if not self.mean > 0.0:
                 raise DomainError("mean must be positive")
         else:
-            self._need(weights=self.weights, mus=self.mus, sigmas=self.sigmas)
             arrays = check_mixture(self.weights, self.mus, self.sigmas)
             for name, arr in zip(("weights", "mus", "sigmas"), arrays):
                 object.__setattr__(self, name, tuple(arr.tolist()))
             # Checked once here, so draws skip re-validation.
             weights, mus, sigmas = arrays
             object.__setattr__(self, "_mixture", (_component_cdf(weights), mus, sigmas))
-
-    def _need(self, **fields) -> None:
-        for name, value in fields.items():
-            if value is None:
-                raise DomainError(f"{self.family} target requires {name}")
 
     @classmethod
     def normal(cls, mu: float, sigma: float, predictive: bool = False) -> "TargetSpec":
@@ -142,23 +147,17 @@ class TargetSpec:
 
     @property
     def theta0(self) -> float:
-        if self.family == "normal":
-            return float(self.mu)
-        if self.family == "bernoulli":
-            return float(self.p)
-        if self.family == "scaled_bernoulli":
-            return float(self.mean)
-        return float(sum(w * m for w, m in zip(self.weights, self.mus)))
+        truth = self.FAMILY_FIELDS[self.family][1]
+        if truth is None:
+            return float(sum(w * m for w, m in zip(self.weights, self.mus)))
+        return float(getattr(self, truth))
 
     def with_truth(self, theta: float) -> "TargetSpec":
         """Same family with the inferred-truth parameter replaced."""
-        if self.family == "normal":
-            return replace(self, mu=float(theta))
-        if self.family == "bernoulli":
-            return replace(self, p=float(theta))
-        if self.family == "scaled_bernoulli":
-            return replace(self, mean=float(theta))
-        raise UnsupportedTargetError("a mixture has no single truth parameter to sweep")
+        truth = self.FAMILY_FIELDS[self.family][1]
+        if truth is None:
+            raise UnsupportedTargetError("a mixture has no single truth parameter to sweep")
+        return replace(self, **{truth: float(theta)})
 
     def draw(
         self,
@@ -309,15 +308,30 @@ def eval_curve(curve: SinghCurve, alpha):
     return float(cov) if np.isscalar(alpha) else cov
 
 
-def _check_run_args(structure: StructureSpec, target: TargetSpec, n: int, m: int) -> None:
+def check_run_args(structure: StructureSpec, target: TargetSpec, n: int, m: int) -> None:
+    """Raise DomainError for a run the engines cannot evaluate, or not accurately.
+
+    The one check of a run's arguments: ``singh_curve`` and
+    ``exact_singh_curve`` call it, and ``parse_scenario`` calls it on the
+    scenario it builds. Beta shapes above ``MAX_ACCURATE_SHAPE`` are refused
+    because ``reg_inc_beta`` does not hold its 1e-12 accuracy there.
+    """
     if m < 1:
         raise DomainError("m must be at least 1")
     if n < structure.min_n:
         raise DomainError(f"{structure.kind} needs n >= {structure.min_n}")
+    shape = structure.max_beta_shape(n)
+    if shape > MAX_ACCURATE_SHAPE:
+        raise DomainError(
+            f"{structure.kind} at n = {n} needs Beta shapes up to {shape:g}, "
+            f"beyond the accurate range (at most {MAX_ACCURATE_SHAPE:g})"
+        )
     if structure.reads_count and target.family != "bernoulli":
         raise DomainError(f"{structure.kind} requires a bernoulli target")
-    if (structure.kind == "empirical_predictive") != target.predictive:
-        raise DomainError("predictive targets pair with empirical_predictive only")
+    if target.predictive and structure.kind != "empirical_predictive":
+        raise DomainError("predict = true applies only to empirical_predictive")
+    if structure.kind == "empirical_predictive" and not target.predictive:
+        raise DomainError("empirical_predictive requires predict = true")
 
 
 def _blocks(m: int) -> list[tuple[int, int]]:
@@ -419,7 +433,7 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
     stream). Precise structures return a SinghCurve; imprecise ones return
     a SinghBand built from the same replicates.
     """
-    _check_run_args(structure, target, n, m)
+    check_run_args(structure, target, n, m)
     if target.family in COUNT_FAMILIES and not target.predictive:
         lowers, uppers = _drawn_count_values(structure, target, n, m, stream)
     else:
@@ -464,7 +478,7 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
         raise UnsupportedTargetError("exact enumeration needs a bernoulli or scaled_bernoulli target")
     if target.predictive:
         raise UnsupportedTargetError("exact enumeration does not cover predictive targets")
-    _check_run_args(structure, target, n, m=1)
+    check_run_args(structure, target, n, m=1)
     weights = _binomial_weights(n, target.p)
     lowers, uppers = _count_values(structure, target, n, np.arange(n + 1))
     lower = _weighted_curve(lowers, weights)

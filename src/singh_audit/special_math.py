@@ -248,7 +248,7 @@ def _ln_front_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
 # near its mean would need 542, so it is refused rather than truncated.
 _CF_MAX_ITERATIONS = 400
 # Largest shape for which reg_inc_beta's absolute error is documented below
-# 1e-12; scenarios that need larger shapes are refused at validation.
+# 1e-12; runs that need larger shapes are refused by check_run_args.
 MAX_ACCURATE_SHAPE = 1e4
 
 
@@ -299,14 +299,14 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
     Degenerate shapes follow the point-mass conventions: a = 0 is a point
     mass at 0 (the CDF is 1 for every x >= 0) and b = 0 is a point mass at 1
-    (0 below 1, then 1). Absolute error is below 1e-12 for a, b <=
-    ``MAX_ACCURATE_SHAPE`` (1e4);
-    where the continued fraction does not converge (shapes near 1e6 and
-    beyond) it raises DomainError.
+    (0 below 1, then 1). A NaN, infinite or negative shape raises
+    DomainError. Absolute error is below 1e-12 for a, b <=
+    ``MAX_ACCURATE_SHAPE`` (1e4); where the continued fraction does not
+    converge (shapes near 1e6 and beyond) it raises DomainError.
     """
     x = _check_prob(x, "x")
-    if a < 0.0 or b < 0.0:
-        raise DomainError("shape parameters must be non-negative")
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+        raise DomainError("shape parameters must be finite and non-negative")
     if a == 0.0 and b == 0.0:
         raise DomainError("shape parameters must not both be zero")
     if a == 0.0:
@@ -391,8 +391,8 @@ def reg_inc_beta_array(x, a, b) -> np.ndarray:
     inside = (x >= 0.0) & (x <= 1.0)
     if not inside.all():
         raise DomainError(f"x must lie in [0, 1], got {float(x[~inside][0])!r}")
-    if (a < 0.0).any() or (b < 0.0).any():
-        raise DomainError("shape parameters must be non-negative")
+    if not ((0.0 <= a) & (a < np.inf) & (0.0 <= b) & (b < np.inf)).all():
+        raise DomainError("shape parameters must be finite and non-negative")
     if ((a == 0.0) & (b == 0.0)).any():
         raise DomainError("shape parameters must not both be zero")
     # The scalar function's early returns, in its order of precedence.

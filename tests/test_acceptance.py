@@ -7,6 +7,7 @@ guarantee.
 """
 
 import functools
+import hashlib
 import time
 
 import numpy as np
@@ -187,13 +188,38 @@ def _assert_csv_matches_result(path, result) -> None:
             assert format(eval_curve(result, alpha), ".9g") == cells[1]
 
 
+# sha256 of each preset's artifacts at its full budget (see
+# artifacts_digest). A change to any CSV, JSON or SVG byte shows here.
+PRESET_DIGESTS = {
+    "fig1": "92813a4f3ff68c84ec66df81effe1d5fd02cf57671cdcdba5b257a57d21d7b4b",
+    "fig2": "30a8e742cd7b5aa292dc7c7a0290f8c7aa4cc6152dbcdf761fdc467ddd372849",
+    "fig3": "33c0f5828809a83ce5585fb94dc915a16c570f3a73be62737bc23ce6bb8f5d7a",
+    "fig4": "d04b41c63367e3355ad79b4976fa4e6020add6c38ac4adcf940a1453edb3b47c",
+    "fig5": "2a5c14a2853b89000b03c6c3ae6fb36954d6f15a4091dc843ea8f155eb48cde6",
+    "fig6": "0be4271b4ce5cce256296c4047772b9ce4ec3da9da06c020ad2b6afd55bc580b",
+    "fig7": "181ef5991f1c92ffd36d967ebb40fd704e8ce747d76f780bbc14b02b9b62b197",
+    "fig8": "c898d62442b716eec0fd9a25c69341aa83d57d821a5728c66ae63782bc6e17bf",
+    "fig9": "926645293706a6489af606948c6a42a568dfbd6f70b240febee515c468eeb510",
+}
+
+
+def artifacts_digest(paths) -> str:
+    """sha256 over "<file name> <sha256 of its bytes>" lines, sorted by name."""
+    digest = hashlib.sha256()
+    for path in sorted(paths, key=lambda p: p.name):
+        digest.update(f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    return digest.hexdigest()
+
+
 def test_09_preset_artifacts_are_deterministic_and_self_consistent(tmp_path):
+    assert sorted(PRESETS) == sorted(PRESET_DIGESTS)
     for preset_name, preset in sorted(PRESETS.items()):
         first = run_preset(preset_name, tmp_path / "a" / preset_name)
         second = run_preset(preset_name, tmp_path / "b" / preset_name)
         assert [p.name for p in first] == [p.name for p in second]
         for one, two in zip(first, second):
             assert one.read_bytes() == two.read_bytes(), one.name
+        assert artifacts_digest(first) == PRESET_DIGESTS[preset_name], preset_name
         for doc in preset.documents:
             scenario = parse_scenario(doc)
             result, _ = analysis(doc)

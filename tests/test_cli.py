@@ -114,6 +114,21 @@ def test_cli_bad_mixture_is_a_validation_error(tmp_path, capsys, weights, mus, s
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("structure, target", [
+    ("jeffreys", "normal\nmu = 0\nsigma = 1"),
+    ("clopper_pearson", "scaled_bernoulli\np = 0.2\nmean = 2"),
+    ("scaled_cbox\nc = 2", "gaussian_mixture\nweights = 0.5,0.5\nmus = 4,5\nsigmas = 3,1.5"),
+], ids=["jeffreys_normal", "clopper_pearson_scaled_bernoulli", "scaled_cbox_mixture"])
+def test_cli_count_structure_on_other_targets_is_a_validation_error(
+    tmp_path, capsys, structure, target
+):
+    path = tmp_path / "mismatch.singh"
+    path.write_text(f"structure = {structure}\ntarget = {target}\nn = 10\nm = 20\n")
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert "requires a bernoulli target" in capsys.readouterr().err
+
+
 BIG_N = "structure = {kind}\ntarget = {target}\nn = {n}\nm = 20\nseed = 3\noutputs = report\n"
 
 

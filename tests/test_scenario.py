@@ -127,6 +127,12 @@ def test_negative_c_message():
          "grid_lo must not exceed"),
         (fields(theta0=None, grid_lo="-0.5", grid_hi="1", grid_k="5"),
          "bernoulli grid must lie"),
+        (fields(structure="jeffreys", target="normal", theta0=None, mu="0", sigma="1"),
+         "requires a bernoulli target"),
+        (fields(target="scaled_bernoulli", theta0=None, p="0.2", mean="2"),
+         "requires a bernoulli target"),
+        (fields(structure="scaled_cbox", c="2", target="gaussian_mixture", theta0=None,
+                weights="0.5,0.5", mus="4,5", sigmas="3,1.5"), "requires a bernoulli target"),
     ],
 )
 def test_validation_messages(doc, message):

@@ -5,6 +5,7 @@ import pytest
 from scipy import special as sp
 from scipy import stats
 
+import reference_structures as reference
 from singh_audit.singh_engine import (
     BLOCK,
     CHUNK_ELEMENTS,
@@ -23,14 +24,7 @@ from singh_audit.singh_engine import (
     singh_curve,
 )
 from singh_audit.special_math import DomainError, SeededStream
-from singh_audit.structures import (
-    Dataset,
-    DegenerateDataError,
-    StructureSpec,
-    clopper_pearson,
-    empirical_predictive,
-    student_t_pivot,
-)
+from singh_audit.structures import DegenerateDataError, StructureSpec
 
 GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -185,12 +179,10 @@ def test_bernoulli_replicates_replay_binomial_counts_per_block():
         stream.substream(0).generator().binomial(n, 0.3, BLOCK),
         stream.substream(1).generator().binomial(n, 0.3, m - BLOCK),
     ))
-    lowers, uppers = [], []
-    for k in counts.tolist():
-        data = Dataset(np.concatenate((np.ones(k), np.zeros(n - k))))
-        cv = clopper_pearson(target.theta0, data)
-        lowers.append(cv.lower)
-        uppers.append(cv.upper)
+    lowers, uppers = zip(*(
+        reference.clopper_pearson(target.theta0, np.concatenate((np.ones(k), np.zeros(n - k))))
+        for k in counts.tolist()
+    ))
     assert np.array_equal(result.lower_curve.required, np.sort(lowers))
     assert np.array_equal(result.upper_curve.required, np.sort(uppers))
 
@@ -210,7 +202,7 @@ def test_normal_replicates_replay_rows_of_their_block():
         rng = stream.substream(b).generator()
         for _ in range(size):
             x = 4.0 + 3.0 * rng.standard_normal(n)
-            values.append(student_t_pivot(4.0, Dataset(x)).lower)
+            values.append(reference.student_t_pivot(4.0, x)[0])
     assert np.array_equal(result.required, np.sort(values))
 
 
@@ -229,9 +221,9 @@ def _mixture_replay(weights, mus, sigmas, seed, n, m):
         for _ in range(min(BLOCK, m - start)):
             component = np.searchsorted(cdf, picks.random(n + 1), side="right")
             x = mus[component] + sigmas[component] * normals.standard_normal(n + 1)
-            cv = empirical_predictive(float(x[n]), Dataset(x[:n]))
-            lowers.append(cv.lower)
-            uppers.append(cv.upper)
+            lower, upper = reference.empirical_predictive(float(x[n]), x[:n])
+            lowers.append(lower)
+            uppers.append(upper)
     return np.sort(lowers), np.sort(uppers)
 
 
@@ -363,7 +355,8 @@ def test_row_chunks_stay_within_the_element_budget(monkeypatch):
         return evaluate(spec, truth, samples)
 
     monkeypatch.setattr(singh_engine, "evaluate_structure", recording_evaluate)
-    spec, target = StructureSpec("student_t_pivot"), TargetSpec.normal(0.0, 1.0)
+    # Chebyshev evaluates no Beta CDF, so n = 200,000 is inside its range.
+    spec, target = StructureSpec("chebyshev_ucl"), TargetSpec.normal(0.0, 1.0)
     curve = singh_curve(spec, target, 200_000, 3, SeededStream(34))
     assert curve.m == 3
     assert shapes == [(1, 200_000)] * 3
@@ -418,6 +411,14 @@ def test_run_argument_validation():
             StructureSpec("empirical_predictive"), TargetSpec.normal(0.0, 1.0), 5, 10,
             stream,
         )
+    # The t pivot at n = 200,000 needs I_x(99999.5, 1/2) and exact Jeffreys
+    # at n = 20,000 needs Beta(20000.5, 0.5): both past MAX_ACCURATE_SHAPE.
+    with pytest.raises(DomainError, match="beyond the accurate range"):
+        singh_curve(
+            StructureSpec("student_t_pivot"), TargetSpec.normal(0.0, 1.0), 200_000, 3, stream
+        )
+    with pytest.raises(DomainError, match="beyond the accurate range"):
+        exact_singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.3), 20_000)
     with pytest.raises(DomainError):
         singh_curve(
             StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4, predictive=True), 5, 10,

@@ -97,6 +97,10 @@ def test_beta_rejects_bad_shapes():
         reg_inc_beta(0.5, -1.0, 2.0)
     with pytest.raises(DomainError):
         reg_inc_beta(1.5, 2.0, 2.0)
+    # Non-finite shapes are refused up front, not run into the continued fraction.
+    for a, b in ((math.nan, 2.0), (2.0, math.inf), (math.inf, 2.0)):
+        with pytest.raises(DomainError, match="shape parameters"):
+            reg_inc_beta(0.3, a, b)
 
 
 def test_beta_refuses_unconverged_continued_fraction():
@@ -202,6 +206,9 @@ def test_beta_array_refuses_an_unconverged_lane():
         reg_inc_beta_array([0.5, 0.5], [2.0, -1.0], 2.0)
     with pytest.raises(DomainError):
         reg_inc_beta_array([0.5, 0.5], [2.0, 0.0], [2.0, 0.0])
+    for a, b in ((math.nan, 2.0), (2.0, math.inf), (math.inf, 2.0)):
+        with pytest.raises(DomainError, match="shape parameters"):
+            reg_inc_beta_array([0.5, 0.3], [2.0, a], [2.0, b])
 
 
 @given(

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,69 +6,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+import reference_structures as reference
 from singh_audit.special_math import DomainError
 from singh_audit.structures import (
-    ConfidenceValue,
-    Dataset,
     DegenerateDataError,
     StructureSpec,
-    chebyshev_required_confidence,
     chebyshev_ucl,
-    clopper_pearson,
-    empirical_predictive,
     evaluate_counts,
     evaluate_structure,
-    jeffreys,
-    scaled_cbox,
-    student_t_pivot,
 )
 
 THETAS = np.linspace(0.0, 1.0, 101)
+T_PIVOT = StructureSpec("student_t_pivot")
+JEFFREYS = StructureSpec("jeffreys")
+CLOPPER_PEARSON = StructureSpec("clopper_pearson")
+PREDICTIVE = StructureSpec("empirical_predictive")
+CHEBYSHEV = StructureSpec("chebyshev_ucl")
 
 
 def binary(k, n):
-    return Dataset(np.concatenate((np.ones(k), np.zeros(n - k))))
+    return np.concatenate((np.ones(k), np.zeros(n - k)))
 
 
-# --- core value types ---
+def one(spec, truth, samples):
+    """(lower, upper) of ``spec`` on a single dataset, through the batched kernel."""
+    lower, upper = evaluate_structure(spec, truth, np.asarray(samples, dtype=np.float64)[None, :])
+    return float(lower[0]), float(upper[0])
 
 
-def test_dataset_basics():
-    d = Dataset([1.0, 2.0, 3.0])
-    assert d.n == 3
-    assert d.mean() == 2.0
-    assert d.sd() == pytest.approx(1.0)
-    assert not d.is_binary()
-    assert binary(2, 5).is_binary()
-
-
-def test_dataset_is_immutable():
-    d = Dataset([1.0, 2.0])
-    with pytest.raises(ValueError):
-        d.samples[0] = 9.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        d.samples = np.zeros(2)
-
-
-def test_dataset_validation():
-    with pytest.raises(DomainError):
-        Dataset([])
-    with pytest.raises(DomainError):
-        Dataset([[1.0, 2.0]])
-
-
-def test_confidence_value_orders_bounds():
-    cv = ConfidenceValue(0.8, 0.2)
-    assert (cv.lower, cv.upper) == (0.2, 0.8)
-    assert not cv.is_precise
-    assert ConfidenceValue.precise(0.4).is_precise
-
-
-def test_confidence_value_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        ConfidenceValue(-0.1, 0.5)
-    with pytest.raises(DomainError):
-        ConfidenceValue(0.5, 1.1)
+# --- structure specs ---
 
 
 def test_structure_spec_validation():
@@ -95,115 +60,97 @@ def test_structure_spec_shape():
 
 
 def test_t_pivot_at_sample_mean_is_half():
-    cv = student_t_pivot(2.0, Dataset([1.0, 2.0, 3.0]))
-    assert cv.is_precise
-    assert cv.lower == 0.5
+    assert one(T_PIVOT, 2.0, [1.0, 2.0, 3.0]) == (0.5, 0.5)
 
 
 def test_t_pivot_known_value():
     # {0, 2}: mean 1, sd sqrt(2), so t = 1 on 1 df (Cauchy): 3/4.
-    cv = student_t_pivot(2.0, Dataset([0.0, 2.0]))
-    assert cv.lower == pytest.approx(0.75, abs=1e-13)
+    lower, upper = one(T_PIVOT, 2.0, [0.0, 2.0])
+    assert lower == upper == pytest.approx(0.75, abs=1e-13)
 
 
 def test_t_pivot_degenerate_data():
     with pytest.raises(DegenerateDataError):
-        student_t_pivot(0.0, Dataset([1.0]))
+        one(T_PIVOT, 0.0, [1.0])
     with pytest.raises(DegenerateDataError):
-        student_t_pivot(0.0, Dataset([2.0, 2.0, 2.0]))
+        one(T_PIVOT, 0.0, [2.0, 2.0, 2.0])
 
 
 # --- binomial-count structures ---
 
 
 def test_binary_data_required():
-    d = Dataset([0.0, 0.5, 1.0])
-    for fn in (jeffreys, clopper_pearson):
+    d = [0.0, 0.5, 1.0]
+    for spec in (JEFFREYS, CLOPPER_PEARSON, StructureSpec("scaled_cbox", c=1.0)):
         with pytest.raises(DomainError):
-            fn(0.4, d)
-    with pytest.raises(DomainError):
-        scaled_cbox(0.4, d, 1.0)
+            one(spec, 0.4, d)
 
 
 def test_jeffreys_matches_posterior_cdf():
     for n in (1, 4, 10):
         for k in range(n + 1):
-            d = binary(k, n)
             for theta in (0.1, 0.4, 0.5, 0.9):
-                cv = jeffreys(theta, d)
-                assert cv.is_precise
-                assert cv.lower == pytest.approx(
+                lower, upper = one(JEFFREYS, theta, binary(k, n))
+                assert lower == upper == pytest.approx(
                     sp.betainc(k + 0.5, n - k + 0.5, theta), abs=1e-12
                 )
 
 
 def test_clopper_pearson_no_successes():
-    cv = clopper_pearson(0.1, binary(0, 10))
-    assert cv.lower == pytest.approx(1.0 - 0.9**10, abs=1e-12)
-    assert cv.upper == 1.0
+    lower, upper = one(CLOPPER_PEARSON, 0.1, binary(0, 10))
+    assert lower == pytest.approx(1.0 - 0.9**10, abs=1e-12)
+    assert upper == 1.0
 
 
 def test_clopper_pearson_all_successes():
-    cv = clopper_pearson(0.4, binary(3, 3))
-    assert cv.lower == 0.0
-    assert cv.upper == pytest.approx(0.4**3, abs=1e-15)
+    lower, upper = one(CLOPPER_PEARSON, 0.4, binary(3, 3))
+    assert lower == 0.0
+    assert upper == pytest.approx(0.4**3, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_clopper_pearson_band_dominance_exhaustive(n):
     for k in range(n + 1):
-        d = binary(k, n)
-        lowers = []
-        uppers = []
-        for theta in THETAS:
-            cv = clopper_pearson(float(theta), d)
-            assert cv.upper >= cv.lower
-            lowers.append(cv.lower)
-            uppers.append(cv.upper)
+        lowers, uppers = evaluate_counts(CLOPPER_PEARSON, THETAS, n, np.full(THETAS.size, k))
+        assert (uppers >= lowers).all()
         # both bound curves rise from 0 to 1 monotonically in theta
-        assert all(a <= b + 1e-15 for a, b in zip(lowers, lowers[1:]))
-        assert all(a <= b + 1e-15 for a, b in zip(uppers, uppers[1:]))
+        assert (np.diff(lowers) >= -1e-15).all()
+        assert (np.diff(uppers) >= -1e-15).all()
         assert lowers[0] == 0.0 and uppers[-1] == 1.0
 
 
 def test_scaled_cbox_width_monotone_in_c():
     for k, n in ((0, 8), (3, 8), (8, 8)):
-        d = binary(k, n)
         for theta in (0.2, 0.5, 0.8):
-            widths = [
-                scaled_cbox(theta, d, c).upper - scaled_cbox(theta, d, c).lower
-                for c in (0.25, 0.5, 1.0, 2.0, 4.0)
-            ]
+            bounds = [one(StructureSpec("scaled_cbox", c), theta, binary(k, n))
+                      for c in (0.25, 0.5, 1.0, 2.0, 4.0)]
+            widths = [upper - lower for lower, upper in bounds]
             assert all(a <= b + 1e-12 for a, b in zip(widths, widths[1:]))
 
 
 def test_scaled_cbox_c_one_is_clopper_pearson():
     d = binary(4, 9)
     for theta in (0.1, 0.5, 0.9):
-        assert scaled_cbox(theta, d, 1.0) == clopper_pearson(theta, d)
+        assert one(StructureSpec("scaled_cbox", 1.0), theta, d) == one(CLOPPER_PEARSON, theta, d)
 
 
 def test_scaled_cbox_rejects_bad_c():
     with pytest.raises(DomainError, match="c must be positive"):
-        scaled_cbox(0.4, binary(1, 4), 0.0)
+        StructureSpec("scaled_cbox", 0.0)
 
 
 # --- empirical_predictive ---
 
 
 def test_predictive_counts():
-    d = Dataset([1.0, 2.0, 3.0])
-    cv = empirical_predictive(2.5, d)
-    assert (cv.lower, cv.upper) == (0.5, 0.75)
-    below = empirical_predictive(0.0, d)
-    assert (below.lower, below.upper) == (0.0, 0.25)
-    above = empirical_predictive(9.0, d)
-    assert (above.lower, above.upper) == (0.75, 1.0)
+    d = [1.0, 2.0, 3.0]
+    assert one(PREDICTIVE, 2.5, d) == (0.5, 0.75)
+    assert one(PREDICTIVE, 0.0, d) == (0.0, 0.25)
+    assert one(PREDICTIVE, 9.0, d) == (0.75, 1.0)
 
 
 def test_predictive_tie_collapses_width():
-    cv = empirical_predictive(2.0, Dataset([1.0, 2.0, 3.0]))
-    assert (cv.lower, cv.upper) == (0.5, 0.5)
+    assert one(PREDICTIVE, 2.0, [1.0, 2.0, 3.0]) == (0.5, 0.5)
 
 
 @given(
@@ -220,16 +167,15 @@ def test_predictive_width_off_sample_points(values, x):
     if x in values:
         return
     n = len(values)
-    cv = empirical_predictive(x, Dataset(values))
-    assert cv.upper - cv.lower == pytest.approx(1.0 / (n + 1), abs=1e-15)
+    lower, upper = one(PREDICTIVE, x, values)
+    assert upper - lower == pytest.approx(1.0 / (n + 1), abs=1e-15)
 
 
 def test_predictive_values_are_grid_fractions():
-    d = Dataset([4.0, 1.0, 3.0, 2.0])
+    d = [4.0, 1.0, 3.0, 2.0]
     grid = {k / 5.0 for k in range(6)}
     for x in (-1.0, 1.0, 2.5, 3.0, 10.0):
-        cv = empirical_predictive(x, d)
-        assert {cv.lower, cv.upper} <= grid
+        assert set(one(PREDICTIVE, x, d)) <= grid
 
 
 # --- chebyshev ---
@@ -237,37 +183,36 @@ def test_predictive_values_are_grid_fractions():
 
 def test_chebyshev_ucl_known_value():
     # alpha = 0.2 gives multiplier sqrt(1/0.8 - 1) = 1/2.
-    d = Dataset([0.0, 2.0])
+    d = np.array([0.0, 2.0])
     assert chebyshev_ucl(0.2, d) == pytest.approx(1.5, abs=1e-12)
     assert chebyshev_ucl(0.0, d) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chebyshev_ucl_validation():
-    d = Dataset([0.0, 2.0])
+    d = np.array([0.0, 2.0])
     with pytest.raises(DomainError):
         chebyshev_ucl(1.0, d)
     with pytest.raises(DomainError):
         chebyshev_ucl(-0.1, d)
     with pytest.raises(DomainError):
-        chebyshev_ucl(0.5, Dataset([1.0]))
+        chebyshev_ucl(0.5, np.array([1.0]))
+    with pytest.raises(DomainError):
+        chebyshev_ucl(0.5, np.array([[0.0, 2.0]]))
 
 
 def test_chebyshev_inversion_known_value():
-    cv = chebyshev_required_confidence(2.0, Dataset([0.0, 2.0]))
-    assert cv.is_precise
-    assert cv.lower == pytest.approx(0.5, abs=1e-12)
+    lower, upper = one(CHEBYSHEV, 2.0, [0.0, 2.0])
+    assert lower == upper == pytest.approx(0.5, abs=1e-12)
 
 
 def test_chebyshev_covered_at_zero_confidence():
-    cv = chebyshev_required_confidence(0.5, Dataset([0.0, 2.0]))
-    assert cv.lower == 0.0
+    assert one(CHEBYSHEV, 0.5, [0.0, 2.0]) == (0.0, 0.0)
 
 
 def test_chebyshev_never_covered_requires_inf():
-    cv = chebyshev_required_confidence(3.0, Dataset([2.0, 2.0]))
-    assert cv.is_precise and cv.lower == math.inf
+    assert one(CHEBYSHEV, 3.0, [2.0, 2.0]) == (math.inf, math.inf)
     # at or below the degenerate mean is still covered for free
-    assert chebyshev_required_confidence(2.0, Dataset([2.0, 2.0])).lower == 0.0
+    assert one(CHEBYSHEV, 2.0, [2.0, 2.0]) == (0.0, 0.0)
 
 
 @given(
@@ -280,33 +225,20 @@ def test_chebyshev_never_covered_requires_inf():
 )
 @settings(max_examples=200, deadline=None)
 def test_chebyshev_round_trip(values, bump):
-    d = Dataset(values)
-    if d.sd() == 0.0:
+    d = np.array(values)
+    if d.std(ddof=1) == 0.0:
         return
-    mu = d.mean() + bump
-    cv = chebyshev_required_confidence(mu, d)
+    mu = float(d.mean()) + bump
+    alpha, _ = one(CHEBYSHEV, mu, d)
     # Near alpha = 1 the inverse map 1/(1 - alpha) sheds precision faster
     # than the 1e-9 round-trip budget, so the guarantee is scoped away from
     # the boundary.
-    if cv.lower > 1.0 - 1e-5:
+    if alpha > 1.0 - 1e-5:
         return
-    assert chebyshev_ucl(cv.lower, d) == pytest.approx(mu, abs=1e-9)
+    assert chebyshev_ucl(alpha, d) == pytest.approx(mu, abs=1e-9)
 
 
 # --- batched evaluation against the scalar reference ---
-
-
-def scalar_structure(spec, truth, data):
-    """The scalar reference function of ``spec`` on one dataset."""
-    if spec.kind == "scaled_cbox":
-        return scaled_cbox(truth, data, spec.c)
-    return {
-        "student_t_pivot": student_t_pivot,
-        "jeffreys": jeffreys,
-        "clopper_pearson": clopper_pearson,
-        "empirical_predictive": empirical_predictive,
-        "chebyshev_ucl": chebyshev_required_confidence,
-    }[spec.kind](truth, data)
 
 
 def bits(values):
@@ -314,9 +246,9 @@ def bits(values):
 
 
 def assert_rows_match_scalar(spec, truths, samples):
-    """Batched bounds equal the scalar ones row for row, or both raise."""
+    """Batched bounds equal the scalar reference row for row, or both raise."""
     try:
-        refs = [scalar_structure(spec, t, Dataset(row)) for t, row in zip(truths, samples)]
+        refs = [reference.structure(spec, t, row) for t, row in zip(truths, samples)]
     except DegenerateDataError:
         truth = truths if spec.kind == "empirical_predictive" else truths[0]
         with pytest.raises(DegenerateDataError):
@@ -324,8 +256,8 @@ def assert_rows_match_scalar(spec, truths, samples):
         return
     truth = np.array(truths) if spec.kind == "empirical_predictive" else truths[0]
     lower, upper = evaluate_structure(spec, truth, samples)
-    assert bits(lower) == bits([cv.lower for cv in refs])
-    assert bits(upper) == bits([cv.upper for cv in refs])
+    assert bits(lower) == bits([ref[0] for ref in refs])
+    assert bits(upper) == bits([ref[1] for ref in refs])
 
 
 # Few distinct values, so rows tie with each other and with the truth.
@@ -373,7 +305,7 @@ def test_batched_zero_spread_rows():
     # Chebyshev: a constant row below the truth never covers it.
     lower, upper = evaluate_structure(StructureSpec("chebyshev_ucl"), 3.5, samples)
     assert lower[1] == upper[1] == math.inf
-    assert lower[0] == chebyshev_required_confidence(3.5, Dataset(samples[0])).lower
+    assert lower[0] == reference.chebyshev_required_confidence(3.5, samples[0])[0]
     assert evaluate_structure(StructureSpec("chebyshev_ucl"), 3.0, samples)[0][1] == 0.0
 
 
@@ -396,9 +328,9 @@ def test_counts_equal_scalar_on_every_count(n):
             continue
         for theta in (0.0, 0.05, 0.4, 1.0):
             lower, upper = evaluate_counts(spec, theta, n, ks)
-            refs = [scalar_structure(spec, theta, binary(k, n)) for k in range(n + 1)]
-            assert bits(lower) == bits([cv.lower for cv in refs])
-            assert bits(upper) == bits([cv.upper for cv in refs])
+            refs = [reference.structure(spec, theta, binary(k, n)) for k in range(n + 1)]
+            assert bits(lower) == bits([ref[0] for ref in refs])
+            assert bits(upper) == bits([ref[1] for ref in refs])
 
 
 def test_batched_evaluation_validation():
@@ -422,7 +354,7 @@ def test_structure_values_monotone_in_theta():
         StructureSpec("scaled_cbox", c=0.5),
         StructureSpec("scaled_cbox", c=3.0),
     ):
-        lower, upper = evaluate_structure(spec, THETAS, np.tile(d.samples, (THETAS.size, 1)))
+        lower, upper = evaluate_structure(spec, THETAS, np.tile(d, (THETAS.size, 1)))
         assert (np.diff(lower) >= -1e-15).all()
         assert (np.diff(upper) >= -1e-15).all()
     cont = np.array([1.0, 2.0, 4.0])
