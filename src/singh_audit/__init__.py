@@ -30,10 +30,6 @@ from .special_math import (
     DomainError,
     SeededStream,
     reg_inc_beta,
-    sample_bernoulli,
-    sample_mixture,
-    sample_normal,
-    sample_scaled_bernoulli,
     student_t_cdf,
 )
 from .structures import DegenerateDataError, StructureSpec, chebyshev_ucl, evaluate_structure
@@ -64,10 +60,6 @@ __all__ = [
     "max_coverage_deficit",
     "parse_scenario",
     "reg_inc_beta",
-    "sample_bernoulli",
-    "sample_mixture",
-    "sample_normal",
-    "sample_scaled_bernoulli",
     "singh_curve",
     "student_t_cdf",
     "__version__",

@@ -10,7 +10,6 @@ from pathlib import Path
 from .presets import PRESETS
 from .runner import run_preset, run_scenario
 from .scenario import ScenarioParseError, ScenarioValidationError, parse_scenario
-from .special_math import _MAX_SEED
 
 __all__ = ["main"]
 
@@ -49,14 +48,9 @@ def _run_command(args) -> int:
         return EXIT_RUNTIME
     try:
         scenario = parse_scenario(text)
-        if args.replicates is not None:
-            if args.replicates < 1:
-                raise ScenarioValidationError("m must be at least 1")
-            scenario = replace(scenario, m=args.replicates)
-        if args.seed is not None:
-            if not 0 <= args.seed < _MAX_SEED:
-                raise ScenarioValidationError("seed must be a 64-bit unsigned integer")
-            scenario = replace(scenario, seed=args.seed)
+        # Scenario re-validates itself on replace, like a parsed document.
+        overrides = {"m": args.replicates, "seed": args.seed}
+        scenario = replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

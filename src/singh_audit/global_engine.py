@@ -37,18 +37,15 @@ class ParameterGrid:
         object.__setattr__(self, "thetas", values)
 
     @classmethod
-    def uniform(cls, lo: float, hi: float, k: int, inclusive: bool = True) -> "ParameterGrid":
-        """k evenly spaced values on [lo, hi] (endpoints included by default)."""
+    def uniform(cls, lo: float, hi: float, k: int) -> "ParameterGrid":
+        """k evenly spaced values on [lo, hi], endpoints included; k = 1 is the midpoint."""
         if k < 1:
-            raise DomainError("grid size must be at least 1")
+            raise DomainError("grid_k must be at least 1")
         if hi < lo:
-            raise DomainError("grid interval is inverted")
+            raise DomainError("grid_lo must not exceed grid_hi")
         if k == 1:
             return cls((0.5 * (lo + hi),))
-        if inclusive:
-            return cls(tuple(np.linspace(lo, hi, k)))
-        inner = np.linspace(lo, hi, k + 2)[1:-1]
-        return cls(tuple(inner))
+        return cls(tuple(np.linspace(lo, hi, k)))
 
     def __len__(self) -> int:
         return len(self.thetas)

@@ -71,14 +71,15 @@ def run_scenario(scenario: Scenario, out_dir, fmt: str | None = None) -> list[Pa
 def run_preset(name: str, out_dir, replicates: int | None = None) -> list[Path]:
     """Run a named preset: per-run CSV + report, plus its figure plot(s).
 
-    ``replicates`` overrides every run's m, for quick reduced-cost passes.
+    ``replicates`` overrides every run's m, for quick reduced-cost passes;
+    the overridden scenarios are validated before anything is written.
     """
     preset = PRESETS[name]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     scenarios = [parse_scenario(doc) for doc in preset.documents]
     if replicates is not None:
         scenarios = [replace(s, m=replicates) for s in scenarios]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     ran: list[tuple[Scenario, object, CoverageReport]] = []
     written: list[Path] = []
     for scenario in scenarios:

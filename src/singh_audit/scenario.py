@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .global_engine import ParameterGrid
 from .singh_engine import TargetSpec, check_run_args
-from .special_math import _MAX_SEED, DomainError
+from .special_math import DomainError, SeededStream
 from .structures import StructureSpec
 
 __all__ = [
@@ -38,7 +38,13 @@ class ScenarioValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated analysis description, ready to run."""
+    """A fully validated analysis description, ready to run.
+
+    Construction checks that a grid has a truth to sweep, the run itself
+    (``check_run_args``), the seed, delta and outputs, and raises
+    ScenarioValidationError. ``dataclasses.replace`` constructs anew, so an
+    overridden scenario is checked like a parsed one.
+    """
 
     name: str
     structure: StructureSpec
@@ -49,6 +55,32 @@ class Scenario:
     seed: int
     delta: float
     outputs: frozenset[str]
+
+    def __post_init__(self) -> None:
+        if self.grid is not None:
+            if self.target.predictive:
+                raise _fail("predictive scenarios cannot use a parameter grid")
+            if TargetSpec.FAMILY_FIELDS[self.target.family][1] is None:
+                raise _fail(
+                    f"a {self.target.family} target has no truth parameter to sweep on a grid"
+                )
+        try:
+            check_run_args(self.structure, self.target, self.n, self.m)
+        except DomainError as exc:
+            raise _fail(str(exc)) from None
+        try:
+            SeededStream(self.seed)
+        except DomainError:
+            raise _fail("seed must be a 64-bit unsigned integer") from None
+        if not 0.0 < self.delta < 1.0:
+            raise _fail("delta must lie in (0, 1)")
+        outputs = frozenset(self.outputs)
+        unknown = outputs - set(OUTPUT_KINDS)
+        if unknown:
+            raise _fail(f"unknown output kind {sorted(unknown)[0]!r}")
+        if not outputs:
+            raise _fail("outputs must name at least one artifact")
+        object.__setattr__(self, "outputs", outputs)
 
     @property
     def is_global(self) -> bool:
@@ -141,8 +173,6 @@ def _build_target(entries: dict, family: str, predictive: bool, grid):
     # Under a grid the family's truth field takes the first grid value and
     # has no key of its own.
     fields, truth = TargetSpec.FAMILY_FIELDS[family]
-    if grid is not None and truth is None:
-        raise _fail(f"a {family} target has no truth parameter to sweep on a grid")
     keys = {x: _key(family, x) for x in fields if grid is None or x != truth}
     allowed = set(keys.values())
     present = _TARGET_KEYS & entries.keys()
@@ -153,7 +183,7 @@ def _build_target(entries: dict, family: str, predictive: bool, grid):
     if extra:
         raise _fail(f"key {sorted(extra)[0]!r} does not apply to a {family} target here")
     values = {x: entries[key] for x, key in keys.items()}
-    if grid is not None:
+    if grid is not None and truth is not None:
         values[truth] = grid.thetas[0]
     try:
         return TargetSpec(family=family, predictive=predictive, **values)
@@ -168,16 +198,16 @@ def _build_grid(entries: dict, family: str):
     if len(given) != len(_GRID_KEYS):
         missing = next(k for k in _GRID_KEYS if k not in entries)
         raise _fail(f"grid mode requires {missing}")
-    lo, hi, k = entries["grid_lo"], entries["grid_hi"], entries["grid_k"]
-    if k < 1:
-        raise _fail("grid_k must be at least 1")
-    if hi < lo:
-        raise _fail("grid_lo must not exceed grid_hi")
+    lo, hi = entries["grid_lo"], entries["grid_hi"]
+    try:
+        grid = ParameterGrid.uniform(lo, hi, entries["grid_k"])
+    except DomainError as exc:
+        raise _fail(str(exc)) from None
     if family == "bernoulli" and not (0.0 <= lo and hi <= 1.0):
         raise _fail("a bernoulli grid must lie within [0, 1]")
     if family == "scaled_bernoulli" and lo <= 0.0:
         raise _fail("a scaled_bernoulli grid must be positive")
-    return ParameterGrid.uniform(lo, hi, k)
+    return grid
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -201,38 +231,15 @@ def parse_scenario(text: str) -> Scenario:
 
     predictive = bool(entries.get("predict", False))
     grid = _build_grid(entries, family)
-    if grid is not None and predictive:
-        raise _fail("predictive scenarios cannot use a parameter grid")
-
     target = _build_target(entries, family, predictive, grid)
-    n = entries["n"]
-    m = entries.get("m", 10_000)
-    try:
-        check_run_args(structure, target, n, m)
-    except DomainError as exc:
-        raise _fail(str(exc)) from None
-    seed = entries.get("seed", 0)
-    if not 0 <= seed < _MAX_SEED:
-        raise _fail("seed must be a 64-bit unsigned integer")
-    delta = entries.get("delta", 0.01)
-    if not 0.0 < delta < 1.0:
-        raise _fail("delta must lie in (0, 1)")
-    outputs = entries.get("outputs", frozenset(OUTPUT_KINDS))
-    unknown = outputs - set(OUTPUT_KINDS)
-    if unknown:
-        raise _fail(f"unknown output kind {sorted(unknown)[0]!r}")
-    if not outputs:
-        raise _fail("outputs must name at least one artifact")
-    name = entries.get("name", "scenario")
-
     return Scenario(
-        name=name,
+        name=entries.get("name", "scenario"),
         structure=structure,
         target=target,
         grid=grid,
-        n=n,
-        m=m,
-        seed=seed,
-        delta=delta,
-        outputs=frozenset(outputs),
+        n=entries["n"],
+        m=entries.get("m", 10_000),
+        seed=entries.get("seed", 0),
+        delta=entries.get("delta", 0.01),
+        outputs=entries.get("outputs", frozenset(OUTPUT_KINDS)),
     )

@@ -18,17 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .special_math import (
-    MAX_ACCURATE_SHAPE,
-    DomainError,
-    SeededStream,
-    _component_cdf,
-    _draw_mixture,
-    check_mixture,
-    sample_bernoulli,
-    sample_normal,
-    sample_scaled_bernoulli,
-)
+from .special_math import MAX_ACCURATE_SHAPE, DomainError, SeededStream
 from .structures import StructureSpec, evaluate_counts, evaluate_structure
 
 __all__ = [
@@ -116,12 +106,25 @@ class TargetSpec:
             if not self.mean > 0.0:
                 raise DomainError("mean must be positive")
         else:
-            arrays = check_mixture(self.weights, self.mus, self.sigmas)
-            for name, arr in zip(("weights", "mus", "sigmas"), arrays):
+            weights, mus, sigmas = (
+                np.asarray(v, dtype=np.float64) for v in (self.weights, self.mus, self.sigmas)
+            )
+            if not weights.shape == mus.shape == sigmas.shape or weights.ndim != 1:
+                raise DomainError("weights, mus and sigmas must be equal-length lists")
+            if weights.size == 0:
+                raise DomainError("mixture needs at least one component")
+            if abs(weights.sum() - 1.0) > 1e-9:
+                raise DomainError("mixture weights must sum to 1")
+            if (weights < 0.0).any():
+                raise DomainError("mixture weights must be non-negative")
+            if (sigmas <= 0.0).any():
+                raise DomainError("sigmas must be positive")
+            for name, arr in zip(("weights", "mus", "sigmas"), (weights, mus, sigmas)):
                 object.__setattr__(self, name, tuple(arr.tolist()))
-            # Checked once here, so draws skip re-validation.
-            weights, mus, sigmas = arrays
-            object.__setattr__(self, "_mixture", (_component_cdf(weights), mus, sigmas))
+            # Checked once here, so draws skip re-validation. The component
+            # CDF is normalised to end at exactly 1.
+            cdf = weights.cumsum()
+            object.__setattr__(self, "_mixture", (cdf / cdf[-1], mus, sigmas))
 
     @classmethod
     def normal(cls, mu: float, sigma: float, predictive: bool = False) -> "TargetSpec":
@@ -178,12 +181,25 @@ class TargetSpec:
         """
         size = rows * count
         if self.family == "normal":
-            return sample_normal(rng, self.mu, self.sigma, size).reshape(rows, count)
-        if self.family == "bernoulli":
-            return sample_bernoulli(rng, self.p, size).reshape(rows, count)
-        if self.family == "scaled_bernoulli":
-            return sample_scaled_bernoulli(rng, self.p, self.mean, size).reshape(rows, count)
-        return _draw_mixture(rng, *self._mixture, size, normals).reshape(rows, count)
+            # Location-scale on standard normals keeps (mu=4, sigma=3) an
+            # exact affine image of (mu=0, sigma=1) under the same generator.
+            x = self.mu + self.sigma * rng.standard_normal(size)
+        elif self.family == "bernoulli":
+            x = (rng.random(size) < self.p).astype(np.float64)
+        elif self.family == "scaled_bernoulli":
+            x = (self.mean / self.p) * (rng.random(size) < self.p)
+        else:
+            cdf, mus, sigmas = self._mixture
+            normals = rng if normals is None else normals
+            if cdf.size == 1:
+                # A single component draws no picks, only normals.
+                x = mus[0] + sigmas[0] * normals.standard_normal(size)
+            else:
+                # The inverse-CDF lookup of rng.choice(size, p=weights),
+                # without its per-call validation of the weights.
+                pick = cdf.searchsorted(rng.random(size), side="right")
+                x = mus[pick] + sigmas[pick] * normals.standard_normal(size)
+        return x.reshape(rows, count)
 
 
 @dataclass(frozen=True)
@@ -312,9 +328,10 @@ def check_run_args(structure: StructureSpec, target: TargetSpec, n: int, m: int)
     """Raise DomainError for a run the engines cannot evaluate, or not accurately.
 
     The one check of a run's arguments: ``singh_curve`` and
-    ``exact_singh_curve`` call it, and ``parse_scenario`` calls it on the
-    scenario it builds. Beta shapes above ``MAX_ACCURATE_SHAPE`` are refused
-    because ``reg_inc_beta`` does not hold its 1e-12 accuracy there.
+    ``exact_singh_curve`` call it, and so does every ``Scenario`` when it
+    is constructed, parsed or replaced. Beta shapes above
+    ``MAX_ACCURATE_SHAPE`` are refused because ``reg_inc_beta`` does not
+    hold its 1e-12 accuracy there.
     """
     if m < 1:
         raise DomainError("m must be at least 1")

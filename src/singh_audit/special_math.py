@@ -1,4 +1,4 @@
-"""Special functions and seeded sampling.
+"""Special functions and seeded random streams.
 
 The regularized incomplete beta function and the Student-t CDF are computed
 with the standard continued-fraction expansion so results are identical on
@@ -7,16 +7,10 @@ every platform and carry no heavyweight dependency. Their array forms
 on every element at once and equal the scalar functions bit for bit; the
 scalar functions stay the reference. Randomness comes from
 ``SeededStream``, a splittable handle that derives statistically independent
-substreams from a single master seed by index arithmetic. The samplers draw
-from a ``numpy.random.Generator`` that such a stream hands out. Monte Carlo
-runs (stream layout v3) give each fixed-size block of replicates one
-substream, and the replicates of a block consume its generator in order;
-block boundaries depend only on the replicate count, which makes results
-independent of worker count and execution order. A Gaussian-mixture block
-is drawn from two generators of its substream: the component picks from
-the substream's own generator and the normals from its child stream 0
-(``generator(child=0)``), each consumed in row order, so a whole chunk of
-rows takes one call of each.
+substreams from a single master seed by index arithmetic and hands out
+``numpy.random.Generator`` objects positioned at their start (or at the
+start of a child stream). This module knows the valid seed range; the
+replicates themselves are drawn by ``singh_engine.TargetSpec.draw``.
 """
 
 from __future__ import annotations
@@ -33,11 +27,6 @@ __all__ = [
     "reg_inc_beta_array",
     "student_t_cdf",
     "student_t_cdf_array",
-    "sample_normal",
-    "sample_bernoulli",
-    "sample_scaled_bernoulli",
-    "sample_mixture",
-    "check_mixture",
 ]
 
 _MAX_SEED = 2**64
@@ -425,8 +414,8 @@ def reg_inc_beta_array(x, a, b) -> np.ndarray:
 
 def student_t_cdf(t: float, nu: float) -> float:
     """CDF of the Student-t distribution with ``nu`` degrees of freedom."""
-    if nu <= 0.0:
-        raise DomainError("degrees of freedom must be positive")
+    if not 0.0 < nu < math.inf:
+        raise DomainError("degrees of freedom must be positive and finite")
     if t == 0.0:
         return 0.5
     # One-tail mass via I_x(nu/2, 1/2) at x = nu / (nu + t^2); the two tails
@@ -438,113 +427,10 @@ def student_t_cdf(t: float, nu: float) -> float:
 
 def student_t_cdf_array(t, nu: float) -> np.ndarray:
     """``student_t_cdf`` at each element of ``t``, bit for bit."""
-    if nu <= 0.0:
-        raise DomainError("degrees of freedom must be positive")
+    if not 0.0 < nu < math.inf:
+        raise DomainError("degrees of freedom must be positive and finite")
     t = np.asarray(t, dtype=np.float64)
     with np.errstate(over="ignore"):
         x = nu / (nu + t * t)
     tail = 0.5 * reg_inc_beta_array(x, 0.5 * nu, 0.5)
     return np.where(t == 0.0, 0.5, np.where(t < 0.0, tail, 1.0 - tail))
-
-
-def sample_normal(rng: np.random.Generator, mu: float, sigma: float, n: int) -> np.ndarray:
-    """``n`` independent N(mu, sigma) draws from ``rng``."""
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    # Location-scale on standard normals keeps (mu=4, sigma=3) an exact
-    # affine image of (mu=0, sigma=1) under the same generator state.
-    return mu + sigma * rng.standard_normal(n)
-
-
-def sample_bernoulli(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
-    """``n`` independent indicator draws with success probability ``p``."""
-    p = _check_prob(p, "p")
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    return (rng.random(n) < p).astype(np.float64)
-
-
-def sample_scaled_bernoulli(
-    rng: np.random.Generator, p: float, target_mean: float, n: int
-) -> np.ndarray:
-    """Two-point draws on {0, target_mean/p} with population mean target_mean.
-
-    The success probability ``p`` controls skewness, (1 - 2p) / sqrt(p(1-p)),
-    while the mean stays fixed; small ``p`` gives rare large values.
-    """
-    if p <= 0.0:
-        raise DomainError("p must be positive")
-    p = _check_prob(p, "p")
-    if target_mean <= 0.0:
-        raise DomainError("target_mean must be positive")
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    return (target_mean / p) * (rng.random(n) < p)
-
-
-def check_mixture(weights, mus, sigmas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gaussian mixture parameters as float arrays, or DomainError if invalid.
-
-    The three lists must have one equal, non-zero length; the weights must be
-    non-negative and sum to 1, and every sigma must be positive.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    mus = np.asarray(mus, dtype=np.float64)
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    if not weights.shape == mus.shape == sigmas.shape or weights.ndim != 1:
-        raise DomainError("weights, mus and sigmas must be equal-length lists")
-    if weights.size == 0:
-        raise DomainError("mixture needs at least one component")
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise DomainError("mixture weights must sum to 1")
-    if (weights < 0.0).any():
-        raise DomainError("mixture weights must be non-negative")
-    if (sigmas <= 0.0).any():
-        raise DomainError("sigmas must be positive")
-    return weights, mus, sigmas
-
-
-def _component_cdf(weights: np.ndarray) -> np.ndarray:
-    """Cumulative mixture weights, normalised to end at exactly 1."""
-    cdf = weights.cumsum()
-    return cdf / cdf[-1]
-
-
-def _draw_mixture(
-    rng: np.random.Generator,
-    cdf: np.ndarray,
-    mus: np.ndarray,
-    sigmas: np.ndarray,
-    n: int,
-    normals: np.random.Generator | None = None,
-) -> np.ndarray:
-    """``n`` mixture draws from checked parameters, with no checks of its own.
-
-    ``cdf`` comes from ``_component_cdf``. The ``n`` component picks come
-    from one ``rng.random`` call, by the same inverse-CDF lookup as
-    ``rng.choice(size, p=weights)`` but without its per-call validation of
-    the weights; the ``n`` normals come from one ``standard_normal`` call on
-    ``normals`` (by default ``rng`` itself, after the picks).
-    """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    normals = rng if normals is None else normals
-    if cdf.size == 1:
-        # A single component draws no picks, only normals, like sample_normal.
-        return mus[0] + sigmas[0] * normals.standard_normal(n)
-    component = cdf.searchsorted(rng.random(n), side="right")
-    return mus[component] + sigmas[component] * normals.standard_normal(n)
-
-
-def sample_mixture(
-    rng: np.random.Generator,
-    weights: "list[float] | np.ndarray",
-    mus: "list[float] | np.ndarray",
-    sigmas: "list[float] | np.ndarray",
-    n: int,
-) -> np.ndarray:
-    """``n`` independent draws from a finite Gaussian mixture."""
-    weights, mus, sigmas = check_mixture(weights, mus, sigmas)
-    return _draw_mixture(rng, _component_cdf(weights), mus, sigmas, n)

@@ -5,7 +5,7 @@ import pytest
 from singh_audit.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from singh_audit.presets import PRESETS
 from singh_audit.runner import run_preset, run_scenario
-from singh_audit.scenario import parse_scenario
+from singh_audit.scenario import ScenarioValidationError, parse_scenario
 
 DOC = """\
 name = demo run
@@ -52,6 +52,12 @@ def test_run_preset_replicate_override(tmp_path):
     report = json.loads((tmp_path / "fig2.json").read_text())
     assert report["m"] == 60
     assert sorted(p.name for p in written) == ["fig2.csv", "fig2.json", "fig2.svg"]
+
+
+def test_run_preset_checks_the_override_before_writing(tmp_path):
+    with pytest.raises(ScenarioValidationError, match="m must be at least 1"):
+        run_preset("fig1", tmp_path / "out", replicates=0)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

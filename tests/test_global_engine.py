@@ -18,11 +18,6 @@ def test_uniform_grid_inclusive():
     assert len(g) == 5
 
 
-def test_uniform_grid_exclusive():
-    g = ParameterGrid.uniform(0.0, 1.0, 3, inclusive=False)
-    assert g.thetas == (0.25, 0.5, 0.75)
-
-
 def test_uniform_grid_single_point_is_midpoint():
     assert ParameterGrid.uniform(0.2, 0.6, 1).thetas == (0.4,)
 

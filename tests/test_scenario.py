@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from singh_audit.global_engine import ParameterGrid
 from singh_audit.presets import PRESETS
 from singh_audit.scenario import (
     OUTPUT_KINDS,
@@ -96,6 +99,10 @@ def fields(**overrides):
     return "".join(f"{k} = {v}\n" for k, v in base.items() if v is not None)
 
 
+MIXTURE = dict(target="gaussian_mixture", theta0=None, weights="0.5,0.5", mus="4,5",
+               sigmas="3,1.5")
+
+
 def test_negative_c_message():
     with pytest.raises(ScenarioValidationError, match="c must be positive"):
         parse_scenario(fields(structure="scaled_cbox", c="-1"))
@@ -133,11 +140,47 @@ def test_negative_c_message():
          "requires a bernoulli target"),
         (fields(structure="scaled_cbox", c="2", target="gaussian_mixture", theta0=None,
                 weights="0.5,0.5", mus="4,5", sigmas="3,1.5"), "requires a bernoulli target"),
+        (fields(structure="student_t_pivot", grid_lo="0", grid_hi="1", grid_k="3", **MIXTURE),
+         "no truth parameter to sweep"),
     ],
 )
 def test_validation_messages(doc, message):
     with pytest.raises(ScenarioValidationError, match=message):
         parse_scenario(doc)
+
+
+T_PIVOT = fields(structure="student_t_pivot", target="normal", theta0=None, mu="4", sigma="3")
+
+
+@pytest.mark.parametrize(
+    "doc, overrides, message",
+    [
+        (fields(), dict(m=0), "m must be at least 1"),
+        (fields(), dict(seed=2**64), "seed must be"),
+        (fields(), dict(seed=-5), "seed must be"),
+        (T_PIVOT, dict(n=200_001), "beyond the accurate range"),
+        (fields(), dict(n=0), "needs n >= 1"),
+        (fields(), dict(delta=0.0), "delta must lie"),
+        (fields(), dict(outputs=frozenset({"png"})), "unknown output kind"),
+        (fields(), dict(outputs=frozenset()), "at least one artifact"),
+        (fields(structure="empirical_predictive", predict="true", **MIXTURE),
+         dict(grid=ParameterGrid((4.0,))), "cannot use a parameter grid"),
+        (fields(structure="student_t_pivot", **MIXTURE),
+         dict(grid=ParameterGrid((4.0,))), "no truth parameter to sweep"),
+    ],
+    ids=["m", "seed-2^64", "seed-negative", "t-pivot-n", "n", "delta", "outputs-unknown",
+         "outputs-empty", "predictive-grid", "mixture-grid"],
+)
+def test_replace_is_validated(doc, overrides, message):
+    scenario = parse_scenario(doc)
+    with pytest.raises(ScenarioValidationError, match=message):
+        replace(scenario, **overrides)
+
+
+def test_replace_keeps_a_valid_scenario():
+    scenario = replace(parse_scenario(fields()), m=37, seed=2**64 - 1, outputs={"csv"})
+    assert (scenario.m, scenario.seed) == (37, 2**64 - 1)
+    assert scenario.outputs == frozenset({"csv"})
 
 
 def test_grid_replaces_truth_key():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,14 @@ def test_target_validation():
         TargetSpec.mixture([0.7, 0.7], [0.0, 1.0], [1.0, 1.0])
     with pytest.raises(DomainError):
         TargetSpec(family="normal", mu=1.0)
+    with pytest.raises(DomainError, match="sigmas must be positive"):
+        TargetSpec.mixture([0.5, 0.5], [0.0, 1.0], [1.0, -1.0])
+    with pytest.raises(DomainError, match="non-negative"):
+        TargetSpec.mixture([-0.5, 1.5], [0.0, 1.0], [1.0, 1.0])
+    with pytest.raises(DomainError, match="equal-length"):
+        TargetSpec.mixture([0.5, 0.5], [0.0], [1.0, 1.0])
+    with pytest.raises(DomainError, match="at least one component"):
+        TargetSpec.mixture([], [], [])
 
 
 def test_target_truth_parameter():
@@ -67,6 +76,57 @@ def test_target_with_truth():
     assert TargetSpec.scaled_bernoulli(0.2, 2.0).with_truth(5.0).mean == 5.0
     with pytest.raises(UnsupportedTargetError):
         TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5]).with_truth(1.0)
+
+
+# --- drawing replicates ---
+
+
+def draw(target, seed, count, rows=1):
+    return target.draw(SeededStream(seed).generator(), rows, count)
+
+
+def test_normal_draw_is_affine_in_location_scale():
+    shifted = draw(TargetSpec.normal(4.0, 3.0), 3, 256)
+    standard = draw(TargetSpec.normal(0.0, 1.0), 3, 256)
+    assert np.array_equal(shifted, 4.0 + 3.0 * standard)
+
+
+def test_normal_draw_moments():
+    x = draw(TargetSpec.normal(2.0, 5.0), 4, 200_000)
+    n = x.size
+    assert abs(x.mean() - 2.0) < 5 * 5.0 / math.sqrt(n)
+    assert abs(x.std(ddof=1) - 5.0) < 5 * 5.0 / math.sqrt(2 * n)
+
+
+def test_bernoulli_draw_support_and_mean():
+    x = draw(TargetSpec.bernoulli(0.3), 5, 100_000)
+    assert set(np.unique(x)) <= {0.0, 1.0}
+    se = math.sqrt(0.3 * 0.7 / x.size)
+    assert abs(x.mean() - 0.3) < 5 * se
+
+
+def test_bernoulli_draw_degenerate_rates():
+    assert not draw(TargetSpec.bernoulli(0.0), 6, 1000).any()
+    assert draw(TargetSpec.bernoulli(1.0), 6, 1000).all()
+
+
+def test_scaled_bernoulli_draw_support_and_mean():
+    p, target = 0.2, 2.0
+    x = draw(TargetSpec.scaled_bernoulli(p, target), 7, 1_000_000)
+    assert set(np.unique(x)) <= {0.0, target / p}
+    se = target * math.sqrt((1 - p) / p) / math.sqrt(x.size)
+    assert abs(x.mean() - target) < 5 * se
+
+
+def test_single_component_mixture_draw_matches_normal():
+    mixed = draw(TargetSpec.mixture([1.0], [4.0], [3.0]), 8, 64, rows=2)
+    assert np.array_equal(mixed, draw(TargetSpec.normal(4.0, 3.0), 8, 64, rows=2))
+
+
+def test_mixture_draw_mean():
+    x = draw(TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5]), 9, 200_000)
+    sd = math.sqrt(0.5 * (3.0**2 + 4.0**2) + 0.5 * (1.5**2 + 5.0**2) - 4.5**2)
+    assert abs(x.mean() - 4.5) < 5 * sd / math.sqrt(x.size)
 
 
 # --- result containers ---
