@@ -14,6 +14,7 @@ it sorts last and passes through the index-wise min/max unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ class ParameterGrid:
             raise DomainError("grid_k must be at least 1")
         if hi < lo:
             raise DomainError("grid_lo must not exceed grid_hi")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError("grid_lo and grid_hi must be finite")
         if k == 1:
             return cls((0.5 * (lo + hi),))
         return cls(tuple(np.linspace(lo, hi, k)))

@@ -59,27 +59,27 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.grid is not None:
             if self.target.predictive:
-                raise _fail("predictive scenarios cannot use a parameter grid")
+                raise ScenarioValidationError("predictive scenarios cannot use a parameter grid")
             if TargetSpec.FAMILY_FIELDS[self.target.family][1] is None:
-                raise _fail(
+                raise ScenarioValidationError(
                     f"a {self.target.family} target has no truth parameter to sweep on a grid"
                 )
         try:
             check_run_args(self.structure, self.target, self.n, self.m)
         except DomainError as exc:
-            raise _fail(str(exc)) from None
+            raise ScenarioValidationError(str(exc)) from None
         try:
             SeededStream(self.seed)
         except DomainError:
-            raise _fail("seed must be a 64-bit unsigned integer") from None
+            raise ScenarioValidationError("seed must be a 64-bit unsigned integer") from None
         if not 0.0 < self.delta < 1.0:
-            raise _fail("delta must lie in (0, 1)")
+            raise ScenarioValidationError("delta must lie in (0, 1)")
         outputs = frozenset(self.outputs)
         unknown = outputs - set(OUTPUT_KINDS)
         if unknown:
-            raise _fail(f"unknown output kind {sorted(unknown)[0]!r}")
+            raise ScenarioValidationError(f"unknown output kind {sorted(unknown)[0]!r}")
         if not outputs:
-            raise _fail("outputs must name at least one artifact")
+            raise ScenarioValidationError("outputs must name at least one artifact")
         object.__setattr__(self, "outputs", outputs)
 
     @property
@@ -165,10 +165,6 @@ def _collect(text: str) -> dict:
     return entries
 
 
-def _fail(message: str) -> ScenarioValidationError:
-    return ScenarioValidationError(message)
-
-
 def _build_target(entries: dict, family: str, predictive: bool, grid):
     # Under a grid the family's truth field takes the first grid value and
     # has no key of its own.
@@ -178,17 +174,19 @@ def _build_target(entries: dict, family: str, predictive: bool, grid):
     present = _TARGET_KEYS & entries.keys()
     missing = allowed - present
     if missing:
-        raise _fail(f"{family} target requires {sorted(missing)[0]}")
+        raise ScenarioValidationError(f"{family} target requires {sorted(missing)[0]}")
     extra = present - allowed
     if extra:
-        raise _fail(f"key {sorted(extra)[0]!r} does not apply to a {family} target here")
+        raise ScenarioValidationError(
+            f"key {sorted(extra)[0]!r} does not apply to a {family} target here"
+        )
     values = {x: entries[key] for x, key in keys.items()}
     if grid is not None and truth is not None:
         values[truth] = grid.thetas[0]
     try:
         return TargetSpec(family=family, predictive=predictive, **values)
     except DomainError as exc:
-        raise _fail(str(exc)) from None
+        raise ScenarioValidationError(str(exc)) from None
 
 
 def _build_grid(entries: dict, family: str):
@@ -197,16 +195,16 @@ def _build_grid(entries: dict, family: str):
         return None
     if len(given) != len(_GRID_KEYS):
         missing = next(k for k in _GRID_KEYS if k not in entries)
-        raise _fail(f"grid mode requires {missing}")
+        raise ScenarioValidationError(f"grid mode requires {missing}")
     lo, hi = entries["grid_lo"], entries["grid_hi"]
     try:
         grid = ParameterGrid.uniform(lo, hi, entries["grid_k"])
     except DomainError as exc:
-        raise _fail(str(exc)) from None
+        raise ScenarioValidationError(str(exc)) from None
     if family == "bernoulli" and not (0.0 <= lo and hi <= 1.0):
-        raise _fail("a bernoulli grid must lie within [0, 1]")
+        raise ScenarioValidationError("a bernoulli grid must lie within [0, 1]")
     if family == "scaled_bernoulli" and lo <= 0.0:
-        raise _fail("a scaled_bernoulli grid must be positive")
+        raise ScenarioValidationError("a scaled_bernoulli grid must be positive")
     return grid
 
 
@@ -216,18 +214,18 @@ def parse_scenario(text: str) -> Scenario:
 
     for key in ("structure", "target"):
         if key not in entries:
-            raise _fail(f"{key} is required")
+            raise ScenarioValidationError(f"{key} is required")
     if "n" not in entries:
-        raise _fail("n is required")
+        raise ScenarioValidationError("n is required")
 
     try:
         structure = StructureSpec(entries["structure"], entries.get("c"))
     except DomainError as exc:
-        raise _fail(str(exc)) from None
+        raise ScenarioValidationError(str(exc)) from None
 
     family = entries["target"]
     if family not in TargetSpec.FAMILY_FIELDS:
-        raise _fail(f"unknown target {family!r}")
+        raise ScenarioValidationError(f"unknown target {family!r}")
 
     predictive = bool(entries.get("predict", False))
     grid = _build_grid(entries, family)

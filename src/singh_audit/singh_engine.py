@@ -125,6 +125,10 @@ class TargetSpec:
             # CDF is normalised to end at exactly 1.
             cdf = weights.cumsum()
             object.__setattr__(self, "_mixture", (cdf / cdf[-1], mus, sigmas))
+        # NaN fails every comparison above, and +inf passes some of them.
+        for name in self.FAMILY_FIELDS[self.family][0]:
+            if not np.isfinite(getattr(self, name)).all():
+                raise DomainError(f"{name} must be finite")
 
     @classmethod
     def normal(cls, mu: float, sigma: float, predictive: bool = False) -> "TargetSpec":
@@ -230,6 +234,8 @@ class SinghCurve:
         object.__setattr__(self, "required", arr)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64).copy()
+            if np.isnan(w).any():
+                raise DomainError("weights must not be NaN")
             if w.shape != arr.shape or (w < 0.0).any() or w.sum() > 1.0 + 1e-9:
                 raise DomainError("weights must match values and total at most 1")
             w.flags.writeable = False
@@ -504,15 +510,13 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     return SinghBand(lower, _weighted_curve(uppers, weights))
 
 
-def max_coverage_deficit(result, grid: int = DEFAULT_GRID_POINTS) -> float:
-    """Worst shortfall of coverage below the nominal level over an alpha grid.
+def max_coverage_deficit(result) -> float:
+    """Worst shortfall of coverage below the nominal level over the alpha grid.
 
     Uses the coverage-relevant curve (a band's lower curve); negative when
     the curve is conservative everywhere on the grid.
     """
-    if grid < 2:
-        raise DomainError("grid must have at least 2 points")
-    alphas = np.linspace(0.0, 1.0, grid)
+    alphas = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     cov = eval_curve(_coverage_curve(result), alphas)
     return float((alphas - cov).max())
 

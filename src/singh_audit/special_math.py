@@ -2,10 +2,10 @@
 
 The regularized incomplete beta function and the Student-t CDF are computed
 with the standard continued-fraction expansion so results are identical on
-every platform and carry no heavyweight dependency. Their array forms
-(``reg_inc_beta_array``, ``student_t_cdf_array``) run the continued fraction
-on every element at once and equal the scalar functions bit for bit; the
-scalar functions stay the reference. Randomness comes from
+every platform and carry no heavyweight dependency. The one array form,
+``student_t_cdf_array``, runs the continued fraction of the t tail's
+shapes (nu/2, 1/2) on every element at once and equals ``student_t_cdf``
+bit for bit; the scalar functions stay the reference. Randomness comes from
 ``SeededStream``, a splittable handle that derives statistically independent
 substreams from a single master seed by index arithmetic and hands out
 ``numpy.random.Generator`` objects positioned at their start (or at the
@@ -24,7 +24,6 @@ __all__ = [
     "DomainError",
     "SeededStream",
     "reg_inc_beta",
-    "reg_inc_beta_array",
     "student_t_cdf",
     "student_t_cdf_array",
 ]
@@ -183,10 +182,13 @@ def _each(fn, values: np.ndarray) -> np.ndarray:
 def _ln_front_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
     """``_ln_front`` at every element of ``x`` for one pair of shapes, bit for bit.
 
-    The shape-only terms (lgamma, the Stirling corrections, log1p(small /
-    large)) are computed once. Only the log and log1p of per-element values
-    run per element, through ``math``; the rest is numpy arithmetic, which
-    rounds like Python floats, in the scalar's left-to-right order.
+    Precondition: at most one shape reaches the Stirling threshold 20, so
+    the scalar's branch for two large shapes never runs (the t tail's
+    b = 1/2 guarantees it). The shape-only terms (lgamma, the Stirling
+    corrections, log1p(small / large)) are computed once. Only the log and
+    log1p of per-element values run per element, through ``math``; the
+    rest is numpy arithmetic, which rounds like Python floats, in the
+    scalar's left-to-right order.
     """
     xc = 1.0 - x
     xc_err = (1.0 - xc) - x
@@ -200,20 +202,6 @@ def _ln_front_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
         xs_err, xl_err = xc_err, 0.0
     total = small + large
     total_err = small - (total - large)
-    if small >= _STIRLING_MIN:
-        d_small = _scaled_dev(x_small, xs_err, total, total_err, small)
-        d_large = _scaled_dev(x_large, xl_err, total, total_err, large)
-        out = np.full(x.shape, -math.inf)
-        live = (d_small > -1.0) & (d_large > -1.0)
-        out[live] = (
-            small * _each(math.log1p, d_small[live])
-            + large * _each(math.log1p, d_large[live])
-            + 0.5 * math.log(small * large / (total * 2.0 * math.pi))
-            - _stirling_corr(small)
-            - _stirling_corr(large)
-            + _stirling_corr(total)
-        )
-        return out
     if large >= _STIRLING_MIN:
         return (
             small * _each(math.log, x_small * total)
@@ -316,11 +304,12 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return max(0.0, 1.0 - front * _beta_cf(1.0 - x, b, a) / b)
 
 
-def _beta_cf_array(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # _beta_cf on every lane at once, in the same IEEE operations and order,
-    # so each lane equals the scalar result bit for bit. A lane leaves the
-    # loop at the iteration the scalar would return; lanes are independent,
-    # so dropping converged ones changes nothing for the rest.
+def _beta_cf_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    # _beta_cf on every lane at once for one pair of shapes, in the same
+    # IEEE operations and order, so each lane equals the scalar result bit
+    # for bit. A lane leaves the loop at the iteration the scalar would
+    # return; lanes are independent, so dropping converged ones changes
+    # nothing for the rest.
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
@@ -357,59 +346,11 @@ def _beta_cf_array(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 if done.all():
                     return out
                 keep = ~done
-                lanes, x, a, b, qab, qap, qam, c, d, h = (
-                    v[keep] for v in (lanes, x, a, b, qab, qap, qam, c, d, h)
-                )
+                lanes, x, c, d, h = (v[keep] for v in (lanes, x, c, d, h))
     raise DomainError(
         "incomplete beta continued fraction did not converge at "
-        f"x={float(x[0])!r}, a={float(a[0])!r}, b={float(b[0])!r}"
+        f"x={float(x[0])!r}, a={a!r}, b={b!r}"
     )
-
-
-def reg_inc_beta_array(x, a, b) -> np.ndarray:
-    """``reg_inc_beta`` elementwise over broadcast arrays, bit for bit.
-
-    Same conventions, limits and errors as the scalar function, which stays
-    the reference: one element outside the domain, or one continued fraction
-    that does not converge, raises DomainError for the whole call. The
-    continued fraction runs on all lanes at once, and the front factor's
-    shape-only terms are computed once per distinct ``(a, b)`` (once per
-    call for the t pivot, whose lanes all share ``(nu/2, 1/2)``).
-    """
-    x, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, a, b)))
-    inside = (x >= 0.0) & (x <= 1.0)
-    if not inside.all():
-        raise DomainError(f"x must lie in [0, 1], got {float(x[~inside][0])!r}")
-    if not ((0.0 <= a) & (a < np.inf) & (0.0 <= b) & (b < np.inf)).all():
-        raise DomainError("shape parameters must be finite and non-negative")
-    if ((a == 0.0) & (b == 0.0)).any():
-        raise DomainError("shape parameters must not both be zero")
-    # The scalar function's early returns, in its order of precedence.
-    out = np.select(
-        [a == 0.0, b == 0.0, x == 0.0, x == 1.0, (x == 0.5) & (a == b)],
-        [1.0, (x == 1.0).astype(np.float64), 0.0, 1.0, 0.5],
-        np.nan,
-    )
-    live = np.isnan(out)
-    xs, as_, bs = x[live], a[live], b[live]
-    front = np.full_like(xs, np.nan)
-    for ag, bg in set(zip(as_.tolist(), bs.tolist())):
-        lanes = (as_ == ag) & (bs == bg)
-        front[lanes] = _each(math.exp, _ln_front_array(xs[lanes], ag, bg))
-    values = np.empty_like(xs)
-    # The clamps mirror the scalar min(1.0, v) and max(0.0, v) exactly.
-    low = xs < (as_ + 1.0) / (as_ + bs + 2.0)
-    if low.any():
-        xl, al, bl = xs[low], as_[low], bs[low]
-        v = front[low] * _beta_cf_array(xl, al, bl) / al
-        values[low] = np.where(v < 1.0, v, 1.0)
-    high = ~low
-    if high.any():
-        xh, ah, bh = xs[high], as_[high], bs[high]
-        v = 1.0 - front[high] * _beta_cf_array(1.0 - xh, bh, ah) / bh
-        values[high] = np.where(v > 0.0, v, 0.0)
-    out[live] = values
-    return out
 
 
 def student_t_cdf(t: float, nu: float) -> float:
@@ -426,11 +367,38 @@ def student_t_cdf(t: float, nu: float) -> float:
 
 
 def student_t_cdf_array(t, nu: float) -> np.ndarray:
-    """``student_t_cdf`` at each element of ``t``, bit for bit."""
+    """``student_t_cdf`` at each element of ``t``, bit for bit.
+
+    The package's one array incomplete beta: every lane's tail is
+    I_x(nu/2, 1/2), so the shapes are two floats, the front factor's shape
+    terms are formed once, and the continued fraction runs on all lanes at
+    once. A NaN ``t``, or a continued fraction that does not converge,
+    raises DomainError for the whole call.
+    """
     if not 0.0 < nu < math.inf:
         raise DomainError("degrees of freedom must be positive and finite")
     t = np.asarray(t, dtype=np.float64)
     with np.errstate(over="ignore"):
         x = nu / (nu + t * t)
-    tail = 0.5 * reg_inc_beta_array(x, 0.5 * nu, 0.5)
+    inside = (x >= 0.0) & (x <= 1.0)
+    if not inside.all():
+        raise DomainError(f"x must lie in [0, 1], got {float(x[~inside][0])!r}")
+    a, b = 0.5 * nu, 0.5
+    # reg_inc_beta's early returns, in its order of precedence.
+    beta = np.select([x == 0.0, x == 1.0, (x == 0.5) & (a == b)], [0.0, 1.0, 0.5], np.nan)
+    live = np.isnan(beta)
+    xs = x[live]
+    front = _each(math.exp, _ln_front_array(xs, a, b))
+    values = np.empty_like(xs)
+    # The clamps mirror the scalar min(1.0, v) and max(0.0, v) exactly.
+    low = xs < (a + 1.0) / (a + b + 2.0)
+    if low.any():
+        v = front[low] * _beta_cf_array(xs[low], a, b) / a
+        values[low] = np.where(v < 1.0, v, 1.0)
+    high = ~low
+    if high.any():
+        v = 1.0 - front[high] * _beta_cf_array(1.0 - xs[high], b, a) / b
+        values[high] = np.where(v > 0.0, v, 0.0)
+    beta[live] = values
+    tail = 0.5 * beta
     return np.where(t == 0.0, 0.5, np.where(t < 0.0, tail, 1.0 - tail))

@@ -129,9 +129,10 @@ def evaluate_counts(spec: StructureSpec, truth, n: int, counts) -> tuple[np.ndar
 
     For the kinds in ``COUNT_KINDS`` the success count k stands for every
     binary dataset of size n with k ones, so no dataset is built. ``truth``
-    is a scalar or one value per count. One scalar ``reg_inc_beta`` per
-    bound is faster than the array continued fraction at the few distinct
-    counts a run evaluates.
+    is a scalar or one value per count. Each bound is one scalar
+    ``reg_inc_beta`` call: every count has its own shapes, so there is no
+    array form to share them (the one array form, ``student_t_cdf_array``,
+    serves the t pivot, whose lanes share one pair of shapes).
     """
     if not spec.reads_count:
         raise DomainError(f"{spec.kind} does not read a success count")

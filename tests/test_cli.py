@@ -135,6 +135,21 @@ def test_cli_count_structure_on_other_targets_is_a_validation_error(
     assert "requires a bernoulli target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, message", [
+    ("structure = empirical_predictive\ntarget = gaussian_mixture\npredict = true\n"
+     "weights = 0.5,0.5\nmus = nan,5\nsigmas = 3,nan", "mus must be finite"),
+    ("structure = student_t_pivot\ntarget = normal\nmu = nan\nsigma = 1", "mu must be finite"),
+    ("structure = student_t_pivot\ntarget = normal\nsigma = 1\n"
+     "grid_lo = 0\ngrid_hi = inf\ngrid_k = 3", "must be finite"),
+], ids=["nan_mixture", "nan_mu", "inf_grid_hi"])
+def test_cli_non_finite_input_is_a_validation_error(tmp_path, capsys, body, message):
+    path = tmp_path / "nonfinite.singh"
+    path.write_text(f"{body}\nn = 10\nm = 20\n")
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
 BIG_N = "structure = {kind}\ntarget = {target}\nn = {n}\nm = 20\nseed = 3\noutputs = report\n"
 
 

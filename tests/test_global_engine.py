@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,9 @@ def test_grid_validation():
         ParameterGrid.uniform(0.0, 1.0, 0)
     with pytest.raises(DomainError):
         ParameterGrid.uniform(1.0, 0.0, 3)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(DomainError, match="must be finite"):
+            ParameterGrid.uniform(lo, hi, 3)
 
 
 # --- combination semantics ---

@@ -61,6 +61,19 @@ def test_target_validation():
         TargetSpec.mixture([0.5, 0.5], [0.0], [1.0, 1.0])
     with pytest.raises(DomainError, match="at least one component"):
         TargetSpec.mixture([], [], [])
+    # NaN passes the range checks above, and +inf some of them.
+    for build, message in [
+        (lambda: TargetSpec.normal(math.nan, 1.0), "mu must be finite"),
+        (lambda: TargetSpec.normal(-math.inf, 1.0), "mu must be finite"),
+        (lambda: TargetSpec.normal(0.0, math.inf), "sigma must be finite"),
+        (lambda: TargetSpec.scaled_bernoulli(0.2, math.inf), "mean must be finite"),
+        (lambda: TargetSpec.mixture([0.5, math.nan], [0, 1], [1, 1]), "weights must be finite"),
+        (lambda: TargetSpec.mixture([0.5, 0.5], [math.nan, 5], [3, 1]), "mus must be finite"),
+        (lambda: TargetSpec.mixture([0.5, 0.5], [0, math.inf], [1, 1]), "mus must be finite"),
+        (lambda: TargetSpec.mixture([0.5, 0.5], [0, 1], [1, math.nan]), "sigmas must be finite"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            build()
 
 
 def test_target_truth_parameter():
@@ -149,6 +162,8 @@ def test_curve_validation():
         SinghCurve(np.array([]))
     with pytest.raises(DomainError):
         SinghCurve(np.array([0.2]), weights=np.array([0.5, 0.5]))
+    with pytest.raises(DomainError, match="weights must not be NaN"):
+        SinghCurve(np.array([0.1, 0.2]), weights=np.array([np.nan, 0.5]))
     # trailing +inf, +inf must pass the sort check without a RuntimeWarning
     c = curve_of(0.1, never=2)
     assert (c.m, c.never_count) == (3, 2)
@@ -586,8 +601,6 @@ def test_max_deficit_reference_points():
     assert max_coverage_deficit(covered) == 0.0
     never_only = curve_of(never=2)
     assert max_coverage_deficit(never_only) == 1.0
-    with pytest.raises(DomainError):
-        max_coverage_deficit(covered, grid=1)
 
 
 def test_max_deficit_of_exact_clopper_pearson_is_nonpositive():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
@@ -10,8 +10,8 @@ from scipy import stats
 from singh_audit.special_math import (
     DomainError,
     SeededStream,
+    _beta_cf_array,
     reg_inc_beta,
-    reg_inc_beta_array,
     student_t_cdf,
     student_t_cdf_array,
 )
@@ -127,97 +127,48 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
-# Shapes spanning both continued-fraction branches and the Stirling front
-# factor paths, plus the degenerate point masses at 0 and 1.
-ARRAY_SHAPES = st.one_of(
-    st.just(0.0),
-    st.floats(min_value=1e-3, max_value=1e4, allow_nan=False),
-    st.integers(min_value=1, max_value=60).map(lambda k: k / 2.0),
+# Degrees of freedom on both sides of the shape swap (nu <= 1 puts
+# a = nu/2 at or below b = 1/2) and of the front factor's Stirling
+# threshold a = 20, up to the t pivot's limit nu = 20,000, plus the shapes
+# (nu/2, 1/2) once held to the scalar incomplete beta directly.
+T_NUS = st.one_of(
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.floats(min_value=1.0, max_value=39.99),
+    st.floats(min_value=40.0, max_value=20_000.0),
+    st.integers(min_value=1, max_value=200),
+    st.sampled_from([1, 9, 40, 39999]),
 )
-ARRAY_XS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), PROBS)
+# Bulk values run both sides of the continued fraction; the wide range
+# holds squares that overflow to inf (|t| > 1.3e154) or underflow to 0.
+T_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, math.inf, -math.inf]),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=-1e200, max_value=1e200),
+)
 
 
-@given(
-    points=st.lists(
-        st.tuples(ARRAY_XS, ARRAY_SHAPES, ARRAY_SHAPES).filter(lambda p: p[1] or p[2]),
-        min_size=1,
-        max_size=40,
-    )
-)
+@example(ts=[1.0, -1.0, 0.5, 3.0], nu=1)  # the exact median at t = +-1
+@example(ts=[0.5, -0.5, 30.0, -30.0], nu=0.5)  # a < b, both branches
+@example(ts=[0.5, -0.5, 30.0, -30.0], nu=9.0)  # a > b, both branches
+@example(ts=[0.5, -0.5, 3.0, -3.0], nu=19_999.0)  # Stirling front factor
+@example(ts=[0.0, 1e-200, 1e200, -1e200, math.inf, -math.inf], nu=40.0)
+@given(ts=st.lists(T_VALUES, min_size=1, max_size=30), nu=T_NUS)
 @settings(max_examples=300, deadline=None)
-def test_beta_array_equals_scalar_bit_for_bit(points):
-    x, a, b = (list(column) for column in zip(*points))
-    scalar = [reg_inc_beta(*p) for p in points]
-    assert _bits(reg_inc_beta_array(x, a, b)) == _bits(scalar)
-
-
-SMALL_SHAPES = st.floats(min_value=1e-3, max_value=19.99, allow_nan=False)
-LARGE_SHAPES = st.floats(min_value=20.0, max_value=1e4, allow_nan=False)
-# One (a, b) pair per call, from each front-factor branch: both shapes below
-# the Stirling threshold 20, one at or above it (either way round), and both
-# at or above it; plus the t pivot's (nu/2, 1/2).
-SHARED_SHAPES = st.one_of(
-    st.tuples(SMALL_SHAPES, SMALL_SHAPES),
-    st.tuples(SMALL_SHAPES, LARGE_SHAPES),
-    st.tuples(LARGE_SHAPES, SMALL_SHAPES),
-    st.tuples(LARGE_SHAPES, LARGE_SHAPES),
-    st.sampled_from([1, 9, 40, 39999]).map(lambda nu: (nu / 2.0, 0.5)),
-)
-
-
-@given(shapes=SHARED_SHAPES, data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_beta_array_with_shared_shapes_equals_scalar_bit_for_bit(shapes, data):
-    # Every lane shares (a, b), so the front factor's shape terms are formed
-    # once; x is drawn anywhere in [0, 1] and within a few standard
-    # deviations of the mean, where large shapes are not saturated.
-    a, b = shapes
-    mean, sd = a / (a + b), math.sqrt(a * b / (a + b) ** 2 / (a + b + 1.0))
-    near = st.floats(min_value=-6.0, max_value=6.0).map(
-        lambda z: min(1.0, max(0.0, mean + z * sd))
-    )
-    xs = data.draw(st.lists(st.one_of(PROBS, near), min_size=1, max_size=40))
-    assert _bits(reg_inc_beta_array(xs, a, b)) == _bits([reg_inc_beta(x, a, b) for x in xs])
-
-
-def test_beta_array_covers_branches_and_conventions():
-    # Endpoints, the exact symmetric median, both point masses, and lanes
-    # on each side of the branch point (a + 1) / (a + b + 2).
-    x = [0.0, 1.0, 0.5, 0.5, 0.3, 1.0, 0.1, 0.9, 0.95]
-    a = [2.0, 2.0, 3.0, 0.0, 5.0, 4.0, 2.0, 2.0, 3.0]
-    b = [3.0, 3.0, 3.0, 2.0, 0.0, 0.0, 8.0, 2.0, 0.5]
-    below = [xi < (ai + 1.0) / (ai + bi + 2.0) for xi, ai, bi in zip(x, a, b)][6:]
-    assert below == [True, False, False]
-    assert _bits(reg_inc_beta_array(x, a, b)) == _bits([reg_inc_beta(*p) for p in zip(x, a, b)])
-    assert reg_inc_beta_array(0.25, 2.0, [1.0, 3.0]).shape == (2,)
+def test_t_cdf_array_equals_scalar_bit_for_bit(ts, nu):
+    assert _bits(student_t_cdf_array(ts, nu)) == _bits([student_t_cdf(t, nu) for t in ts])
 
 
 def test_beta_array_refuses_an_unconverged_lane():
     # One lane that cannot converge fails the whole call, like the scalar.
     with pytest.raises(DomainError, match="did not converge"):
-        reg_inc_beta_array([0.2, 1.0 / 3.0, 0.7], [2.0, 1e6, 3.0], [3.0, 2e6, 1.0])
-    with pytest.raises(DomainError):
-        reg_inc_beta_array([0.5, 1.5], 2.0, 2.0)
-    with pytest.raises(DomainError):
-        reg_inc_beta_array([0.5, 0.5], [2.0, -1.0], 2.0)
-    with pytest.raises(DomainError):
-        reg_inc_beta_array([0.5, 0.5], [2.0, 0.0], [2.0, 0.0])
-    for a, b in ((math.nan, 2.0), (2.0, math.inf), (math.inf, 2.0)):
-        with pytest.raises(DomainError, match="shape parameters"):
-            reg_inc_beta_array([0.5, 0.3], [2.0, a], [2.0, b])
+        _beta_cf_array(np.array([0.2, 1.0 / 3.0]), 1e6, 2e6)
 
 
-@given(
-    ts=st.lists(
-        st.one_of(st.just(0.0), st.floats(min_value=-1e200, max_value=1e200, allow_nan=False)),
-        min_size=1,
-        max_size=30,
-    ),
-    nu=st.one_of(st.integers(min_value=1, max_value=200), SHAPES),
-)
-@settings(max_examples=200, deadline=None)
-def test_t_cdf_array_equals_scalar_bit_for_bit(ts, nu):
-    assert _bits(student_t_cdf_array(ts, nu)) == _bits([student_t_cdf(t, nu) for t in ts])
+def test_t_cdf_array_refuses_nan_t():
+    with pytest.raises(DomainError, match="x must lie in"):
+        student_t_cdf_array([0.5, math.nan], 3.0)
+    with pytest.raises(DomainError):
+        student_t_cdf(math.nan, 3.0)
 
 
 # --- Student-t CDF ---
