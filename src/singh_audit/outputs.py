@@ -11,6 +11,7 @@ re-evaluating the curve at the alphas it lists.
 from __future__ import annotations
 
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,14 @@ import numpy as np
 from .singh_engine import CoverageReport, SinghBand, SinghCurve, eval_curve
 
 __all__ = ["emit_csv", "emit_svg", "emit_svg_overlay", "emit_report"]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal neighbours begins in a sorted array."""
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def _curve_alphas(values: np.ndarray) -> tuple[np.ndarray, list[str], np.ndarray]:
@@ -28,14 +37,17 @@ def _curve_alphas(values: np.ndarray) -> tuple[np.ndarray, list[str], np.ndarray
     alpha, so each distinct alpha is one row repeated. A Bernoulli-family
     curve has at most n + 1 distinct values however many replicates it
     holds, and each is printed once; the printed text is reused for the
-    row, since a 9-digit decimal prints back as itself.
+    row, since a 9-digit decimal prints back as itself. ``values`` must be
+    sorted: runs of equal neighbours are the distinct values.
     """
-    distinct, index = np.unique(values[np.isfinite(values)], return_inverse=True)
-    texts = ["0", *(f"{v:.9g}" for v in distinct.tolist()), "1"]
-    printed = np.array([float(t) for t in texts], dtype=np.float64)
-    rows = np.concatenate(([1], np.bincount(index, minlength=distinct.size), [1]))
-    alphas, first = np.unique(printed, return_index=True)
-    return alphas, [texts[i] for i in first.tolist()], np.add.reduceat(rows, first)
+    finite = values[: np.searchsorted(values, np.inf)]
+    starts = _run_starts(finite)
+    distinct = finite[starts].tolist()
+    texts = ["0", *(("%.9g " * len(distinct)) % tuple(distinct)).split(), "1"]
+    printed = np.fromiter(map(float, texts), np.float64, len(texts))
+    rows = np.concatenate(([1], np.diff(starts, append=finite.size), [1]))
+    first = _run_starts(printed)
+    return printed[first], [texts[i] for i in first.tolist()], np.add.reduceat(rows, first)
 
 
 def emit_csv(result, path) -> Path:
@@ -43,26 +55,33 @@ def emit_csv(result, path) -> Path:
 
     One row per sorted replicate value plus rows at alpha 0 and 1; bands list
     both bound columns at the union of their replicate values. Ends with a
-    ``# never=<count>`` comment so excluded replicates stay visible.
+    ``# never=<count>`` comment so excluded replicates stay visible. Each
+    distinct row is printed once, all of them by one ``%`` format, and a
+    repeated row is its text multiplied.
     """
     path = Path(path)
     if isinstance(result, SinghBand):
-        alphas, texts, counts = _curve_alphas(
-            np.concatenate((result.lower_curve.required, result.upper_curve.required))
-        )
-        lower = eval_curve(result.lower_curve, alphas).tolist()
-        upper = eval_curve(result.upper_curve, alphas).tolist()
+        curves = (result.lower_curve, result.upper_curve)
+        # A stable sort merges the two sorted columns in linear time.
+        values = np.sort(np.concatenate([c.required for c in curves]), kind="stable")
         header = "alpha,coverage_lower,coverage_upper"
-        rows = [f"{a},{lo:.9g},{up:.9g}" for a, lo, up in zip(texts, lower, upper)]
-        never = result.lower_curve.never_count
     else:
-        alphas, texts, counts = _curve_alphas(result.required)
-        coverage = eval_curve(result, alphas).tolist()
+        curves = (result,)
+        values = result.required
         header = "alpha,coverage"
-        rows = [f"{a},{c:.9g}" for a, c in zip(texts, coverage)]
-        never = result.never_count
-    lines = [header, *np.repeat(np.array(rows, dtype=object), counts).tolist(), f"# never={never}"]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    alphas, texts, counts = _curve_alphas(values)
+    # Row-major cells: each row's alpha text, then its coverage per curve.
+    width = 1 + len(curves)
+    cells = [None] * (width * len(texts))
+    cells[0::width] = texts
+    for j, curve in enumerate(curves, start=1):
+        cells[j::width] = eval_curve(curve, alphas).tolist()
+    row = "%s" + ",%.9g" * len(curves) + "\n"
+    body = (row * len(texts)) % tuple(cells)
+    if counts.max() > 1:
+        body = "".join(map(operator.mul, body.splitlines(keepends=True), counts.tolist()))
+    text = f"{header}\n{body}# never={curves[0].never_count}\n"
+    path.write_text(text, encoding="utf-8", newline="\n")
     return path
 
 
@@ -114,15 +133,21 @@ def _path(d: str, color: str, dash: str, width: float = 1.6) -> str:
 
 
 def _step_path(curve: SinghCurve) -> str:
-    """Staircase path of the curve's empirical CDF over alpha in [0, 1]."""
-    values = np.unique(curve.required)
-    values = values[(values > 0.0) & np.isfinite(values)]
-    start = eval_curve(curve, 0.0)
-    parts = [f"M {_px(_tx(0.0))} {_px(_ty(start))}"]
-    for v, y in zip(values.tolist(), eval_curve(curve, values).tolist()):
-        parts.append(f"H {_px(_tx(v))} V {_px(_ty(y))}")
-    parts.append(f"H {_px(_tx(1.0))}")
-    return " ".join(parts)
+    """Staircase path of the curve's empirical CDF over alpha in [0, 1].
+
+    One step per distinct value in (0, 1]. Its coordinates come from numpy
+    in the IEEE operations of ``_tx`` and ``_ty``, and one ``%`` format
+    prints them all: ``%.2f`` is the routine behind ``_px``.
+    """
+    req = curve.required
+    inner = req[np.searchsorted(req, 0.0, side="right") : np.searchsorted(req, np.inf)]
+    values = inner[_run_starts(inner)]
+    xy = np.empty((values.size, 2))
+    xy[:, 0] = _X0 + values * _W
+    xy[:, 1] = (_Y0 + _H) - eval_curve(curve, values) * _H
+    steps = ("H %.2f V %.2f " * values.size) % tuple(xy.ravel().tolist())
+    start = f"M {_px(_tx(0.0))} {_px(_ty(eval_curve(curve, 0.0)))}"
+    return f"{start} {steps}H {_px(_tx(1.0))}"
 
 
 def _diagonal(dash: str) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -241,6 +242,21 @@ class SinghCurve:
             w.flags.writeable = False
             object.__setattr__(self, "weights", w)
 
+    @cached_property
+    def coverage(self) -> np.ndarray:
+        """Mass of the first i values at index i, computed on first use.
+
+        The curve at alpha is ``coverage[searchsorted(required, alpha,
+        "right")]``. A curve that is never evaluated, such as one grid
+        point of a global run, never builds it.
+        """
+        if self.weights is None:
+            cov = np.arange(self.m + 1) / self.m
+        else:
+            cov = np.concatenate(([0.0], np.cumsum(self.weights)))
+        cov.flags.writeable = False
+        return cov
+
     @property
     def m(self) -> int:
         return int(self.required.size)
@@ -318,15 +334,16 @@ def eval_curve(curve: SinghCurve, alpha):
     Replicates requiring +inf are uncovered at every level, including
     alpha = 1. Accepts a scalar or an array of levels.
     """
+    # Both range checks are written so that NaN fails them. A Python
+    # number skips the array conversions; the lookup is the same.
+    if isinstance(alpha, (float, int)):
+        if not 0.0 <= alpha <= 1.0:
+            raise DomainError("alpha must lie in [0, 1]")
+        return float(curve.coverage[curve.required.searchsorted(alpha, side="right")])
     a = np.asarray(alpha, dtype=np.float64)
-    if (a < 0.0).any() or (a > 1.0).any():
+    if not ((a >= 0.0) & (a <= 1.0)).all():
         raise DomainError("alpha must lie in [0, 1]")
-    idx = np.searchsorted(curve.required, a, side="right")
-    if curve.weights is None:
-        cov = idx / curve.m
-    else:
-        cum = np.concatenate(([0.0], np.cumsum(curve.weights)))
-        cov = cum[idx]
+    cov = curve.coverage.take(np.searchsorted(curve.required, a, side="right"))
     return float(cov) if np.isscalar(alpha) else cov
 
 

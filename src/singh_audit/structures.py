@@ -132,7 +132,8 @@ def evaluate_counts(spec: StructureSpec, truth, n: int, counts) -> tuple[np.ndar
     is a scalar or one value per count. Each bound is one scalar
     ``reg_inc_beta`` call: every count has its own shapes, so there is no
     array form to share them (the one array form, ``student_t_cdf_array``,
-    serves the t pivot, whose lanes share one pair of shapes).
+    serves the t pivot, whose lanes share one pair of shapes). A c-box
+    evaluates each distinct call once.
     """
     if not spec.reads_count:
         raise DomainError(f"{spec.kind} does not read a success count")
@@ -145,13 +146,21 @@ def evaluate_counts(spec: StructureSpec, truth, n: int, counts) -> tuple[np.ndar
         )
         return value, value
     c = 1.0 if spec.kind == "clopper_pearson" else spec.c
+    # For an integer c the first CDF at k is the second at k - c, both
+    # Beta(k, n - k + c), so each distinct (theta, a, b) is evaluated once.
+    # A shape that is an int in one call is the equal float in the other;
+    # reg_inc_beta returns the same bits for both.
+    memo: dict[tuple[float, float, float], float] = {}
+
+    def beta(theta, a, b):
+        if (theta, a, b) not in memo:
+            memo[theta, a, b] = reg_inc_beta(theta, a, b)
+        return memo[theta, a, b]
+
     # The two bounding CDFs, in either order; at k = 0 or k = n one of them
     # is a point mass under the conventions of reg_inc_beta.
     bounds = np.array(
-        [
-            (reg_inc_beta(theta, k + c, n - k), reg_inc_beta(theta, k, n - k + c))
-            for theta, k in pairs
-        ],
+        [(beta(theta, k + c, n - k), beta(theta, k, n - k + c)) for theta, k in pairs],
         dtype=np.float64,
     ).reshape(-1, 2)
     return bounds.min(axis=1), bounds.max(axis=1)

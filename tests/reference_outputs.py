@@ -1,0 +1,82 @@
+"""Scalar reference emission, for the tests.
+
+Per-row Python renderings of the Singh staircase path and the CSV text: one
+``format`` call per coordinate and one f-string per row, with a curve
+evaluation that sums the weights on every call. ``singh_audit.outputs``
+prints the same text in bulk from numpy and must match them byte for byte.
+"""
+
+import numpy as np
+
+from singh_audit.singh_engine import SinghBand
+from singh_audit.special_math import DomainError
+
+_X0, _Y0, _W, _H = 64.0, 48.0, 408.0, 408.0
+
+
+def eval_curve(curve, alpha):
+    """Fraction of replicates (or weight) whose required confidence is at most ``alpha``."""
+    a = np.asarray(alpha, dtype=np.float64)
+    if (a < 0.0).any() or (a > 1.0).any():
+        raise DomainError("alpha must lie in [0, 1]")
+    idx = np.searchsorted(curve.required, a, side="right")
+    if curve.weights is None:
+        cov = idx / curve.m
+    else:
+        cum = np.concatenate(([0.0], np.cumsum(curve.weights)))
+        cov = cum[idx]
+    return float(cov) if np.isscalar(alpha) else cov
+
+
+def _tx(alpha: float) -> float:
+    return _X0 + alpha * _W
+
+
+def _ty(coverage: float) -> float:
+    return _Y0 + _H - coverage * _H
+
+
+def _px(v: float) -> str:
+    return format(v, ".2f")
+
+
+def step_path(curve) -> str:
+    """Staircase path of the curve's empirical CDF, one step at a time."""
+    values = np.unique(curve.required)
+    values = values[(values > 0.0) & np.isfinite(values)]
+    start = eval_curve(curve, 0.0)
+    parts = [f"M {_px(_tx(0.0))} {_px(_ty(start))}"]
+    for v, y in zip(values.tolist(), eval_curve(curve, values).tolist()):
+        parts.append(f"H {_px(_tx(v))} V {_px(_ty(y))}")
+    parts.append(f"H {_px(_tx(1.0))}")
+    return " ".join(parts)
+
+
+def _curve_alphas(values: np.ndarray) -> tuple[np.ndarray, list[str], np.ndarray]:
+    distinct, index = np.unique(values[np.isfinite(values)], return_inverse=True)
+    texts = ["0", *(f"{v:.9g}" for v in distinct.tolist()), "1"]
+    printed = np.array([float(t) for t in texts], dtype=np.float64)
+    rows = np.concatenate(([1], np.bincount(index, minlength=distinct.size), [1]))
+    alphas, first = np.unique(printed, return_index=True)
+    return alphas, [texts[i] for i in first.tolist()], np.add.reduceat(rows, first)
+
+
+def csv_text(result) -> str:
+    """The CSV file of a Singh curve or band, one formatted row per distinct alpha."""
+    if isinstance(result, SinghBand):
+        alphas, texts, counts = _curve_alphas(
+            np.concatenate((result.lower_curve.required, result.upper_curve.required))
+        )
+        lower = eval_curve(result.lower_curve, alphas).tolist()
+        upper = eval_curve(result.upper_curve, alphas).tolist()
+        header = "alpha,coverage_lower,coverage_upper"
+        rows = [f"{a},{lo:.9g},{up:.9g}" for a, lo, up in zip(texts, lower, upper)]
+        never = result.lower_curve.never_count
+    else:
+        alphas, texts, counts = _curve_alphas(result.required)
+        coverage = eval_curve(result, alphas).tolist()
+        header = "alpha,coverage"
+        rows = [f"{a},{c:.9g}" for a, c in zip(texts, coverage)]
+        never = result.never_count
+    lines = [header, *np.repeat(np.array(rows, dtype=object), counts).tolist(), f"# never={never}"]
+    return "\n".join(lines) + "\n"

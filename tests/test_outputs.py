@@ -1,8 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_outputs as reference
+from singh_audit import outputs
 from singh_audit.outputs import emit_csv, emit_report, emit_svg, emit_svg_overlay
 from singh_audit.singh_engine import (
     CoverageReport,
@@ -239,3 +244,101 @@ def test_csv_rejects_nothing_but_reports_path(tmp_path):
 def test_nine_digit_format_is_stable(tmp_path, value, printed):
     text = emit_csv(curve(value), tmp_path / "c.csv").read_text()
     assert f"{printed},1" in text
+
+
+# --- bulk emission against the per-row reference ---
+
+# Values that stress printing and ties: the ends, exact binary fractions,
+# the smallest subnormal, neighbours that print alike at 9 digits, and
+# values just below 1 that print as 1.
+SPECIAL_VALUES = [
+    0.0, 1.0, 0.5, 0.25, 1 / 3, 5e-324, 1e-10,
+    0.1234567891, 0.1234567892, 0.99999999949, 0.9999999999, np.nextafter(1.0, 0.0),
+]
+VALUES = st.one_of(
+    st.sampled_from(SPECIAL_VALUES),
+    st.floats(0.0, 1.0),
+    st.integers(0, 20).map(lambda i: i / 20),
+)
+
+
+@st.composite
+def curves(draw, m=None):
+    """A sorted curve with ties, +inf tails and, half the time, weights."""
+    if m is None:
+        finite = draw(st.lists(VALUES, max_size=30))
+        never = draw(st.integers(0 if finite else 1, 4))
+    else:
+        finite = draw(st.lists(VALUES, max_size=m))
+        never = m - len(finite)
+    values = sorted(finite) + [np.inf] * never
+    weights = None
+    if draw(st.booleans()):
+        raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(values), max_size=len(values))))
+        scale = draw(st.sampled_from([1.0, 0.5]))
+        weights = raw / raw.sum() * scale if raw.sum() > 0.0 else raw
+    return SinghCurve(np.array(values, dtype=np.float64), weights=weights)
+
+
+@st.composite
+def bands(draw):
+    lower = draw(curves())
+    return SinghBand(lower, draw(curves(m=lower.m)))
+
+
+RESULTS = st.one_of(curves(), bands())
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("emission")
+
+
+@given(result=curves(), alphas=st.lists(VALUES, max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_eval_curve_matches_reference(result, alphas):
+    # The coverage the curve carries equals the sums the reference redoes.
+    probes = np.concatenate((result.required[np.isfinite(result.required)], alphas, [0.0, 1.0]))
+    assert eval_curve(result, probes).tobytes() == reference.eval_curve(result, probes).tobytes()
+    for a in probes.tolist():
+        assert eval_curve(result, a).hex() == reference.eval_curve(result, a).hex()
+
+
+@given(result=curves())
+@settings(max_examples=300, deadline=None)
+def test_step_path_matches_reference(result):
+    assert outputs._step_path(result) == reference.step_path(result)
+
+
+@given(result=RESULTS)
+@settings(max_examples=300, deadline=None)
+def test_emit_csv_matches_reference(out_dir, result):
+    text = emit_csv(result, out_dir / "c.csv").read_text(encoding="utf-8")
+    assert text == reference.csv_text(result)
+
+
+@given(items=st.lists(st.tuples(st.sampled_from(["a", "b"]), RESULTS), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_emit_svg_overlay_matches_reference(out_dir, items):
+    bulk = emit_svg_overlay(items, out_dir / "bulk.svg", "t").read_text(encoding="utf-8")
+    with mock.patch.object(outputs, "_step_path", reference.step_path):
+        per_step = emit_svg_overlay(items, out_dir / "ref.svg", "t").read_text(encoding="utf-8")
+    assert bulk == per_step
+
+
+def test_engine_results_emit_as_the_reference(tmp_path):
+    stream = SeededStream(17)
+    results = [
+        singh_curve(StructureSpec("student_t_pivot"), TargetSpec.normal(4.0, 3.0), 10, 2000, stream),
+        singh_curve(StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.2, 2.0), 5, 500, stream),
+        singh_curve(StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.4), 10, 3000, stream),
+        exact_singh_curve(StructureSpec("scaled_cbox", c=3.0), TargetSpec.bernoulli(0.3), 40),
+        exact_singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.0), 12),
+        curve(0.5),
+        curve(never=3),
+        curve(0.0, 0.0, 1.0, never=1),
+    ]
+    for i, result in enumerate(results):
+        assert emit_csv(result, tmp_path / f"{i}.csv").read_text() == reference.csv_text(result)
+        for c in (result.lower_curve, result.upper_curve) if isinstance(result, SinghBand) else (result,):
+            assert outputs._step_path(c) == reference.step_path(c)

@@ -210,6 +210,9 @@ def test_eval_curve_weighted():
 def test_eval_curve_rejects_bad_alpha():
     with pytest.raises(DomainError):
         eval_curve(curve_of(0.2), 1.5)
+    for alpha in (math.nan, np.array([0.3, math.nan]), -0.1, np.array([0.5, -1e-300])):
+        with pytest.raises(DomainError, match=r"alpha must lie in \[0, 1\]"):
+            eval_curve(curve_of(0.1, 0.5), alpha)
 
 
 # --- dkw epsilon ---

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 import reference_structures as reference
-from singh_audit.special_math import DomainError
+from singh_audit import structures
+from singh_audit.special_math import DomainError, reg_inc_beta
 from singh_audit.structures import (
     DegenerateDataError,
     StructureSpec,
@@ -331,6 +332,28 @@ def test_counts_equal_scalar_on_every_count(n):
             refs = [reference.structure(spec, theta, binary(k, n)) for k in range(n + 1)]
             assert bits(lower) == bits([ref[0] for ref in refs])
             assert bits(upper) == bits([ref[1] for ref in refs])
+
+
+@pytest.mark.parametrize("c, distinct", [(None, 52), (3.0, 54), (0.5, 102)])
+def test_cbox_counts_evaluate_each_distinct_beta_once(monkeypatch, c, distinct):
+    # For an integer c the first CDF at k is the second at k - c, so
+    # Clopper-Pearson at n = 50 needs n + 2 Beta evaluations, not 2(n + 1);
+    # c = 0.5 shares none.
+    calls = []
+
+    def counting(x, a, b):
+        calls.append((x, a, b))
+        return reg_inc_beta(x, a, b)
+
+    spec = CLOPPER_PEARSON if c is None else StructureSpec("scaled_cbox", c=c)
+    n = 50
+    monkeypatch.setattr(structures, "reg_inc_beta", counting)
+    lower, upper = evaluate_counts(spec, 0.3, n, np.arange(n + 1))
+    assert len(calls) == distinct
+    monkeypatch.undo()
+    refs = [reference.structure(spec, 0.3, binary(k, n)) for k in range(n + 1)]
+    assert bits(lower) == bits([ref[0] for ref in refs])
+    assert bits(upper) == bits([ref[1] for ref in refs])
 
 
 def test_batched_evaluation_validation():
