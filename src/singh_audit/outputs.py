@@ -56,8 +56,8 @@ def emit_csv(result, path) -> Path:
     One row per sorted replicate value plus rows at alpha 0 and 1; bands list
     both bound columns at the union of their replicate values. Ends with a
     ``# never=<count>`` comment so excluded replicates stay visible. Each
-    distinct row is printed once, all of them by one ``%`` format, and a
-    repeated row is its text multiplied.
+    distinct row is printed once, all of them by one ``%`` format, and each
+    row's text is multiplied by its count.
     """
     path = Path(path)
     if isinstance(result, SinghBand):
@@ -78,8 +78,7 @@ def emit_csv(result, path) -> Path:
         cells[j::width] = eval_curve(curve, alphas).tolist()
     row = "%s" + ",%.9g" * len(curves) + "\n"
     body = (row * len(texts)) % tuple(cells)
-    if counts.max() > 1:
-        body = "".join(map(operator.mul, body.splitlines(keepends=True), counts.tolist()))
+    body = "".join(map(operator.mul, body.splitlines(keepends=True), counts.tolist()))
     text = f"{header}\n{body}# never={curves[0].never_count}\n"
     path.write_text(text, encoding="utf-8", newline="\n")
     return path
@@ -135,16 +134,16 @@ def _path(d: str, color: str, dash: str, width: float = 1.6) -> str:
 def _step_path(curve: SinghCurve) -> str:
     """Staircase path of the curve's empirical CDF over alpha in [0, 1].
 
-    One step per distinct value in (0, 1]. Its coordinates come from numpy
-    in the IEEE operations of ``_tx`` and ``_ty``, and one ``%`` format
-    prints them all: ``%.2f`` is the routine behind ``_px``.
+    One step per distinct value in (0, 1]. ``_tx`` and ``_ty`` map all the
+    coordinates at once as numpy arrays, and one ``%`` format prints them:
+    ``%.2f`` is the routine behind ``_px``.
     """
     req = curve.required
     inner = req[np.searchsorted(req, 0.0, side="right") : np.searchsorted(req, np.inf)]
     values = inner[_run_starts(inner)]
     xy = np.empty((values.size, 2))
-    xy[:, 0] = _X0 + values * _W
-    xy[:, 1] = (_Y0 + _H) - eval_curve(curve, values) * _H
+    xy[:, 0] = _tx(values)
+    xy[:, 1] = _ty(eval_curve(curve, values))
     steps = ("H %.2f V %.2f " * values.size) % tuple(xy.ravel().tolist())
     start = f"M {_px(_tx(0.0))} {_px(_ty(eval_curve(curve, 0.0)))}"
     return f"{start} {steps}H {_px(_tx(1.0))}"

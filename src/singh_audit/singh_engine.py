@@ -334,13 +334,8 @@ def eval_curve(curve: SinghCurve, alpha):
     Replicates requiring +inf are uncovered at every level, including
     alpha = 1. Accepts a scalar or an array of levels.
     """
-    # Both range checks are written so that NaN fails them. A Python
-    # number skips the array conversions; the lookup is the same.
-    if isinstance(alpha, (float, int)):
-        if not 0.0 <= alpha <= 1.0:
-            raise DomainError("alpha must lie in [0, 1]")
-        return float(curve.coverage[curve.required.searchsorted(alpha, side="right")])
     a = np.asarray(alpha, dtype=np.float64)
+    # Written so that NaN fails the check.
     if not ((a >= 0.0) & (a <= 1.0)).all():
         raise DomainError("alpha must lie in [0, 1]")
     cov = curve.coverage.take(np.searchsorted(curve.required, a, side="right"))
