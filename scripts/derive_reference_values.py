@@ -7,21 +7,14 @@ case-study coverages, and the band areas of the binomial c-box across
 sample sizes.
 """
 
-import numpy as np
-
 from singh_audit.singh_engine import (
     TargetSpec,
+    classify,
     eval_curve,
     exact_singh_curve,
     max_coverage_deficit,
 )
 from singh_audit.structures import StructureSpec
-
-
-def band_area(band) -> float:
-    grid = np.linspace(0.0, 1.0, 1001)
-    spread = eval_curve(band.lower_curve, grid) - eval_curve(band.upper_curve, grid)
-    return float(np.trapezoid(spread, grid))
 
 
 def main() -> int:
@@ -41,7 +34,7 @@ def main() -> int:
     print("\nclopper_pearson, theta0=0.4: band area by sample size")
     for n in (10, 50, 250):
         band = exact_singh_curve(StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.4), n)
-        print(f"  n={n}: area={band_area(band):.8f}")
+        print(f"  n={n}: area={classify(band).conservatism_area:.8f}")
     return 0
 
 

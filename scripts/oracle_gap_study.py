@@ -12,7 +12,6 @@ import argparse
 import numpy as np
 
 from singh_audit.singh_engine import (
-    SinghBand,
     TargetSpec,
     dkw_epsilon,
     eval_curve,
@@ -32,13 +31,9 @@ STRUCTURES = (
 
 
 def sup_gap(exact, sampled, grid) -> float:
-    if isinstance(exact, SinghBand):
-        pairs = ((exact.lower_curve, sampled.lower_curve),
-                 (exact.upper_curve, sampled.upper_curve))
-    else:
-        pairs = ((exact, sampled),)
     return max(
-        float(np.abs(eval_curve(e, grid) - eval_curve(s, grid)).max()) for e, s in pairs
+        float(np.abs(eval_curve(e, grid) - eval_curve(s, grid)).max())
+        for e, s in zip(exact.curves, sampled.curves)
     )
 
 

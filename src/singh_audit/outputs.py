@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .singh_engine import CoverageReport, SinghBand, SinghCurve, eval_curve
+from .singh_engine import CoverageReport, SinghCurve, eval_curve
 
 __all__ = ["emit_csv", "emit_svg", "emit_svg_overlay", "emit_report"]
 
@@ -60,15 +60,10 @@ def emit_csv(result, path) -> Path:
     row's text is multiplied by its count.
     """
     path = Path(path)
-    if isinstance(result, SinghBand):
-        curves = (result.lower_curve, result.upper_curve)
-        # A stable sort merges the two sorted columns in linear time.
-        values = np.sort(np.concatenate([c.required for c in curves]), kind="stable")
-        header = "alpha,coverage_lower,coverage_upper"
-    else:
-        curves = (result,)
-        values = result.required
-        header = "alpha,coverage"
+    curves = result.curves
+    # A stable sort merges the sorted columns in linear time.
+    values = np.sort(np.concatenate([c.required for c in curves]), kind="stable")
+    header = "alpha,coverage" if len(curves) == 1 else "alpha,coverage_lower,coverage_upper"
     alphas, texts, counts = _curve_alphas(values)
     # Row-major cells: each row's alpha text, then its coverage per curve.
     width = 1 + len(curves)
@@ -149,6 +144,14 @@ def _step_path(curve: SinghCurve) -> str:
     return f"{start} {steps}H {_px(_tx(1.0))}"
 
 
+def _curve_paths(result, color: str) -> list[str]:
+    """A result's staircases: a band's upper curve solid, its lower curve dashed."""
+    return [
+        _path(_step_path(curve), color, dash)
+        for curve, dash in zip(reversed(result.curves), (_SOLID, _DASHED))
+    ]
+
+
 def _diagonal(dash: str) -> str:
     d = f"M {_px(_tx(0.0))} {_px(_ty(0.0))} L {_px(_tx(1.0))} {_px(_ty(1.0))}"
     return _path(d, "#777777", dash, width=1.2)
@@ -205,13 +208,8 @@ def emit_svg(result, report: CoverageReport, path, name: str) -> Path:
     """
     path = Path(path)
     body = _frame_and_axes(f"{name}: {report.classification}")
-    if isinstance(result, SinghBand):
-        body.append(_diagonal(_DOTTED))
-        body.append(_path(_step_path(result.upper_curve), "#000000", _SOLID))
-        body.append(_path(_step_path(result.lower_curve), "#000000", _DASHED))
-    else:
-        body.append(_diagonal(_DASHED))
-        body.append(_path(_step_path(result), "#000000", _SOLID))
+    body.append(_diagonal(_DASHED if len(result.curves) == 1 else _DOTTED))
+    body += _curve_paths(result, "#000000")
     path.write_text(_document(body), encoding="utf-8", newline="\n")
     return path
 
@@ -229,11 +227,7 @@ def emit_svg_overlay(items, path, title: str) -> Path:
     legend_y = _Y0 + 16.0
     for idx, (label, result) in enumerate(items):
         color = _OVERLAY_COLORS[idx % len(_OVERLAY_COLORS)]
-        if isinstance(result, SinghBand):
-            body.append(_path(_step_path(result.upper_curve), color, _SOLID))
-            body.append(_path(_step_path(result.lower_curve), color, _DASHED))
-        else:
-            body.append(_path(_step_path(result), color, _SOLID))
+        body += _curve_paths(result, color)
         x_text = _X0 + 12.0
         body.append(
             f'<line x1="{_px(x_text)}" y1="{_px(legend_y - 4)}" '

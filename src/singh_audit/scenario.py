@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .global_engine import ParameterGrid
-from .singh_engine import TargetSpec, check_run_args
+from .singh_engine import TargetSpec, UnsupportedTargetError, check_run_args
 from .special_math import DomainError, SeededStream
 from .structures import StructureSpec
 
@@ -40,10 +40,10 @@ class ScenarioValidationError(ValueError):
 class Scenario:
     """A fully validated analysis description, ready to run.
 
-    Construction checks that a grid has a truth to sweep, the run itself
-    (``check_run_args``), the seed, delta and outputs, and raises
-    ScenarioValidationError. ``dataclasses.replace`` constructs anew, so an
-    overridden scenario is checked like a parsed one.
+    Construction checks that every grid value is a valid truth of the
+    target, the run itself (``check_run_args``), the seed, delta and
+    outputs, and raises ScenarioValidationError. ``dataclasses.replace``
+    constructs anew, so an overridden scenario is checked like a parsed one.
     """
 
     name: str
@@ -57,16 +57,13 @@ class Scenario:
     outputs: frozenset[str]
 
     def __post_init__(self) -> None:
-        if self.grid is not None:
-            if self.target.predictive:
-                raise ScenarioValidationError("predictive scenarios cannot use a parameter grid")
-            if TargetSpec.FAMILY_FIELDS[self.target.family][1] is None:
-                raise ScenarioValidationError(
-                    f"a {self.target.family} target has no truth parameter to sweep on a grid"
-                )
+        if self.grid is not None and self.target.predictive:
+            raise ScenarioValidationError("predictive scenarios cannot use a parameter grid")
         try:
+            for theta in self.grid.thetas if self.grid is not None else ():
+                self.target.with_truth(theta)
             check_run_args(self.structure, self.target, self.n, self.m)
-        except DomainError as exc:
+        except (DomainError, UnsupportedTargetError) as exc:
             raise ScenarioValidationError(str(exc)) from None
         try:
             SeededStream(self.seed)
@@ -189,23 +186,17 @@ def _build_target(entries: dict, family: str, predictive: bool, grid):
         raise ScenarioValidationError(str(exc)) from None
 
 
-def _build_grid(entries: dict, family: str):
+def _build_grid(entries: dict):
     given = [k for k in _GRID_KEYS if k in entries]
     if not given:
         return None
     if len(given) != len(_GRID_KEYS):
         missing = next(k for k in _GRID_KEYS if k not in entries)
         raise ScenarioValidationError(f"grid mode requires {missing}")
-    lo, hi = entries["grid_lo"], entries["grid_hi"]
     try:
-        grid = ParameterGrid.uniform(lo, hi, entries["grid_k"])
+        return ParameterGrid.uniform(entries["grid_lo"], entries["grid_hi"], entries["grid_k"])
     except DomainError as exc:
         raise ScenarioValidationError(str(exc)) from None
-    if family == "bernoulli" and not (0.0 <= lo and hi <= 1.0):
-        raise ScenarioValidationError("a bernoulli grid must lie within [0, 1]")
-    if family == "scaled_bernoulli" and lo <= 0.0:
-        raise ScenarioValidationError("a scaled_bernoulli grid must be positive")
-    return grid
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -228,7 +219,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioValidationError(f"unknown target {family!r}")
 
     predictive = bool(entries.get("predict", False))
-    grid = _build_grid(entries, family)
+    grid = _build_grid(entries)
     target = _build_target(entries, family, predictive, grid)
     return Scenario(
         name=entries.get("name", "scenario"),

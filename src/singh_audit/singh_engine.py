@@ -164,7 +164,7 @@ class TargetSpec:
         """Same family with the inferred-truth parameter replaced."""
         truth = self.FAMILY_FIELDS[self.family][1]
         if truth is None:
-            raise UnsupportedTargetError("a mixture has no single truth parameter to sweep")
+            raise UnsupportedTargetError("a mixture has no truth parameter to sweep")
         return replace(self, **{truth: float(theta)})
 
     def draw(
@@ -207,14 +207,14 @@ class TargetSpec:
         return x.reshape(rows, count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SinghCurve:
     """Sorted required-confidence values, one per replicate or atom.
 
     A replicate that no confidence level covers holds +inf, which sorts last
     and stays uncovered at every alpha, so ``m`` counts all of them. Monte
     Carlo curves weight every value 1/m; exact enumeration curves carry
-    explicit per-value probability weights instead.
+    explicit per-value probability weights instead. Compared by identity.
     """
 
     required: np.ndarray
@@ -262,6 +262,11 @@ class SinghCurve:
         return int(self.required.size)
 
     @property
+    def curves(self) -> tuple[SinghCurve]:
+        """The curves of this result: the curve itself."""
+        return (self,)
+
+    @property
     def never_count(self) -> int:
         """Replicates (or atoms) that no confidence level covers."""
         return self.m - int(np.searchsorted(self.required, np.inf))
@@ -272,12 +277,13 @@ class SinghCurve:
         return 1.0 - eval_curve(self, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SinghBand:
     """Pair of Singh curves from the two bounds of an imprecise structure.
 
     ``lower_curve`` collects the lower confidence components, so it is the
     higher-coverage side; ``upper_curve`` is the lower-coverage side.
+    Compared by identity, like its curves.
     """
 
     lower_curve: SinghCurve
@@ -290,6 +296,11 @@ class SinghBand:
     @property
     def m(self) -> int:
         return self.lower_curve.m
+
+    @property
+    def curves(self) -> tuple[SinghCurve, SinghCurve]:
+        """The curves of this result, the coverage-relevant lower curve first."""
+        return (self.lower_curve, self.upper_curve)
 
 
 @dataclass(frozen=True)
@@ -321,11 +332,6 @@ def dkw_epsilon(m: int, delta: float = 0.01) -> float:
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * m))
-
-
-def _coverage_curve(result) -> SinghCurve:
-    """The curve coverage statements are judged on (a band's lower curve)."""
-    return result.lower_curve if isinstance(result, SinghBand) else result
 
 
 def eval_curve(curve: SinghCurve, alpha):
@@ -525,12 +531,10 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
 def max_coverage_deficit(result) -> float:
     """Worst shortfall of coverage below the nominal level over the alpha grid.
 
-    Uses the coverage-relevant curve (a band's lower curve); negative when
-    the curve is conservative everywhere on the grid.
+    ``classify(result).max_deficit``: negative when the coverage-relevant
+    curve is conservative everywhere on the grid.
     """
-    alphas = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    cov = eval_curve(_coverage_curve(result), alphas)
-    return float((alphas - cov).max())
+    return classify(result).max_deficit
 
 
 def classify(result, delta: float = 0.01) -> CoverageReport:
@@ -545,12 +549,14 @@ def classify(result, delta: float = 0.01) -> CoverageReport:
     somewhere. favourable: it stays inside the tube everywhere. conservative:
     it clears the tube upward across the whole central range
     ``CONSERVATIVE_RANGE`` (curves meet the diagonal at the extreme tails, so
-    only the central range discriminates). valid: everything else.
+    only the central range discriminates). valid: everything else. The
+    conservatism area lies between the first and last of ``result.curves``.
     """
-    curve = _coverage_curve(result)
+    curve = result.curves[0]
     eps = dkw_epsilon(curve.m, delta) if curve.weights is None else EXACT_TOLERANCE
     alphas = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    gap = eval_curve(curve, alphas) - alphas
+    covs = [eval_curve(c, alphas) for c in result.curves]
+    gap = covs[0] - alphas
     lo, hi = CONSERVATIVE_RANGE
     central = (alphas >= lo - 1e-12) & (alphas <= hi + 1e-12)
     if (gap < -eps).any():
@@ -561,15 +567,10 @@ def classify(result, delta: float = 0.01) -> CoverageReport:
         label = "conservative"
     else:
         label = "valid"
-    if isinstance(result, SinghBand):
-        spread = eval_curve(result.lower_curve, alphas) - eval_curve(result.upper_curve, alphas)
-        area = float(np.trapezoid(spread, alphas))
-    else:
-        area = 0.0
     return CoverageReport(
         classification=label,
         max_deficit=float((-gap).max()),
-        conservatism_area=area,
+        conservatism_area=float(np.trapezoid(covs[0] - covs[-1], alphas)),
         dkw_epsilon=eps,
         m=curve.m,
         never_count=curve.never_count,

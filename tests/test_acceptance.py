@@ -83,13 +83,9 @@ def test_02_monte_carlo_agrees_with_exact_enumeration():
                     target = TargetSpec.scaled_bernoulli(rate, 2.0)
                 exact = exact_singh_curve(structure, target, n)
                 mc = singh_curve(structure, target, n, 10_000, SeededStream(20_000 + combos))
-                if isinstance(exact, SinghBand):
-                    pairs = ((exact.lower_curve, mc.lower_curve), (exact.upper_curve, mc.upper_curve))
-                else:
-                    pairs = ((exact, mc),)
                 worst = max(
                     float(np.abs(eval_curve(e, GRID) - eval_curve(s, GRID)).max())
-                    for e, s in pairs
+                    for e, s in zip(exact.curves, mc.curves)
                 )
                 failures += worst > EPS_10K
                 combos += 1
@@ -175,17 +171,12 @@ def test_08_band_area_shrinks_with_sample_size():
 def _assert_csv_matches_result(path, result) -> None:
     lines = path.read_text(encoding="utf-8").splitlines()
     band = isinstance(result, SinghBand)
-    judged = result.lower_curve if band else result
     assert lines[0] == ("alpha,coverage_lower,coverage_upper" if band else "alpha,coverage")
-    assert lines[-1] == f"# never={judged.never_count}"
+    assert lines[-1] == f"# never={result.curves[0].never_count}"
     for row in lines[1:-1]:
         cells = row.split(",")
         alpha = float(cells[0])
-        if band:
-            assert format(eval_curve(result.lower_curve, alpha), ".9g") == cells[1]
-            assert format(eval_curve(result.upper_curve, alpha), ".9g") == cells[2]
-        else:
-            assert format(eval_curve(result, alpha), ".9g") == cells[1]
+        assert [format(eval_curve(c, alpha), ".9g") for c in result.curves] == cells[1:]
 
 
 # sha256 of each preset's artifacts at its full budget (see

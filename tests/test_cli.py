@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,9 @@ n = 10
 m = 80
 seed = 5
 """
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -231,3 +238,30 @@ def test_cli_requires_a_command():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# --- python -m singh_audit ---
+
+
+def _run_module(*args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "singh_audit", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_module_runs_a_preset(tmp_path):
+    out = tmp_path / "out"
+    done = _run_module("preset", "fig3", "--out", str(out), cwd=tmp_path)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["fig3.csv", "fig3.json", "fig3.svg"]
+
+
+def test_module_exits_2_on_a_malformed_scenario(tmp_path):
+    path = tmp_path / "bad.singh"
+    path.write_text("structure clopper_pearson\n")
+    done = _run_module("run", "--scenario", str(path), "--out", str(tmp_path), cwd=tmp_path)
+    assert done.returncode == EXIT_PARSE
+    assert "parse error: line 1" in done.stderr

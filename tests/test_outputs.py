@@ -340,5 +340,5 @@ def test_engine_results_emit_as_the_reference(tmp_path):
     ]
     for i, result in enumerate(results):
         assert emit_csv(result, tmp_path / f"{i}.csv").read_text() == reference.csv_text(result)
-        for c in (result.lower_curve, result.upper_curve) if isinstance(result, SinghBand) else (result,):
+        for c in result.curves:
             assert outputs._step_path(c) == reference.step_path(c)

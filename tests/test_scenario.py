@@ -133,7 +133,7 @@ def test_negative_c_message():
         (fields(theta0=None, grid_lo="0.9", grid_hi="0.1", grid_k="5"),
          "grid_lo must not exceed"),
         (fields(theta0=None, grid_lo="-0.5", grid_hi="1", grid_k="5"),
-         "bernoulli grid must lie"),
+         "rate must lie"),
         (fields(structure="jeffreys", target="normal", theta0=None, mu="0", sigma="1"),
          "requires a bernoulli target"),
         (fields(target="scaled_bernoulli", theta0=None, p="0.2", mean="2"),
@@ -150,6 +150,7 @@ def test_validation_messages(doc, message):
 
 
 T_PIVOT = fields(structure="student_t_pivot", target="normal", theta0=None, mu="4", sigma="3")
+BERNOULLI_GRID = fields(theta0=None, grid_lo="0", grid_hi="1", grid_k="5")
 
 
 @pytest.mark.parametrize(
@@ -167,9 +168,11 @@ T_PIVOT = fields(structure="student_t_pivot", target="normal", theta0=None, mu="
          dict(grid=ParameterGrid((4.0,))), "cannot use a parameter grid"),
         (fields(structure="student_t_pivot", **MIXTURE),
          dict(grid=ParameterGrid((4.0,))), "no truth parameter to sweep"),
+        (BERNOULLI_GRID, dict(grid=ParameterGrid((1.5,))), "rate must lie"),
+        (BERNOULLI_GRID, dict(grid=ParameterGrid((float("nan"),))), "rate must lie"),
     ],
     ids=["m", "seed-2^64", "seed-negative", "t-pivot-n", "n", "delta", "outputs-unknown",
-         "outputs-empty", "predictive-grid", "mixture-grid"],
+         "outputs-empty", "predictive-grid", "mixture-grid", "grid-rate", "grid-nan"],
 )
 def test_replace_is_validated(doc, overrides, message):
     scenario = parse_scenario(doc)
@@ -181,6 +184,12 @@ def test_replace_keeps_a_valid_scenario():
     scenario = replace(parse_scenario(fields()), m=37, seed=2**64 - 1, outputs={"csv"})
     assert (scenario.m, scenario.seed) == (37, 2**64 - 1)
     assert scenario.outputs == frozenset({"csv"})
+
+
+def test_grid_is_judged_by_its_values_not_its_bounds():
+    # A one-point grid is its midpoint, a valid rate although grid_lo is not.
+    s = parse_scenario(fields(theta0=None, grid_lo="-0.5", grid_hi="0.5", grid_k="1"))
+    assert s.grid.thetas == (0.0,)
 
 
 def test_grid_replaces_truth_key():

@@ -181,6 +181,23 @@ def test_band_requires_matching_m():
         SinghBand(curve_of(0.1, 0.2), curve_of(0.3))
 
 
+def test_results_list_their_curves_coverage_side_first():
+    c = curve_of(0.1, 0.5)
+    band = SinghBand(curve_of(0.1, 0.2), curve_of(0.3, 0.4))
+    assert c.curves == (c,)
+    assert band.curves == (band.lower_curve, band.upper_curve)
+
+
+def test_results_compare_and_hash_by_identity():
+    c = SinghCurve([0.1, 0.5])
+    band = SinghBand(c, SinghCurve([0.2, 0.6]))
+    assert c == c
+    assert c != SinghCurve([0.1, 0.5])
+    assert band == band
+    assert hash(c) == hash(c)
+    assert {c, band, c} == {c, band}
+
+
 # --- eval_curve ---
 
 
@@ -329,9 +346,8 @@ def test_fig4_digest_replays_from_numpy_alone():
 
 
 def _required_digest(result) -> str:
-    curves = (result.lower_curve, result.upper_curve) if isinstance(result, SinghBand) else (result,)
     digest = hashlib.sha256()
-    for curve in curves:
+    for curve in result.curves:
         digest.update(curve.required.tobytes())
     return digest.hexdigest()
 
