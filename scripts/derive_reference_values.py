@@ -12,7 +12,6 @@ from singh_audit.singh_engine import (
     classify,
     eval_curve,
     exact_singh_curve,
-    max_coverage_deficit,
 )
 from singh_audit.structures import StructureSpec
 
@@ -21,7 +20,7 @@ def main() -> int:
     print("jeffreys, n=10: worst coverage deficit by rate")
     for theta in (0.1, 0.2, 0.3, 0.4, 0.5):
         curve = exact_singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(theta), 10)
-        print(f"  theta0={theta}: {max_coverage_deficit(curve):.8f}")
+        print(f"  theta0={theta}: {classify(curve).max_deficit:.8f}")
 
     print("\nchebyshev_ucl on scaled Bernoulli, mean 2: coverage at alpha=0.95")
     for p, n in ((0.2, 5), (0.05, 30), (0.5, 30)):

@@ -23,7 +23,6 @@ from .singh_engine import (
     dkw_epsilon,
     eval_curve,
     exact_singh_curve,
-    max_coverage_deficit,
     singh_curve,
 )
 from .special_math import (
@@ -57,7 +56,6 @@ __all__ = [
     "evaluate_structure",
     "exact_singh_curve",
     "global_singh",
-    "max_coverage_deficit",
     "parse_scenario",
     "reg_inc_beta",
     "singh_curve",

@@ -3,13 +3,13 @@
 When the true parameter is unknown, a structure is only as good as its worst
 coverage over the plausible parameter region. Each grid point gets its own
 full Monte Carlo run; the per-point sorted required-confidence columns are
-then combined index-wise into envelope curves. Minimum coverage corresponds
-to the per-index maximum of sorted values (larger required confidence means
-less coverage), so the combined precise curve and a band's upper curve take
-the index-wise maximum while a band's lower curve takes the index-wise
-minimum; the resulting band brackets what the structure can guarantee
-anywhere on the grid. A never-covered replicate is +inf in its column, so
-it sorts last and passes through the index-wise min/max unchanged.
+then combined index-wise into envelope curves. Larger required confidence
+means less coverage, so the index-wise maximum of sorted columns is the
+pointwise minimum coverage over the grid. Every curve of a result, a
+precise curve and both sides of a band alike, takes that maximum; a sorted
+lower column never exceeds its upper column, so the envelope band keeps its
+order. A never-covered replicate is +inf in its column, so it sorts last
+and passes through the index-wise maximum unchanged.
 """
 
 from __future__ import annotations
@@ -62,9 +62,11 @@ def global_singh(
     m: int,
     stream: SeededStream,
 ):
-    """Envelope Singh result across ``grid``, one full run per grid point.
+    """Worst-case Singh result across ``grid``, one full run per grid point.
 
-    Grid point j runs a local ``singh_curve`` rooted at
+    Each curve of the result is the index-wise maximum of that curve's
+    sorted ``required`` columns over the grid points: the pointwise minimum
+    coverage. Grid point j runs a local ``singh_curve`` rooted at
     ``stream.substream(j * m)``, whose blocks take the ceil(m / BLOCK) <= m
     substreams from there on, so the grid points' substreams are disjoint
     and a one-point grid reproduces the local run bit for bit.
@@ -75,8 +77,8 @@ def global_singh(
         singh_curve(structure, family.with_truth(theta), n, m, stream.substream(j * m))
         for j, theta in enumerate(grid.thetas)
     ]
-    if isinstance(results[0], SinghBand):
-        lower = np.min([r.lower_curve.required for r in results], axis=0)
-        upper = np.max([r.upper_curve.required for r in results], axis=0)
-        return SinghBand(SinghCurve(lower), SinghCurve(upper))
-    return SinghCurve(np.max([r.required for r in results], axis=0))
+    curves = [
+        SinghCurve(np.max([c.required for c in column], axis=0))
+        for column in zip(*(r.curves for r in results))
+    ]
+    return curves[0] if len(curves) == 1 else SinghBand(*curves)

@@ -34,7 +34,6 @@ __all__ = [
     "exact_singh_curve",
     "eval_curve",
     "classify",
-    "max_coverage_deficit",
 ]
 
 COUNT_FAMILIES = ("bernoulli", "scaled_bernoulli")
@@ -526,15 +525,6 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     if structure.is_precise:
         return lower
     return SinghBand(lower, _weighted_curve(uppers, weights))
-
-
-def max_coverage_deficit(result) -> float:
-    """Worst shortfall of coverage below the nominal level over the alpha grid.
-
-    ``classify(result).max_deficit``: negative when the coverage-relevant
-    curve is conservative everywhere on the grid.
-    """
-    return classify(result).max_deficit
 
 
 def classify(result, delta: float = 0.01) -> CoverageReport:

@@ -15,7 +15,12 @@ engines: ``evaluate_structure`` on a (rows, n) matrix of datasets, and
 - ``jeffreys``: the Beta(k + 1/2, n - k + 1/2) posterior CDF at theta.
 - ``clopper_pearson`` and ``scaled_cbox``: the Beta(k + c, n - k) and
   Beta(k, n - k + c) CDFs at theta (c = 1 is Clopper-Pearson; smaller c
-  understates uncertainty, larger c adds conservatism).
+  understates uncertainty, larger c adds conservatism). Point-mass
+  convention: at k = n the Beta(n + c, 0) bound is a point mass at 1,
+  whose every quantile above level 0 is 1, so it reads 0 for every theta
+  in [0, 1]; at k = 0 the Beta(0, n + c) bound, a point mass at 0, reads
+  1. Both values are stated, not evaluated, so theta = 1 mirrors
+  theta = 0: (lower, upper) is (0, 1) at both ends.
 - ``empirical_predictive``: counts weakly below and weakly above the next
   draw over n + 1; ties land in both counts.
 - ``chebyshev_ucl``: the smallest alpha whose ``chebyshev_ucl`` limit
@@ -129,11 +134,11 @@ def evaluate_counts(spec: StructureSpec, truth, n: int, counts) -> tuple[np.ndar
 
     For the kinds in ``COUNT_KINDS`` the success count k stands for every
     binary dataset of size n with k ones, so no dataset is built. ``truth``
-    is a scalar or one value per count. Each bound is one scalar
-    ``reg_inc_beta`` call: every count has its own shapes, so there is no
-    array form to share them (the one array form, ``student_t_cdf_array``,
-    serves the t pivot, whose lanes share one pair of shapes). A c-box
-    evaluates each distinct call once.
+    is a scalar or one value per count. Each bound but a c-box's point mass
+    is one scalar ``reg_inc_beta`` call: every count has its own shapes, so
+    there is no array form to share them (the one array form,
+    ``student_t_cdf_array``, serves the t pivot, whose lanes share one pair
+    of shapes). A c-box evaluates each distinct call once.
     """
     if not spec.reads_count:
         raise DomainError(f"{spec.kind} does not read a success count")
@@ -157,10 +162,14 @@ def evaluate_counts(spec: StructureSpec, truth, n: int, counts) -> tuple[np.ndar
             memo[theta, a, b] = reg_inc_beta(theta, a, b)
         return memo[theta, a, b]
 
-    # The two bounding CDFs, in either order; at k = 0 or k = n one of them
-    # is a point mass under the conventions of reg_inc_beta.
+    # The two bounding CDFs, in either order; the point masses at k = n and
+    # k = 0 take the values the module docstring states.
     bounds = np.array(
-        [(beta(theta, k + c, n - k), beta(theta, k, n - k + c)) for theta, k in pairs],
+        [
+            (0.0 if k == n else beta(theta, k + c, n - k),
+             1.0 if k == 0 else beta(theta, k, n - k + c))
+            for theta, k in pairs
+        ],
         dtype=np.float64,
     ).reshape(-1, 2)
     return bounds.min(axis=1), bounds.max(axis=1)

@@ -52,12 +52,16 @@ def jeffreys(theta: float, samples) -> tuple[float, float]:
 
 
 def scaled_cbox(theta: float, samples, c: float) -> tuple[float, float]:
-    """Beta(k + c, n - k) and Beta(k, n - k + c) CDFs at ``theta``, sorted."""
+    """Beta(k + c, n - k) and Beta(k, n - k + c) CDFs at ``theta``, sorted.
+
+    At k = n the first bound is a point mass at 1, which reads 0 for every
+    theta; at k = 0 the second is a point mass at 0, which reads 1.
+    """
     if not c > 0.0:
         raise DomainError("c must be positive")
     k, n = _success_count(samples, "scaled_cbox")
-    one = reg_inc_beta(float(theta), k + c, n - k)
-    two = reg_inc_beta(float(theta), k, n - k + c)
+    one = 0.0 if k == n else reg_inc_beta(float(theta), k + c, n - k)
+    two = 1.0 if k == 0 else reg_inc_beta(float(theta), k, n - k + c)
     return min(one, two), max(one, two)
 
 

@@ -18,10 +18,10 @@ from singh_audit.scenario import parse_scenario
 from singh_audit.singh_engine import (
     SinghBand,
     TargetSpec,
+    classify,
     dkw_epsilon,
     eval_curve,
     exact_singh_curve,
-    max_coverage_deficit,
     singh_curve,
 )
 from singh_audit.special_math import SeededStream
@@ -108,7 +108,7 @@ def test_03_posterior_used_as_confidence_undercovers_by_pinned_margins():
             StructureSpec("jeffreys"), TargetSpec.bernoulli(theta), 10, 10_000,
             SeededStream(3101 + k),
         )
-        deficit = max_coverage_deficit(curve)
+        deficit = classify(curve).max_deficit
         assert abs(deficit - pin) <= 0.015
         deficits.append(deficit)
     assert max(deficits) >= 0.05
@@ -189,7 +189,7 @@ PRESET_DIGESTS = {
     "fig5": "2a5c14a2853b89000b03c6c3ae6fb36954d6f15a4091dc843ea8f155eb48cde6",
     "fig6": "0be4271b4ce5cce256296c4047772b9ce4ec3da9da06c020ad2b6afd55bc580b",
     "fig7": "181ef5991f1c92ffd36d967ebb40fd704e8ce747d76f780bbc14b02b9b62b197",
-    "fig8": "c898d62442b716eec0fd9a25c69341aa83d57d821a5728c66ae63782bc6e17bf",
+    "fig8": "51dd1c301900f85f06b65468936dc3e2129f503a4a1e7d49a94c26de30d571e2",
     "fig9": "926645293706a6489af606948c6a42a568dfbd6f70b240febee515c468eeb510",
 }
 

@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "evaluate_structure",
     "exact_singh_curve",
     "global_singh",
-    "max_coverage_deficit",
     "parse_scenario",
     "reg_inc_beta",
     "singh_curve",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from singh_audit.global_engine import ParameterGrid, global_singh
-from singh_audit.singh_engine import SinghBand, TargetSpec, eval_curve, singh_curve
+from singh_audit.singh_engine import SinghBand, TargetSpec, classify, eval_curve, singh_curve
 from singh_audit.special_math import DomainError, SeededStream
 from singh_audit.structures import StructureSpec
 
@@ -50,6 +50,8 @@ def test_singleton_grid_reproduces_local_run():
 
 
 def test_band_envelope_brackets_every_grid_point():
+    # both envelope curves cover at or below every grid point's curve, and
+    # the envelope band keeps its order, so its area stays non-negative
     spec = StructureSpec("clopper_pearson")
     family = TargetSpec.bernoulli(0.4)
     grid = ParameterGrid((0.2, 0.4, 0.6))
@@ -58,8 +60,10 @@ def test_band_envelope_brackets_every_grid_point():
     combined = global_singh(spec, family, grid, n, m, stream)
     for j, theta in enumerate(grid.thetas):
         point = singh_curve(spec, family.with_truth(theta), n, m, stream.substream(j * m))
-        assert (combined.lower_curve.required <= point.lower_curve.required).all()
+        assert (combined.lower_curve.required >= point.lower_curve.required).all()
         assert (combined.upper_curve.required >= point.upper_curve.required).all()
+    assert (combined.lower_curve.required <= combined.upper_curve.required).all()
+    assert classify(combined).conservatism_area >= 0.0
 
 
 def test_precise_envelope_is_indexwise_maximum():
@@ -83,8 +87,27 @@ def test_extending_grid_moves_envelopes_outward():
     stream = SeededStream(44)
     base = global_singh(spec, family, ParameterGrid((0.2, 0.5)), n, m, stream)
     extended = global_singh(spec, family, ParameterGrid((0.2, 0.5, 0.8)), n, m, stream)
-    assert (extended.lower_curve.required <= base.lower_curve.required).all()
+    assert (extended.lower_curve.required >= base.lower_curve.required).all()
     assert (extended.upper_curve.required >= base.upper_curve.required).all()
+
+
+def test_band_envelope_reports_an_overconfident_grid_point():
+    # scaled_cbox with c = 0.5 understates uncertainty: locally at theta = 0.4
+    # it is overconfident, so a grid containing 0.4 must be too, by at least
+    # as much as each of its points and the local run
+    spec = StructureSpec("scaled_cbox", 0.5)
+    family = TargetSpec.bernoulli(0.4)
+    grid = ParameterGrid.uniform(0.3, 0.5, 5)
+    n, m = 10, 1000
+    stream = SeededStream(108)
+    report = classify(global_singh(spec, family, grid, n, m, stream))
+    assert report.classification == "overconfident"
+    local = classify(singh_curve(spec, family, n, m, stream))
+    assert local.classification == "overconfident"
+    assert report.max_deficit >= local.max_deficit
+    for j, theta in enumerate(grid.thetas):
+        point = singh_curve(spec, family.with_truth(theta), n, m, stream.substream(j * m))
+        assert report.max_deficit >= classify(point).max_deficit
 
 
 def test_global_handles_never_columns():

@@ -21,7 +21,6 @@ from singh_audit.singh_engine import (
     dkw_epsilon,
     eval_curve,
     exact_singh_curve,
-    max_coverage_deficit,
     singh_curve,
 )
 from singh_audit.special_math import DomainError, SeededStream
@@ -617,16 +616,16 @@ def test_exact_runs_at_large_n():
 
 def test_max_deficit_reference_points():
     covered = curve_of(0.0, 0.0, 0.0)
-    assert max_coverage_deficit(covered) == 0.0
+    assert classify(covered).max_deficit == 0.0
     never_only = curve_of(never=2)
-    assert max_coverage_deficit(never_only) == 1.0
+    assert classify(never_only).max_deficit == 1.0
 
 
 def test_max_deficit_of_exact_clopper_pearson_is_nonpositive():
     band = exact_singh_curve(
         StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.4), 10
     )
-    assert max_coverage_deficit(band) <= 1e-12
+    assert classify(band).max_deficit <= 1e-12
 
 
 def test_classify_labels():

@@ -109,6 +109,18 @@ def test_clopper_pearson_all_successes():
     assert upper == pytest.approx(0.4**3, abs=1e-15)
 
 
+@pytest.mark.parametrize("spec", [CLOPPER_PEARSON, StructureSpec("scaled_cbox", 0.5),
+                                  StructureSpec("scaled_cbox", 3.0)])
+def test_cbox_point_masses_mirror_at_both_ends(spec):
+    # theta = 0 yields k = 0 and theta = 1 yields k = n; the degenerate bound
+    # is a point mass there, so both ends read exactly (0, 1)
+    for n in (1, 2, 10, 1000):
+        for theta, k in ((0.0, 0), (1.0, n)):
+            lower, upper = evaluate_counts(spec, theta, n, [k])
+            assert (lower.tolist(), upper.tolist()) == ([0.0], [1.0])
+            assert one(spec, theta, binary(k, n)) == (0.0, 1.0)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_clopper_pearson_band_dominance_exhaustive(n):
     for k in range(n + 1):
@@ -334,11 +346,12 @@ def test_counts_equal_scalar_on_every_count(n):
             assert bits(upper) == bits([ref[1] for ref in refs])
 
 
-@pytest.mark.parametrize("c, distinct", [(None, 52), (3.0, 54), (0.5, 102)])
+@pytest.mark.parametrize("c, distinct", [(None, 50), (3.0, 52), (0.5, 100)])
 def test_cbox_counts_evaluate_each_distinct_beta_once(monkeypatch, c, distinct):
-    # For an integer c the first CDF at k is the second at k - c, so
-    # Clopper-Pearson at n = 50 needs n + 2 Beta evaluations, not 2(n + 1);
-    # c = 0.5 shares none.
+    # The point masses at k = n and k = 0 are stated, not evaluated, and for
+    # an integer c the first CDF at k is the second at k - c, so
+    # Clopper-Pearson at n = 50 needs n Beta evaluations, not 2n; c = 0.5
+    # shares none.
     calls = []
 
     def counting(x, a, b):
