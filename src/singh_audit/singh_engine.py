@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .special_math import MAX_ACCURATE_SHAPE, DomainError, SeededStream
+from .special_math import MAX_ACCURATE_SHAPE, DomainError, SeededStream, binomial_pmf
 from .structures import StructureSpec, evaluate_counts, evaluate_structure
 
 __all__ = [
@@ -485,19 +485,17 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
 
 
 def _binomial_weights(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) probabilities of k = 0..n.
+    """Binomial(n, p) probabilities of k = 0..n, from ``binomial_pmf``.
 
-    Formed in log space: math.comb(n, k) stops converting to float near
-    n = 1030, while its logarithm stays small.
+    That is the helper whose terms step the count kinds' Beta chains, in
+    Loader's saddle-point form: no large logarithm cancels, so each weight
+    holds its relative accuracy at any n the engines accept.
     """
     if p == 0.0 or p == 1.0:
         weights = np.zeros(n + 1)
         weights[0 if p == 0.0 else n] = 1.0
         return weights
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
-    k = np.arange(n + 1, dtype=np.float64)
-    log_comb = log_fact[n] - log_fact - log_fact[::-1]
-    return np.exp(log_comb + k * math.log(p) + (n - k) * math.log1p(-p))
+    return binomial_pmf(p, float(n), np.arange(n + 1.0))
 
 
 def _weighted_curve(values: np.ndarray, weights: np.ndarray) -> SinghCurve:

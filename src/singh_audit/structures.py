@@ -10,6 +10,13 @@ Every kind has one implementation, shared by the Monte Carlo and exact
 engines: ``evaluate_structure`` on a (rows, n) matrix of datasets, and
 ``evaluate_counts`` on success counts for the kinds that read only k.
 
+The count kinds' bounds at k = 0..n are I_theta(a, T - a) over a
+unit-spaced run of a with a fixed total T, and one shift of a subtracts a
+binomial term (DLMF 8.17.20-21). So ``evaluate_counts`` builds each run, a
+chain, from two scalar ``reg_inc_beta`` anchors at its ends plus
+cumulative sums of ``special_math.binomial_pmf`` terms, for every count at
+once.
+
 - ``student_t_pivot``: T((mu - mean) / (sd / sqrt(n)); n - 1), exactly
   uniform at the true normal mean.
 - ``jeffreys``: the Beta(k + 1/2, n - k + 1/2) posterior CDF at theta.
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_math import DomainError, reg_inc_beta, student_t_cdf_array
+from .special_math import DomainError, binomial_pmf, reg_inc_beta, student_t_cdf_array
 
 __all__ = [
     "DegenerateDataError",
@@ -89,11 +96,13 @@ class StructureSpec:
         return 2 if self.kind in ("student_t_pivot", "chebyshev_ucl") else 1
 
     def max_beta_shape(self, n: int) -> float:
-        """Largest Beta shape ``reg_inc_beta`` sees for a dataset of n draws.
+        """Largest Beta shape a structure evaluates for a dataset of n draws.
 
         The t pivot evaluates I_x((n-1)/2, 1/2); the count kinds evaluate
         shapes up to n + c (c = 1/2 for Jeffreys, 1 for Clopper-Pearson, the
-        structure's c for scaled_cbox). Kinds without a Beta CDF return 0.
+        structure's c for scaled_cbox). For count kinds only a chain's two
+        anchors reach ``reg_inc_beta``; the counts between them are binomial
+        terms of size n + c - 1. Kinds without a Beta CDF return 0.
         """
         if self.kind == "student_t_pivot":
             return (n - 1) / 2.0
@@ -129,50 +138,87 @@ def chebyshev_ucl(alpha: float, samples) -> float:
     return float(x.mean()) + multiplier * float(x.std(ddof=1)) / math.sqrt(x.size)
 
 
+def _chain(theta: float, first: float, length: int, total: float) -> np.ndarray:
+    """I_theta(a, total - a) at a = first, first + 1, ..., first + length - 1.
+
+    One shift a -> a + 1 of the shapes (a, total - a) subtracts a binomial
+    term (DLMF 8.17.20-21): I_x(a + 1, b - 1) = I_x(a, b) - t(a), with t(a)
+    the Binomial(total - 1, x) probability at the real count a. So the run
+    is two ``reg_inc_beta`` anchors, one at each end, plus cumulative sums
+    of the terms, each summed from its small tail: the values below 1/2
+    from the last anchor up, and the rest as 1 minus the complement, summed
+    from the first anchor on. As in ``reg_inc_beta``, every value is 0 at
+    theta = 0 and 1 at theta = 1, and equal shapes read exactly 1/2 at
+    theta = 1/2.
+    """
+    if theta == 0.0:
+        return np.zeros(length)
+    if theta == 1.0:
+        return np.ones(length)
+    head = reg_inc_beta(theta, first, total - first)
+    if length == 1:
+        return np.array([head])
+    last = first + (length - 1)
+    a = first + np.arange(length, dtype=np.float64)
+    # [1 - I(first), t(first), ..., t(last - 1), I(last)]
+    terms = np.empty(length + 1)
+    terms[0] = 1.0 - head
+    terms[1:-1] = binomial_pmf(theta, total - 1.0, a[:-1])
+    terms[-1] = reg_inc_beta(theta, last, total - last)
+    below = np.cumsum(terms[:0:-1])[::-1]
+    values = np.where(below < 0.5, below, 1.0 - np.cumsum(terms[:-1]))
+    if theta == 0.5:
+        values[a == total - a] = 0.5
+    return values
+
+
+def _count_bounds(spec: StructureSpec, theta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # (lower, upper) of a count kind at every k = 0..n for one theta.
+    if spec.kind == "jeffreys":
+        value = _chain(theta, 0.5, n + 1, n + 1.0)
+        return value, value
+    c = 1.0 if spec.kind == "clopper_pearson" else spec.c
+    if float(c).is_integer():
+        # I(a) at a = 1..n+c-1 holds both CDFs: Beta(k + c, n - k) at
+        # index k + c - 1 and Beta(k, n - k + c) at index k - 1.
+        beta = _chain(theta, 1.0, n + int(c) - 1, n + c)
+        first, second = beta[int(c) - 1:], beta[:n]
+    else:
+        first, second = _chain(theta, c, n, n + c), _chain(theta, 1.0, n, n + c)
+    # The point masses at k = n and k = 0 take the values the module
+    # docstring states; the two CDFs are then sorted, in either order.
+    first, second = np.append(first, 0.0), np.append(1.0, second)
+    return np.minimum(first, second), np.maximum(first, second)
+
+
 def evaluate_counts(spec: StructureSpec, truth, n: int, counts) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) of a count-reading structure at each success count of n draws.
 
     For the kinds in ``COUNT_KINDS`` the success count k stands for every
     binary dataset of size n with k ones, so no dataset is built. ``truth``
-    is a scalar or one value per count. Each bound but a c-box's point mass
-    is one scalar ``reg_inc_beta`` call: every count has its own shapes, so
-    there is no array form to share them (the one array form,
-    ``student_t_cdf_array``, serves the t pivot, whose lanes share one pair
-    of shapes). A c-box evaluates each distinct call once.
+    is a scalar or one value per count. At k = 0..n every bound is
+    I_theta(a, T - a) over a unit-spaced run of a with a fixed total T, so
+    each distinct theta evaluates the whole run of k = 0..n as a chain (see
+    ``_chain``): two scalar ``reg_inc_beta`` anchors at its ends plus
+    cumulative sums of binomial terms. The requested counts index it, so a
+    count's bounds never depend on which other counts were asked for.
+    Jeffreys is one chain, a = k + 1/2; Clopper-Pearson and a c-box with an
+    integer c are one chain over a = 1..n + c - 1, where the upper bound at
+    k is the lower bound at k - c; any other c takes two chains.
     """
     if not spec.reads_count:
         raise DomainError(f"{spec.kind} does not read a success count")
     ks = np.asarray(counts, dtype=np.int64)
-    thetas = np.broadcast_to(np.asarray(truth, dtype=np.float64), ks.shape).tolist()
-    pairs = zip(thetas, ks.tolist())
-    if spec.kind == "jeffreys":
-        value = np.array(
-            [reg_inc_beta(theta, k + 0.5, n - k + 0.5) for theta, k in pairs], dtype=np.float64
-        )
-        return value, value
-    c = 1.0 if spec.kind == "clopper_pearson" else spec.c
-    # For an integer c the first CDF at k is the second at k - c, both
-    # Beta(k, n - k + c), so each distinct (theta, a, b) is evaluated once.
-    # A shape that is an int in one call is the equal float in the other;
-    # reg_inc_beta returns the same bits for both.
-    memo: dict[tuple[float, float, float], float] = {}
-
-    def beta(theta, a, b):
-        if (theta, a, b) not in memo:
-            memo[theta, a, b] = reg_inc_beta(theta, a, b)
-        return memo[theta, a, b]
-
-    # The two bounding CDFs, in either order; the point masses at k = n and
-    # k = 0 take the values the module docstring states.
-    bounds = np.array(
-        [
-            (0.0 if k == n else beta(theta, k + c, n - k),
-             1.0 if k == 0 else beta(theta, k, n - k + c))
-            for theta, k in pairs
-        ],
-        dtype=np.float64,
-    ).reshape(-1, 2)
-    return bounds.min(axis=1), bounds.max(axis=1)
+    if ((ks < 0) | (ks > n)).any():
+        raise DomainError(f"success counts must lie in 0..{n}")
+    truth = np.asarray(truth, dtype=np.float64)
+    if truth.ndim == 0:
+        lower, upper = _count_bounds(spec, float(truth), n)
+        return lower[ks.ravel()], upper[ks.ravel()]
+    distinct, which = np.unique(np.broadcast_to(truth, ks.shape), return_inverse=True)
+    table = np.array([_count_bounds(spec, theta, n) for theta in distinct.tolist()])
+    table = table.reshape(distinct.size, 2, n + 1)
+    return table[which.ravel(), 0, ks.ravel()], table[which.ravel(), 1, ks.ravel()]
 
 
 def evaluate_structure(spec: StructureSpec, truth, samples) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,9 @@ returns the ``(lower, upper)`` required confidence as floats (equal for a
 precise structure, +inf where no level covers). They are written out
 independently of ``singh_audit.structures``: the count kinds call
 ``reg_inc_beta`` with their Beta shapes spelled out here, so the batched
-kernels are held to a second implementation rather than to themselves.
+kernels are held to a second implementation rather than to themselves
+(bit for bit, except the count kinds, whose chains of binomial terms are
+held to these calls within 1e-14).
 """
 
 import math

@@ -184,9 +184,9 @@ def _assert_csv_matches_result(path, result) -> None:
 PRESET_DIGESTS = {
     "fig1": "92813a4f3ff68c84ec66df81effe1d5fd02cf57671cdcdba5b257a57d21d7b4b",
     "fig2": "30a8e742cd7b5aa292dc7c7a0290f8c7aa4cc6152dbcdf761fdc467ddd372849",
-    "fig3": "33c0f5828809a83ce5585fb94dc915a16c570f3a73be62737bc23ce6bb8f5d7a",
+    "fig3": "594b1776f39131c56793166146219373d983e2b456cbc2dca1c01171720bccb3",
     "fig4": "d04b41c63367e3355ad79b4976fa4e6020add6c38ac4adcf940a1453edb3b47c",
-    "fig5": "2a5c14a2853b89000b03c6c3ae6fb36954d6f15a4091dc843ea8f155eb48cde6",
+    "fig5": "e6652de34c0e102dfdc6a70fff113bf62b4b02f0a92ce105ff511e058771c28a",
     "fig6": "0be4271b4ce5cce256296c4047772b9ce4ec3da9da06c020ad2b6afd55bc580b",
     "fig7": "181ef5991f1c92ffd36d967ebb40fd704e8ce747d76f780bbc14b02b9b62b197",
     "fig8": "51dd1c301900f85f06b65468936dc3e2129f503a4a1e7d49a94c26de30d571e2",

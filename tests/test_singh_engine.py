@@ -24,7 +24,7 @@ from singh_audit.singh_engine import (
     singh_curve,
 )
 from singh_audit.special_math import DomainError, SeededStream
-from singh_audit.structures import DegenerateDataError, StructureSpec
+from singh_audit.structures import DegenerateDataError, StructureSpec, evaluate_counts
 
 GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -274,9 +274,9 @@ def test_bernoulli_replicates_replay_binomial_counts_per_block():
         stream.substream(1).generator().binomial(n, 0.3, m - BLOCK),
     ))
     lowers, uppers = zip(*(
-        reference.clopper_pearson(target.theta0, np.concatenate((np.ones(k), np.zeros(n - k))))
-        for k in counts.tolist()
+        evaluate_counts(spec, target.theta0, n, [k]) for k in counts.tolist()
     ))
+    lowers, uppers = np.concatenate(lowers), np.concatenate(uppers)
     assert np.array_equal(result.lower_curve.required, np.sort(lowers))
     assert np.array_equal(result.upper_curve.required, np.sort(uppers))
 
@@ -413,11 +413,10 @@ def test_one_generator_per_block_and_one_evaluation_per_drawn_count(monkeypatch)
     monkeypatch.setattr(structures, "reg_inc_beta", counting_beta)
     m = 2 * BLOCK + 1
 
-    # A count-reading structure: one scalar reg_inc_beta per distinct count
-    # drawn, and no dataset rows at all.
-    curve = singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), 12, m, SeededStream(29))
-    assert calls == {"generator": 3, "evaluate": 0, "beta": np.unique(curve.required).size}
-    assert calls["beta"] <= 13
+    # A count-reading structure: one chain over every count, whose two ends
+    # are the only scalar reg_inc_beta calls, and no dataset rows at all.
+    singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), 12, m, SeededStream(29))
+    assert calls == {"generator": 3, "evaluate": 0, "beta": 2}
 
     # A row target: one batched evaluation per chunk. n = 10 gives chunks
     # of 3,276 rows, so each full block takes two and the last one.
@@ -603,6 +602,20 @@ def test_binomial_weights_match_scipy_at_large_n():
         assert np.abs(_binomial_weights(n, p) - ref).max() <= 1e-12
     assert np.array_equal(_binomial_weights(4, 0.0), [1.0, 0.0, 0.0, 0.0, 0.0])
     assert np.array_equal(_binomial_weights(4, 1.0), [0.0, 0.0, 0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [1000, 9999])
+def test_binomial_weights_are_accurate_and_sum_to_one(n):
+    # Loader's saddle-point form: each weight within 5e-12 relative of
+    # scipy wherever it exceeds 1e-300, and their exact sum within 1e-14
+    # of 1 (three lgammas per weight missed both: 2.6e-11 and 3.1e-12).
+    k = np.arange(n + 1)
+    for p in (0.01, 0.3, 0.5, 0.97):
+        weights = _binomial_weights(n, p)
+        ref = stats.binom.pmf(k, n, p)
+        live = ref > 1e-300
+        assert (np.abs(weights[live] - ref[live]) / ref[live]).max() <= 5e-12
+        assert abs(math.fsum(weights) - 1.0) <= 1e-14
 
 
 def test_exact_runs_at_large_n():

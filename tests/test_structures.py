@@ -259,7 +259,10 @@ def bits(values):
 
 
 def assert_rows_match_scalar(spec, truths, samples):
-    """Batched bounds equal the scalar reference row for row, or both raise."""
+    """Batched bounds equal the scalar reference row for row, or both raise.
+
+    Count kinds are held to the reference within 1e-14 instead (see below).
+    """
     try:
         refs = [reference.structure(spec, t, row) for t, row in zip(truths, samples)]
     except DegenerateDataError:
@@ -269,6 +272,17 @@ def assert_rows_match_scalar(spec, truths, samples):
         return
     truth = np.array(truths) if spec.kind == "empirical_predictive" else truths[0]
     lower, upper = evaluate_structure(spec, truth, samples)
+    if spec.reads_count:
+        # A count kind sums a chain of binomial terms instead of calling
+        # reg_inc_beta per count: each row equals its count evaluated
+        # alone, bit for bit, and the scalar reference to rounding.
+        counts = samples.sum(axis=1).astype(np.int64)
+        alone = [evaluate_counts(spec, truth, samples.shape[1], [k]) for k in counts]
+        assert bits(lower) == bits([lo[0] for lo, _ in alone])
+        assert bits(upper) == bits([up[0] for _, up in alone])
+        assert np.abs(lower - [ref[0] for ref in refs]).max() <= 1e-14
+        assert np.abs(upper - [ref[1] for ref in refs]).max() <= 1e-14
+        return
     assert bits(lower) == bits([ref[0] for ref in refs])
     assert bits(upper) == bits([ref[1] for ref in refs])
 
@@ -331,42 +345,135 @@ def test_batched_predictive_ties_land_in_both_counts():
     assert_rows_match_scalar(StructureSpec("empirical_predictive"), [2.0, 2.0], samples)
 
 
-@pytest.mark.parametrize("n", [1, 7, 30])
-def test_counts_equal_scalar_on_every_count(n):
-    ks = np.arange(n + 1)
+COUNT_SPECS = [spec for spec in ALL_SPECS if spec.reads_count]
+
+
+def test_counts_refuse_other_kinds_and_bad_counts():
     for spec in ALL_SPECS:
         if not spec.reads_count:
             with pytest.raises(DomainError):
-                evaluate_counts(spec, 0.4, n, ks)
-            continue
-        for theta in (0.0, 0.05, 0.4, 1.0):
-            lower, upper = evaluate_counts(spec, theta, n, ks)
-            refs = [reference.structure(spec, theta, binary(k, n)) for k in range(n + 1)]
-            assert bits(lower) == bits([ref[0] for ref in refs])
-            assert bits(upper) == bits([ref[1] for ref in refs])
+                evaluate_counts(spec, 0.4, 7, np.arange(8))
+    for spec in COUNT_SPECS:
+        for counts in ([-1], [8]):
+            with pytest.raises(DomainError):
+                evaluate_counts(spec, 0.4, 7, counts)
+        for theta in (-0.1, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                evaluate_counts(spec, theta, 7, [3])
 
 
-@pytest.mark.parametrize("c, distinct", [(None, 50), (3.0, 52), (0.5, 100)])
-def test_cbox_counts_evaluate_each_distinct_beta_once(monkeypatch, c, distinct):
-    # The point masses at k = n and k = 0 are stated, not evaluated, and for
-    # an integer c the first CDF at k is the second at k - c, so
-    # Clopper-Pearson at n = 50 needs n Beta evaluations, not 2n; c = 0.5
-    # shares none.
+def exact_upper_tails(theta, total):
+    """P(Bin(total - 1, theta) >= a) for a = 1..total-1, exactly at the float theta.
+
+    That is I_theta(a, total - a) for integer shapes. Returned as integer
+    numerators, index a - 1, over the common denominator it also returns.
+    """
+    num, den = theta.as_integer_ratio()
+    size = total - 1
+    tails, acc = [], 0
+    for j in range(size, 0, -1):
+        acc += math.comb(size, j) * num**j * (den - num) ** (size - j)
+        tails.append(acc)
+    return tails[::-1], den**size
+
+
+@pytest.mark.parametrize("spec, c", [(CLOPPER_PEARSON, 1), (StructureSpec("scaled_cbox", c=3.0), 3)],
+                         ids=["clopper_pearson", "cbox_c3"])
+def test_integer_shape_counts_match_exact_fractions(spec, c):
+    # With integer shapes every bound is a binomial upper tail, exact in
+    # integer arithmetic at the float theta. Absolute error at most 1e-14
+    # everywhere, relative error at most 1e-12 wherever the tail exceeds
+    # 1e-300 (the deep tails, where the old scalar loop was itself ~7e3 ulp
+    # off). For a value p / q against the exact tail t / den the error is
+    # |p den - t q| / (q den).
+    too_far = []
+    for n in (1, 7, 30, 39, 40, 200):
+        for theta in (1e-3, 0.05, 0.4, 0.5, 0.68, 0.92, 0.999):
+            lower, upper = evaluate_counts(spec, theta, n, np.arange(n + 1))
+            tails, den = exact_upper_tails(theta, n + c)
+            for k in range(n + 1):
+                first = 0 if k == n else tails[k + c - 1]
+                second = den if k == 0 else tails[k - 1]
+                for ours, exact in ((lower[k], min(first, second)), (upper[k], max(first, second))):
+                    p, q = float(ours).as_integer_ratio()
+                    gap = abs(p * den - exact * q)
+                    if gap * 10**14 > q * den or (exact * 10**300 > den and gap * 10**12 > exact * q):
+                        too_far.append((n, theta, k, float(ours)))
+    assert not too_far
+
+
+@pytest.mark.parametrize("spec", COUNT_SPECS, ids=lambda spec: f"{spec.kind}-{spec.c}")
+def test_counts_match_scipy_up_to_shape_1e4(spec):
+    c = {"jeffreys": 0.5, "clopper_pearson": 1.0}.get(spec.kind, spec.c)
+    for n in (10, 250, 1000, 9997):
+        k = np.arange(n + 1)
+        for theta in (1e-3, 0.05, 0.4, 0.5, 0.92, 0.999):
+            lower, upper = evaluate_counts(spec, theta, n, k)
+            if spec.kind == "jeffreys":
+                ref_lower = ref_upper = sp.betainc(k + 0.5, n - k + 0.5, theta)
+            else:
+                first = np.where(k == n, 0.0, sp.betainc(k + c, np.maximum(n - k, 1), theta))
+                second = np.where(k == 0, 1.0, sp.betainc(np.maximum(k, 1), n - k + c, theta))
+                ref_lower, ref_upper = np.minimum(first, second), np.maximum(first, second)
+            assert np.abs(lower - ref_lower).max() <= 1e-12
+            assert np.abs(upper - ref_upper).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", COUNT_SPECS, ids=lambda spec: f"{spec.kind}-{spec.c}")
+def test_count_bounds_do_not_depend_on_the_other_counts(spec):
+    # Each theta evaluates the whole chain k = 0..n and indexes it, so a
+    # count alone, within 0..n, or next to another theta reads the same bits.
+    n = 30
+    for theta in (0.0, 0.05, 0.4, 0.5, 0.68, 1.0):
+        lower, upper = evaluate_counts(spec, theta, n, np.arange(n + 1))
+        for k in range(n + 1):
+            alone = evaluate_counts(spec, theta, n, [k])
+            assert bits(alone[0]) == bits(lower[k:k + 1])
+            assert bits(alone[1]) == bits(upper[k:k + 1])
+        mixed = evaluate_counts(spec, [0.9, theta], n, [3, n // 2])
+        assert bits(mixed[0][1:]) == bits(lower[n // 2:n // 2 + 1])
+        assert bits(mixed[1][1:]) == bits(upper[n // 2:n // 2 + 1])
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0, 3.0])
+def test_integer_c_upper_bound_is_the_lower_bound_c_counts_down(c):
+    # One chain holds both CDFs: Beta(k, n - k + c) at k is Beta(k' + c,
+    # n - k') at k' = k - c, the same array element.
+    spec = CLOPPER_PEARSON if c == 1.0 else StructureSpec("scaled_cbox", c=c)
+    shift = int(c)
+    for n in (5, 30, 1000):
+        for theta in (1e-3, 0.3, 0.5, 0.92):
+            lower, upper = evaluate_counts(spec, theta, n, np.arange(n + 1))
+            assert bits(upper[shift:]) == bits(lower[:n + 1 - shift])
+
+
+@pytest.mark.parametrize("spec", COUNT_SPECS, ids=lambda spec: f"{spec.kind}-{spec.c}")
+def test_count_bounds_lie_in_the_unit_interval(spec):
+    for n in (1, 30, 1000):
+        for theta in (0.0, 1e-3, 0.68, 0.92, 1.0):
+            lower, upper = evaluate_counts(spec, theta, n, np.arange(n + 1))
+            assert (lower >= 0.0).all() and (upper <= 1.0).all()
+            assert (lower <= upper).all()
+
+
+@pytest.mark.parametrize("spec, chains", [(JEFFREYS, 1), (CLOPPER_PEARSON, 1),
+                                          (StructureSpec("scaled_cbox", c=3.0), 1),
+                                          (StructureSpec("scaled_cbox", c=0.5), 2)],
+                         ids=["jeffreys", "clopper_pearson", "cbox_c3", "cbox_c05"])
+def test_counts_call_reg_inc_beta_at_most_twice_per_chain(monkeypatch, spec, chains):
+    # Only the two ends of a chain are scalar reg_inc_beta anchors; the
+    # counts between them are cumulative sums of binomial terms.
     calls = []
 
     def counting(x, a, b):
         calls.append((x, a, b))
         return reg_inc_beta(x, a, b)
 
-    spec = CLOPPER_PEARSON if c is None else StructureSpec("scaled_cbox", c=c)
-    n = 50
     monkeypatch.setattr(structures, "reg_inc_beta", counting)
-    lower, upper = evaluate_counts(spec, 0.3, n, np.arange(n + 1))
-    assert len(calls) == distinct
-    monkeypatch.undo()
-    refs = [reference.structure(spec, 0.3, binary(k, n)) for k in range(n + 1)]
-    assert bits(lower) == bits([ref[0] for ref in refs])
-    assert bits(upper) == bits([ref[1] for ref in refs])
+    for n in (1, 50, 1000):
+        calls.clear()
+        evaluate_counts(spec, 0.3, n, np.arange(n + 1))
+        assert len(calls) <= 2 * chains
 
 
 def test_batched_evaluation_validation():
