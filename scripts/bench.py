@@ -36,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("continuous_mc", "bernoulli_mc", "exact_oracle")
+SEED = 5
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
@@ -59,11 +60,11 @@ def _run(checkout: Path, args: list[str]) -> tuple[float, str]:
     return elapsed, done.stdout
 
 
-def perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench(checkout: Path, workload: str, seconds: float) -> dict:
     """End-to-end metrics and failed-audit count of one perfbench run."""
-    _run(checkout, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    _run(checkout, ["perfbench/run.py", "--workload", workload, "--seed", str(SEED),
                     "--seconds", str(seconds), "--trace", "0"])
-    path = checkout / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0.json"
+    path = checkout / ".perfbench_out" / f"result-{workload}-seed{SEED}-trace0.json"
     result = json.loads(path.read_text())["result"]
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     metrics["failed"] = result["failed"]
@@ -116,8 +117,8 @@ def summary(values: list[float]) -> dict:
 
 def measure(checkout: Path, args, runs: dict) -> None:
     """One repeat of every step in ``checkout``, appended to ``runs``."""
-    for workload in args.workloads:
-        for name, value in perfbench(checkout, workload, args.seed, args.seconds).items():
+    for workload in WORKLOADS:
+        for name, value in perfbench(checkout, workload, args.seconds).items():
             runs.setdefault(f"{workload}.{name}", []).append(value)
     runs.setdefault("presets_s", []).append(presets_s(checkout))
     if args.tier1:
@@ -153,8 +154,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--repeats", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0, help="seconds per perfbench run")
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--against", type=Path, help="second checkout, measured in alternating pairs")
     parser.add_argument("--no-tier1", dest="tier1", action="store_false", help="do not time Tier-1")
     args = parser.parse_args(argv)
@@ -175,8 +174,8 @@ def main(argv=None) -> int:
 
     report = {
         "machine": machine(),
-        "settings": {"repeats": args.repeats, "seconds": args.seconds, "seed": args.seed,
-                     "workloads": args.workloads, "tier1": args.tier1},
+        "settings": {"repeats": args.repeats, "seconds": args.seconds, "seed": SEED,
+                     "workloads": list(WORKLOADS), "tier1": args.tier1},
     }
     for label, checkout in checkouts.items():
         report[label] = {"commit": commit(checkout)}

@@ -412,8 +412,9 @@ def _count_values(
 def _drawn_count_values(
     structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    # One Binomial(n, p) success count per replicate; each distinct count
-    # is evaluated once, and only counts actually drawn are evaluated.
+    # One Binomial(n, p) success count per replicate. A count kind indexes
+    # one chain over 0..n per call; the de-duplication spares a moment
+    # structure the rows of counts it would evaluate twice or never draws.
     counts = np.concatenate([
         stream.substream(b).generator().binomial(n, target.p, size)
         for b, size in _blocks(m)

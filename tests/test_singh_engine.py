@@ -263,7 +263,9 @@ def test_singh_curve_is_deterministic():
 
 def test_bernoulli_replicates_replay_binomial_counts_per_block():
     # Layout v2: block b draws one Binomial(n, p) count per replicate from
-    # substream(b); each replicate's value is the structure at that count.
+    # substream(b); each replicate's value is the structure at that count,
+    # bit for bit as evaluate_counts gives it and within rounding of the
+    # scalar reference.
     spec = StructureSpec("clopper_pearson")
     target = TargetSpec.bernoulli(0.3)
     stream = SeededStream(22)
@@ -279,6 +281,12 @@ def test_bernoulli_replicates_replay_binomial_counts_per_block():
     lowers, uppers = np.concatenate(lowers), np.concatenate(uppers)
     assert np.array_equal(result.lower_curve.required, np.sort(lowers))
     assert np.array_equal(result.upper_curve.required, np.sort(uppers))
+    ref_lowers, ref_uppers = zip(*(
+        reference.clopper_pearson(target.theta0, np.concatenate((np.ones(k), np.zeros(n - k))))
+        for k in counts.tolist()
+    ))
+    np.testing.assert_allclose(result.lower_curve.required, np.sort(ref_lowers), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(result.upper_curve.required, np.sort(ref_uppers), rtol=0, atol=1e-14)
 
 
 def test_normal_replicates_replay_rows_of_their_block():
@@ -387,7 +395,7 @@ def test_chunk_size_changes_no_value(monkeypatch, structure, target, n, seed):
     assert _required_digest(result) == _required_digest(expected)
 
 
-def test_one_generator_per_block_and_one_evaluation_per_drawn_count(monkeypatch):
+def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     # Entry points are looked up at call time, so wrappers patched onto the
     # modules (as the benchmark's tracer does) see every call.
     from singh_audit import singh_engine, structures
