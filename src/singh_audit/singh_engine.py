@@ -188,10 +188,8 @@ class TargetSpec:
             # Location-scale on standard normals keeps (mu=4, sigma=3) an
             # exact affine image of (mu=0, sigma=1) under the same generator.
             x = self.mu + self.sigma * rng.standard_normal(size)
-        elif self.family == "bernoulli":
-            x = (rng.random(size) < self.p).astype(np.float64)
-        elif self.family == "scaled_bernoulli":
-            x = (self.mean / self.p) * (rng.random(size) < self.p)
+        elif self.family in COUNT_FAMILIES:
+            x = _success_value(self) * (rng.random(size) < self.p)
         else:
             cdf, mus, sigmas = self._mixture
             normals = rng if normals is None else normals
@@ -379,48 +377,24 @@ def _blocks(m: int) -> list[tuple[int, int]]:
     return [(b, min(BLOCK, m - start)) for b, start in enumerate(range(0, m, BLOCK))]
 
 
-def _chunks(total: int, width: int) -> list[tuple[int, int]]:
-    """(start, rows) slices of ``total`` rows of ``width`` elements within CHUNK_ELEMENTS."""
-    step = max(1, CHUNK_ELEMENTS // width)
-    return [(start, min(step, total - start)) for start in range(0, total, step)]
-
-
-def _count_values(
-    structure: StructureSpec, target: TargetSpec, n: int, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Required-confidence bounds of a two-point target at each success count.
-
-    Count-reading structures are evaluated straight from k. The others see
-    the dataset of k successes followed by n - k zeros, which stands for
-    every dataset with k successes; those rows are built and evaluated in
-    chunks. Both engines evaluate structures here.
-    """
-    truth = target.theta0
-    if structure.reads_count:
-        return evaluate_counts(structure, truth, n, counts)
-    value = 1.0 if target.family == "bernoulli" else target.mean / target.p
-    columns = np.arange(n)
-    lowers = np.empty(counts.size)
-    uppers = np.empty(counts.size)
-    for start, rows in _chunks(counts.size, n):
-        stop = start + rows
-        x = np.where(columns < counts[start:stop, None], value, 0.0)
-        lowers[start:stop], uppers[start:stop] = evaluate_structure(structure, truth, x)
-    return lowers, uppers
+def _success_value(target: TargetSpec) -> float:
+    """The value a success takes in a Bernoulli-family draw."""
+    return 1.0 if target.family == "bernoulli" else target.mean / target.p
 
 
 def _drawn_count_values(
     structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    # One Binomial(n, p) success count per replicate. A count kind indexes
-    # one chain over 0..n per call; the de-duplication spares a moment
-    # structure the rows of counts it would evaluate twice or never draws.
+    # One Binomial(n, p) success count per replicate, and every structure
+    # reads a count alone, so each distinct count is evaluated once: the t
+    # pivot then raises only if a degenerate count was drawn, and runs its
+    # continued fraction on the atoms, not on m lanes.
     counts = np.concatenate([
         stream.substream(b).generator().binomial(n, target.p, size)
         for b, size in _blocks(m)
     ])
     atoms, index = np.unique(counts, return_inverse=True)
-    lowers, uppers = _count_values(structure, target, n, atoms)
+    lowers, uppers = evaluate_counts(structure, target.theta0, n, atoms, _success_value(target))
     return lowers[index], uppers[index]
 
 
@@ -436,6 +410,7 @@ def _drawn_row_values(
     0. Chunking changes neither the draws nor the values, only memory.
     """
     width = n + 1 if target.predictive else n
+    step = max(1, CHUNK_ELEMENTS // width)
     truth = None if target.predictive else target.theta0
     lowers = np.empty(m)
     uppers = np.empty(m)
@@ -444,7 +419,8 @@ def _drawn_row_values(
         block = stream.substream(b)
         rng = block.generator()
         normals = block.generator(child=0) if mixture else None
-        for start, rows in _chunks(size, width):
+        for start in range(0, size, step):
+            rows = min(step, size - start)
             x = target.draw(rng, rows, width, normals)
             if target.predictive:
                 truth, x = x[:, n], x[:, :n]
@@ -460,19 +436,21 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
     last block may be short) and draws them all from one generator,
     ``stream.substream(b).generator()``. A non-predictive Bernoulli-family
     target draws one Binomial(n, p) success count per replicate, in
-    replicate order; every other target draws replicate i's dataset as the
-    i-th row of its block, and a predictive target's truth is that row's
-    (n+1)-th draw. A Gaussian-mixture block is the one exception to a
-    single generator: its component picks come from that generator and its
-    normals from the block's child stream,
-    ``stream.substream(b).generator(child=0)``, each consumed in row order
-    (v2 interleaved picks and normals row by row in one generator; v3
-    changed mixture results only). Rows are drawn and evaluated in chunks
-    of at most CHUNK_ELEMENTS sample elements, so a block never becomes one
-    (BLOCK, n) matrix; chunk bounds change no value. Block boundaries depend only on
-    m, so the result is a pure function of (structure, target, n, m,
-    stream). Precise structures return a SinghCurve; imprecise ones return
-    a SinghBand built from the same replicates.
+    replicate order, and every structure reads that count alone through
+    ``evaluate_counts``, as in ``exact_singh_curve``. Every other target
+    draws replicate i's dataset as the i-th row of its block, and a
+    predictive target's truth is that row's (n+1)-th draw. A
+    Gaussian-mixture block is the one exception to a single generator: its
+    component picks come from that generator and its normals from the
+    block's child stream, ``stream.substream(b).generator(child=0)``, each
+    consumed in row order (v2 interleaved picks and normals row by row in
+    one generator; v3 changed mixture results only). Rows are drawn and
+    evaluated in chunks of at most CHUNK_ELEMENTS sample elements, so a
+    block never becomes one (BLOCK, n) matrix; chunk bounds change no
+    value. Block boundaries depend only on m, so the result is a pure
+    function of (structure, target, n, m, stream). Precise structures
+    return a SinghCurve; imprecise ones return a SinghBand built from the
+    same replicates.
     """
     check_run_args(structure, target, n, m)
     if target.family in COUNT_FAMILIES and not target.predictive:
@@ -507,11 +485,12 @@ def _weighted_curve(values: np.ndarray, weights: np.ndarray) -> SinghCurve:
 def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     """Exact Singh result by enumerating the success count of a two-point target.
 
-    For Bernoulli-family targets the dataset enters every structure only
-    through its success count k, so the full distribution of required
-    confidence is the n+1 values at k = 0..n carrying binomial weights. This
-    is the zero-noise reference the Monte Carlo path is validated against;
-    both evaluate the structure through the same per-count helper.
+    For Bernoulli-family targets every non-predictive structure reads the
+    dataset only through its success count k, so the full distribution of
+    required confidence is the n+1 values at k = 0..n carrying binomial
+    weights, evaluated by ``evaluate_counts``. This is the zero-noise
+    reference the Monte Carlo path is validated against; both read the
+    structure from the count through that one function.
     """
     if target.family not in COUNT_FAMILIES:
         raise UnsupportedTargetError("exact enumeration needs a bernoulli or scaled_bernoulli target")
@@ -519,7 +498,8 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
         raise UnsupportedTargetError("exact enumeration does not cover predictive targets")
     check_run_args(structure, target, n, m=1)
     weights = _binomial_weights(n, target.p)
-    lowers, uppers = _count_values(structure, target, n, np.arange(n + 1))
+    success = _success_value(target)
+    lowers, uppers = evaluate_counts(structure, target.theta0, n, np.arange(n + 1), success)
     lower = _weighted_curve(lowers, weights)
     if structure.is_precise:
         return lower

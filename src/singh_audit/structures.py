@@ -8,7 +8,9 @@ whose endpoints come from a bounding pair of CDFs.
 
 Every kind has one implementation, shared by the Monte Carlo and exact
 engines: ``evaluate_structure`` on a (rows, n) matrix of datasets, and
-``evaluate_counts`` on success counts for the kinds that read only k.
+``evaluate_counts`` on success counts, from which every kind but
+``empirical_predictive`` (which reads a next draw) is evaluated: the
+moment kinds read a count's mean and standard deviation in closed form.
 
 The count kinds' bounds at k = 0..n are I_theta(a, T - a) over a
 unit-spaced run of a with a fixed total T, and one shift of a subtracts a
@@ -191,34 +193,64 @@ def _count_bounds(spec: StructureSpec, theta: float, n: int) -> tuple[np.ndarray
     return np.minimum(first, second), np.maximum(first, second)
 
 
-def evaluate_counts(spec: StructureSpec, truth, n: int, counts) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) of a count-reading structure at each success count of n draws.
+def _moment_bounds(spec: StructureSpec, truth, n: int, mean, sd) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of the t pivot or Chebyshev from each dataset's mean and sample sd."""
+    mu = np.asarray(truth, dtype=np.float64)
+    if spec.kind == "student_t_pivot":
+        if n < 2:
+            raise DegenerateDataError("need at least two samples for a t pivot")
+        if (sd == 0.0).any():
+            raise DegenerateDataError("zero sample standard deviation")
+        with np.errstate(over="ignore"):
+            t = (mu - mean) / (sd / math.sqrt(n))
+        value = student_t_cdf_array(t, n - 1)
+        return value, value
+    if n < 2:
+        raise DomainError("need at least two samples for a Chebyshev bound")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = (mu - mean) * math.sqrt(n) / sd
+        value = 1.0 - 1.0 / (z * z + 1.0)
+    value = np.where(mu <= mean, 0.0, np.where(sd == 0.0, np.inf, value))
+    return value, value
 
-    For the kinds in ``COUNT_KINDS`` the success count k stands for every
-    binary dataset of size n with k ones, so no dataset is built. ``truth``
-    is a scalar or one value per count. At k = 0..n every bound is
-    I_theta(a, T - a) over a unit-spaced run of a with a fixed total T, so
-    each distinct theta evaluates the whole run of k = 0..n as a chain (see
-    ``_chain``): two scalar ``reg_inc_beta`` anchors at its ends plus
-    cumulative sums of binomial terms. The requested counts index it, so a
-    count's bounds never depend on which other counts were asked for.
-    Jeffreys is one chain, a = k + 1/2; Clopper-Pearson and a c-box with an
-    integer c are one chain over a = 1..n + c - 1, where the upper bound at
-    k is the lower bound at k - c; any other c takes two chains.
+
+def evaluate_counts(
+    spec: StructureSpec, truth, n: int, counts, success: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of a structure at each success count k of n two-point draws.
+
+    The dataset of k draws equal to ``success`` (v) and n - k zeros stands
+    for every dataset with k successes, and every kind but
+    ``empirical_predictive``, which reads a next draw, reads it through k
+    alone, so no dataset is built. ``truth`` is a scalar or one value per
+    count. The moment kinds read the mean k v / n and the sample standard
+    deviation |v| sqrt(k (n - k) / (n (n - 1))). The kinds in
+    ``COUNT_KINDS`` need v = 1; for each distinct theta they evaluate the
+    whole run of k = 0..n as chains (see ``_chain`` and ``_count_bounds``),
+    which the requested counts index, so a count's bounds never depend on
+    which other counts were asked for.
     """
+    if spec.kind == "empirical_predictive":
+        raise DomainError("empirical_predictive reads a next draw, not a success count")
+    if spec.reads_count and success != 1.0:
+        raise DomainError(f"{spec.kind} requires binary {{0,1}} data")
+    k = np.asarray(counts, dtype=np.float64).ravel()
+    # Written so that NaN and +-inf fail the check.
+    if not ((k >= 0.0) & (k <= n) & (k == np.floor(k))).all():
+        raise DomainError(f"success counts must be integers in 0..{n}")
     if not spec.reads_count:
-        raise DomainError(f"{spec.kind} does not read a success count")
-    ks = np.asarray(counts, dtype=np.int64)
-    if ((ks < 0) | (ks > n)).any():
-        raise DomainError(f"success counts must lie in 0..{n}")
+        # k / n first, so the count n reads a mean of exactly v.
+        sd = abs(success) * np.sqrt(k * (n - k) / (n * max(n - 1, 1)))
+        return _moment_bounds(spec, truth, n, k / n * success, sd)
+    ks = k.astype(np.int64)
     truth = np.asarray(truth, dtype=np.float64)
     if truth.ndim == 0:
         lower, upper = _count_bounds(spec, float(truth), n)
-        return lower[ks.ravel()], upper[ks.ravel()]
+        return lower[ks], upper[ks]
     distinct, which = np.unique(np.broadcast_to(truth, ks.shape), return_inverse=True)
     table = np.array([_count_bounds(spec, theta, n) for theta in distinct.tolist()])
     table = table.reshape(distinct.size, 2, n + 1)
-    return table[which.ravel(), 0, ks.ravel()], table[which.ravel(), 1, ks.ravel()]
+    return table[which, 0, ks], table[which, 1, ks]
 
 
 def evaluate_structure(spec: StructureSpec, truth, samples) -> tuple[np.ndarray, np.ndarray]:
@@ -227,10 +259,10 @@ def evaluate_structure(spec: StructureSpec, truth, samples) -> tuple[np.ndarray,
     ``samples`` is a (rows, n) matrix holding one dataset per row, and
     ``truth`` is a scalar or one value per row (a predictive target's next
     draw). The bounds are equal for precise structures, and +inf where no
-    level covers. The moment kernels reduce along axis 1, the t pivot runs
-    ``student_t_cdf_array``, and binary rows of a count kind go through
-    ``evaluate_counts``. A row the structure cannot handle (a zero-spread t
-    pivot, non-binary data for a count kind) raises for the whole call.
+    level covers. The moment kinds reduce each row to its mean and sample
+    sd, and binary rows of a count kind go through ``evaluate_counts``. A
+    row the structure cannot handle (a zero-spread t pivot, non-binary data
+    for a count kind) raises for the whole call.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
@@ -245,25 +277,7 @@ def evaluate_structure(spec: StructureSpec, truth, samples) -> tuple[np.ndarray,
         below = (x <= x_next).sum(axis=1) / (n + 1)
         above = (n + 1 - (x >= x_next).sum(axis=1)) / (n + 1)
         return np.minimum(below, above), np.maximum(below, above)
-    mu = np.asarray(truth, dtype=np.float64)
-    if spec.kind == "student_t_pivot":
-        if n < 2:
-            raise DegenerateDataError("need at least two samples for a t pivot")
-        sd = x.std(axis=1, ddof=1)
-        if (sd == 0.0).any():
-            raise DegenerateDataError("zero sample standard deviation")
-        with np.errstate(over="ignore"):
-            t = (mu - x.mean(axis=1)) / (sd / math.sqrt(n))
-        value = student_t_cdf_array(t, n - 1)
-        return value, value
-    if spec.kind == "chebyshev_ucl":
-        if n < 2:
-            raise DomainError("need at least two samples for a Chebyshev bound")
-        mean = x.mean(axis=1)
-        sd = x.std(axis=1, ddof=1)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            z = (mu - mean) * math.sqrt(n) / sd
-            value = 1.0 - 1.0 / (z * z + 1.0)
-        value = np.where(mu <= mean, 0.0, np.where(sd == 0.0, np.inf, value))
-        return value, value
-    raise DomainError(f"unknown structure kind {spec.kind!r}")
+    # A moment kind. The helper refuses n < 2 before reading sd; ddof 0
+    # there only keeps numpy from warning about a one-draw variance.
+    sd = x.std(axis=1, ddof=1 if n > 1 else 0)
+    return _moment_bounds(spec, truth, n, x.mean(axis=1), sd)

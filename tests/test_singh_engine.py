@@ -433,13 +433,13 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     assert CHUNK_ELEMENTS // 10 == 3276
     assert calls == {"generator": 3, "evaluate": 5, "beta": 0}
 
-    # A moment structure on a count target: the distinct counts' two-point
-    # rows fit one chunk.
+    # A moment structure on a count target reads each count's mean and
+    # standard deviation in closed form: no rows either.
     calls.update(generator=0, evaluate=0)
     singh_curve(
         StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.2, 2.0), 30, m, SeededStream(29)
     )
-    assert calls == {"generator": 3, "evaluate": 1, "beta": 0}
+    assert calls == {"generator": 3, "evaluate": 0, "beta": 0}
 
 
 def test_row_chunks_stay_within_the_element_budget(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -349,17 +350,91 @@ COUNT_SPECS = [spec for spec in ALL_SPECS if spec.reads_count]
 
 
 def test_counts_refuse_other_kinds_and_bad_counts():
-    for spec in ALL_SPECS:
-        if not spec.reads_count:
-            with pytest.raises(DomainError):
-                evaluate_counts(spec, 0.4, 7, np.arange(8))
+    # Only the predictive band, which reads a next draw, has no count form,
+    # and a count kind needs binary data, a success value of 1.
+    with pytest.raises(DomainError):
+        evaluate_counts(StructureSpec("empirical_predictive"), 0.4, 7, np.arange(8))
     for spec in COUNT_SPECS:
-        for counts in ([-1], [8]):
+        with pytest.raises(DomainError):
+            evaluate_counts(spec, 0.4, 7, np.arange(8), success=2.5)
+    for spec in ALL_SPECS:
+        if spec.kind == "empirical_predictive":
+            continue
+        # Out of range, non-integral (no truncation to 2) or non-finite.
+        for counts in ([-1], [8], [2.5], [math.nan], [math.inf]):
             with pytest.raises(DomainError):
                 evaluate_counts(spec, 0.4, 7, counts)
+    for spec in COUNT_SPECS:
         for theta in (-0.1, 1.5, math.nan):
             with pytest.raises(DomainError):
                 evaluate_counts(spec, theta, 7, [3])
+
+
+MOMENT_NS = (2, 5, 30, 250, 1000)
+MOMENT_PS = (0.05, 0.2, 0.3, 0.5, 0.9)
+
+
+def two_point_cases():
+    """(n, p, mean) of a scaled Bernoulli of mean 2 and of a plain Bernoulli (mean p)."""
+    for n in MOMENT_NS:
+        for p in MOMENT_PS:
+            for mean in (2.0, p):
+                yield n, p, mean
+
+
+def test_chebyshev_counts_match_exact_fractions():
+    # Mean, variance and z^2 of the two-point dataset in exact rationals
+    # from the float mean, p and n; then z^2 / (z^2 + 1) is exact.
+    too_far = []
+    for n, p, mean in two_point_cases():
+        v = Fraction(mean) / Fraction(p)
+        ks = np.arange(1, n)
+        ours, _ = evaluate_counts(CHEBYSHEV, mean, n, ks, success=mean / p)
+        for k, value in zip(ks.tolist(), ours.tolist()):
+            xbar = k * v / n
+            if Fraction(mean) <= xbar:
+                exact = Fraction(0)
+            else:
+                var = v * v * k * (n - k) / (n * (n - 1))
+                z2 = (Fraction(mean) - xbar) ** 2 * n / var
+                exact = z2 / (z2 + 1)
+            if abs(Fraction(value) - exact) > Fraction(1, 10**14):
+                too_far.append((n, p, mean, k, value))
+    assert not too_far
+
+
+@pytest.mark.parametrize("spec", [T_PIVOT, CHEBYSHEV], ids=lambda spec: spec.kind)
+def test_moment_counts_match_two_point_rows(spec):
+    # The closed-form moments of k successes against the row kernel on the
+    # dataset of k values v followed by n - k zeros. Both paths round the
+    # mean just below the truth (mean 2, p = 0.9, k near 0.9 n), where the
+    # cancellation in truth - mean costs each up to about 1e-14 against
+    # high-precision values at n = 1000; they differ by at most 1.9e-14.
+    for n, p, mean in two_point_cases():
+        v = mean / p
+        ks = np.arange(1, n)
+        rows = np.where(np.arange(n) < ks[:, None], v, 0.0)
+        lower, upper = evaluate_counts(spec, mean, n, ks, success=v)
+        row_lower, row_upper = evaluate_structure(spec, mean, rows)
+        assert np.abs(lower - row_lower).max() <= 2.5e-14
+        assert np.abs(upper - row_upper).max() <= 2.5e-14
+
+
+def test_moment_counts_at_the_ends():
+    # No spread at k = 0 or n: Chebyshev needs +inf below the truth and
+    # nothing above it, and the t pivot has no information.
+    for n, p, mean in two_point_cases():
+        lower, upper = evaluate_counts(CHEBYSHEV, mean, n, [0, n], success=mean / p)
+        assert lower.tolist() == upper.tolist() == [math.inf, 0.0]
+        for k in (0, n):
+            with pytest.raises(DegenerateDataError):
+                evaluate_counts(T_PIVOT, mean, n, [k], success=mean / p)
+    # At p = 1 every draw equals the truth, so Chebyshev covers at level 0.
+    # Five copies of this value sum to a mean one ulp below it (and 5 v / 5
+    # rounds the same way); the count n reads v itself.
+    mean = 1.8230225674428036
+    assert 5 * mean / 5 < mean
+    assert evaluate_counts(CHEBYSHEV, mean, 5, [5], success=mean)[0].tolist() == [0.0]
 
 
 def exact_upper_tails(theta, total):
