@@ -74,8 +74,13 @@ def emit_csv(result, path) -> Path:
     row = "%s" + ",%.9g" * len(curves) + "\n"
     body = (row * len(texts)) % tuple(cells)
     body = "".join(map(operator.mul, body.splitlines(keepends=True), counts.tolist()))
-    text = f"{header}\n{body}# never={curves[0].never_count}\n"
-    path.write_text(text, encoding="utf-8", newline="\n")
+    # Written in parts, not as one joined copy: a third live copy of a large
+    # body was enough for the C allocator to release its heap top and fault
+    # it back in on every band audit (about 450 page faults each).
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        f.write(f"{header}\n")
+        f.write(body)
+        f.write(f"# never={curves[0].never_count}\n")
     return path
 
 

@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .special_math import MAX_ACCURATE_SHAPE, DomainError, SeededStream, binomial_pmf
-from .structures import StructureSpec, evaluate_counts, evaluate_structure
+from .structures import StructureSpec, evaluate_counts, evaluate_structure, moment_bounds, row_moments
 
 __all__ = [
     "UnsupportedTargetError",
@@ -41,9 +41,10 @@ COUNT_FAMILIES = ("bernoulli", "scaled_bernoulli")
 # Replicates per substream in a Monte Carlo run (stream layout v3; a
 # mixture block also draws its normals from the substream's child 0).
 BLOCK = 4096
-# Sample elements per batched structure evaluation: rows are drawn and
-# evaluated in chunks of at most this many elements (at least one row), so
-# memory stays O(max(n, CHUNK_ELEMENTS)) and never O(BLOCK * n).
+# Sample elements per drawn chunk: rows are drawn in chunks of at most this
+# many elements (at least one row), so a drawn matrix stays
+# O(max(n, CHUNK_ELEMENTS)) and never O(BLOCK * n). What a chunk leaves
+# behind, its rows' statistics or bounds, is O(m) over the run.
 CHUNK_ELEMENTS = 2**15
 
 DEFAULT_GRID_POINTS = 1001
@@ -129,6 +130,9 @@ class TargetSpec:
         for name in self.FAMILY_FIELDS[self.family][0]:
             if not np.isfinite(getattr(self, name)).all():
                 raise DomainError(f"{name} must be finite")
+        # A tiny p overflows the success value that each draw takes.
+        if self.family == "scaled_bernoulli" and not math.isfinite(self.mean / self.p):
+            raise DomainError("the success value mean / p must be finite")
 
     @classmethod
     def normal(cls, mu: float, sigma: float, predictive: bool = False) -> "TargetSpec":
@@ -382,38 +386,58 @@ def _success_value(target: TargetSpec) -> float:
     return 1.0 if target.family == "bernoulli" else target.mean / target.p
 
 
+def _columns(structure: StructureSpec) -> int:
+    """Bound columns a result is built from: the lower alone for a precise structure."""
+    return 1 if structure.is_precise else 2
+
+
+def _sorted_atoms(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Each atom's value repeated as often as it was drawn, in ascending order."""
+    order = np.argsort(values, kind="stable")
+    return np.repeat(values[order], mult[order])
+
+
 def _drawn_count_values(
     structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream
-) -> tuple[np.ndarray, np.ndarray]:
+) -> list[np.ndarray]:
     # One Binomial(n, p) success count per replicate, and every structure
-    # reads a count alone, so each distinct count is evaluated once: the t
-    # pivot then raises only if a degenerate count was drawn, and runs its
-    # continued fraction on the atoms, not on m lanes.
+    # reads a count alone, so each distinct count, an atom, is evaluated
+    # once: the t pivot then raises only if a degenerate count was drawn,
+    # and runs its continued fraction on the atoms, not on m lanes. A
+    # column repeats at most n + 1 sorted atoms by their multiplicities, so
+    # nothing of length m is gathered or sorted. No histogram of size n + 1
+    # either: Chebyshev's n has no Beta-shape bound, and m may be small.
     counts = np.concatenate([
         stream.substream(b).generator().binomial(n, target.p, size)
         for b, size in _blocks(m)
     ])
-    atoms, index = np.unique(counts, return_inverse=True)
-    lowers, uppers = evaluate_counts(structure, target.theta0, n, atoms, _success_value(target))
-    return lowers[index], uppers[index]
+    atoms, mult = np.unique(counts, return_counts=True)
+    bounds = evaluate_counts(structure, target.theta0, n, atoms, _success_value(target))
+    return [_sorted_atoms(v, mult) for v in bounds[:_columns(structure)]]
 
 
 def _drawn_row_values(
     structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of m replicates whose datasets are rows drawn from their block.
+) -> list[np.ndarray]:
+    """Sorted bound columns of m replicates whose datasets are rows drawn from their block.
 
     Each block's generator hands out its rows in chunks of at most
-    CHUNK_ELEMENTS elements, and each chunk is one ``evaluate_structure``
-    call on a (rows, n) matrix; a predictive row's (n+1)-th draw is its
-    truth. A mixture block draws its normals from the block's child stream
-    0. Chunking changes neither the draws nor the values, only memory.
+    CHUNK_ELEMENTS elements, or one row when a row is larger, and a
+    predictive row's (n+1)-th draw is its truth. A mixture block draws its
+    normals from the block's child stream 0. A chunk only reduces its rows
+    to what the structure reads: each row's mean and sample sd for a moment
+    kind (the t pivot, Chebyshev), whose bounds are then evaluated once
+    over all m replicates, so the t pivot runs one continued fraction per
+    run; ``evaluate_structure``'s bounds for ``empirical_predictive``, which
+    are rank counts per element. Chunking changes neither the draws nor the
+    values, only memory.
     """
     width = n + 1 if target.predictive else n
     step = max(1, CHUNK_ELEMENTS // width)
-    truth = None if target.predictive else target.theta0
-    lowers = np.empty(m)
-    uppers = np.empty(m)
+    # check_run_args pairs predictive targets with empirical_predictive:
+    # these hold its bounds, or else a moment kind's means and sds.
+    first = np.empty(m)
+    second = np.empty(m)
     mixture = target.family == "gaussian_mixture"
     for b, size in _blocks(m):
         block = stream.substream(b)
@@ -422,11 +446,14 @@ def _drawn_row_values(
         for start in range(0, size, step):
             rows = min(step, size - start)
             x = target.draw(rng, rows, width, normals)
-            if target.predictive:
-                truth, x = x[:, n], x[:, :n]
             i = b * BLOCK + start
-            lowers[i:i + rows], uppers[i:i + rows] = evaluate_structure(structure, truth, x)
-    return lowers, uppers
+            if target.predictive:
+                first[i:i + rows], second[i:i + rows] = evaluate_structure(structure, x[:, n], x[:, :n])
+            else:
+                first[i:i + rows], second[i:i + rows] = row_moments(x)
+    if not target.predictive:
+        first, second = moment_bounds(structure, target.theta0, n, first, second)
+    return [np.sort(v) for v in (first, second)[:_columns(structure)]]
 
 
 def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream):
@@ -437,30 +464,31 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
     ``stream.substream(b).generator()``. A non-predictive Bernoulli-family
     target draws one Binomial(n, p) success count per replicate, in
     replicate order, and every structure reads that count alone through
-    ``evaluate_counts``, as in ``exact_singh_curve``. Every other target
-    draws replicate i's dataset as the i-th row of its block, and a
+    ``evaluate_counts``, as in ``exact_singh_curve``: each distinct count
+    is evaluated once, and a column sorts at most n + 1 atoms. Every other
+    target draws replicate i's dataset as the i-th row of its block, and a
     predictive target's truth is that row's (n+1)-th draw. A
     Gaussian-mixture block is the one exception to a single generator: its
     component picks come from that generator and its normals from the
     block's child stream, ``stream.substream(b).generator(child=0)``, each
     consumed in row order (v2 interleaved picks and normals row by row in
-    one generator; v3 changed mixture results only). Rows are drawn and
-    evaluated in chunks of at most CHUNK_ELEMENTS sample elements, so a
-    block never becomes one (BLOCK, n) matrix; chunk bounds change no
-    value. Block boundaries depend only on m, so the result is a pure
-    function of (structure, target, n, m, stream). Precise structures
-    return a SinghCurve; imprecise ones return a SinghBand built from the
-    same replicates.
+    one generator; v3 changed mixture results only). Rows are drawn in
+    chunks of at most CHUNK_ELEMENTS sample elements, so a block never
+    becomes one (BLOCK, n) matrix; a moment kind keeps only each row's
+    mean and sd and evaluates its bounds once per run, and chunk bounds
+    change no value. Block boundaries depend only on m, so the result is a
+    pure function of (structure, target, n, m, stream). Both paths hand
+    back sorted columns, which are wrapped without sorting again. Precise
+    structures return a SinghCurve; imprecise ones return a SinghBand
+    built from the same replicates.
     """
     check_run_args(structure, target, n, m)
     if target.family in COUNT_FAMILIES and not target.predictive:
-        lowers, uppers = _drawn_count_values(structure, target, n, m, stream)
+        columns = _drawn_count_values(structure, target, n, m, stream)
     else:
-        lowers, uppers = _drawn_row_values(structure, target, n, m, stream)
-    lower = SinghCurve(np.sort(lowers))
-    if structure.is_precise:
-        return lower
-    return SinghBand(lower, SinghCurve(np.sort(uppers)))
+        columns = _drawn_row_values(structure, target, n, m, stream)
+    curves = [SinghCurve(column) for column in columns]
+    return curves[0] if structure.is_precise else SinghBand(*curves)
 
 
 def _binomial_weights(n: int, p: float) -> np.ndarray:
@@ -490,12 +518,19 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     required confidence is the n+1 values at k = 0..n carrying binomial
     weights, evaluated by ``evaluate_counts``. This is the zero-noise
     reference the Monte Carlo path is validated against; both read the
-    structure from the count through that one function.
+    structure from the count through that one function. The t pivot is
+    refused: the enumeration always holds k = 0 and k = n, whose zero
+    spread leaves the pivot undefined, whatever their weight.
     """
     if target.family not in COUNT_FAMILIES:
         raise UnsupportedTargetError("exact enumeration needs a bernoulli or scaled_bernoulli target")
     if target.predictive:
         raise UnsupportedTargetError("exact enumeration does not cover predictive targets")
+    if structure.kind == "student_t_pivot":
+        raise UnsupportedTargetError(
+            "exact enumeration cannot evaluate student_t_pivot: it includes the counts "
+            "k = 0 and k = n, whose datasets have zero spread"
+        )
     check_run_args(structure, target, n, m=1)
     weights = _binomial_weights(n, target.p)
     success = _success_value(target)

@@ -193,8 +193,21 @@ def _count_bounds(spec: StructureSpec, theta: float, n: int) -> tuple[np.ndarray
     return np.minimum(first, second), np.maximum(first, second)
 
 
-def _moment_bounds(spec: StructureSpec, truth, n: int, mean, sd) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) of the t pivot or Chebyshev from each dataset's mean and sample sd."""
+def row_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean and sample sd, as the moment kinds read a (rows, n) matrix.
+
+    ``moment_bounds`` refuses n < 2 before reading sd; ddof 0 there only
+    keeps numpy from warning about a one-draw variance.
+    """
+    return x.mean(axis=1), x.std(axis=1, ddof=1 if x.shape[1] > 1 else 0)
+
+
+def moment_bounds(spec: StructureSpec, truth, n: int, mean, sd) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of the t pivot or Chebyshev from each dataset's mean and sample sd.
+
+    Element by element, so one call over many datasets gives each the
+    values it gets alone. A zero-spread t pivot raises for the whole call.
+    """
     mu = np.asarray(truth, dtype=np.float64)
     if spec.kind == "student_t_pivot":
         if n < 2:
@@ -241,7 +254,7 @@ def evaluate_counts(
     if not spec.reads_count:
         # k / n first, so the count n reads a mean of exactly v.
         sd = abs(success) * np.sqrt(k * (n - k) / (n * max(n - 1, 1)))
-        return _moment_bounds(spec, truth, n, k / n * success, sd)
+        return moment_bounds(spec, truth, n, k / n * success, sd)
     ks = k.astype(np.int64)
     truth = np.asarray(truth, dtype=np.float64)
     if truth.ndim == 0:
@@ -277,7 +290,5 @@ def evaluate_structure(spec: StructureSpec, truth, samples) -> tuple[np.ndarray,
         below = (x <= x_next).sum(axis=1) / (n + 1)
         above = (n + 1 - (x >= x_next).sum(axis=1)) / (n + 1)
         return np.minimum(below, above), np.maximum(below, above)
-    # A moment kind. The helper refuses n < 2 before reading sd; ddof 0
-    # there only keeps numpy from warning about a one-draw variance.
-    sd = x.std(axis=1, ddof=1 if n > 1 else 0)
-    return _moment_bounds(spec, truth, n, x.mean(axis=1), sd)
+    # A moment kind.
+    return moment_bounds(spec, truth, n, *row_moments(x))

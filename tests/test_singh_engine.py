@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
@@ -66,6 +68,7 @@ def test_target_validation():
         (lambda: TargetSpec.normal(-math.inf, 1.0), "mu must be finite"),
         (lambda: TargetSpec.normal(0.0, math.inf), "sigma must be finite"),
         (lambda: TargetSpec.scaled_bernoulli(0.2, math.inf), "mean must be finite"),
+        (lambda: TargetSpec.scaled_bernoulli(1e-310, 2.0), "mean / p must be finite"),
         (lambda: TargetSpec.mixture([0.5, math.nan], [0, 1], [1, 1]), "weights must be finite"),
         (lambda: TargetSpec.mixture([0.5, 0.5], [math.nan, 5], [3, 1]), "mus must be finite"),
         (lambda: TargetSpec.mixture([0.5, 0.5], [0, math.inf], [1, 1]), "mus must be finite"),
@@ -400,9 +403,11 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     # modules (as the benchmark's tracer does) see every call.
     from singh_audit import singh_engine, structures
 
-    calls = {"generator": 0, "evaluate": 0, "beta": 0}
+    calls = {"generator": 0, "evaluate": 0, "beta": 0, "t_cdf": 0}
+    lanes = []
     generator = SeededStream.generator
     evaluate, beta = singh_engine.evaluate_structure, structures.reg_inc_beta
+    t_cdf = structures.student_t_cdf_array
 
     def counting_generator(self):
         calls["generator"] += 1
@@ -416,54 +421,186 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
         calls["beta"] += 1
         return beta(*args)
 
+    def counting_t_cdf(t, nu):
+        calls["t_cdf"] += 1
+        lanes.append(np.size(t))
+        return t_cdf(t, nu)
+
     monkeypatch.setattr(SeededStream, "generator", counting_generator)
     monkeypatch.setattr(singh_engine, "evaluate_structure", counting_evaluate)
     monkeypatch.setattr(structures, "reg_inc_beta", counting_beta)
+    monkeypatch.setattr(structures, "student_t_cdf_array", counting_t_cdf)
     m = 2 * BLOCK + 1
 
     # A count-reading structure: one chain over every count, whose two ends
     # are the only scalar reg_inc_beta calls, and no dataset rows at all.
     singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), 12, m, SeededStream(29))
-    assert calls == {"generator": 3, "evaluate": 0, "beta": 2}
+    assert calls == {"generator": 3, "evaluate": 0, "beta": 2, "t_cdf": 0}
 
-    # A row target: one batched evaluation per chunk. n = 10 gives chunks
-    # of 3,276 rows, so each full block takes two and the last one.
+    # A row target of a moment kind: the chunks (n = 10 gives 3,276 rows,
+    # so each full block takes two and the last one) only keep each row's
+    # mean and sd, and the t pivot's CDF runs once over all m replicates.
     calls.update(generator=0, evaluate=0, beta=0)
     singh_curve(StructureSpec("student_t_pivot"), TargetSpec.normal(0.0, 1.0), 10, m, SeededStream(29))
     assert CHUNK_ELEMENTS // 10 == 3276
-    assert calls == {"generator": 3, "evaluate": 5, "beta": 0}
+    assert calls == {"generator": 3, "evaluate": 0, "beta": 0, "t_cdf": 1}
+    assert lanes == [m]
 
     # A moment structure on a count target reads each count's mean and
     # standard deviation in closed form: no rows either.
-    calls.update(generator=0, evaluate=0)
+    calls.update(generator=0, t_cdf=0)
     singh_curve(
         StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.2, 2.0), 30, m, SeededStream(29)
     )
-    assert calls == {"generator": 3, "evaluate": 0, "beta": 0}
+    assert calls == {"generator": 3, "evaluate": 0, "beta": 0, "t_cdf": 0}
+
+    # empirical_predictive still evaluates each chunk: its bounds are rank
+    # counts per element. n + 1 = 11 gives chunks of 2,978 rows.
+    target = TargetSpec.normal(0.0, 1.0, predictive=True)
+    singh_curve(StructureSpec("empirical_predictive"), target, 10, m, SeededStream(29))
+    assert CHUNK_ELEMENTS // 11 == 2978
+    assert calls["evaluate"] == 5
+
+
+def test_count_runs_sort_atoms_not_replicates(monkeypatch):
+    # A count run evaluates and sorts its at most n + 1 distinct counts and
+    # repeats each value by its multiplicity: no inverse index to gather m
+    # values with, and no sort of m values.
+    from singh_audit import singh_engine
+
+    seen = {"unique": [], "sort": [], "argsort": [], "counts": []}
+    unique, sort, argsort = np.unique, np.sort, np.argsort
+    evaluate = singh_engine.evaluate_counts
+
+    def recording_unique(ar, *args, **kwargs):
+        seen["unique"].append((np.size(ar), args, sorted(kwargs)))
+        return unique(ar, *args, **kwargs)
+
+    def recording_sort(a, *args, **kwargs):
+        seen["sort"].append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    def recording_argsort(a, *args, **kwargs):
+        seen["argsort"].append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    def recording_evaluate(spec, truth, n, counts, success=1.0):
+        seen["counts"].append(np.size(counts))
+        return evaluate(spec, truth, n, counts, success)
+
+    monkeypatch.setattr(np, "unique", recording_unique)
+    monkeypatch.setattr(np, "sort", recording_sort)
+    monkeypatch.setattr(np, "argsort", recording_argsort)
+    monkeypatch.setattr(singh_engine, "evaluate_counts", recording_evaluate)
+    m = 2 * BLOCK + 1
+    cases = [
+        (StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), 12, m, 1),
+        (StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.4), 12, m, 2),
+        (StructureSpec("student_t_pivot"), TargetSpec.bernoulli(0.5), 30, m, 1),
+        # Chebyshev has no Beta shape, so n is unbounded: three replicates
+        # must not cost O(n) memory.
+        (StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.3, 2.0), 10**12, 3, 1),
+    ]
+    for spec, target, n, runs, columns in cases:
+        for record in seen.values():
+            record.clear()
+        assert singh_curve(spec, target, n, runs, SeededStream(30)).m == runs
+        assert seen["unique"] == [(runs, (), ["return_counts"])]
+        atoms = seen["counts"]
+        assert len(atoms) == 1 and atoms[0] <= min(n + 1, runs)
+        assert seen["sort"] == []
+        assert seen["argsort"] == atoms * columns
 
 
 def test_row_chunks_stay_within_the_element_budget(monkeypatch):
-    # No (BLOCK, n) matrix: every evaluated chunk holds at most
-    # CHUNK_ELEMENTS samples, or a single row when one row is larger.
-    from singh_audit import singh_engine
-
+    # No (BLOCK, n) matrix: every drawn chunk holds at most CHUNK_ELEMENTS
+    # samples, or a single row when one row is larger, and the chunks'
+    # rows add up to m.
     shapes = []
-    evaluate = singh_engine.evaluate_structure
+    draw = TargetSpec.draw
 
-    def recording_evaluate(spec, truth, samples):
-        shapes.append(samples.shape)
-        return evaluate(spec, truth, samples)
+    def recording_draw(self, rng, rows, count, normals=None):
+        x = draw(self, rng, rows, count, normals)
+        shapes.append(x.shape)
+        return x
 
-    monkeypatch.setattr(singh_engine, "evaluate_structure", recording_evaluate)
+    monkeypatch.setattr(TargetSpec, "draw", recording_draw)
     # Chebyshev evaluates no Beta CDF, so n = 200,000 is inside its range.
     spec, target = StructureSpec("chebyshev_ucl"), TargetSpec.normal(0.0, 1.0)
     curve = singh_curve(spec, target, 200_000, 3, SeededStream(34))
     assert curve.m == 3
     assert shapes == [(1, 200_000)] * 3
-    shapes.clear()
-    singh_curve(spec, target, 30, BLOCK, SeededStream(34))
-    assert sum(rows for rows, _ in shapes) == BLOCK
-    assert all(rows * n <= CHUNK_ELEMENTS for rows, n in shapes)
+    runs = [
+        (spec, target, 30, BLOCK),
+        (StructureSpec("student_t_pivot"), target, 10, 2 * BLOCK + 1),
+        (
+            StructureSpec("empirical_predictive"),
+            TargetSpec.mixture([0.5, 0.5], [0.0, 3.0], [1.0, 1.0], predictive=True),
+            40,
+            BLOCK + 7,
+        ),
+    ]
+    for spec, target, n, m in runs:
+        shapes.clear()
+        assert singh_curve(spec, target, n, m, SeededStream(34)).m == m
+        assert len(shapes) > 1
+        assert sum(rows for rows, _ in shapes) == m
+        assert all(rows * width <= CHUNK_ELEMENTS for rows, width in shapes)
+
+
+COUNT_READERS = (
+    StructureSpec("jeffreys"),
+    StructureSpec("clopper_pearson"),
+    StructureSpec("scaled_cbox", c=0.5),
+    StructureSpec("scaled_cbox", c=3.0),
+    StructureSpec("student_t_pivot"),
+    StructureSpec("chebyshev_ucl"),
+)
+
+
+@given(
+    spec=st.sampled_from(COUNT_READERS),
+    n=st.integers(1, 60),
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    mean=st.sampled_from([None, 0.5, 2.0]),
+    m=st.integers(1, 2 * BLOCK + 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_count_columns_equal_sorted_per_replicate_bounds(spec, n, p, mean, m, seed):
+    # Each sorted column of a count run holds, byte for byte, the bounds of
+    # every drawn count evaluated on its own, sorted; a count kind reads a
+    # bernoulli target, a moment kind either two-point family.
+    n = max(n, spec.min_n)
+    if mean is None or spec.reads_count or p == 0.0:
+        target, success = TargetSpec.bernoulli(p), 1.0
+    elif not math.isfinite(mean / p):
+        with pytest.raises(DomainError, match="mean / p must be finite"):
+            TargetSpec.scaled_bernoulli(p, mean)
+        return
+    else:
+        target, success = TargetSpec.scaled_bernoulli(p, mean), mean / p
+    stream = SeededStream(seed)
+    counts = np.concatenate([
+        stream.substream(b).generator().binomial(n, p, min(BLOCK, m - start))
+        for b, start in enumerate(range(0, m, BLOCK))
+    ])
+    alone = {}
+    try:
+        for k in counts.tolist():
+            if k not in alone:
+                alone[k] = evaluate_counts(spec, target.theta0, n, [k], success)
+    except DegenerateDataError:
+        # A drawn zero-spread count refuses the t pivot's whole run.
+        with pytest.raises(DegenerateDataError):
+            singh_curve(spec, target, n, m, stream)
+        return
+    result = singh_curve(spec, target, n, m, stream)
+    assert len(result.curves) == (1 if spec.is_precise else 2)
+    for j, curve in enumerate(result.curves):
+        column = np.sort(np.array([alone[k][j][0] for k in counts.tolist()]))
+        assert curve.required.tobytes() == column.tobytes()
+        assert curve.never_count == np.isinf(column).sum()
 
 
 def test_t_pivot_on_bernoulli_raises_only_for_drawn_degenerate_counts():
@@ -548,6 +685,19 @@ def test_exact_requires_two_point_target():
             TargetSpec.bernoulli(0.4, predictive=True),
             5,
         )
+
+
+@pytest.mark.parametrize(
+    "target",
+    [TargetSpec.bernoulli(0.5), TargetSpec.bernoulli(0.0), TargetSpec.scaled_bernoulli(0.3, 2.0)],
+    ids=["bernoulli_half", "bernoulli_zero", "scaled_bernoulli"],
+)
+def test_exact_refuses_the_t_pivot_up_front(target):
+    # Every enumeration holds k = 0 and k = n, where the t pivot has zero
+    # spread, so the pairing is refused before any count is evaluated,
+    # even where those counts carry almost no mass (1.9e-9 at p = 0.5).
+    with pytest.raises(UnsupportedTargetError, match="zero spread"):
+        exact_singh_curve(StructureSpec("student_t_pivot"), target, 30)
 
 
 def test_exact_jeffreys_single_draw_pair():
