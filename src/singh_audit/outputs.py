@@ -10,6 +10,7 @@ re-evaluating the curve at the alphas it lists.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import operator
 from pathlib import Path
@@ -87,15 +88,7 @@ def emit_csv(result, path) -> Path:
 def emit_report(report: CoverageReport, path, name: str) -> Path:
     """Write a CoverageReport as a small JSON document."""
     path = Path(path)
-    payload = {
-        "name": name,
-        "classification": report.classification,
-        "max_deficit": report.max_deficit,
-        "conservatism_area": report.conservatism_area,
-        "dkw_epsilon": report.dkw_epsilon,
-        "m": report.m,
-        "never_count": report.never_count,
-    }
+    payload = {"name": name, **dataclasses.asdict(report)}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
     return path
 

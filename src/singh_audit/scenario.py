@@ -57,7 +57,7 @@ class Scenario:
     outputs: frozenset[str]
 
     def __post_init__(self) -> None:
-        if self.grid is not None and self.target.predictive:
+        if self.grid is not None and self.structure.reads_next_draw:
             raise ScenarioValidationError("predictive scenarios cannot use a parameter grid")
         try:
             for theta in self.grid.thetas if self.grid is not None else ():
@@ -162,7 +162,7 @@ def _collect(text: str) -> dict:
     return entries
 
 
-def _build_target(entries: dict, family: str, predictive: bool, grid):
+def _build_target(entries: dict, family: str, grid):
     # Under a grid the family's truth field takes the first grid value and
     # has no key of its own.
     fields, truth = TargetSpec.FAMILY_FIELDS[family]
@@ -180,10 +180,7 @@ def _build_target(entries: dict, family: str, predictive: bool, grid):
     values = {x: entries[key] for x, key in keys.items()}
     if grid is not None and truth is not None:
         values[truth] = grid.thetas[0]
-    try:
-        return TargetSpec(family=family, predictive=predictive, **values)
-    except DomainError as exc:
-        raise ScenarioValidationError(str(exc)) from None
+    return TargetSpec(family=family, **values)
 
 
 def _build_grid(entries: dict):
@@ -193,34 +190,32 @@ def _build_grid(entries: dict):
     if len(given) != len(_GRID_KEYS):
         missing = next(k for k in _GRID_KEYS if k not in entries)
         raise ScenarioValidationError(f"grid mode requires {missing}")
-    try:
-        return ParameterGrid.uniform(entries["grid_lo"], entries["grid_hi"], entries["grid_k"])
-    except DomainError as exc:
-        raise ScenarioValidationError(str(exc)) from None
+    return ParameterGrid.uniform(entries["grid_lo"], entries["grid_hi"], entries["grid_k"])
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate one scenario document."""
     entries = _collect(text)
 
-    for key in ("structure", "target"):
+    for key in ("structure", "target", "n"):
         if key not in entries:
             raise ScenarioValidationError(f"{key} is required")
-    if "n" not in entries:
-        raise ScenarioValidationError("n is required")
-
-    try:
-        structure = StructureSpec(entries["structure"], entries.get("c"))
-    except DomainError as exc:
-        raise ScenarioValidationError(str(exc)) from None
-
     family = entries["target"]
     if family not in TargetSpec.FAMILY_FIELDS:
         raise ScenarioValidationError(f"unknown target {family!r}")
 
-    predictive = bool(entries.get("predict", False))
-    grid = _build_grid(entries)
-    target = _build_target(entries, family, predictive, grid)
+    try:
+        structure = StructureSpec(entries["structure"], entries.get("c"))
+        grid = _build_grid(entries)
+        target = _build_target(entries, family, grid)
+    except (DomainError, UnsupportedTargetError) as exc:
+        raise ScenarioValidationError(str(exc)) from None
+    # predict = true restates the band's next-draw truth: required there, refused elsewhere.
+    if entries.get("predict", False) != structure.reads_next_draw:
+        raise ScenarioValidationError(
+            "empirical_predictive requires predict = true" if structure.reads_next_draw
+            else "predict = true applies only to empirical_predictive"
+        )
     return Scenario(
         name=entries.get("name", "scenario"),
         structure=structure,

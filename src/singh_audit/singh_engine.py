@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .special_math import MAX_ACCURATE_SHAPE, DomainError, SeededStream, binomial_pmf
+from .special_math import MAX_ACCURATE_SHAPE, DomainError, SeededStream, binomial_pmf, is_integer
 from .structures import StructureSpec, evaluate_counts, evaluate_structure, moment_bounds, row_moments
 
 __all__ = [
@@ -65,9 +65,7 @@ class TargetSpec:
     """Sampling distribution plus the true value under audit.
 
     ``theta0`` is derived from the family parameters (the normal mean, the
-    Bernoulli rate, the scaled-Bernoulli mean, the mixture mean); with
-    ``predictive`` set the truth is instead the (n+1)-th draw of each
-    replicate.
+    Bernoulli rate, the scaled-Bernoulli mean, the mixture mean).
     """
 
     # The fields each family takes, and the one holding its truth; a
@@ -87,7 +85,6 @@ class TargetSpec:
     weights: tuple[float, ...] | None = None
     mus: tuple[float, ...] | None = None
     sigmas: tuple[float, ...] | None = None
-    predictive: bool = False
 
     def __post_init__(self) -> None:
         if self.family not in self.FAMILY_FIELDS:
@@ -135,25 +132,21 @@ class TargetSpec:
             raise DomainError("the success value mean / p must be finite")
 
     @classmethod
-    def normal(cls, mu: float, sigma: float, predictive: bool = False) -> "TargetSpec":
-        return cls(family="normal", mu=mu, sigma=sigma, predictive=predictive)
+    def normal(cls, mu: float, sigma: float) -> "TargetSpec":
+        return cls(family="normal", mu=mu, sigma=sigma)
 
     @classmethod
-    def bernoulli(cls, theta0: float, predictive: bool = False) -> "TargetSpec":
-        return cls(family="bernoulli", p=theta0, predictive=predictive)
+    def bernoulli(cls, theta0: float) -> "TargetSpec":
+        return cls(family="bernoulli", p=theta0)
 
     @classmethod
-    def scaled_bernoulli(cls, p: float, mean: float, predictive: bool = False) -> "TargetSpec":
-        return cls(family="scaled_bernoulli", p=p, mean=mean, predictive=predictive)
+    def scaled_bernoulli(cls, p: float, mean: float) -> "TargetSpec":
+        return cls(family="scaled_bernoulli", p=p, mean=mean)
 
     @classmethod
-    def mixture(cls, weights, mus, sigmas, predictive: bool = False) -> "TargetSpec":
+    def mixture(cls, weights, mus, sigmas) -> "TargetSpec":
         return cls(
-            family="gaussian_mixture",
-            weights=tuple(weights),
-            mus=tuple(mus),
-            sigmas=tuple(sigmas),
-            predictive=predictive,
+            family="gaussian_mixture", weights=tuple(weights), mus=tuple(mus), sigmas=tuple(sigmas)
         )
 
     @property
@@ -358,6 +351,9 @@ def check_run_args(structure: StructureSpec, target: TargetSpec, n: int, m: int)
     ``MAX_ACCURATE_SHAPE`` are refused because ``reg_inc_beta`` does not
     hold its 1e-12 accuracy there.
     """
+    for name, value in (("n", n), ("m", m)):
+        if not is_integer(value):
+            raise DomainError(f"{name} must be an integer")
     if m < 1:
         raise DomainError("m must be at least 1")
     if n < structure.min_n:
@@ -370,10 +366,6 @@ def check_run_args(structure: StructureSpec, target: TargetSpec, n: int, m: int)
         )
     if structure.reads_count and target.family != "bernoulli":
         raise DomainError(f"{structure.kind} requires a bernoulli target")
-    if target.predictive and structure.kind != "empirical_predictive":
-        raise DomainError("predict = true applies only to empirical_predictive")
-    if structure.kind == "empirical_predictive" and not target.predictive:
-        raise DomainError("empirical_predictive requires predict = true")
 
 
 def _blocks(m: int) -> list[tuple[int, int]]:
@@ -422,20 +414,20 @@ def _drawn_row_values(
     """Sorted bound columns of m replicates whose datasets are rows drawn from their block.
 
     Each block's generator hands out its rows in chunks of at most
-    CHUNK_ELEMENTS elements, or one row when a row is larger, and a
-    predictive row's (n+1)-th draw is its truth. A mixture block draws its
-    normals from the block's child stream 0. A chunk only reduces its rows
-    to what the structure reads: each row's mean and sample sd for a moment
-    kind (the t pivot, Chebyshev), whose bounds are then evaluated once
-    over all m replicates, so the t pivot runs one continued fraction per
-    run; ``evaluate_structure``'s bounds for ``empirical_predictive``, which
-    are rank counts per element. Chunking changes neither the draws nor the
+    CHUNK_ELEMENTS elements, or one row when a row is larger; for the
+    predictive band, which reads a next draw, a row's (n+1)-th draw is its
+    truth. A mixture block draws its normals from the block's child stream
+    0. A chunk only reduces its rows to what the structure reads: each
+    row's mean and sample sd for a moment kind (the t pivot, Chebyshev),
+    whose bounds are then evaluated once over all m replicates, so the t
+    pivot runs one continued fraction per run; ``evaluate_structure``'s
+    bounds for the band, which are rank counts per element. Chunking changes neither the draws nor the
     values, only memory.
     """
-    width = n + 1 if target.predictive else n
+    predictive = structure.reads_next_draw
+    width = n + 1 if predictive else n
     step = max(1, CHUNK_ELEMENTS // width)
-    # check_run_args pairs predictive targets with empirical_predictive:
-    # these hold its bounds, or else a moment kind's means and sds.
+    # The predictive band's bounds, or else a moment kind's means and sds.
     first = np.empty(m)
     second = np.empty(m)
     mixture = target.family == "gaussian_mixture"
@@ -447,11 +439,11 @@ def _drawn_row_values(
             rows = min(step, size - start)
             x = target.draw(rng, rows, width, normals)
             i = b * BLOCK + start
-            if target.predictive:
+            if predictive:
                 first[i:i + rows], second[i:i + rows] = evaluate_structure(structure, x[:, n], x[:, :n])
             else:
                 first[i:i + rows], second[i:i + rows] = row_moments(x)
-    if not target.predictive:
+    if not predictive:
         first, second = moment_bounds(structure, target.theta0, n, first, second)
     return [np.sort(v) for v in (first, second)[:_columns(structure)]]
 
@@ -461,18 +453,19 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
 
     Stream layout v3: block b holds replicates ``b * BLOCK`` onward (the
     last block may be short) and draws them all from one generator,
-    ``stream.substream(b).generator()``. A non-predictive Bernoulli-family
-    target draws one Binomial(n, p) success count per replicate, in
-    replicate order, and every structure reads that count alone through
-    ``evaluate_counts``, as in ``exact_singh_curve``: each distinct count
-    is evaluated once, and a column sorts at most n + 1 atoms. Every other
-    target draws replicate i's dataset as the i-th row of its block, and a
-    predictive target's truth is that row's (n+1)-th draw. A
-    Gaussian-mixture block is the one exception to a single generator: its
-    component picks come from that generator and its normals from the
-    block's child stream, ``stream.substream(b).generator(child=0)``, each
-    consumed in row order (v2 interleaved picks and normals row by row in
-    one generator; v3 changed mixture results only). Rows are drawn in
+    ``stream.substream(b).generator()``. On a Bernoulli-family target
+    every structure but the predictive band draws one Binomial(n, p)
+    success count per replicate, in replicate order, and reads that count
+    alone through ``evaluate_counts``, as in ``exact_singh_curve``: each
+    distinct count is evaluated once, and a column sorts at most n + 1
+    atoms. Every other run draws replicate i's dataset as the i-th row of
+    its block, and the predictive band, which reads a next draw, takes
+    that row's (n+1)-th draw as its truth. A Gaussian-mixture block is the
+    one exception to a single generator: its component picks come from
+    that generator and its normals from the block's child stream,
+    ``stream.substream(b).generator(child=0)``, each consumed in row order
+    (v2 interleaved picks and normals row by row in one generator; v3
+    changed mixture results only). Rows are drawn in
     chunks of at most CHUNK_ELEMENTS sample elements, so a block never
     becomes one (BLOCK, n) matrix; a moment kind keeps only each row's
     mean and sd and evaluates its bounds once per run, and chunk bounds
@@ -483,7 +476,7 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
     built from the same replicates.
     """
     check_run_args(structure, target, n, m)
-    if target.family in COUNT_FAMILIES and not target.predictive:
+    if target.family in COUNT_FAMILIES and not structure.reads_next_draw:
         columns = _drawn_count_values(structure, target, n, m, stream)
     else:
         columns = _drawn_row_values(structure, target, n, m, stream)
@@ -513,19 +506,19 @@ def _weighted_curve(values: np.ndarray, weights: np.ndarray) -> SinghCurve:
 def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     """Exact Singh result by enumerating the success count of a two-point target.
 
-    For Bernoulli-family targets every non-predictive structure reads the
-    dataset only through its success count k, so the full distribution of
-    required confidence is the n+1 values at k = 0..n carrying binomial
-    weights, evaluated by ``evaluate_counts``. This is the zero-noise
-    reference the Monte Carlo path is validated against; both read the
-    structure from the count through that one function. The t pivot is
-    refused: the enumeration always holds k = 0 and k = n, whose zero
-    spread leaves the pivot undefined, whatever their weight.
+    For Bernoulli-family targets every structure but the predictive band
+    reads the dataset only through its success count k, so the full
+    distribution of required confidence is the n+1 values at k = 0..n
+    carrying binomial weights, evaluated by ``evaluate_counts``. This is
+    the zero-noise reference the Monte Carlo path is validated against;
+    both read the structure from the count through that one function. The
+    t pivot is refused: the enumeration always holds k = 0 and k = n,
+    whose zero spread leaves the pivot undefined, whatever their weight.
     """
     if target.family not in COUNT_FAMILIES:
         raise UnsupportedTargetError("exact enumeration needs a bernoulli or scaled_bernoulli target")
-    if target.predictive:
-        raise UnsupportedTargetError("exact enumeration does not cover predictive targets")
+    if structure.reads_next_draw:
+        raise UnsupportedTargetError("exact enumeration does not cover a next-draw truth")
     if structure.kind == "student_t_pivot":
         raise UnsupportedTargetError(
             "exact enumeration cannot evaluate student_t_pivot: it includes the counts "

@@ -19,6 +19,7 @@ replicates themselves are drawn by ``singh_engine.TargetSpec.draw``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,11 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SeededStream:
     """Reproducible random source identified by (master_seed, stream_index).
@@ -53,10 +59,10 @@ class SeededStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.master_seed < _MAX_SEED:
+        if not (is_integer(self.master_seed) and 0 <= self.master_seed < _MAX_SEED):
             raise DomainError("master_seed must be a 64-bit unsigned integer")
-        if self.stream_index < 0:
-            raise DomainError("stream_index must be non-negative")
+        if not (is_integer(self.stream_index) and self.stream_index >= 0):
+            raise DomainError("stream_index must be a non-negative integer")
 
     def substream(self, offset: int) -> "SeededStream":
         """The stream ``offset`` places after this one."""

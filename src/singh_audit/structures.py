@@ -121,14 +121,24 @@ class StructureSpec:
         """True when the structure needs binary data and reads only its success count."""
         return self.kind in COUNT_KINDS
 
+    @property
+    def reads_next_draw(self) -> bool:
+        """True when the truth is each replicate's (n+1)-th draw, not a target parameter."""
+        return self.kind == "empirical_predictive"
+
+
+def _require_finite(name: str, values) -> None:
+    if not np.isfinite(values).all():
+        raise DomainError(f"{name} must be finite")
+
 
 def chebyshev_ucl(alpha: float, samples) -> float:
     """Distribution-free (ProUCL Chebyshev) upper confidence limit for the mean.
 
     ``samples`` is a 1-D array of at least two draws; the limit at level
     ``alpha`` in [0, 1) is mean + sqrt(1 / (1 - alpha) - 1) sd / sqrt(n).
-    The ``chebyshev_ucl`` structure kind is its inverse: the smallest alpha
-    whose limit reaches the truth.
+    Non-finite samples raise DomainError. The ``chebyshev_ucl`` structure
+    kind is its inverse: the smallest alpha whose limit reaches the truth.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
@@ -136,6 +146,7 @@ def chebyshev_ucl(alpha: float, samples) -> float:
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise DomainError("need at least two samples for a Chebyshev bound")
+    _require_finite("samples", x)
     multiplier = math.sqrt(1.0 / (1.0 - alpha) - 1.0)
     return float(x.mean()) + multiplier * float(x.std(ddof=1)) / math.sqrt(x.size)
 
@@ -241,12 +252,15 @@ def evaluate_counts(
     ``COUNT_KINDS`` need v = 1; for each distinct theta they evaluate the
     whole run of k = 0..n as chains (see ``_chain`` and ``_count_bounds``),
     which the requested counts index, so a count's bounds never depend on
-    which other counts were asked for.
+    which other counts were asked for. A non-finite truth or success value
+    raises DomainError.
     """
-    if spec.kind == "empirical_predictive":
-        raise DomainError("empirical_predictive reads a next draw, not a success count")
+    if spec.reads_next_draw:
+        raise DomainError(f"{spec.kind} reads a next draw, not a success count")
     if spec.reads_count and success != 1.0:
         raise DomainError(f"{spec.kind} requires binary {{0,1}} data")
+    _require_finite("success", success)
+    _require_finite("truth", truth)
     k = np.asarray(counts, dtype=np.float64).ravel()
     # Written so that NaN and +-inf fail the check.
     if not ((k >= 0.0) & (k <= n) & (k == np.floor(k))).all():
@@ -275,17 +289,20 @@ def evaluate_structure(spec: StructureSpec, truth, samples) -> tuple[np.ndarray,
     level covers. The moment kinds reduce each row to its mean and sample
     sd, and binary rows of a count kind go through ``evaluate_counts``. A
     row the structure cannot handle (a zero-spread t pivot, non-binary data
-    for a count kind) raises for the whole call.
+    for a count kind) raises for the whole call, and so does a non-finite
+    sample or truth.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
         raise DomainError("samples must be a non-empty (rows, n) matrix")
+    _require_finite("samples", x)
+    _require_finite("truth", truth)
     n = x.shape[1]
     if spec.reads_count:
         if not ((x == 0.0) | (x == 1.0)).all():
             raise DomainError(f"{spec.kind} requires binary {{0,1}} data")
         return evaluate_counts(spec, truth, n, np.rint(x.sum(axis=1)))
-    if spec.kind == "empirical_predictive":
+    if spec.reads_next_draw:
         x_next = np.asarray(truth, dtype=np.float64)[..., None]
         below = (x <= x_next).sum(axis=1) / (n + 1)
         above = (n + 1 - (x >= x_next).sum(axis=1)) / (n + 1)

@@ -157,6 +157,22 @@ def test_cli_non_finite_input_is_a_validation_error(tmp_path, capsys, body, mess
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, code, message", [
+    ("structure = empirical_predictive\npredict = false", EXIT_VALIDATION,
+     "requires predict = true"),
+    ("structure = empirical_predictive\npredict = true", EXIT_OK, ""),
+    ("structure = student_t_pivot\npredict = true", EXIT_VALIDATION,
+     "predict = true applies only"),
+], ids=["band-predict-false", "band-predict-true", "t-pivot-predict-true"])
+def test_cli_predict_key_restates_the_structure(tmp_path, capsys, body, code, message):
+    # The band's truth is the next draw whatever the document says; the
+    # key must agree with it, so a contradicting document is refused.
+    path = tmp_path / "predict.singh"
+    path.write_text(f"{body}\ntarget = normal\nmu = 0\nsigma = 1\nn = 10\nm = 20\n")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err
+
+
 BIG_N = "structure = {kind}\ntarget = {target}\nn = {n}\nm = 20\nseed = 3\noutputs = report\n"
 
 

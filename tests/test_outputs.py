@@ -103,7 +103,7 @@ def test_csv_round_trip_monte_carlo_curve(tmp_path):
 def test_csv_round_trip_monte_carlo_band(tmp_path):
     band = singh_curve(
         StructureSpec("empirical_predictive"),
-        TargetSpec.mixture((0.5, 0.5), (4.0, 5.0), (3.0, 1.5), predictive=True),
+        TargetSpec.mixture((0.5, 0.5), (4.0, 5.0), (3.0, 1.5)),
         n=10, m=200, stream=SeededStream(13),
     )
     header, rows, _ = read_csv(emit_csv(band, tmp_path / "b.csv"))

@@ -260,7 +260,7 @@ def test_worst_case_sweep_preset_is_global():
 
 def test_mixture_preset_is_predictive():
     s = parse_scenario(PRESETS["fig4"].documents[0])
-    assert s.target.predictive
+    assert s.structure.reads_next_draw
     assert s.target.weights == (0.5, 0.5)
     assert s.target.mus == (4.0, 5.0)
     assert s.target.sigmas == (3.0, 1.5)

@@ -337,7 +337,7 @@ def test_mixture_predictive_replicates_replay_rows_across_chunks():
     # rows, so the first block spans six chunks. Rows replayed one at a
     # time by the scalar kernel equal the chunk-wide draws.
     weights, mus, sigmas = [0.5, 0.5], [4.0, 5.0], [3.0, 1.5]
-    target = TargetSpec.mixture(weights, mus, sigmas, predictive=True)
+    target = TargetSpec.mixture(weights, mus, sigmas)
     n, m = 40, BLOCK + 3
     assert BLOCK > 5 * (CHUNK_ELEMENTS // (n + 1))
     band = singh_curve(StructureSpec("empirical_predictive"), target, n, m, SeededStream(30))
@@ -366,7 +366,7 @@ def _required_digest(result) -> str:
     (StructureSpec("student_t_pivot"), TargetSpec.normal(4.0, 3.0), 10, 101,
      "61b74528b0c3ab8bf1dbde46c695f3bfc13ec150ffb001df4f7e58c2f5895471"),
     (StructureSpec("empirical_predictive"),
-     TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5], predictive=True), 10, 104,
+     TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5]), 10, 104,
      FIG4_DIGEST),
     (StructureSpec("chebyshev_ucl"), TargetSpec.normal(4.0, 3.0), 30, 7,
      "ea3ff3cf37f9ef7f5b9ad836bae38301075ea0685f9d99cc19ce4f5cbc862039"),
@@ -385,7 +385,7 @@ def test_required_values_are_frozen(structure, target, n, seed, expected):
     (StructureSpec("student_t_pivot"), TargetSpec.normal(4.0, 3.0), 10, 101),
     (StructureSpec("chebyshev_ucl"), TargetSpec.normal(4.0, 3.0), 30, 7),
     (StructureSpec("empirical_predictive"),
-     TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5], predictive=True), 10, 104),
+     TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5]), 10, 104),
 ], ids=["fig1", "chebyshev_normal", "fig4"])
 def test_chunk_size_changes_no_value(monkeypatch, structure, target, n, seed):
     # CHUNK_ELEMENTS is a memory setting, not a layout constant: 64-element
@@ -456,7 +456,7 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
 
     # empirical_predictive still evaluates each chunk: its bounds are rank
     # counts per element. n + 1 = 11 gives chunks of 2,978 rows.
-    target = TargetSpec.normal(0.0, 1.0, predictive=True)
+    target = TargetSpec.normal(0.0, 1.0)
     singh_curve(StructureSpec("empirical_predictive"), target, 10, m, SeededStream(29))
     assert CHUNK_ELEMENTS // 11 == 2978
     assert calls["evaluate"] == 5
@@ -535,7 +535,7 @@ def test_row_chunks_stay_within_the_element_budget(monkeypatch):
         (StructureSpec("student_t_pivot"), target, 10, 2 * BLOCK + 1),
         (
             StructureSpec("empirical_predictive"),
-            TargetSpec.mixture([0.5, 0.5], [0.0, 3.0], [1.0, 1.0], predictive=True),
+            TargetSpec.mixture([0.5, 0.5], [0.0, 3.0], [1.0, 1.0]),
             40,
             BLOCK + 7,
         ),
@@ -625,7 +625,7 @@ def test_band_ordering_is_exact():
 def test_predictive_uses_last_draw():
     band = singh_curve(
         StructureSpec("empirical_predictive"),
-        TargetSpec.normal(0.0, 1.0, predictive=True),
+        TargetSpec.normal(0.0, 1.0),
         9, 50, SeededStream(24),
     )
     grid = {k / 10.0 for k in range(11)}
@@ -643,11 +643,21 @@ def test_run_argument_validation():
         )
     with pytest.raises(DomainError):
         singh_curve(StructureSpec("jeffreys"), TargetSpec.normal(0.0, 1.0), 5, 10, stream)
-    with pytest.raises(DomainError):
-        singh_curve(
-            StructureSpec("empirical_predictive"), TargetSpec.normal(0.0, 1.0), 5, 10,
-            stream,
-        )
+    # The structure, not the target, says that the truth is the next draw.
+    band = singh_curve(
+        StructureSpec("empirical_predictive"), TargetSpec.normal(0.0, 1.0), 5, 10, stream
+    )
+    assert band.m == 10
+    # n and m are counts: a float or a bool is refused before any draw.
+    for n, m in ((10.5, 10), (10, 100.5), (True, 10), (10, True), (10.0, 10)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), n, m, stream)
+    curve = singh_curve(
+        StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), np.int64(10), np.int32(20), stream
+    )
+    assert curve.m == 20
+    with pytest.raises(DomainError, match="n must be an integer"):
+        exact_singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), 10.5)
     # The t pivot at n = 200,000 needs I_x(99999.5, 1/2) and exact Jeffreys
     # at n = 20,000 needs Beta(20000.5, 0.5): both past MAX_ACCURATE_SHAPE.
     with pytest.raises(DomainError, match="beyond the accurate range"):
@@ -656,11 +666,6 @@ def test_run_argument_validation():
         )
     with pytest.raises(DomainError, match="beyond the accurate range"):
         exact_singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.3), 20_000)
-    with pytest.raises(DomainError):
-        singh_curve(
-            StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4, predictive=True), 5, 10,
-            stream,
-        )
 
 
 def test_chebyshev_run_records_never():
@@ -679,12 +684,10 @@ def test_chebyshev_run_records_never():
 def test_exact_requires_two_point_target():
     with pytest.raises(UnsupportedTargetError):
         exact_singh_curve(StructureSpec("student_t_pivot"), TargetSpec.normal(0.0, 1.0), 5)
-    with pytest.raises(UnsupportedTargetError):
-        exact_singh_curve(
-            StructureSpec("empirical_predictive"),
-            TargetSpec.bernoulli(0.4, predictive=True),
-            5,
-        )
+    # The predictive band reads a next draw, which no count enumerates.
+    for target in (TargetSpec.normal(0.0, 1.0), TargetSpec.bernoulli(0.4)):
+        with pytest.raises(UnsupportedTargetError):
+            exact_singh_curve(StructureSpec("empirical_predictive"), target, 5)
 
 
 @pytest.mark.parametrize(

@@ -246,3 +246,12 @@ def test_stream_validation():
         SeededStream(2**64)
     with pytest.raises(DomainError):
         SeededStream(0, -1)
+    # Seeds and indices are integers: floats and bools are refused up front,
+    # not at the first draw.
+    for seed, index in ((1.5, 0), (True, 0), (5.0, 0), (0, 1.5), (0, False)):
+        with pytest.raises(DomainError, match="integer"):
+            SeededStream(seed, index)
+    stream = SeededStream(np.uint64(42), np.int64(7))
+    assert np.array_equal(
+        stream.generator().standard_normal(8), SeededStream(42, 7).generator().standard_normal(8)
+    )

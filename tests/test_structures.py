@@ -11,6 +11,7 @@ import reference_structures as reference
 from singh_audit import structures
 from singh_audit.special_math import DomainError, reg_inc_beta
 from singh_audit.structures import (
+    STRUCTURE_KINDS,
     DegenerateDataError,
     StructureSpec,
     chebyshev_ucl,
@@ -48,6 +49,12 @@ def test_structure_spec_validation():
         StructureSpec("scaled_cbox", c=-1.0)
     with pytest.raises(DomainError):
         StructureSpec("jeffreys", c=2.0)
+
+
+@pytest.mark.parametrize("kind", STRUCTURE_KINDS)
+def test_only_the_predictive_band_reads_a_next_draw(kind):
+    spec = StructureSpec(kind, c=1.5 if kind == "scaled_cbox" else None)
+    assert spec.reads_next_draw == (kind == "empirical_predictive")
 
 
 def test_structure_spec_shape():
@@ -212,6 +219,9 @@ def test_chebyshev_ucl_validation():
         chebyshev_ucl(0.5, np.array([1.0]))
     with pytest.raises(DomainError):
         chebyshev_ucl(0.5, np.array([[0.0, 2.0]]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="samples must be finite"):
+            chebyshev_ucl(0.5, [1.0, bad])
 
 
 def test_chebyshev_inversion_known_value():
@@ -365,9 +375,33 @@ def test_counts_refuse_other_kinds_and_bad_counts():
             with pytest.raises(DomainError):
                 evaluate_counts(spec, 0.4, 7, counts)
     for spec in COUNT_SPECS:
-        for theta in (-0.1, 1.5, math.nan):
+        for theta in (-0.1, 1.5):
             with pytest.raises(DomainError):
                 evaluate_counts(spec, theta, 7, [3])
+    for spec in ALL_SPECS:
+        if spec.kind == "empirical_predictive":
+            continue
+        for theta in (math.nan, math.inf, [0.4, math.nan]):
+            with pytest.raises(DomainError, match="truth must be finite"):
+                evaluate_counts(spec, theta, 7, [3, 4])
+    with pytest.raises(DomainError, match="success must be finite"):
+        evaluate_counts(CHEBYSHEV, 0.4, 7, [3], success=math.nan)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: f"{spec.kind}-{spec.c}")
+def test_rows_refuse_non_finite_samples_and_truths(spec):
+    # NaN would otherwise pass as a nan bound, a draw that is neither below
+    # nor above the next one, or a probability outside [0, 1].
+    rows = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    for bad in (math.nan, math.inf, -math.inf):
+        samples = rows.copy()
+        samples[1, 2] = bad
+        with pytest.raises(DomainError, match="samples must be finite"):
+            evaluate_structure(spec, 0.4, samples)
+        with pytest.raises(DomainError, match="truth must be finite"):
+            evaluate_structure(spec, bad, rows)
+        with pytest.raises(DomainError, match="truth must be finite"):
+            evaluate_structure(spec, [0.4, bad], rows)
 
 
 MOMENT_NS = (2, 5, 30, 250, 1000)
