@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_math import DomainError, SeededStream
+from .special_math import DomainError, SeededStream, is_integer
 from .singh_engine import SinghBand, SinghCurve, StructureSpec, TargetSpec, singh_curve
 
 __all__ = ["ParameterGrid", "global_singh"]
@@ -40,6 +40,8 @@ class ParameterGrid:
     @classmethod
     def uniform(cls, lo: float, hi: float, k: int) -> "ParameterGrid":
         """k evenly spaced values on [lo, hi], endpoints included; k = 1 is the midpoint."""
+        if not is_integer(k):
+            raise DomainError("grid_k must be an integer")
         if k < 1:
             raise DomainError("grid_k must be at least 1")
         if hi < lo:

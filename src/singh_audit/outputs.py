@@ -2,17 +2,16 @@
 
 Everything here is byte-deterministic: a fixed scenario and seed must
 reproduce identical files, so plots are written as hand-assembled SVG 1.1
-rather than through a charting library, and CSV numbers are printed with 9
-significant digits. CSV coverage values are evaluated at the printed
-(rounded) alpha, which keeps an emitted file exactly consistent with
-re-evaluating the curve at the alphas it lists.
+rather than through a charting library. A CSV lists each distinct alpha
+once, printed with 17 significant digits so that it reads back as the value
+it stands for, and its coverage with 9, evaluated at that value; re-evaluating
+the curve at a listed alpha reproduces the printed coverage exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import operator
 from pathlib import Path
 
 import numpy as np
@@ -30,51 +29,27 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _curve_alphas(values: np.ndarray) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Distinct CSV alphas, their printed form, and how many rows each fills.
-
-    The rows list 0, every finite value as printed, then 1. Printing is
-    monotone, so equal alphas are neighbours, and coverage is a function of
-    alpha, so each distinct alpha is one row repeated. A Bernoulli-family
-    curve has at most n + 1 distinct values however many replicates it
-    holds, and each is printed once; the printed text is reused for the
-    row, since a 9-digit decimal prints back as itself. ``values`` must be
-    sorted: runs of equal neighbours are the distinct values.
-    """
-    finite = values[: np.searchsorted(values, np.inf)]
-    starts = _run_starts(finite)
-    distinct = finite[starts].tolist()
-    texts = ["0", *(("%.9g " * len(distinct)) % tuple(distinct)).split(), "1"]
-    printed = np.fromiter(map(float, texts), np.float64, len(texts))
-    rows = np.concatenate(([1], np.diff(starts, append=finite.size), [1]))
-    first = _run_starts(printed)
-    return printed[first], [texts[i] for i in first.tolist()], np.add.reduceat(rows, first)
-
-
 def emit_csv(result, path) -> Path:
     """Write a Singh result as an alpha/coverage table.
 
-    One row per sorted replicate value plus rows at alpha 0 and 1; bands list
-    both bound columns at the union of their replicate values. Ends with a
-    ``# never=<count>`` comment so excluded replicates stay visible. Each
-    distinct row is printed once, all of them by one ``%`` format, and each
-    row's text is multiplied by its count.
+    One row per distinct alpha: 0, every distinct finite replicate value,
+    then 1; bands list both bound columns at the union of their values.
+    Each alpha is printed with 17 significant digits, which read back as the
+    same double, and its coverage with 9, evaluated at that value. Ends with
+    a ``# never=<count>`` comment so excluded replicates stay visible.
     """
     path = Path(path)
     curves = result.curves
     # A stable sort merges the sorted columns in linear time.
     values = np.sort(np.concatenate([c.required for c in curves]), kind="stable")
     header = "alpha,coverage" if len(curves) == 1 else "alpha,coverage_lower,coverage_upper"
-    alphas, texts, counts = _curve_alphas(values)
-    # Row-major cells: each row's alpha text, then its coverage per curve.
-    width = 1 + len(curves)
-    cells = [None] * (width * len(texts))
-    cells[0::width] = texts
-    for j, curve in enumerate(curves, start=1):
-        cells[j::width] = eval_curve(curve, alphas).tolist()
-    row = "%s" + ",%.9g" * len(curves) + "\n"
-    body = (row * len(texts)) % tuple(cells)
-    body = "".join(map(operator.mul, body.splitlines(keepends=True), counts.tolist()))
+    alphas = np.concatenate(([0.0], values[: np.searchsorted(values, np.inf)], [1.0]))
+    # Merges equal neighbours, a stored 0 or 1 with its endpoint row among them.
+    alphas = alphas[_run_starts(alphas)]
+    # Row-major cells: each row's alpha, then its coverage per curve.
+    cells = np.column_stack([alphas, *(eval_curve(c, alphas) for c in curves)])
+    row = "%.17g" + ",%.9g" * len(curves) + "\n"
+    body = (row * alphas.size) % tuple(cells.ravel().tolist())
     # Written in parts, not as one joined copy: a third live copy of a large
     # body was enough for the C allocator to release its heap top and fault
     # it back in on every band audit (about 450 page faults each).

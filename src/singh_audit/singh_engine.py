@@ -321,6 +321,8 @@ def dkw_epsilon(m: int, delta: float = 0.01) -> float:
     With probability at least 1 - delta the empirical CDF stays within this
     band of the generating CDF, simultaneously at every point.
     """
+    if not is_integer(m):
+        raise DomainError("m must be an integer")
     if m < 1:
         raise DomainError("m must be at least 1")
     if not 0.0 < delta < 1.0:

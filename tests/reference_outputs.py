@@ -52,31 +52,27 @@ def step_path(curve) -> str:
     return " ".join(parts)
 
 
-def _curve_alphas(values: np.ndarray) -> tuple[np.ndarray, list[str], np.ndarray]:
-    distinct, index = np.unique(values[np.isfinite(values)], return_inverse=True)
-    texts = ["0", *(f"{v:.9g}" for v in distinct.tolist()), "1"]
-    printed = np.array([float(t) for t in texts], dtype=np.float64)
-    rows = np.concatenate(([1], np.bincount(index, minlength=distinct.size), [1]))
-    alphas, first = np.unique(printed, return_index=True)
-    return alphas, [texts[i] for i in first.tolist()], np.add.reduceat(rows, first)
+def _curve_alphas(values: np.ndarray) -> np.ndarray:
+    """0, every distinct value strictly between 0 and 1, then 1."""
+    return np.concatenate(([0.0], np.unique(values[(values > 0.0) & (values < 1.0)]), [1.0]))
 
 
 def csv_text(result) -> str:
     """The CSV file of a Singh curve or band, one formatted row per distinct alpha."""
     if isinstance(result, SinghBand):
-        alphas, texts, counts = _curve_alphas(
+        alphas = _curve_alphas(
             np.concatenate((result.lower_curve.required, result.upper_curve.required))
         )
         lower = eval_curve(result.lower_curve, alphas).tolist()
         upper = eval_curve(result.upper_curve, alphas).tolist()
         header = "alpha,coverage_lower,coverage_upper"
-        rows = [f"{a},{lo:.9g},{up:.9g}" for a, lo, up in zip(texts, lower, upper)]
+        rows = [f"{a:.17g},{lo:.9g},{up:.9g}" for a, lo, up in zip(alphas.tolist(), lower, upper)]
         never = result.lower_curve.never_count
     else:
-        alphas, texts, counts = _curve_alphas(result.required)
+        alphas = _curve_alphas(result.required)
         coverage = eval_curve(result, alphas).tolist()
         header = "alpha,coverage"
-        rows = [f"{a},{c:.9g}" for a, c in zip(texts, coverage)]
+        rows = [f"{a:.17g},{c:.9g}" for a, c in zip(alphas.tolist(), coverage)]
         never = result.never_count
-    lines = [header, *np.repeat(np.array(rows, dtype=object), counts).tolist(), f"# never={never}"]
+    lines = [header, *rows, f"# never={never}"]
     return "\n".join(lines) + "\n"

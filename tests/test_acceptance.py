@@ -173,24 +173,31 @@ def _assert_csv_matches_result(path, result) -> None:
     band = isinstance(result, SinghBand)
     assert lines[0] == ("alpha,coverage_lower,coverage_upper" if band else "alpha,coverage")
     assert lines[-1] == f"# never={result.curves[0].never_count}"
+    # Each alpha reads back as 0, 1 or a value some curve stores.
+    stored = np.concatenate([[0.0, 1.0], *(c.required for c in result.curves)])
+    alphas = []
     for row in lines[1:-1]:
         cells = row.split(",")
         alpha = float(cells[0])
+        alphas.append(alpha)
         assert [format(eval_curve(c, alpha), ".9g") for c in result.curves] == cells[1:]
+    assert alphas[0] == 0.0 and alphas[-1] == 1.0
+    assert np.isin(alphas, stored).all()
+    assert (np.diff(alphas) > 0.0).all()
 
 
 # sha256 of each preset's artifacts at its full budget (see
 # artifacts_digest). A change to any CSV, JSON or SVG byte shows here.
 PRESET_DIGESTS = {
-    "fig1": "92813a4f3ff68c84ec66df81effe1d5fd02cf57671cdcdba5b257a57d21d7b4b",
-    "fig2": "30a8e742cd7b5aa292dc7c7a0290f8c7aa4cc6152dbcdf761fdc467ddd372849",
-    "fig3": "594b1776f39131c56793166146219373d983e2b456cbc2dca1c01171720bccb3",
-    "fig4": "d04b41c63367e3355ad79b4976fa4e6020add6c38ac4adcf940a1453edb3b47c",
-    "fig5": "e6652de34c0e102dfdc6a70fff113bf62b4b02f0a92ce105ff511e058771c28a",
-    "fig6": "0be4271b4ce5cce256296c4047772b9ce4ec3da9da06c020ad2b6afd55bc580b",
-    "fig7": "181ef5991f1c92ffd36d967ebb40fd704e8ce747d76f780bbc14b02b9b62b197",
-    "fig8": "51dd1c301900f85f06b65468936dc3e2129f503a4a1e7d49a94c26de30d571e2",
-    "fig9": "926645293706a6489af606948c6a42a568dfbd6f70b240febee515c468eeb510",
+    "fig1": "0764448f4b3bcb61e4a0a142f3826c2faa9f101af88846f975c2fd0b546fa257",
+    "fig2": "29c7dae4b0d2e73ce820ca0105eca3f7dd440191724386eadec5f8e33542d33b",
+    "fig3": "67c47bf82255d6102c30c076827670e614f36d1c5638b5b69d5dffb60ea9d56a",
+    "fig4": "248bb58590b475dc539452150402e8af75de61f0c71f4b27322a7307150c1328",
+    "fig5": "6de264341b5124dfc79f3b1c17b90ca082882881b062003a205b84ebac4eba4f",
+    "fig6": "6fc580867581409905cdb84d97516cfd07042ea80e7343d050c83bb4dc80d533",
+    "fig7": "d7070d8c9d6d97cc355cb0b248c6a41a1c6f1e5b98b05076dcaf261ea02d757b",
+    "fig8": "fc191832aaa1896cb3f9e5142323469466b16114bf5e1dcfe3c8257d8eb76faf",
+    "fig9": "3dc29de523e770a05b76195350156035a949936c699fefb5e370caaa750deb7b",
 }
 
 

@@ -31,6 +31,10 @@ def test_grid_validation():
         ParameterGrid.uniform(0.0, 1.0, 0)
     with pytest.raises(DomainError):
         ParameterGrid.uniform(1.0, 0.0, 3)
+    for k in (True, 2.5, 3.0, "3"):
+        with pytest.raises(DomainError, match="grid_k must be an integer"):
+            ParameterGrid.uniform(0.0, 1.0, k)
+    assert len(ParameterGrid.uniform(0.0, 1.0, np.int64(3))) == 3
     for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(DomainError, match="must be finite"):
             ParameterGrid.uniform(lo, hi, 3)

@@ -46,10 +46,10 @@ def test_csv_single_value_exact_text(tmp_path):
     )
 
 
-def test_csv_repeats_rows_of_equal_values(tmp_path):
+def test_csv_lists_equal_values_once(tmp_path):
     out = emit_csv(curve(0.5, 0.25, 0.5, 0.5, never=1), tmp_path / "c.csv")
     assert out.read_text(encoding="utf-8") == (
-        "alpha,coverage\n0,0\n0.25,0.2\n0.5,0.8\n0.5,0.8\n0.5,0.8\n1,0.8\n# never=1\n"
+        "alpha,coverage\n0,0\n0.25,0.2\n0.5,0.8\n1,0.8\n# never=1\n"
     )
 
 
@@ -67,22 +67,26 @@ def test_csv_band_exact_text(tmp_path):
         "alpha,coverage_lower,coverage_upper\n"
         "0,0,0\n"
         "0.25,0.5,0\n"
-        "0.4,0.5,0.5\n"
-        "0.6,0.5,1\n"
+        "0.40000000000000002,0.5,0.5\n"
+        "0.59999999999999998,0.5,1\n"
         "0.75,1,1\n"
         "1,1,1\n"
         "# never=0\n"
     )
 
 
-def test_csv_lists_every_replicate_row(tmp_path):
+def test_csv_lists_each_distinct_value_once(tmp_path):
     c = singh_curve(
         StructureSpec("jeffreys"), TargetSpec.bernoulli(0.37), n=12, m=300,
         stream=SeededStream(7),
     )
     header, rows, never = read_csv(emit_csv(c, tmp_path / "c.csv"))
     assert header == "alpha,coverage"
-    assert len(rows) == c.required.size + 2
+    # One row per distinct value, plus the 0 and 1 rows unless stored.
+    stored_ends = int(np.isin([0.0, 1.0], c.required).sum())
+    assert len(rows) == np.unique(c.required).size + 2 - stored_ends
+    alphas = [float(a) for a, _ in rows]
+    assert all(a < b for a, b in zip(alphas, alphas[1:]))
     assert never == 0
 
 
@@ -240,8 +244,13 @@ def test_csv_rejects_nothing_but_reports_path(tmp_path):
     assert out.exists()
 
 
-@pytest.mark.parametrize("value, printed", [(0.5, "0.5"), (1.0, "1"), (0.0, "0")])
-def test_nine_digit_format_is_stable(tmp_path, value, printed):
+@pytest.mark.parametrize("value, printed", [
+    (0.5, "0.5"), (1.0, "1"), (0.0, "0"),
+    # Values that 9 digits print below themselves: their row must carry
+    # their own mass, so the printed alpha has to be the double itself.
+    (0.1 + 0.2, "0.30000000000000004"), (0.1234567891, "0.12345678910000001"),
+])
+def test_alpha_prints_as_its_own_double(tmp_path, value, printed):
     text = emit_csv(curve(value), tmp_path / "c.csv").read_text()
     assert f"{printed},1" in text
 
@@ -249,8 +258,8 @@ def test_nine_digit_format_is_stable(tmp_path, value, printed):
 # --- bulk emission against the per-row reference ---
 
 # Values that stress printing and ties: the ends, exact binary fractions,
-# the smallest subnormal, neighbours that print alike at 9 digits, and
-# values just below 1 that print as 1.
+# the smallest subnormal, neighbours that agree to 9 digits, and values
+# just below 1 that must keep their own row apart from the 1 row.
 SPECIAL_VALUES = [
     0.0, 1.0, 0.5, 0.25, 1 / 3, 5e-324, 1e-10,
     0.1234567891, 0.1234567892, 0.99999999949, 0.9999999999, np.nextafter(1.0, 0.0),

@@ -250,6 +250,10 @@ def test_dkw_epsilon_validation():
         dkw_epsilon(0)
     with pytest.raises(DomainError):
         dkw_epsilon(100, 1.0)
+    for m in (True, 10.5, 100.0):
+        with pytest.raises(DomainError, match="m must be an integer"):
+            dkw_epsilon(m)
+    assert dkw_epsilon(np.int64(10_000)) == dkw_epsilon(10_000)
 
 
 # --- Monte Carlo engine ---
