@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_math import DomainError, SeededStream, is_integer
-from .singh_engine import SinghBand, SinghCurve, StructureSpec, TargetSpec, singh_curve
+from .singh_engine import SinghBand, SinghCurve, StructureSpec, TargetSpec, check_run_args, singh_curve
 
 __all__ = ["ParameterGrid", "global_singh"]
 
@@ -73,8 +73,10 @@ def global_singh(
     substreams from there on, so the grid points' substreams are disjoint
     and a one-point grid reproduces the local run bit for bit.
     ``family`` supplies every parameter except the truth, which the grid
-    replaces.
+    replaces. The run's arguments are checked once, before any grid
+    point's substream is formed.
     """
+    check_run_args(structure, family, n, m)
     results = [
         singh_curve(structure, family.with_truth(theta), n, m, stream.substream(j * m))
         for j, theta in enumerate(grid.thetas)

@@ -347,9 +347,9 @@ def eval_curve(curve: SinghCurve, alpha):
 def check_run_args(structure: StructureSpec, target: TargetSpec, n: int, m: int) -> None:
     """Raise DomainError for a run the engines cannot evaluate, or not accurately.
 
-    The one check of a run's arguments: ``singh_curve`` and
-    ``exact_singh_curve`` call it, and so does every ``Scenario`` when it
-    is constructed, parsed or replaced. Beta shapes above
+    The one check of a run's arguments: ``singh_curve``,
+    ``exact_singh_curve`` and ``global_singh`` call it, and so does every
+    ``Scenario`` when it is constructed, parsed or replaced. Beta shapes above
     ``MAX_ACCURATE_SHAPE`` are refused because ``reg_inc_beta`` does not
     hold its 1e-12 accuracy there.
     """
@@ -423,8 +423,8 @@ def _drawn_row_values(
     row's mean and sample sd for a moment kind (the t pivot, Chebyshev),
     whose bounds are then evaluated once over all m replicates, so the t
     pivot runs one continued fraction per run; ``evaluate_structure``'s
-    bounds for the band, which are rank counts per element. Chunking changes neither the draws nor the
-    values, only memory.
+    bounds for the band, which are rank counts per element. Chunking
+    changes neither the draws nor the values, only memory.
     """
     predictive = structure.reads_next_draw
     width = n + 1 if predictive else n

@@ -7,13 +7,13 @@ every platform and carry no heavyweight dependency. The one array form,
 shapes (nu/2, 1/2) on every element at once and equals ``student_t_cdf``
 bit for bit; the scalar functions stay the reference. ``binomial_pmf``
 forms binomial terms of real size and count in Loader's saddle-point form;
-they weight the exact enumeration and step the count kinds' Beta chains.
-Randomness comes from
-``SeededStream``, a splittable handle that derives statistically independent
-substreams from a single master seed by index arithmetic and hands out
-``numpy.random.Generator`` objects positioned at their start (or at the
-start of a child stream). This module knows the valid seed range; the
-replicates themselves are drawn by ``singh_engine.TargetSpec.draw``.
+they weight the exact enumeration, step the count kinds' Beta chains and
+give ``reg_inc_beta``'s front factor when both shapes are large. Randomness
+comes from ``SeededStream``, a splittable handle that derives statistically
+independent substreams from a single master seed by index arithmetic and
+hands out ``numpy.random.Generator`` objects positioned at their start (or
+at the start of a child stream). This module knows the valid seed range;
+the replicates themselves are drawn by ``singh_engine.TargetSpec.draw``.
 """
 
 from __future__ import annotations
@@ -89,29 +89,6 @@ def _check_prob(value: float, name: str) -> float:
 _STIRLING_MIN = 20.0
 
 
-def _prod_err(p: float, q: float, r: float) -> float:
-    # Rounding error of r = fl(p * q), via Veltkamp splitting.
-    c = 134217729.0 * p
-    ph = c - (c - p)
-    pl = p - ph
-    c = 134217729.0 * q
-    qh = c - (c - q)
-    ql = q - qh
-    return ((ph * qh - r) + ph * ql + pl * qh) + pl * ql
-
-
-def _scaled_dev(x: float, x_err: float, t: float, t_err: float, s: float) -> float:
-    """(x * (t + t_err) - s) / s with the cancellation carried exactly.
-
-    In the delicate region x*t is within a factor two of s, so the computed
-    product, its two-product residual, and the tail corrections recover the
-    small difference to full precision; elsewhere plain rounding is ample.
-    """
-    r = x * t
-    num = (r - s) + _prod_err(x, t, r) + x * t_err + x_err * t
-    return num / s
-
-
 def _stirling_corr(z: float) -> float:
     # Error term of Stirling's approximation: ln G(z) - [(z - 1/2) ln z - z
     # + ln(2 pi)/2]. Five series terms reach full precision for z >= 20.
@@ -127,10 +104,16 @@ def _ln_front(x: float, a: float, b: float) -> float:
 
     A plain three-lgamma evaluation loses ~1e-11 absolutely once the shapes
     reach 1e4, because each lgamma is only correct to a few ulp of its own
-    (huge) magnitude. Rearranging against Stirling's formula cancels the
-    large terms analytically and keeps every computed term modest near the
-    region where the function is not saturated at 0 or 1.
+    (huge) magnitude. With both shapes at least 20 the factor is
+    a b / (a + b) times the Binomial(a + b, x) term at the real count a,
+    which ``binomial_pmf`` forms in Loader's saddle-point form. With one
+    small shape, Stirling's formula for the large one cancels the large
+    terms analytically. Either way every computed term stays modest near
+    the region where the function is not saturated at 0 or 1.
     """
+    if a >= _STIRLING_MIN and b >= _STIRLING_MIN:
+        term = binomial_pmf(x, a + b, np.array([a]))[0]
+        return math.log(a * b / (a + b) * term) if term > 0.0 else -math.inf
     xc = 1.0 - x
     xc_err = (1.0 - xc) - x
     if a <= b:
@@ -143,22 +126,6 @@ def _ln_front(x: float, a: float, b: float) -> float:
         xs_err, xl_err = xc_err, 0.0
     total = small + large
     total_err = small - (total - large)
-    if small >= _STIRLING_MIN:
-        # Both shapes large: group each exponent with its Stirling mass. The
-        # deviations x*(a+b) - a are tiny differences of ~1e4-sized products,
-        # so they are formed with compensated arithmetic.
-        d_small = _scaled_dev(x_small, xs_err, total, total_err, small)
-        d_large = _scaled_dev(x_large, xl_err, total, total_err, large)
-        if d_small <= -1.0 or d_large <= -1.0:
-            return -math.inf
-        return (
-            small * math.log1p(d_small)
-            + large * math.log1p(d_large)
-            + 0.5 * math.log(small * large / (total * 2.0 * math.pi))
-            - _stirling_corr(small)
-            - _stirling_corr(large)
-            + _stirling_corr(total)
-        )
     if large >= _STIRLING_MIN:
         # One small shape: expand ln G(total) - ln G(large) around large,
         # with first-order residual corrections for the rounded complement.
@@ -233,7 +200,9 @@ def binomial_pmf(x: float, size: float, counts: np.ndarray) -> np.ndarray:
     Loader (2000), "Fast and accurate computation of binomial
     probabilities": Stirling errors plus two deviances, so no large
     logarithm cancels, and k = 0 and k = size read size ln(1-x) and
-    size ln x. Every per-element log and exp runs through ``math``.
+    size ln x. Every per-element log and exp runs through ``math``. At the
+    real count k = a and size a + b it is also ``reg_inc_beta``'s front
+    factor x^a (1-x)^b / B(a, b), divided by a b / (a + b).
     """
     k = np.asarray(counts, dtype=np.float64)
     if size < _LGAMMA_MAX_SIZE:
@@ -270,8 +239,8 @@ def _ln_front_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
     """``_ln_front`` at every element of ``x`` for one pair of shapes, bit for bit.
 
     Precondition: at most one shape reaches the Stirling threshold 20, so
-    the scalar's branch for two large shapes never runs (the t tail's
-    b = 1/2 guarantees it). The shape-only terms (lgamma, the Stirling
+    the scalar's ``binomial_pmf`` branch for two large shapes never runs
+    (the t tail's b = 1/2 guarantees it). The shape-only terms (lgamma, the Stirling
     corrections, log1p(small / large)) are computed once. Only the log and
     log1p of per-element values run per element, through ``math``; the
     rest is numpy arithmetic, which rounds like Python floats, in the

@@ -152,6 +152,15 @@ def test_global_determinism():
     assert np.array_equal(a.required, b.required)
 
 
+def test_global_checks_run_args_before_any_grid_point():
+    # The check runs before any grid point forms stream.substream(j * m),
+    # so a non-integer m is named as such, not as a bad stream index.
+    grid = ParameterGrid.uniform(0.1, 0.9, 3)
+    for m in (2.5, 3.0):
+        with pytest.raises(DomainError, match="m must be an integer"):
+            global_singh(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), grid, 10, m, SeededStream(48))
+
+
 def test_global_band_straddle_small_run():
     # worst-case Clopper-Pearson coverage still brackets the diagonal
     band = global_singh(

@@ -34,15 +34,17 @@ def test_beta_matches_reference_on_random_grid():
 
 def test_beta_matches_reference_near_mean_large_shapes():
     # The delicate region: both shapes huge and x within a few SD of the
-    # Beta mean, where naive prefactor arithmetic loses ~1e-11.
+    # Beta mean, where naive prefactor arithmetic loses ~1e-11. The mean
+    # and its two neighbouring doubles are where x (a + b) - a cancels most.
     rng = np.random.default_rng(12)
     for _ in range(3000):
         a = float(rng.uniform(50.0, 1e4))
         b = float(rng.uniform(50.0, 1e4))
         mean = a / (a + b)
         sd = math.sqrt(mean * (1 - mean) / (a + b + 1))
-        x = float(np.clip(rng.normal(mean, 4 * sd), 1e-9, 1 - 1e-9))
-        assert abs(reg_inc_beta(x, a, b) - sp.betainc(a, b, x)) <= 1e-12
+        near = float(np.clip(rng.normal(mean, 4 * sd), 1e-9, 1 - 1e-9))
+        for x in (near, mean, math.nextafter(mean, 0.0), math.nextafter(mean, 1.0)):
+            assert abs(reg_inc_beta(x, a, b) - sp.betainc(a, b, x)) <= 1e-12
 
 
 def test_beta_matches_reference_half_integer_shapes():

@@ -511,10 +511,14 @@ def test_integer_shape_counts_match_exact_fractions(spec, c):
     assert not too_far
 
 
-@pytest.mark.parametrize("spec", COUNT_SPECS, ids=lambda spec: f"{spec.kind}-{spec.c}")
+# A non-integer c >= 20 is the one engine path into reg_inc_beta's front
+# factor for two shapes of at least 20: c = 20.5 reaches it once n >= 20.
+@pytest.mark.parametrize("spec", COUNT_SPECS + [StructureSpec("scaled_cbox", c=20.5)],
+                         ids=lambda spec: f"{spec.kind}-{spec.c}")
 def test_counts_match_scipy_up_to_shape_1e4(spec):
     c = {"jeffreys": 0.5, "clopper_pearson": 1.0}.get(spec.kind, spec.c)
-    for n in (10, 250, 1000, 9997):
+    # The largest n keeps the shapes n + c within 1e4.
+    for n in (10, 250, 1000, min(9997, math.floor(1e4 - c))):
         k = np.arange(n + 1)
         for theta in (1e-3, 0.05, 0.4, 0.5, 0.92, 0.999):
             lower, upper = evaluate_counts(spec, theta, n, k)
