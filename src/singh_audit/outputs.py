@@ -22,11 +22,11 @@ __all__ = ["emit_csv", "emit_svg", "emit_svg_overlay", "emit_report"]
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Where each run of equal neighbours begins in a sorted array."""
+    """A mask, True where each run of equal neighbours begins in a sorted array."""
     new = np.empty(values.size, dtype=bool)
     new[:1] = True
     np.not_equal(values[1:], values[:-1], out=new[1:])
-    return np.flatnonzero(new)
+    return new
 
 
 def emit_csv(result, path) -> Path:
@@ -40,8 +40,11 @@ def emit_csv(result, path) -> Path:
     """
     path = Path(path)
     curves = result.curves
-    # A stable sort merges the sorted columns in linear time.
-    values = np.sort(np.concatenate([c.required for c in curves]), kind="stable")
+    # Each column's distinct values, so a count curve copies its at most
+    # n + 1 atoms rather than its m replicates; a band's two columns are
+    # merged by a stable sort.
+    distinct = [c.required[_run_starts(c.required)] for c in curves]
+    values = distinct[0] if len(distinct) == 1 else np.sort(np.concatenate(distinct), kind="stable")
     header = "alpha,coverage" if len(curves) == 1 else "alpha,coverage_lower,coverage_upper"
     alphas = np.concatenate(([0.0], values[: np.searchsorted(values, np.inf)], [1.0]))
     # Merges equal neighbours, a stored 0 or 1 with its endpoint row among them.

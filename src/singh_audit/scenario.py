@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .global_engine import ParameterGrid
+from .global_engine import ParameterGrid, check_grid_args
 from .singh_engine import TargetSpec, UnsupportedTargetError, check_run_args
 from .special_math import DomainError, SeededStream
 from .structures import StructureSpec
@@ -40,8 +40,8 @@ class ScenarioValidationError(ValueError):
 class Scenario:
     """A fully validated analysis description, ready to run.
 
-    Construction checks that every grid value is a valid truth of the
-    target, the run itself (``check_run_args``), the seed, delta and
+    Construction checks the run, a global one with ``check_grid_args``
+    and a local one with ``check_run_args``, then the seed, delta and
     outputs, and raises ScenarioValidationError. ``dataclasses.replace``
     constructs anew, so an overridden scenario is checked like a parsed one.
     """
@@ -57,12 +57,11 @@ class Scenario:
     outputs: frozenset[str]
 
     def __post_init__(self) -> None:
-        if self.grid is not None and self.structure.reads_next_draw:
-            raise ScenarioValidationError("predictive scenarios cannot use a parameter grid")
         try:
-            for theta in self.grid.thetas if self.grid is not None else ():
-                self.target.with_truth(theta)
-            check_run_args(self.structure, self.target, self.n, self.m)
+            if self.grid is not None:
+                check_grid_args(self.structure, self.target, self.grid, self.n, self.m)
+            else:
+                check_run_args(self.structure, self.target, self.n, self.m)
         except (DomainError, UnsupportedTargetError) as exc:
             raise ScenarioValidationError(str(exc)) from None
         try:

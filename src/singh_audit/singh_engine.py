@@ -348,10 +348,10 @@ def check_run_args(structure: StructureSpec, target: TargetSpec, n: int, m: int)
     """Raise DomainError for a run the engines cannot evaluate, or not accurately.
 
     The one check of a run's arguments: ``singh_curve``,
-    ``exact_singh_curve`` and ``global_singh`` call it, and so does every
-    ``Scenario`` when it is constructed, parsed or replaced. Beta shapes above
-    ``MAX_ACCURATE_SHAPE`` are refused because ``reg_inc_beta`` does not
-    hold its 1e-12 accuracy there.
+    ``exact_singh_curve`` and ``check_grid_args`` (for ``global_singh``)
+    call it, and so does every ``Scenario`` when it is constructed, parsed
+    or replaced. Beta shapes above ``MAX_ACCURATE_SHAPE`` are refused
+    because ``reg_inc_beta`` does not hold its 1e-12 accuracy there.
     """
     for name, value in (("n", n), ("m", m)):
         if not is_integer(value):
@@ -385,29 +385,55 @@ def _columns(structure: StructureSpec) -> int:
     return 1 if structure.is_precise else 2
 
 
-def _sorted_atoms(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Each atom's value repeated as often as it was drawn, in ascending order."""
-    order = np.argsort(values, kind="stable")
-    return np.repeat(values[order], mult[order])
-
-
 def _drawn_count_values(
-    structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream
+    structure: StructureSpec, draws: list[tuple[TargetSpec, SeededStream]], n: int, m: int
 ) -> list[np.ndarray]:
-    # One Binomial(n, p) success count per replicate, and every structure
-    # reads a count alone, so each distinct count, an atom, is evaluated
-    # once: the t pivot then raises only if a degenerate count was drawn,
-    # and runs its continued fraction on the atoms, not on m lanes. A
-    # column repeats at most n + 1 sorted atoms by their multiplicities, so
-    # nothing of length m is gathered or sorted. No histogram of size n + 1
-    # either: Chebyshev's n has no Beta-shape bound, and m may be small.
-    counts = np.concatenate([
-        stream.substream(b).generator().binomial(n, target.p, size)
-        for b, size in _blocks(m)
-    ])
-    atoms, mult = np.unique(counts, return_counts=True)
-    bounds = evaluate_counts(structure, target.theta0, n, atoms, _success_value(target))
-    return [_sorted_atoms(v, mult) for v in bounds[:_columns(structure)]]
+    """Sorted bound columns as (K, m) matrices, row j from the pair ``draws[j]``.
+
+    Row j draws one Binomial(n, p) success count per replicate of
+    ``draws[j]``, as stream layout v3 has it: block b is
+    ``stream.substream(b).generator().binomial(n, p, size)``. Every
+    structure reads a count alone, so each distinct count of a row, an
+    atom, is evaluated once: the t pivot then raises only if a degenerate
+    count was drawn, and runs its continued fraction on the atoms, not on
+    m lanes. Each row is sorted, one run-start pass finds every row's atoms
+    and their multiplicities, and one ``evaluate_counts`` call evaluates
+    all K rows' atoms, with a truth and a success value per atom (a
+    scaled-Bernoulli mean sweep moves both; one point passes scalars), so
+    each distinct truth's chain is built once. A row's column is its atoms in ascending value,
+    repeated by their multiplicities: nothing of length m is gathered or
+    sorted by value. No histogram of size n + 1 either: Chebyshev's n has
+    no Beta-shape bound, and m may be small. A local run is K = 1; working
+    memory is O(K m), which ``global_singh`` bounds by drawing at most
+    CHUNK_ELEMENTS // m points at a time.
+    """
+    counts = np.empty((len(draws), m), dtype=np.int64)
+    for row, (target, stream) in zip(counts, draws):
+        for b, size in _blocks(m):
+            rng = stream.substream(b).generator()
+            row[b * BLOCK:b * BLOCK + size] = rng.binomial(n, target.p, size)
+    counts.sort(axis=1)
+    flat = counts.ravel()
+    # An atom starts where a row starts or its sorted count changes; edge
+    # K m, where row K would start, closes the last atom.
+    edges = np.empty(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=edges[1:-1])
+    edges[::m] = True
+    edges = np.flatnonzero(edges)
+    first, mult = edges[:-1], edges[1:] - edges[:-1]
+    point = first // m
+    if len(draws) == 1:
+        truth, success = draws[0][0].theta0, _success_value(draws[0][0])
+    else:
+        truth = np.array([t.theta0 for t, _ in draws])[point]
+        success = np.array([_success_value(t) for t, _ in draws])[point]
+    bounds = evaluate_counts(structure, truth, n, flat[first], success)
+    columns = []
+    for values in bounds[:_columns(structure)]:
+        # Each point's atoms in ascending value.
+        order = np.lexsort((values, point))
+        columns.append(np.repeat(values[order], mult[order]).reshape(len(draws), m))
+    return columns
 
 
 def _drawn_row_values(
@@ -479,9 +505,14 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
     """
     check_run_args(structure, target, n, m)
     if target.family in COUNT_FAMILIES and not structure.reads_next_draw:
-        columns = _drawn_count_values(structure, target, n, m, stream)
+        columns = [c[0] for c in _drawn_count_values(structure, [(target, stream)], n, m)]
     else:
         columns = _drawn_row_values(structure, target, n, m, stream)
+    return _result(structure, columns)
+
+
+def _result(structure: StructureSpec, columns: list[np.ndarray]):
+    """A precise structure's SinghCurve, or an imprecise one's SinghBand, of sorted columns."""
     curves = [SinghCurve(column) for column in columns]
     return curves[0] if structure.is_precise else SinghBand(*curves)
 

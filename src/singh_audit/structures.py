@@ -239,25 +239,25 @@ def moment_bounds(spec: StructureSpec, truth, n: int, mean, sd) -> tuple[np.ndar
 
 
 def evaluate_counts(
-    spec: StructureSpec, truth, n: int, counts, success: float = 1.0
+    spec: StructureSpec, truth, n: int, counts, success=1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) of a structure at each success count k of n two-point draws.
 
     The dataset of k draws equal to ``success`` (v) and n - k zeros stands
     for every dataset with k successes, and every kind but
     ``empirical_predictive``, which reads a next draw, reads it through k
-    alone, so no dataset is built. ``truth`` is a scalar or one value per
-    count. The moment kinds read the mean k v / n and the sample standard
-    deviation |v| sqrt(k (n - k) / (n (n - 1))). The kinds in
-    ``COUNT_KINDS`` need v = 1; for each distinct theta they evaluate the
-    whole run of k = 0..n as chains (see ``_chain`` and ``_count_bounds``),
-    which the requested counts index, so a count's bounds never depend on
-    which other counts were asked for. A non-finite truth or success value
-    raises DomainError.
+    alone, so no dataset is built. ``truth`` and ``success`` are each a
+    scalar or one value per count. The moment kinds read the mean k v / n
+    and the sample standard deviation |v| sqrt(k (n - k) / (n (n - 1))).
+    The kinds in ``COUNT_KINDS`` need v = 1; for each distinct theta they
+    evaluate the whole run of k = 0..n as chains (see ``_chain`` and
+    ``_count_bounds``), which the requested counts index, so a count's
+    bounds never depend on which other counts were asked for. A non-finite
+    truth or success value raises DomainError.
     """
     if spec.reads_next_draw:
         raise DomainError(f"{spec.kind} reads a next draw, not a success count")
-    if spec.reads_count and success != 1.0:
+    if spec.reads_count and np.not_equal(success, 1.0).any():
         raise DomainError(f"{spec.kind} requires binary {{0,1}} data")
     _require_finite("success", success)
     _require_finite("truth", truth)
@@ -267,7 +267,7 @@ def evaluate_counts(
         raise DomainError(f"success counts must be integers in 0..{n}")
     if not spec.reads_count:
         # k / n first, so the count n reads a mean of exactly v.
-        sd = abs(success) * np.sqrt(k * (n - k) / (n * max(n - 1, 1)))
+        sd = np.abs(success) * np.sqrt(k * (n - k) / (n * max(n - 1, 1)))
         return moment_bounds(spec, truth, n, k / n * success, sd)
     ks = k.astype(np.int64)
     truth = np.asarray(truth, dtype=np.float64)

@@ -176,6 +176,18 @@ def test_cli_predict_key_restates_the_structure(tmp_path, capsys, body, code, me
 BIG_N = "structure = {kind}\ntarget = {target}\nn = {n}\nm = 20\nseed = 3\noutputs = report\n"
 
 
+def test_cli_predictive_grid_is_a_validation_error(tmp_path, capsys):
+    # The band's truth is the next draw, never a grid value: refused by the
+    # same check global_singh runs.
+    path = tmp_path / "predictive_grid.singh"
+    path.write_text(
+        "structure = empirical_predictive\npredict = true\ntarget = normal\nsigma = 1\n"
+        "grid_lo = 0\ngrid_hi = 1\ngrid_k = 2\nn = 5\nm = 50\n"
+    )
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert "predictive scenarios cannot use a parameter grid" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind, target, n", [
     ("jeffreys", "bernoulli\ntheta0 = 0.3333333333333333", 3_000_000),
     ("jeffreys", "bernoulli\ntheta0 = 0.3333333333333333", 10_000),

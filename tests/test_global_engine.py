@@ -1,10 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_global import reference_global_singh
 from singh_audit.global_engine import ParameterGrid, global_singh
-from singh_audit.singh_engine import SinghBand, TargetSpec, classify, eval_curve, singh_curve
+from singh_audit.singh_engine import (
+    BLOCK,
+    CHUNK_ELEMENTS,
+    SinghBand,
+    TargetSpec,
+    classify,
+    eval_curve,
+    singh_curve,
+)
 from singh_audit.special_math import DomainError, SeededStream
 from singh_audit.structures import StructureSpec
 
@@ -173,3 +185,81 @@ def test_global_band_straddle_small_run():
     eps = 0.0608  # dkw_epsilon(500)
     assert (eval_curve(band.lower_curve, GRID) >= GRID - eps).all()
     assert (eval_curve(band.upper_curve, GRID) <= GRID + eps).all()
+
+
+def test_global_refuses_a_next_draw_truth():
+    # The band's truth is each replicate's next draw, so a grid value would
+    # never be its truth; Scenario refuses the same run with this message.
+    with pytest.raises(DomainError, match="predictive scenarios cannot use a parameter grid"):
+        global_singh(
+            StructureSpec("empirical_predictive"), TargetSpec.normal(0.0, 1.0),
+            ParameterGrid((0.0, 1.0)), 5, 50, SeededStream(1),
+        )
+
+
+# --- the per-point reference ---
+
+UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# (structure, family, grid values): every count kind, a scaled-Bernoulli
+# mean sweep whose low counts never cover (+inf), and a row-kind grid.
+REFERENCE_CASES = {
+    "jeffreys": (StructureSpec("jeffreys"), TargetSpec.bernoulli(0.5), UNIT),
+    "clopper_pearson": (StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.5), UNIT),
+    "scaled_cbox_0.5": (StructureSpec("scaled_cbox", 0.5), TargetSpec.bernoulli(0.5), UNIT),
+    "scaled_cbox_3": (StructureSpec("scaled_cbox", 3.0), TargetSpec.bernoulli(0.5), UNIT),
+    "scaled_cbox_20.5": (StructureSpec("scaled_cbox", 20.5), TargetSpec.bernoulli(0.5), UNIT),
+    "chebyshev_mean_sweep": (
+        StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.3, 2.0), st.floats(0.1, 4.0)
+    ),
+    "t_pivot_normal": (
+        StructureSpec("student_t_pivot"), TargetSpec.normal(0.0, 2.0), st.floats(-3.0, 3.0)
+    ),
+}
+
+
+@given(
+    case=st.sampled_from(sorted(REFERENCE_CASES)),
+    # m = 3 * BLOCK crosses block boundaries, and its grid of up to six
+    # points spans three chunks of CHUNK_ELEMENTS // m points.
+    m=st.sampled_from([1, 5, 300, BLOCK + 3, 3 * BLOCK]),
+    n=st.integers(2, 30),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_global_matches_the_per_point_reference(case, m, n, seed, data):
+    structure, family, values = REFERENCE_CASES[case]
+    grid = ParameterGrid(tuple(data.draw(st.lists(values, min_size=1, max_size=6))))
+    stream = SeededStream(seed)
+    got = global_singh(structure, family, grid, n, m, stream)
+    expected = reference_global_singh(structure, family, grid, n, m, stream)
+    assert len(got.curves) == len(expected.curves)
+    for ours, theirs in zip(got.curves, expected.curves):
+        assert ours.required.tobytes() == theirs.required.tobytes()
+    if len(grid) == 1:
+        local = singh_curve(structure, family.with_truth(grid.thetas[0]), n, m, stream)
+        for ours, theirs in zip(got.curves, local.curves):
+            assert ours.required.tobytes() == theirs.required.tobytes()
+
+
+def test_global_memory_is_bounded_by_the_chunk_not_the_grid():
+    # K = 1000 points of m = 2000: one curve column of every point at once
+    # is K m 8 bytes = 16 MB, per curve. The envelope draws CHUNK_ELEMENTS
+    # // m points at a time, whose counts and two expanded band columns are
+    # 3 CHUNK_ELEMENTS 8 bytes (768 KiB); the envelope itself is a few
+    # columns of m 8 bytes, and the grid's targets are O(K) small objects.
+    # The bound is 8 CHUNK_ELEMENTS 8 bytes (2 MiB), an eighth of one K m
+    # column. numpy reports its buffers to tracemalloc.
+    spec, family = StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.5)
+    n, m = 10, 2000
+    grid = ParameterGrid.uniform(0.0, 1.0, 1000)
+    # A first run of the path leaves its one-time allocations behind.
+    global_singh(spec, family, ParameterGrid((0.2, 0.4)), n, 50, SeededStream(2))
+    tracemalloc.start()
+    try:
+        band = global_singh(spec, family, grid, n, m, SeededStream(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert band.m == m
+    assert peak < 8 * CHUNK_ELEMENTS * 8

@@ -467,17 +467,18 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
 
 
 def test_count_runs_sort_atoms_not_replicates(monkeypatch):
-    # A count run evaluates and sorts its at most n + 1 distinct counts and
-    # repeats each value by its multiplicity: no inverse index to gather m
-    # values with, and no sort of m values.
+    # A count run sorts its counts in place, finds its at most n + 1
+    # distinct counts in one run-start pass, evaluates them, and orders and
+    # repeats each value by its multiplicity: no np.unique with an inverse
+    # index to gather m values with, and no sort of m values.
     from singh_audit import singh_engine
 
-    seen = {"unique": [], "sort": [], "argsort": [], "counts": []}
-    unique, sort, argsort = np.unique, np.sort, np.argsort
+    seen = {"unique": [], "sort": [], "argsort": [], "lexsort": [], "counts": []}
+    unique, sort, argsort, lexsort = np.unique, np.sort, np.argsort, np.lexsort
     evaluate = singh_engine.evaluate_counts
 
     def recording_unique(ar, *args, **kwargs):
-        seen["unique"].append((np.size(ar), args, sorted(kwargs)))
+        seen["unique"].append(np.size(ar))
         return unique(ar, *args, **kwargs)
 
     def recording_sort(a, *args, **kwargs):
@@ -488,6 +489,10 @@ def test_count_runs_sort_atoms_not_replicates(monkeypatch):
         seen["argsort"].append(np.size(a))
         return argsort(a, *args, **kwargs)
 
+    def recording_lexsort(keys, *args, **kwargs):
+        seen["lexsort"].append(np.size(keys[0]))
+        return lexsort(keys, *args, **kwargs)
+
     def recording_evaluate(spec, truth, n, counts, success=1.0):
         seen["counts"].append(np.size(counts))
         return evaluate(spec, truth, n, counts, success)
@@ -495,6 +500,7 @@ def test_count_runs_sort_atoms_not_replicates(monkeypatch):
     monkeypatch.setattr(np, "unique", recording_unique)
     monkeypatch.setattr(np, "sort", recording_sort)
     monkeypatch.setattr(np, "argsort", recording_argsort)
+    monkeypatch.setattr(np, "lexsort", recording_lexsort)
     monkeypatch.setattr(singh_engine, "evaluate_counts", recording_evaluate)
     m = 2 * BLOCK + 1
     cases = [
@@ -509,11 +515,10 @@ def test_count_runs_sort_atoms_not_replicates(monkeypatch):
         for record in seen.values():
             record.clear()
         assert singh_curve(spec, target, n, runs, SeededStream(30)).m == runs
-        assert seen["unique"] == [(runs, (), ["return_counts"])]
         atoms = seen["counts"]
         assert len(atoms) == 1 and atoms[0] <= min(n + 1, runs)
-        assert seen["sort"] == []
-        assert seen["argsort"] == atoms * columns
+        assert seen["unique"] == seen["sort"] == seen["argsort"] == []
+        assert seen["lexsort"] == atoms * columns
 
 
 def test_row_chunks_stay_within_the_element_budget(monkeypatch):
