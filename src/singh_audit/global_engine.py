@@ -106,7 +106,8 @@ def global_singh(
 
     No grid point becomes a local result. On a Bernoulli-family target the
     points are drawn CHUNK_ELEMENTS // m at a time (at least one), and each
-    chunk's counts are sorted, evaluated once per distinct count of each
+    chunk's counts (one histogram per block when 8 (n + 1) <= m, else one
+    count per replicate) are evaluated once per distinct count of each
     point, expanded into sorted columns and reduced into the envelope by
     ``_drawn_count_values`` and one maximum; any other target draws one
     point's rows at a time (``_drawn_row_values``). So working memory is

@@ -38,9 +38,15 @@ __all__ = [
 
 COUNT_FAMILIES = ("bernoulli", "scaled_bernoulli")
 
-# Replicates per substream in a Monte Carlo run (stream layout v3; a
+# Replicates per substream in a Monte Carlo run (stream layout v4; a
 # mixture block also draws its normals from the substream's child 0).
 BLOCK = 4096
+# A count run draws one histogram of its counts per block, not one count
+# per replicate, when its m replicates are at least this many times the
+# n + 1 possible counts (stream layout v4). Like BLOCK, a layout constant,
+# set where the two draws cost about the same: the histogram's Binomial
+# weights, O(n) to form, against m counts drawn and sorted.
+HISTOGRAM_FACTOR = 8
 # Sample elements per drawn chunk: rows are drawn in chunks of at most this
 # many elements (at least one row), so a drawn matrix stays
 # O(max(n, CHUNK_ELEMENTS)) and never O(BLOCK * n). What a chunk leaves
@@ -125,7 +131,8 @@ class TargetSpec:
             object.__setattr__(self, "_mixture", (cdf / cdf[-1], mus, sigmas))
         # NaN fails every comparison above, and +inf passes some of them.
         for name in self.FAMILY_FIELDS[self.family][0]:
-            if not np.isfinite(getattr(self, name)).all():
+            value = getattr(self, name)
+            if not (np.isfinite(value).all() if isinstance(value, tuple) else math.isfinite(value)):
                 raise DomainError(f"{name} must be finite")
         # A tiny p overflows the success value that each draw takes.
         if self.family == "scaled_bernoulli" and not math.isfinite(self.mean / self.p):
@@ -390,22 +397,70 @@ def _drawn_count_values(
 ) -> list[np.ndarray]:
     """Sorted bound columns as (K, m) matrices, row j from the pair ``draws[j]``.
 
-    Row j draws one Binomial(n, p) success count per replicate of
-    ``draws[j]``, as stream layout v3 has it: block b is
-    ``stream.substream(b).generator().binomial(n, p, size)``. Every
-    structure reads a count alone, so each distinct count of a row, an
-    atom, is evaluated once: the t pivot then raises only if a degenerate
-    count was drawn, and runs its continued fraction on the atoms, not on
-    m lanes. Each row is sorted, one run-start pass finds every row's atoms
-    and their multiplicities, and one ``evaluate_counts`` call evaluates
-    all K rows' atoms, with a truth and a success value per atom (a
-    scaled-Bernoulli mean sweep moves both; one point passes scalars), so
-    each distinct truth's chain is built once. A row's column is its atoms in ascending value,
-    repeated by their multiplicities: nothing of length m is gathered or
-    sorted by value. No histogram of size n + 1 either: Chebyshev's n has
-    no Beta-shape bound, and m may be small. A local run is K = 1; working
-    memory is O(K m), which ``global_singh`` bounds by drawing at most
-    CHUNK_ELEMENTS // m points at a time.
+    Row j holds m Binomial(n, p) success counts drawn from ``draws[j]`` as
+    stream layout v4 has it (``_count_histograms`` or ``_count_runs``),
+    and reads each through ``evaluate_counts``. Every structure reads a
+    count alone, so each distinct count of a row, an atom, is evaluated
+    once: the t pivot then raises only if a degenerate count was drawn,
+    and runs its continued fraction on the atoms, not on m lanes. One
+    ``evaluate_counts`` call evaluates all K rows' atoms, with a truth and
+    a success value per atom (a scaled-Bernoulli mean sweep moves both;
+    one point passes scalars), so each distinct truth's chain is built
+    once. A row's column is its atoms in ascending value, repeated by their
+    multiplicities: nothing of length m is gathered or sorted by value. A
+    local run is K = 1; working memory is O(K m), which ``global_singh``
+    bounds by drawing at most CHUNK_ELEMENTS // m points at a time.
+    """
+    if HISTOGRAM_FACTOR * (n + 1) <= m:
+        point, counts, mult = _count_histograms(draws, n, m)
+    else:
+        point, counts, mult = _count_runs(draws, n, m)
+    if len(draws) == 1:
+        truth, success = draws[0][0].theta0, _success_value(draws[0][0])
+    else:
+        truth = np.array([t.theta0 for t, _ in draws])[point]
+        success = np.array([_success_value(t) for t, _ in draws])[point]
+    bounds = evaluate_counts(structure, truth, n, counts, success)
+    columns = []
+    for values in bounds[:_columns(structure)]:
+        # Each point's atoms in ascending value.
+        order = np.lexsort((values, point))
+        columns.append(np.repeat(values[order], mult[order]).reshape(len(draws), m))
+    return columns
+
+
+def _count_histograms(
+    draws: list[tuple[TargetSpec, SeededStream]], n: int, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(point, count, multiplicity) of every drawn count, from one histogram per block.
+
+    The histogram side of stream layout v4, taken when HISTOGRAM_FACTOR (n
+    + 1) <= m: block b of a point draws
+    ``stream.substream(b).generator().multinomial(size, _binomial_weights(n,
+    p))``, the histogram over k = 0..n of its ``size`` counts, and a point
+    sums its blocks' histograms. Its atoms are the non-zero entries, in
+    ascending count, and their values the multiplicities.
+    """
+    hist = np.zeros((len(draws), n + 1), dtype=np.int64)
+    for row, (target, stream) in zip(hist, draws):
+        weights = _binomial_weights(n, target.p)
+        for b, size in _blocks(m):
+            row += stream.substream(b).generator().multinomial(size, weights)
+    point, counts = np.nonzero(hist)
+    return point, counts, hist[point, counts]
+
+
+def _count_runs(
+    draws: list[tuple[TargetSpec, SeededStream]], n: int, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(point, count, multiplicity) of every drawn count, from one count per replicate.
+
+    The direct side of stream layout v4, as v3 drew every count run: block
+    b of a point is ``stream.substream(b).generator().binomial(n, p,
+    size)``, in replicate order. Each point's counts are sorted and one
+    run-start pass finds every point's atoms and their multiplicities. No
+    histogram of size n + 1 is formed: Chebyshev's n has no Beta-shape
+    bound, and this side holds every run whose m is small beside n.
     """
     counts = np.empty((len(draws), m), dtype=np.int64)
     for row, (target, stream) in zip(counts, draws):
@@ -420,20 +475,8 @@ def _drawn_count_values(
     np.not_equal(flat[1:], flat[:-1], out=edges[1:-1])
     edges[::m] = True
     edges = np.flatnonzero(edges)
-    first, mult = edges[:-1], edges[1:] - edges[:-1]
-    point = first // m
-    if len(draws) == 1:
-        truth, success = draws[0][0].theta0, _success_value(draws[0][0])
-    else:
-        truth = np.array([t.theta0 for t, _ in draws])[point]
-        success = np.array([_success_value(t) for t, _ in draws])[point]
-    bounds = evaluate_counts(structure, truth, n, flat[first], success)
-    columns = []
-    for values in bounds[:_columns(structure)]:
-        # Each point's atoms in ascending value.
-        order = np.lexsort((values, point))
-        columns.append(np.repeat(values[order], mult[order]).reshape(len(draws), m))
-    return columns
+    first = edges[:-1]
+    return first // m, flat[first], edges[1:] - first
 
 
 def _drawn_row_values(
@@ -479,26 +522,31 @@ def _drawn_row_values(
 def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream):
     """Monte Carlo Singh result: m replicates of size n in blocks of BLOCK.
 
-    Stream layout v3: block b holds replicates ``b * BLOCK`` onward (the
+    Stream layout v4: block b holds replicates ``b * BLOCK`` onward (the
     last block may be short) and draws them all from one generator,
     ``stream.substream(b).generator()``. On a Bernoulli-family target
-    every structure but the predictive band draws one Binomial(n, p)
-    success count per replicate, in replicate order, and reads that count
-    alone through ``evaluate_counts``, as in ``exact_singh_curve``: each
-    distinct count is evaluated once, and a column sorts at most n + 1
-    atoms. Every other run draws replicate i's dataset as the i-th row of
-    its block, and the predictive band, which reads a next draw, takes
-    that row's (n+1)-th draw as its truth. A Gaussian-mixture block is the
-    one exception to a single generator: its component picks come from
-    that generator and its normals from the block's child stream,
+    every structure but the predictive band reads a replicate only through
+    its Binomial(n, p) success count, through ``evaluate_counts`` as in
+    ``exact_singh_curve``, so the run depends on its draws only through
+    the histogram of counts. When HISTOGRAM_FACTOR (n + 1) <= m, block b
+    draws that histogram outright, ``multinomial(size, _binomial_weights(n,
+    p))``, and nothing of length m is drawn or sorted; otherwise it draws
+    one count per replicate, ``binomial(n, p, size)``, as v3 did. Either
+    way each distinct count is evaluated once and a column sorts at most
+    n + 1 atoms. Every other run draws replicate i's dataset as the i-th
+    row of its block, and the predictive band, which reads a next draw,
+    takes that row's (n+1)-th draw as its truth. A Gaussian-mixture block
+    is the one exception to a single generator: its component picks come
+    from that generator and its normals from the block's child stream,
     ``stream.substream(b).generator(child=0)``, each consumed in row order
     (v2 interleaved picks and normals row by row in one generator; v3
-    changed mixture results only). Rows are drawn in
+    changed mixture results only, v4 count runs only). Rows are drawn in
     chunks of at most CHUNK_ELEMENTS sample elements, so a block never
     becomes one (BLOCK, n) matrix; a moment kind keeps only each row's
     mean and sd and evaluates its bounds once per run, and chunk bounds
-    change no value. Block boundaries depend only on m, so the result is a
-    pure function of (structure, target, n, m, stream). Both paths hand
+    change no value. Block boundaries depend only on m, and the choice of
+    a count run's draw only on n and m, so the result is a pure function
+    of (structure, target, n, m, stream). Both paths hand
     back sorted columns, which are wrapped without sorting again. Precise
     structures return a SinghCurve; imprecise ones return a SinghBand
     built from the same replicates.
@@ -522,7 +570,9 @@ def _binomial_weights(n: int, p: float) -> np.ndarray:
 
     That is the helper whose terms step the count kinds' Beta chains, in
     Loader's saddle-point form: no large logarithm cancels, so each weight
-    holds its relative accuracy at any n the engines accept.
+    holds its relative accuracy at any n the engines accept. The same
+    weights are the exact enumeration's atom masses and the multinomial
+    cell probabilities of a Monte Carlo count run's histograms.
     """
     if p == 0.0 or p == 1.0:
         weights = np.zeros(n + 1)

@@ -188,16 +188,18 @@ def _assert_csv_matches_result(path, result) -> None:
 
 # sha256 of each preset's artifacts at its full budget (see
 # artifacts_digest). A change to any CSV, JSON or SVG byte shows here.
+# fig2, fig3 and fig5..fig9 are pinned under stream layout v4, whose count
+# runs draw one histogram per block; fig1 and fig4 draw rows, as v3 did.
 PRESET_DIGESTS = {
     "fig1": "0764448f4b3bcb61e4a0a142f3826c2faa9f101af88846f975c2fd0b546fa257",
-    "fig2": "29c7dae4b0d2e73ce820ca0105eca3f7dd440191724386eadec5f8e33542d33b",
-    "fig3": "67c47bf82255d6102c30c076827670e614f36d1c5638b5b69d5dffb60ea9d56a",
+    "fig2": "c8d1e7eb3fb954070e4ca64d3bc33d98d6126e5b0b9f80be1681512b403565ba",
+    "fig3": "f792d66779b8888903222378a33801dabb72cef47d8aff5eaef380509c5174e6",
     "fig4": "248bb58590b475dc539452150402e8af75de61f0c71f4b27322a7307150c1328",
-    "fig5": "6de264341b5124dfc79f3b1c17b90ca082882881b062003a205b84ebac4eba4f",
-    "fig6": "6fc580867581409905cdb84d97516cfd07042ea80e7343d050c83bb4dc80d533",
-    "fig7": "d7070d8c9d6d97cc355cb0b248c6a41a1c6f1e5b98b05076dcaf261ea02d757b",
-    "fig8": "fc191832aaa1896cb3f9e5142323469466b16114bf5e1dcfe3c8257d8eb76faf",
-    "fig9": "3dc29de523e770a05b76195350156035a949936c699fefb5e370caaa750deb7b",
+    "fig5": "11c1292a5908212d320f771fa754b70a421c33f94385983d4d9a9137de814acd",
+    "fig6": "7267586e0943c2998660e06f0bbd3099fb2594422d71d191a7df0622bf0ffb83",
+    "fig7": "79d735732abda4a25947aa81a4028a88043b78bcad221b46008932c05d183141",
+    "fig8": "843e0192f881cbc616df0001ee4b9ba4037c4cca09ad858b25172db37a679697",
+    "fig9": "038d47e43870c35549adfc75c4f36fdc5e5e312f9cc13595ebf0b5c0a3f7509a",
 }
 
 

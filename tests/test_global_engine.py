@@ -220,8 +220,9 @@ REFERENCE_CASES = {
 @given(
     case=st.sampled_from(sorted(REFERENCE_CASES)),
     # m = 3 * BLOCK crosses block boundaries, and its grid of up to six
-    # points spans three chunks of CHUNK_ELEMENTS // m points.
-    m=st.sampled_from([1, 5, 300, BLOCK + 3, 3 * BLOCK]),
+    # points spans three chunks of CHUNK_ELEMENTS // m points. At m = 200
+    # a count run draws histograms up to n = 24 and counts from n = 25 on.
+    m=st.sampled_from([1, 5, 200, 300, BLOCK + 3, 3 * BLOCK]),
     n=st.integers(2, 30),
     seed=st.integers(0, 2**32),
     data=st.data(),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ from singh_audit.special_math import DomainError, SeededStream
 from singh_audit.structures import DegenerateDataError, StructureSpec, evaluate_counts
 
 GRID = np.linspace(0.0, 1.0, 1001)
+# A few KB: a count run whose m is small beside n holds O(m), not O(n).
+# Chebyshev at n = 10**12 peaks at 3.5 KB for m = 1 and 11 KB for m = 50.
+PEAK_BOUND = 32 * 1024
 
 
 def curve_of(*values, never=0, weights=None):
@@ -268,32 +272,64 @@ def test_singh_curve_is_deterministic():
     assert a.m == b.m == 300
 
 
-def test_bernoulli_replicates_replay_binomial_counts_per_block():
-    # Layout v2: block b draws one Binomial(n, p) count per replicate from
-    # substream(b); each replicate's value is the structure at that count,
-    # bit for bit as evaluate_counts gives it and within rounding of the
-    # scalar reference.
+def _count_run_replay(spec, target, n, m, seed):
+    # Stream layout v4 from numpy alone: block b's generator is spawn key
+    # (b,). When 8 (n + 1) <= m each block draws the histogram of its
+    # counts over k = 0..n, one multinomial with the Binomial(n, p)
+    # weights, and the run's histogram is their sum; otherwise each block
+    # draws one Binomial(n, p) count per replicate, as v3 did. Each drawn
+    # count is evaluated on its own, and a sorted column repeats its value
+    # by the count's multiplicity.
+    sizes = [min(BLOCK, m - start) for start in range(0, m, BLOCK)]
+    generators = [
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))) for b in range(len(sizes))
+    ]
+    if 8 * (n + 1) <= m:
+        weights = _binomial_weights(n, target.p)
+        histogram = sum(rng.multinomial(size, weights) for rng, size in zip(generators, sizes))
+        counts = np.flatnonzero(histogram)
+        mult = histogram[counts]
+    else:
+        drawn = np.concatenate([rng.binomial(n, target.p, size) for rng, size in zip(generators, sizes)])
+        counts, mult = np.unique(drawn, return_counts=True)
+    success = 1.0 if target.family == "bernoulli" else target.mean / target.p
+    alone = [evaluate_counts(spec, target.theta0, n, [k], success) for k in counts.tolist()]
+    columns = [
+        np.sort(np.repeat([bounds[j][0] for bounds in alone], mult))
+        for j in range(1 if spec.is_precise else 2)
+    ]
+    return counts, mult, columns
+
+
+@pytest.mark.parametrize("n, p, histogram", [
+    (7, 0.3, True),
+    (7, 0.0, True),
+    (7, 1.0, True),
+    (600, 0.3, False),
+    (600, 0.0, False),
+    (600, 1.0, False),
+])
+def test_bernoulli_replicates_replay_binomial_counts_per_block(n, p, histogram):
+    # m = BLOCK + 200 spans two blocks, at least 8 (n + 1) at n = 7 and
+    # below it at n = 600. The sorted columns equal, byte for byte, the
+    # run rebuilt from numpy alone and evaluate_counts, and lie within
+    # rounding of the scalar reference at each count.
     spec = StructureSpec("clopper_pearson")
-    target = TargetSpec.bernoulli(0.3)
-    stream = SeededStream(22)
-    n, m = 7, BLOCK + 200
-    result = singh_curve(spec, target, n, m, stream)
-    counts = np.concatenate((
-        stream.substream(0).generator().binomial(n, 0.3, BLOCK),
-        stream.substream(1).generator().binomial(n, 0.3, m - BLOCK),
-    ))
-    lowers, uppers = zip(*(
-        evaluate_counts(spec, target.theta0, n, [k]) for k in counts.tolist()
-    ))
-    lowers, uppers = np.concatenate(lowers), np.concatenate(uppers)
-    assert np.array_equal(result.lower_curve.required, np.sort(lowers))
-    assert np.array_equal(result.upper_curve.required, np.sort(uppers))
+    target = TargetSpec.bernoulli(p)
+    m = BLOCK + 200
+    assert (8 * (n + 1) <= m) == histogram
+    result = singh_curve(spec, target, n, m, SeededStream(22))
+    counts, mult, columns = _count_run_replay(spec, target, n, m, 22)
+    assert mult.sum() == m
+    for curve, column in zip(result.curves, columns):
+        assert curve.required.tobytes() == column.tobytes()
     ref_lowers, ref_uppers = zip(*(
         reference.clopper_pearson(target.theta0, np.concatenate((np.ones(k), np.zeros(n - k))))
         for k in counts.tolist()
     ))
-    np.testing.assert_allclose(result.lower_curve.required, np.sort(ref_lowers), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(result.upper_curve.required, np.sort(ref_uppers), rtol=0, atol=1e-14)
+    for curve, ref in zip(result.curves, (ref_lowers, ref_uppers)):
+        expected = np.sort(np.repeat(ref, mult))
+        np.testing.assert_allclose(curve.required, expected, rtol=0, atol=1e-14)
 
 
 def test_normal_replicates_replay_rows_of_their_block():
@@ -466,11 +502,45 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     assert calls["evaluate"] == 5
 
 
-def test_count_runs_sort_atoms_not_replicates(monkeypatch):
-    # A count run sorts its counts in place, finds its at most n + 1
-    # distinct counts in one run-start pass, evaluates them, and orders and
-    # repeats each value by its multiplicity: no np.unique with an inverse
-    # index to gather m values with, and no sort of m values.
+class _RecordingGenerator:
+    """A block's generator that records each count draw: (method, size, drawn)."""
+
+    def __init__(self, rng, record):
+        self._rng, self._record = rng, record
+
+    def binomial(self, n, p, size):
+        drawn = self._rng.binomial(n, p, size)
+        self._record.append(("binomial", size, drawn))
+        return drawn
+
+    def multinomial(self, size, pvals):
+        drawn = self._rng.multinomial(size, pvals)
+        self._record.append(("multinomial", size, drawn))
+        return drawn
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.fixture
+def count_draws(monkeypatch):
+    record = []
+    generator = SeededStream.generator
+    monkeypatch.setattr(
+        SeededStream, "generator",
+        lambda self, child=None: _RecordingGenerator(generator(self, child), record),
+    )
+    return record
+
+
+def test_count_runs_sort_atoms_not_replicates(monkeypatch, count_draws):
+    # A count run evaluates its at most n + 1 distinct counts once each,
+    # and orders and repeats each value by its multiplicity: no np.unique
+    # with an inverse index to gather m values with, and no sort of m
+    # values. From 8 (n + 1) <= m on, a block draws the histogram of its
+    # counts, n + 1 entries, and nothing of length m is drawn or sorted;
+    # below that it draws one count per replicate, which it sorts in place
+    # and splits into atoms in one run-start pass.
     from singh_audit import singh_engine
 
     seen = {"unique": [], "sort": [], "argsort": [], "lexsort": [], "counts": []}
@@ -507,18 +577,83 @@ def test_count_runs_sort_atoms_not_replicates(monkeypatch):
         (StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), 12, m, 1),
         (StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.4), 12, m, 2),
         (StructureSpec("student_t_pivot"), TargetSpec.bernoulli(0.5), 30, m, 1),
+        # 8 (n + 1) > m: one count per replicate.
+        (StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.4), 1100, m, 2),
         # Chebyshev has no Beta shape, so n is unbounded: three replicates
         # must not cost O(n) memory.
         (StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.3, 2.0), 10**12, 3, 1),
     ]
     for spec, target, n, runs, columns in cases:
-        for record in seen.values():
+        for record in (*seen.values(), count_draws):
             record.clear()
         assert singh_curve(spec, target, n, runs, SeededStream(30)).m == runs
         atoms = seen["counts"]
         assert len(atoms) == 1 and atoms[0] <= min(n + 1, runs)
         assert seen["unique"] == seen["sort"] == seen["argsort"] == []
         assert seen["lexsort"] == atoms * columns
+        sizes = [min(BLOCK, runs - start) for start in range(0, runs, BLOCK)]
+        if 8 * (n + 1) <= runs:
+            assert [(method, size) for method, size, _ in count_draws] == [
+                ("multinomial", size) for size in sizes
+            ]
+            assert all(drawn.shape == (n + 1,) for _, _, drawn in count_draws)
+        else:
+            assert [(method, size) for method, size, _ in count_draws] == [
+                ("binomial", size) for size in sizes
+            ]
+
+
+@pytest.mark.parametrize("n", [10, 200])
+def test_count_run_draws_a_histogram_from_8_n_plus_1_replicates(count_draws, n):
+    # The rule is 8 (n + 1) <= m exactly: one replicate short of it each
+    # block draws its counts, at it each block draws their histogram.
+    spec, target = StructureSpec("jeffreys"), TargetSpec.bernoulli(0.3)
+    for m, method in ((8 * (n + 1) - 1, "binomial"), (8 * (n + 1), "multinomial")):
+        count_draws.clear()
+        curve = singh_curve(spec, target, n, m, SeededStream(35))
+        assert {drawn for drawn, _, _ in count_draws} == {method}
+        _, _, columns = _count_run_replay(spec, target, n, m, 35)
+        assert curve.required.tobytes() == columns[0].tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 50])
+def test_large_n_count_run_draws_counts_in_constant_memory(count_draws, m):
+    # Chebyshev has no Beta shape, so n = 10**12 is in range: no histogram
+    # of n + 1 counts can be held, and a run of m replicates draws m counts
+    # in a few KB, whatever n is.
+    spec, target, n = StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.3, 2.0), 10**12
+    curve = singh_curve(spec, target, n, m, SeededStream(36))
+    assert curve.m == m
+    assert [(method, size) for method, size, _ in count_draws] == [("binomial", m)]
+    count_draws.clear()
+    tracemalloc.start()
+    try:
+        again = singh_curve(spec, target, n, m, SeededStream(36))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again.required.tobytes() == curve.required.tobytes()
+    assert peak < PEAK_BOUND
+
+
+@pytest.mark.parametrize("n, p", [
+    (10, 0.5), (30, 0.05), (250, 0.01), (250, 0.5), (250, 0.99), (1000, 0.3),
+])
+def test_histogram_counts_follow_the_binomial_cdf(count_draws, n, p):
+    # The histograms are drawn with _binomial_weights, the exact oracle's
+    # weights, so they are held to scipy's Binomial CDF instead: each
+    # block's histogram holds its size, and the run's count CDF stays
+    # within the DKW band at delta = 1e-3.
+    m = 3 * BLOCK + 5
+    singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(p), n, m, SeededStream(37))
+    assert [(method, size) for method, size, _ in count_draws] == [
+        ("multinomial", size) for size in (BLOCK, BLOCK, BLOCK, 5)
+    ]
+    for _, size, histogram in count_draws:
+        assert histogram.shape == (n + 1,) and (histogram >= 0).all() and histogram.sum() == size
+    cdf = np.cumsum(sum(histogram for _, _, histogram in count_draws)) / m
+    gap = np.abs(cdf - stats.binom.cdf(np.arange(n + 1), n, p)).max()
+    assert gap <= dkw_epsilon(m, 1e-3)
 
 
 def test_row_chunks_stay_within_the_element_budget(monkeypatch):
@@ -569,45 +704,42 @@ COUNT_READERS = (
 
 @given(
     spec=st.sampled_from(COUNT_READERS),
-    n=st.integers(1, 60),
+    n=st.one_of(st.integers(1, 60), st.sampled_from([600, 1100])),
     p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     mean=st.sampled_from([None, 0.5, 2.0]),
-    m=st.integers(1, 2 * BLOCK + 7),
     seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_count_columns_equal_sorted_per_replicate_bounds(spec, n, p, mean, m, seed):
+def test_count_columns_equal_sorted_per_replicate_bounds(spec, n, p, mean, seed, data):
     # Each sorted column of a count run holds, byte for byte, the bounds of
-    # every drawn count evaluated on its own, sorted; a count kind reads a
-    # bernoulli target, a moment kind either two-point family.
+    # every drawn count evaluated on its own, sorted, as the run rebuilt
+    # from numpy alone has them on either side of 8 (n + 1) <= m; a count
+    # kind reads a bernoulli target, a moment kind either two-point family.
+    # n = 600 and 1100 draw counts one by one across blocks.
     n = max(n, spec.min_n)
+    m = data.draw(st.one_of(
+        st.integers(1, 2 * BLOCK + 7), st.sampled_from([8 * (n + 1) - 1, 8 * (n + 1)])
+    ))
     if mean is None or spec.reads_count or p == 0.0:
-        target, success = TargetSpec.bernoulli(p), 1.0
+        target = TargetSpec.bernoulli(p)
     elif not math.isfinite(mean / p):
         with pytest.raises(DomainError, match="mean / p must be finite"):
             TargetSpec.scaled_bernoulli(p, mean)
         return
     else:
-        target, success = TargetSpec.scaled_bernoulli(p, mean), mean / p
+        target = TargetSpec.scaled_bernoulli(p, mean)
     stream = SeededStream(seed)
-    counts = np.concatenate([
-        stream.substream(b).generator().binomial(n, p, min(BLOCK, m - start))
-        for b, start in enumerate(range(0, m, BLOCK))
-    ])
-    alone = {}
     try:
-        for k in counts.tolist():
-            if k not in alone:
-                alone[k] = evaluate_counts(spec, target.theta0, n, [k], success)
+        _, _, columns = _count_run_replay(spec, target, n, m, seed)
     except DegenerateDataError:
         # A drawn zero-spread count refuses the t pivot's whole run.
         with pytest.raises(DegenerateDataError):
             singh_curve(spec, target, n, m, stream)
         return
     result = singh_curve(spec, target, n, m, stream)
-    assert len(result.curves) == (1 if spec.is_precise else 2)
-    for j, curve in enumerate(result.curves):
-        column = np.sort(np.array([alone[k][j][0] for k in counts.tolist()]))
+    assert len(result.curves) == len(columns)
+    for curve, column in zip(result.curves, columns):
         assert curve.required.tobytes() == column.tobytes()
         assert curve.never_count == np.isinf(column).sum()
 
