@@ -34,6 +34,14 @@ from .singh_engine import (
 
 __all__ = ["ParameterGrid", "check_grid_args", "global_singh"]
 
+# A count grid's chunk evaluates the Beta chains of all its points at once:
+# n + 1 values per point, each needing up to about 20 working floats at
+# the peak of the saddle-point binomial terms, against about 3 per drawn
+# replicate (its count and the two sorted columns). So a chunk takes
+# CHUNK_ELEMENTS // max(m, CHAIN_WEIGHT (n + 1)) points, and either side
+# stays O(CHUNK_ELEMENTS) floats.
+CHAIN_WEIGHT = 8
+
 
 @dataclass(frozen=True)
 class ParameterGrid:
@@ -105,13 +113,15 @@ def global_singh(
     before any grid point's substream is formed.
 
     No grid point becomes a local result. On a Bernoulli-family target the
-    points are drawn CHUNK_ELEMENTS // m at a time (at least one), and each
-    chunk's counts (one histogram per block when 8 (n + 1) <= m, else one
-    count per replicate) are evaluated once per distinct count of each
-    point, expanded into sorted columns and reduced into the envelope by
-    ``_drawn_count_values`` and one maximum; any other target draws one
-    point's rows at a time (``_drawn_row_values``). So working memory is
-    O(m + CHUNK_ELEMENTS) samples besides the K grid targets, not O(K m).
+    points are drawn CHUNK_ELEMENTS // max(m, CHAIN_WEIGHT (n + 1)) at a
+    time (at least one), and each chunk's counts (one histogram per block
+    when 8 (n + 1) <= m, else one count per replicate) are evaluated once
+    per distinct count of each point, in one call that builds the Beta
+    chains of all the chunk's truths together, expanded into sorted columns
+    and reduced into the envelope by ``_drawn_count_values`` and one
+    maximum; any other target draws one point's rows at a time
+    (``_drawn_row_values``). So working memory is O(m + CHUNK_ELEMENTS)
+    samples besides the K grid targets, not O(K m) and not O(K n).
     """
     targets = check_grid_args(structure, family, grid, n, m)
     chunks = _chunk_columns(structure, targets, n, m, stream)
@@ -127,7 +137,7 @@ def _chunk_columns(
 ):
     """Each chunk of grid points' sorted columns, reduced to their index-wise maximum."""
     if targets[0].family in COUNT_FAMILIES:
-        step = max(1, CHUNK_ELEMENTS // m)
+        step = max(1, CHUNK_ELEMENTS // max(m, CHAIN_WEIGHT * (n + 1)))
         for lo in range(0, len(targets), step):
             draws = [(t, stream.substream(j * m)) for j, t in enumerate(targets[lo:lo + step], lo)]
             yield [c.max(axis=0) for c in _drawn_count_values(structure, draws, n, m)]

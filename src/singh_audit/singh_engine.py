@@ -405,11 +405,13 @@ def _drawn_count_values(
     and runs its continued fraction on the atoms, not on m lanes. One
     ``evaluate_counts`` call evaluates all K rows' atoms, with a truth and
     a success value per atom (a scaled-Bernoulli mean sweep moves both;
-    one point passes scalars), so each distinct truth's chain is built
-    once. A row's column is its atoms in ascending value, repeated by their
-    multiplicities: nothing of length m is gathered or sorted by value. A
-    local run is K = 1; working memory is O(K m), which ``global_singh``
-    bounds by drawing at most CHUNK_ELEMENTS // m points at a time.
+    one point passes scalars), so the chains of all distinct truths are
+    built together, once each, as the histogram side forms the K rows'
+    weights in one ``_binomial_weights`` call. A row's column is its atoms
+    in ascending value, repeated by their multiplicities: nothing of length
+    m is gathered or sorted by value. A local run is K = 1; working memory
+    is O(K max(m, n + 1)), which ``global_singh`` bounds by drawing at most
+    CHUNK_ELEMENTS // max(m, CHAIN_WEIGHT (n + 1)) points at a time.
     """
     if HISTOGRAM_FACTOR * (n + 1) <= m:
         point, counts, mult = _count_histograms(draws, n, m)
@@ -438,14 +440,15 @@ def _count_histograms(
     + 1) <= m: block b of a point draws
     ``stream.substream(b).generator().multinomial(size, _binomial_weights(n,
     p))``, the histogram over k = 0..n of its ``size`` counts, and a point
-    sums its blocks' histograms. Its atoms are the non-zero entries, in
-    ascending count, and their values the multiplicities.
+    sums its blocks' histograms. One ``_binomial_weights`` call gives every
+    point's weights. A point's atoms are the non-zero entries, in ascending
+    count, and their values the multiplicities.
     """
     hist = np.zeros((len(draws), n + 1), dtype=np.int64)
-    for row, (target, stream) in zip(hist, draws):
-        weights = _binomial_weights(n, target.p)
+    weights = _binomial_weights(n, [target.p for target, _ in draws])
+    for row, p_weights, (_, stream) in zip(hist, weights, draws):
         for b, size in _blocks(m):
-            row += stream.substream(b).generator().multinomial(size, weights)
+            row += stream.substream(b).generator().multinomial(size, p_weights)
     point, counts = np.nonzero(hist)
     return point, counts, hist[point, counts]
 
@@ -565,20 +568,28 @@ def _result(structure: StructureSpec, columns: list[np.ndarray]):
     return curves[0] if structure.is_precise else SinghBand(*curves)
 
 
-def _binomial_weights(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) probabilities of k = 0..n, from ``binomial_pmf``.
+def _binomial_weights(n: int, p) -> np.ndarray:
+    """Binomial(n, p) probabilities of k = 0..n, from ``binomial_pmf``; a row per p.
 
-    That is the helper whose terms step the count kinds' Beta chains, in
-    Loader's saddle-point form: no large logarithm cancels, so each weight
-    holds its relative accuracy at any n the engines accept. The same
-    weights are the exact enumeration's atom masses and the multinomial
-    cell probabilities of a Monte Carlo count run's histograms.
+    A scalar p gives one row of n + 1 weights, an array of K values a (K,
+    n + 1) matrix from one ``binomial_pmf`` call, each row what its p gives
+    alone. That is the helper whose terms step the count kinds' Beta
+    chains, in Loader's saddle-point form: no large logarithm cancels, so
+    each weight holds its relative accuracy at any n the engines accept.
+    The same weights are the exact enumeration's atom masses and the
+    multinomial cell probabilities of a Monte Carlo count run's histograms.
     """
-    if p == 0.0 or p == 1.0:
-        weights = np.zeros(n + 1)
-        weights[0 if p == 0.0 else n] = 1.0
-        return weights
-    return binomial_pmf(p, float(n), np.arange(n + 1.0))
+    p = np.asarray(p, dtype=np.float64)
+    ps = p.reshape(-1)
+    values = ps.tolist()
+    if 0.0 in values or 1.0 in values:
+        weights = np.zeros((ps.size, n + 1))
+        weights[ps == 0.0, 0] = weights[ps == 1.0, n] = 1.0
+        inner = (ps != 0.0) & (ps != 1.0)
+        weights[inner] = _binomial_weights(n, ps[inner])
+    else:
+        weights = binomial_pmf(ps, float(n), np.arange(n + 1.0))
+    return weights.reshape(p.shape + (n + 1,))
 
 
 def _weighted_curve(values: np.ndarray, weights: np.ndarray) -> SinghCurve:

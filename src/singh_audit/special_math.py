@@ -6,9 +6,11 @@ every platform and carry no heavyweight dependency. The one array form,
 ``student_t_cdf_array``, runs the continued fraction of the t tail's
 shapes (nu/2, 1/2) on every element at once and equals ``student_t_cdf``
 bit for bit; the scalar functions stay the reference. ``binomial_pmf``
-forms binomial terms of real size and count in Loader's saddle-point form;
-they weight the exact enumeration, step the count kinds' Beta chains and
-give ``reg_inc_beta``'s front factor when both shapes are large. Randomness
+forms binomial terms of real size and count in Loader's saddle-point form,
+one row per probability, with the terms of the counts alone formed once
+per call; they weight the exact enumeration and a count run's histograms,
+step the count kinds' Beta chains and give ``reg_inc_beta``'s front factor
+when both shapes are large. Randomness
 comes from ``SeededStream``, a splittable handle that derives statistically
 independent substreams from a single master seed by index arithmetic and
 hands out ``numpy.random.Generator`` objects positioned at their start (or
@@ -112,7 +114,7 @@ def _ln_front(x: float, a: float, b: float) -> float:
     the region where the function is not saturated at 0 or 1.
     """
     if a >= _STIRLING_MIN and b >= _STIRLING_MIN:
-        term = binomial_pmf(x, a + b, np.array([a]))[0]
+        term = binomial_pmf([x], a + b, [a])[0, 0]
         return math.log(a * b / (a + b) * term) if term > 0.0 else -math.inf
     xc = 1.0 - x
     xc_err = (1.0 - xc) - x
@@ -150,9 +152,10 @@ def _ln_front(x: float, a: float, b: float) -> float:
 
 
 def _each(fn, values: np.ndarray) -> np.ndarray:
-    # A ``math`` function at every element: numpy's log, log1p and exp can
-    # differ from math's in the last place.
-    return np.fromiter(map(fn, values.tolist()), np.float64, values.size)
+    # A ``math`` function at every element, in the array's shape: numpy's
+    # log, log1p and exp can differ from math's in the last place. Mapping
+    # over the buffer holds one Python float at a time, not a list of them.
+    return np.fromiter(map(fn, values.ravel().data), np.float64, values.size).reshape(values.shape)
 
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -172,7 +175,7 @@ def _stirling_corr_array(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _deviance(x: np.ndarray, mean: float, log_ratio: np.ndarray) -> np.ndarray:
+def _deviance(x: np.ndarray, mean: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
     """x ln(x / mean) + mean - x for x, mean > 0, given ln(x / mean).
 
     Loader's bd0. Where x is within a factor ~1.2 of mean, |v| < 0.1 for
@@ -190,46 +193,67 @@ def _deviance(x: np.ndarray, mean: float, log_ratio: np.ndarray) -> np.ndarray:
     return np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * w * series, x * log_ratio - d)
 
 
-def binomial_pmf(x: float, size: float, counts: np.ndarray) -> np.ndarray:
-    """Binomial(size, x) probability at each count, for real size and counts.
+def binomial_pmf(x, size: float, counts) -> np.ndarray:
+    """Binomial(size, x) probabilities, one row per x and one column per count.
 
-    The term Gamma(size+1) / (Gamma(k+1) Gamma(size-k+1)) x^k (1-x)^(size-k)
-    for 0 <= k <= size and 0 < x < 1; it is x^k (1-x)^(size-k) / ((k + 1)
-    B(k + 1, size - k)), the step of the Beta shift recurrence. A size below
-    40 takes three lgammas. A larger one takes the saddle-point form of
-    Loader (2000), "Fast and accurate computation of binomial
-    probabilities": Stirling errors plus two deviances, so no large
-    logarithm cancels, and k = 0 and k = size read size ln(1-x) and
-    size ln x. Every per-element log and exp runs through ``math``. At the
-    real count k = a and size a + b it is also ``reg_inc_beta``'s front
+    ``x`` is a 1-D array of probabilities in (0, 1); size and counts are
+    real. Row i holds Gamma(size+1) / (Gamma(k+1) Gamma(size-k+1)) x_i^k
+    (1-x_i)^(size-k) at each count 0 <= k <= size; it is x^k
+    (1-x)^(size-k) / ((k + 1) B(k + 1, size - k)), the step of the Beta
+    shift recurrence. A size below 40 takes three lgammas. A larger one
+    takes the saddle-point form of Loader (2000), "Fast and accurate
+    computation of binomial probabilities": Stirling errors plus two
+    deviances, so no large logarithm cancels, and k = 0 and k = size read
+    size ln(1-x) and size ln x. The terms that depend on the counts alone
+    (the lgammas, or the Stirling errors) are formed once per call, not
+    once per x; every element then takes the same operations, in the same
+    order, as it would in a call of its own, and every per-element log and
+    exp runs through ``math``. So a row never depends on the other rows. At
+    the real count k = a and size a + b it is also ``reg_inc_beta``'s front
     factor x^a (1-x)^b / B(a, b), divided by a b / (a + b).
     """
+    xs = np.asarray(x, dtype=np.float64).tolist()
     k = np.asarray(counts, dtype=np.float64)
     if size < _LGAMMA_MAX_SIZE:
-        lgamma, ln_x, ln_1mx = math.lgamma, math.log(x), math.log1p(-x)
+        lgamma, log, log1p, exp = math.lgamma, math.log, math.log1p, math.exp
         ln_size = lgamma(size + 1.0)
-        return np.array([
-            math.exp(ln_size - lgamma(j + 1.0) - lgamma(size - j + 1.0) + j * ln_x + (size - j) * ln_1mx)
-            for j in k.tolist()
-        ])
+        ks = k.tolist()
+        ln_coef = [ln_size - lgamma(j + 1.0) - lgamma(size - j + 1.0) for j in ks]
+        terms = [
+            exp(c + j * ln_x + (size - j) * ln_1mx)
+            for ln_x, ln_1mx in [(log(v), log1p(-v)) for v in xs]
+            for c, j in zip(ln_coef, ks)
+        ]
+        return np.array(terms).reshape(len(xs), len(ks))
     rest = size - k
-    ln = np.where(k == 0.0, size * math.log1p(-x), size * math.log(x))
     inner = (k > 0.0) & (rest > 0.0)
-    ki, ri = k[inner], rest[inner]
-    mean_k, mean_r = size * x, size * (1.0 - x)
+    # The inner counts k, then their complements size - k: each numpy pass
+    # below (Stirling errors, logs, deviances) serves both sides at once,
+    # and the halves are recombined in the scalar form's order.
+    sides = np.concatenate((k[inner], rest[inner]))
+    half = sides.size // 2
+    stirling = _stirling_corr_array(sides)
+    corr = _stirling_corr(size) - stirling[:half] - stirling[half:]
+    # Per x: size ln(1-x), size ln x, the two sides' means size x and
+    # size (1-x), and ln(size x (1-x)).
+    per_x = np.array([
+        (size * math.log1p(-v), size * math.log(v), size * v, size * (1.0 - v), math.log(size * v * (1.0 - v)))
+        for v in xs
+    ]).reshape(len(xs), 5)
+    ln = np.where(k == 0.0, per_x[:, 0:1], per_x[:, 1:2])
+    means = per_x[:, 2:4].repeat(half, axis=1)
     # A mean below the smallest normal float can overflow a ratio to +inf,
     # whose term then reads exp(-inf) = 0.
     with np.errstate(over="ignore"):
-        log_k, log_r = _each(math.log, ki / mean_k), _each(math.log, ri / mean_r)
+        logs = _each(math.log, sides / means)
+    dev = _deviance(sides, means, logs)
     # The saddle-point prefactor ln sqrt(size / (2 pi k r)) from the same
     # two logs: size / (k r) = (mean_k / k) (mean_r / r) / (size x (1-x)).
-    ln[inner] = (
-        _stirling_corr(size)
-        - _stirling_corr_array(ki)
-        - _stirling_corr_array(ri)
-        - _deviance(ki, mean_k, log_k)
-        - _deviance(ri, mean_r, log_r)
-        - 0.5 * (log_k + log_r + math.log(mean_k * (1.0 - x)))
+    ln[:, inner] = (
+        corr
+        - dev[:, :half]
+        - dev[:, half:]
+        - 0.5 * (logs[:, :half] + logs[:, half:] + per_x[:, 4:5])
         - _HALF_LN_2PI
     )
     return _each(math.exp, ln)

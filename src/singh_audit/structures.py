@@ -17,7 +17,9 @@ unit-spaced run of a with a fixed total T, and one shift of a subtracts a
 binomial term (DLMF 8.17.20-21). So ``evaluate_counts`` builds each run, a
 chain, from two scalar ``reg_inc_beta`` anchors at its ends plus
 cumulative sums of ``special_math.binomial_pmf`` terms, for every count at
-once.
+once, and the chains of all its distinct truths together: one row per
+truth, whose terms come from one ``binomial_pmf`` call and whose sums run
+along the rows, so each row holds the bits its truth gives alone.
 
 - ``student_t_pivot``: T((mu - mean) / (sd / sqrt(n)); n - 1), exactly
   uniform at the true normal mean.
@@ -151,56 +153,70 @@ def chebyshev_ucl(alpha: float, samples) -> float:
     return float(x.mean()) + multiplier * float(x.std(ddof=1)) / math.sqrt(x.size)
 
 
-def _chain(theta: float, first: float, length: int, total: float) -> np.ndarray:
-    """I_theta(a, total - a) at a = first, first + 1, ..., first + length - 1.
+def _chain(theta: np.ndarray, first: float, length: int, total: float, out: np.ndarray) -> None:
+    """Write I_theta[i](a, total - a) at a = first, first + 1, ..., first + length - 1 to out[i].
 
     One shift a -> a + 1 of the shapes (a, total - a) subtracts a binomial
     term (DLMF 8.17.20-21): I_x(a + 1, b - 1) = I_x(a, b) - t(a), with t(a)
-    the Binomial(total - 1, x) probability at the real count a. So the run
-    is two ``reg_inc_beta`` anchors, one at each end, plus cumulative sums
-    of the terms, each summed from its small tail: the values below 1/2
-    from the last anchor up, and the rest as 1 minus the complement, summed
-    from the first anchor on. As in ``reg_inc_beta``, every value is 0 at
-    theta = 0 and 1 at theta = 1, and equal shapes read exactly 1/2 at
-    theta = 1/2.
+    the Binomial(total - 1, x) probability at the real count a. So a row is
+    two ``reg_inc_beta`` anchors, one at each end, plus cumulative sums of
+    the terms, each summed from its small tail: the values below 1/2 from
+    the last anchor up, and the rest as 1 minus the complement, summed from
+    the first anchor on. The anchors are scalar calls, two per theta; the
+    terms of every theta come from one ``binomial_pmf`` call and are summed
+    along the rows, so a row is what its theta gives alone. As in
+    ``reg_inc_beta``, every value is 0 at theta = 0 and 1 at theta = 1, and
+    equal shapes read exactly 1/2 at theta = 1/2.
     """
-    if theta == 0.0:
-        return np.zeros(length)
-    if theta == 1.0:
-        return np.ones(length)
-    head = reg_inc_beta(theta, first, total - first)
+    xs = theta.tolist()
+    if 0.0 in xs or 1.0 in xs:
+        ends = (theta == 0.0) | (theta == 1.0)
+        out[ends] = (theta[ends] == 1.0)[:, None]
+        if not ends.all():
+            rows = np.empty((theta.size - np.count_nonzero(ends), length))
+            _chain(theta[~ends], first, length, total, rows)
+            out[~ends] = rows
+        return
     if length == 1:
-        return np.array([head])
+        out[:, 0] = [reg_inc_beta(t, first, total - first) for t in xs]
+        return
     last = first + (length - 1)
     a = first + np.arange(length, dtype=np.float64)
-    # [1 - I(first), t(first), ..., t(last - 1), I(last)]
-    terms = np.empty(length + 1)
-    terms[0] = 1.0 - head
-    terms[1:-1] = binomial_pmf(theta, total - 1.0, a[:-1])
-    terms[-1] = reg_inc_beta(theta, last, total - last)
-    below = np.cumsum(terms[:0:-1])[::-1]
-    values = np.where(below < 0.5, below, 1.0 - np.cumsum(terms[:-1]))
-    if theta == 0.5:
-        values[a == total - a] = 0.5
-    return values
+    # Row by row [1 - I(first), t(first), ..., t(last - 1), I(last)]
+    terms = np.empty((len(xs), length + 1))
+    terms[:, 0] = [1.0 - reg_inc_beta(t, first, total - first) for t in xs]
+    terms[:, 1:-1] = binomial_pmf(theta, total - 1.0, a[:-1])
+    terms[:, -1] = [reg_inc_beta(t, last, total - last) for t in xs]
+    below = terms[:, :0:-1].cumsum(axis=1)[:, ::-1]
+    np.subtract(1.0, terms[:, :-1].cumsum(axis=1), out=out)
+    np.copyto(out, below, where=below < 0.5)
+    if 0.5 in xs:
+        out[np.outer(theta == 0.5, a == total - a)] = 0.5
 
 
-def _count_bounds(spec: StructureSpec, theta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # (lower, upper) of a count kind at every k = 0..n for one theta.
+def _count_bounds(spec: StructureSpec, theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # (lower, upper) of a count kind at every k = 0..n, one row per theta.
     if spec.kind == "jeffreys":
-        value = _chain(theta, 0.5, n + 1, n + 1.0)
+        value = np.empty((theta.size, n + 1))
+        _chain(theta, 0.5, n + 1, n + 1.0, value)
         return value, value
     c = 1.0 if spec.kind == "clopper_pearson" else spec.c
+    # Beta(k + c, n - k) and Beta(k, n - k + c) at k = 0..n. The point
+    # masses at k = n and k = 0 take the values the module docstring
+    # states, 0 and 1; the two CDFs are then sorted, in either order.
     if float(c).is_integer():
-        # I(a) at a = 1..n+c-1 holds both CDFs: Beta(k + c, n - k) at
-        # index k + c - 1 and Beta(k, n - k + c) at index k - 1.
-        beta = _chain(theta, 1.0, n + int(c) - 1, n + c)
-        first, second = beta[int(c) - 1:], beta[:n]
+        # I(a) at a = 0..n+c, the chain over 1..n+c-1 between the point
+        # masses, holds both: Beta(k + c, n - k) at column k + c and
+        # Beta(k, n - k + c) at column k.
+        beta = np.empty((theta.size, n + int(c) + 1))
+        beta[:, 0], beta[:, -1] = 1.0, 0.0
+        _chain(theta, 1.0, n + int(c) - 1, n + c, beta[:, 1:-1])
+        first, second = beta[:, int(c):], beta[:, :n + 1]
     else:
-        first, second = _chain(theta, c, n, n + c), _chain(theta, 1.0, n, n + c)
-    # The point masses at k = n and k = 0 take the values the module
-    # docstring states; the two CDFs are then sorted, in either order.
-    first, second = np.append(first, 0.0), np.append(1.0, second)
+        first, second = np.empty((2, theta.size, n + 1))
+        first[:, n], second[:, 0] = 0.0, 1.0
+        _chain(theta, c, n, n + c, first[:, :n])
+        _chain(theta, 1.0, n, n + c, second[:, 1:])
     return np.minimum(first, second), np.maximum(first, second)
 
 
@@ -249,11 +265,12 @@ def evaluate_counts(
     alone, so no dataset is built. ``truth`` and ``success`` are each a
     scalar or one value per count. The moment kinds read the mean k v / n
     and the sample standard deviation |v| sqrt(k (n - k) / (n (n - 1))).
-    The kinds in ``COUNT_KINDS`` need v = 1; for each distinct theta they
-    evaluate the whole run of k = 0..n as chains (see ``_chain`` and
-    ``_count_bounds``), which the requested counts index, so a count's
-    bounds never depend on which other counts were asked for. A non-finite
-    truth or success value raises DomainError.
+    The kinds in ``COUNT_KINDS`` need v = 1; they evaluate the whole run of
+    k = 0..n as chains (see ``_chain`` and ``_count_bounds``) in one call
+    for all distinct truths, a scalar truth being the one-truth case, and
+    the requested counts index the rows. So a count's bounds never depend on
+    which other counts or truths were asked for. A non-finite truth or
+    success value raises DomainError.
     """
     if spec.reads_next_draw:
         raise DomainError(f"{spec.kind} reads a next draw, not a success count")
@@ -272,12 +289,14 @@ def evaluate_counts(
     ks = k.astype(np.int64)
     truth = np.asarray(truth, dtype=np.float64)
     if truth.ndim == 0:
-        lower, upper = _count_bounds(spec, float(truth), n)
-        return lower[ks], upper[ks]
-    distinct, which = np.unique(np.broadcast_to(truth, ks.shape), return_inverse=True)
-    table = np.array([_count_bounds(spec, theta, n) for theta in distinct.tolist()])
-    table = table.reshape(distinct.size, 2, n + 1)
-    return table[which, 0, ks], table[which, 1, ks]
+        distinct, which = truth.reshape(1), 0
+    else:
+        distinct, which = np.unique(np.broadcast_to(truth, ks.shape), return_inverse=True)
+    lower, upper = _count_bounds(spec, distinct, n)
+    # Both tables are C-ordered (distinct truths, n + 1); one flat index
+    # reads both.
+    flat = which * (n + 1) + ks
+    return lower.ravel()[flat], upper.ravel()[flat]
 
 
 def evaluate_structure(spec: StructureSpec, truth, samples) -> tuple[np.ndarray, np.ndarray]:

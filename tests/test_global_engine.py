@@ -249,18 +249,21 @@ def test_global_memory_is_bounded_by_the_chunk_not_the_grid():
     # // m points at a time, whose counts and two expanded band columns are
     # 3 CHUNK_ELEMENTS 8 bytes (768 KiB); the envelope itself is a few
     # columns of m 8 bytes, and the grid's targets are O(K) small objects.
+    # K = 2000 points of n = 1000 at m = 2: each point's Beta chain holds
+    # n + 1 values, so chunks of CHUNK_ELEMENTS // m points, 16,384 chains
+    # evaluated at once, peaked at 66 MB; the chains must size a chunk too.
     # The bound is 8 CHUNK_ELEMENTS 8 bytes (2 MiB), an eighth of one K m
     # column. numpy reports its buffers to tracemalloc.
     spec, family = StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.5)
-    n, m = 10, 2000
-    grid = ParameterGrid.uniform(0.0, 1.0, 1000)
-    # A first run of the path leaves its one-time allocations behind.
-    global_singh(spec, family, ParameterGrid((0.2, 0.4)), n, 50, SeededStream(2))
-    tracemalloc.start()
-    try:
-        band = global_singh(spec, family, grid, n, m, SeededStream(1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert band.m == m
-    assert peak < 8 * CHUNK_ELEMENTS * 8
+    for n, m, k in ((10, 2000, 1000), (1000, 2, 2000)):
+        grid = ParameterGrid.uniform(0.0, 1.0, k)
+        # A first run of the path leaves its one-time allocations behind.
+        global_singh(spec, family, ParameterGrid((0.2, 0.4)), n, 50, SeededStream(2))
+        tracemalloc.start()
+        try:
+            band = global_singh(spec, family, grid, n, m, SeededStream(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert band.m == m
+        assert peak < 8 * CHUNK_ELEMENTS * 8, (n, m, k)

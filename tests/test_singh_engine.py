@@ -906,6 +906,24 @@ def test_binomial_weights_match_scipy_at_large_n():
     assert np.array_equal(_binomial_weights(4, 1.0), [0.0, 0.0, 0.0, 0.0, 1.0])
 
 
+@given(
+    n=st.one_of(st.integers(min_value=1, max_value=60), st.sampled_from([250, 1000])),
+    rates=st.lists(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1e-310]), st.floats(min_value=0.0, max_value=1.0)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_binomial_weight_rows_equal_one_rate_at_a_time(n, rates):
+    # One call weighs every rate of a chunk; each row must be the bytes its
+    # rate gives alone, on both sides of the saddle-point size 40.
+    rows = _binomial_weights(n, rates)
+    assert rows.shape == (len(rates), n + 1)
+    for row, p in zip(rows, rates):
+        assert row.tobytes() == _binomial_weights(n, p).tobytes()
+
+
 @pytest.mark.parametrize("n", [1000, 9999])
 def test_binomial_weights_are_accurate_and_sum_to_one(n):
     # Loader's saddle-point form: each weight within 5e-12 relative of

@@ -357,6 +357,19 @@ def test_batched_predictive_ties_land_in_both_counts():
 
 
 COUNT_SPECS = [spec for spec in ALL_SPECS if spec.reads_count]
+# Every count kind's chain layout: one half-integer chain, one integer
+# chain whose two CDFs share it, and two chains for a non-integer c, one
+# of whose anchors then has both shapes at least 20.
+CHAIN_SPECS = [JEFFREYS, CLOPPER_PEARSON] + [StructureSpec("scaled_cbox", c=c) for c in (0.5, 3.0, 20.5)]
+# Truths that take their own branches: the ends, which read 0 and 1; the
+# median, where equal shapes read exactly 1/2; a subnormal rate, whose
+# saddle-point means underflow.
+TRUTHS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1e-310]), st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+)
+# Binomial terms of size below 40 take three lgammas, larger ones Loader's
+# saddle-point form.
+SIZES = st.one_of(st.integers(min_value=1, max_value=60), st.sampled_from([250, 1000]))
 
 
 def test_counts_refuse_other_kinds_and_bad_counts():
@@ -375,9 +388,10 @@ def test_counts_refuse_other_kinds_and_bad_counts():
             with pytest.raises(DomainError):
                 evaluate_counts(spec, 0.4, 7, counts)
     for spec in COUNT_SPECS:
-        for theta in (-0.1, 1.5):
+        # Also beside a truth at an end, whose chain reads no Beta function.
+        for theta in (-0.1, 1.5, [0.0, 1.5], [1.0, -0.1]):
             with pytest.raises(DomainError):
-                evaluate_counts(spec, theta, 7, [3])
+                evaluate_counts(spec, theta, 7, [3, 4])
     for spec in ALL_SPECS:
         if spec.kind == "empirical_predictive":
             continue
@@ -546,6 +560,21 @@ def test_count_bounds_do_not_depend_on_the_other_counts(spec):
         mixed = evaluate_counts(spec, [0.9, theta], n, [3, n // 2])
         assert bits(mixed[0][1:]) == bits(lower[n // 2:n // 2 + 1])
         assert bits(mixed[1][1:]) == bits(upper[n // 2:n // 2 + 1])
+
+
+@given(spec=st.sampled_from(CHAIN_SPECS), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_counts_under_many_truths_equal_one_truth_at_a_time(spec, data):
+    # One call chains all its distinct truths at once; each truth's bounds
+    # at every count must be the bytes a call with that truth alone gives.
+    n = data.draw(SIZES, label="n")
+    truths = data.draw(st.lists(TRUTHS, min_size=1, max_size=6), label="truths")
+    counts = np.arange(n + 1)
+    lower, upper = evaluate_counts(spec, np.repeat(truths, n + 1), n, np.tile(counts, len(truths)))
+    for theta, row_lower, row_upper in zip(truths, lower.reshape(-1, n + 1), upper.reshape(-1, n + 1)):
+        alone = evaluate_counts(spec, theta, n, counts)
+        assert bits(row_lower) == bits(alone[0])
+        assert bits(row_upper) == bits(alone[1])
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0, 3.0])
