@@ -172,10 +172,11 @@ def _chain(theta: np.ndarray, first: float, length: int, total: float, out: np.n
     if 0.0 in xs or 1.0 in xs:
         ends = (theta == 0.0) | (theta == 1.0)
         out[ends] = (theta[ends] == 1.0)[:, None]
-        if not ends.all():
-            rows = np.empty((theta.size - np.count_nonzero(ends), length))
-            _chain(theta[~ends], first, length, total, rows)
-            out[~ends] = rows
+        inner = ~ends
+        if inner.any():
+            rows = np.empty((np.count_nonzero(inner), length))
+            _chain(theta[inner], first, length, total, rows)
+            out[inner] = rows
         return
     if length == 1:
         out[:, 0] = [reg_inc_beta(t, first, total - first) for t in xs]
