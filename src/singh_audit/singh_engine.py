@@ -573,23 +573,15 @@ def _binomial_weights(n: int, p) -> np.ndarray:
 
     A scalar p gives one row of n + 1 weights, an array of K values a (K,
     n + 1) matrix from one ``binomial_pmf`` call, each row what its p gives
-    alone. That is the helper whose terms step the count kinds' Beta
-    chains, in Loader's saddle-point form: no large logarithm cancels, so
-    each weight holds its relative accuracy at any n the engines accept.
+    alone; p = 0 and p = 1 take its point masses at k = 0 and k = n. That
+    is the helper whose terms step the count kinds' Beta chains, in
+    Loader's saddle-point form: no large logarithm cancels, so each weight
+    holds its relative accuracy at any n the engines accept.
     The same weights are the exact enumeration's atom masses and the
     multinomial cell probabilities of a Monte Carlo count run's histograms.
     """
     p = np.asarray(p, dtype=np.float64)
-    ps = p.reshape(-1)
-    values = ps.tolist()
-    if 0.0 in values or 1.0 in values:
-        weights = np.zeros((ps.size, n + 1))
-        weights[ps == 0.0, 0] = weights[ps == 1.0, n] = 1.0
-        inner = (ps != 0.0) & (ps != 1.0)
-        weights[inner] = _binomial_weights(n, ps[inner])
-    else:
-        weights = binomial_pmf(ps, float(n), np.arange(n + 1.0))
-    return weights.reshape(p.shape + (n + 1,))
+    return binomial_pmf(p.reshape(-1), float(n), np.arange(n + 1.0)).reshape(p.shape + (n + 1,))
 
 
 def _weighted_curve(values: np.ndarray, weights: np.ndarray) -> SinghCurve:
@@ -608,6 +600,8 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     both read the structure from the count through that one function. The
     t pivot is refused: the enumeration always holds k = 0 and k = n,
     whose zero spread leaves the pivot undefined, whatever their weight.
+    Every kind is held to n <= ``MAX_ACCURATE_SHAPE``, the bound the count
+    kinds meet through their Beta shapes, before any weight is formed.
     """
     if target.family not in COUNT_FAMILIES:
         raise UnsupportedTargetError("exact enumeration needs a bernoulli or scaled_bernoulli target")
@@ -619,6 +613,8 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
             "k = 0 and k = n, whose datasets have zero spread"
         )
     check_run_args(structure, target, n, m=1)
+    if n > MAX_ACCURATE_SHAPE:
+        raise DomainError(f"exact enumeration needs n <= {MAX_ACCURATE_SHAPE:g}, got n = {n}")
     weights = _binomial_weights(n, target.p)
     success = _success_value(target)
     lowers, uppers = evaluate_counts(structure, target.theta0, n, np.arange(n + 1), success)
@@ -633,8 +629,8 @@ def classify(result, delta: float = 0.01) -> CoverageReport:
 
     A Monte Carlo curve's tube is its DKW band at ``delta``; an exact
     (weighted) curve has no sampling noise, so its tube is the rounding
-    tolerance ``EXACT_TOLERANCE`` and ``delta`` plays no part. The report's
-    ``dkw_epsilon`` holds the half-width used.
+    tolerance ``EXACT_TOLERANCE``. Either way ``delta`` must lie in (0, 1).
+    The report's ``dkw_epsilon`` holds the half-width used.
 
     overconfident: the coverage-relevant curve dips below alpha - epsilon
     somewhere. favourable: it stays inside the tube everywhere. conservative:
@@ -643,6 +639,8 @@ def classify(result, delta: float = 0.01) -> CoverageReport:
     only the central range discriminates). valid: everything else. The
     conservatism area lies between the first and last of ``result.curves``.
     """
+    if not 0.0 < delta < 1.0:
+        raise DomainError("delta must lie in (0, 1)")
     curve = result.curves[0]
     eps = dkw_epsilon(curve.m, delta) if curve.weights is None else EXACT_TOLERANCE
     alphas = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)

@@ -2,15 +2,16 @@
 
 The regularized incomplete beta function and the Student-t CDF are computed
 with the standard continued-fraction expansion so results are identical on
-every platform and carry no heavyweight dependency. The one array form,
-``student_t_cdf_array``, runs the continued fraction of the t tail's
-shapes (nu/2, 1/2) on every element at once and equals ``student_t_cdf``
-bit for bit; the scalar functions stay the reference. ``binomial_pmf``
-forms binomial terms of real size and count in Loader's saddle-point form,
-one row per probability, with the terms of the counts alone formed once
-per call; they weight the exact enumeration and a count run's histograms,
-step the count kinds' Beta chains and give ``reg_inc_beta``'s front factor
-when both shapes are large. Randomness
+every platform and carry no heavyweight dependency. The Beta front factor
+x^a (1-x)^b / B(a, b) has one form, ``_ln_front``, for a float or an array
+of x, and ``student_t_cdf_array`` runs the continued fraction of the t
+tail's shapes (nu/2, 1/2) on every element at once, so it equals
+``student_t_cdf`` bit for bit. ``binomial_pmf`` forms binomial terms of
+real size and count in Loader's saddle-point form, one row per
+probability, with the terms of the counts alone formed once per call and
+the point masses at probability 0 and 1 stated; they weight the exact
+enumeration and a count run's histograms, step the count kinds' Beta
+chains and give the front factor when both shapes are large. Randomness
 comes from ``SeededStream``, a splittable handle that derives statistically
 independent substreams from a single master seed by index arithmetic and
 hands out ``numpy.random.Generator`` objects positioned at their start (or
@@ -101,21 +102,26 @@ def _stirling_corr(z: float) -> float:
     )
 
 
-def _ln_front(x: float, a: float, b: float) -> float:
+def _ln_front(x, a: float, b: float, each=lambda fn, value: fn(value)):
     """log of x^a (1-x)^b / B(a, b) without large-argument cancellation.
 
-    A plain three-lgamma evaluation loses ~1e-11 absolutely once the shapes
-    reach 1e4, because each lgamma is only correct to a few ulp of its own
-    (huge) magnitude. With both shapes at least 20 the factor is
-    a b / (a + b) times the Binomial(a + b, x) term at the real count a,
-    which ``binomial_pmf`` forms in Loader's saddle-point form. With one
+    ``x`` is a float, or a 1-D array whose caller passes ``each=_each``.
+    Every log of a per-element value runs through ``each`` and so through
+    ``math``; the rest is numpy arithmetic, which rounds like Python floats,
+    in the float's left-to-right order, so every element equals a float
+    call bit for bit. A plain three-lgamma evaluation loses ~1e-11
+    absolutely once the shapes reach 1e4, because each lgamma is only
+    correct to a few ulp of its own (huge) magnitude. With both shapes at
+    least 20 the factor is a b / (a + b) times the Binomial(a + b, x) term
+    at the real count a, one ``binomial_pmf`` row per element. With one
     small shape, Stirling's formula for the large one cancels the large
     terms analytically. Either way every computed term stays modest near
     the region where the function is not saturated at 0 or 1.
     """
     if a >= _STIRLING_MIN and b >= _STIRLING_MIN:
-        term = binomial_pmf([x], a + b, [a])[0, 0]
-        return math.log(a * b / (a + b) * term) if term > 0.0 else -math.inf
+        x = np.asarray(x, dtype=np.float64)
+        terms = binomial_pmf(x.reshape(-1), a + b, [a]).reshape(x.shape)
+        return each(lambda v: math.log(v) if v > 0.0 else -math.inf, a * b / (a + b) * terms)
     xc = 1.0 - x
     xc_err = (1.0 - xc) - x
     if a <= b:
@@ -132,9 +138,9 @@ def _ln_front(x: float, a: float, b: float) -> float:
         # One small shape: expand ln G(total) - ln G(large) around large,
         # with first-order residual corrections for the rounded complement.
         return (
-            small * math.log(x_small * total)
+            small * each(math.log, x_small * total)
             + small * (xs_err / x_small + total_err / total)
-            + large * math.log(x_large)
+            + large * each(math.log, x_large)
             + large * (xl_err / x_large)
             - math.lgamma(small)
             + (large - 0.5) * math.log1p(small / large)
@@ -146,8 +152,8 @@ def _ln_front(x: float, a: float, b: float) -> float:
         math.lgamma(a + b)
         - math.lgamma(a)
         - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
+        + a * each(math.log, x)
+        + b * each(math.log1p, -x)
     )
 
 
@@ -196,8 +202,10 @@ def _deviance(x: np.ndarray, mean: np.ndarray, log_ratio: np.ndarray) -> np.ndar
 def binomial_pmf(x, size: float, counts) -> np.ndarray:
     """Binomial(size, x) probabilities, one row per x and one column per count.
 
-    ``x`` is a 1-D array of probabilities in (0, 1); size and counts are
-    real. Row i holds Gamma(size+1) / (Gamma(k+1) Gamma(size-k+1)) x_i^k
+    ``x`` is a 1-D array of probabilities in [0, 1]; size and counts are
+    real. A row at x = 0 (or -0.0) is the point mass at count 0 and a row
+    at x = 1 the point mass at count size: 1 there, 0 at every other count.
+    Every other row i holds Gamma(size+1) / (Gamma(k+1) Gamma(size-k+1)) x_i^k
     (1-x_i)^(size-k) at each count 0 <= k <= size; it is x^k
     (1-x)^(size-k) / ((k + 1) B(k + 1, size - k)), the step of the Beta
     shift recurrence. A size below 40 takes three lgammas. A larger one
@@ -212,8 +220,16 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
     the real count k = a and size a + b it is also ``reg_inc_beta``'s front
     factor x^a (1-x)^b / B(a, b), divided by a b / (a + b).
     """
-    xs = np.asarray(x, dtype=np.float64).tolist()
+    x = np.asarray(x, dtype=np.float64)
+    xs = x.tolist()
     k = np.asarray(counts, dtype=np.float64)
+    if 0.0 in xs or 1.0 in xs:
+        inner = (x != 0.0) & (x != 1.0)
+        out = np.zeros((x.size, k.size))
+        out[x == 0.0] = k == 0.0
+        out[x == 1.0] = k == size
+        out[inner] = binomial_pmf(x[inner], size, k)
+        return out
     if size < _LGAMMA_MAX_SIZE:
         lgamma, log, log1p, exp = math.lgamma, math.log, math.log1p, math.exp
         ln_size = lgamma(size + 1.0)
@@ -257,48 +273,6 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
         - _HALF_LN_2PI
     )
     return _each(math.exp, ln)
-
-
-def _ln_front_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """``_ln_front`` at every element of ``x`` for one pair of shapes, bit for bit.
-
-    Precondition: at most one shape reaches the Stirling threshold 20, so
-    the scalar's ``binomial_pmf`` branch for two large shapes never runs
-    (the t tail's b = 1/2 guarantees it). The shape-only terms (lgamma, the Stirling
-    corrections, log1p(small / large)) are computed once. Only the log and
-    log1p of per-element values run per element, through ``math``; the
-    rest is numpy arithmetic, which rounds like Python floats, in the
-    scalar's left-to-right order.
-    """
-    xc = 1.0 - x
-    xc_err = (1.0 - xc) - x
-    if a <= b:
-        small, large = a, b
-        x_small, x_large = x, xc
-        xs_err, xl_err = 0.0, xc_err
-    else:
-        small, large = b, a
-        x_small, x_large = xc, x
-        xs_err, xl_err = xc_err, 0.0
-    total = small + large
-    total_err = small - (total - large)
-    if large >= _STIRLING_MIN:
-        return (
-            small * _each(math.log, x_small * total)
-            + small * (xs_err / x_small + total_err / total)
-            + large * _each(math.log, x_large)
-            + large * (xl_err / x_large)
-            - math.lgamma(small)
-            + (large - 0.5) * math.log1p(small / large)
-            - small
-            + _stirling_corr(total)
-            - _stirling_corr(large)
-        )
-    return (
-        (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
-        + a * _each(math.log, x)
-        + b * _each(math.log1p, -x)
-    )
 
 
 # Shapes up to 1e4 converge within about 115 iterations; Beta(1e6, 2e6)
@@ -468,7 +442,7 @@ def student_t_cdf_array(t, nu: float) -> np.ndarray:
     beta = np.select([x == 0.0, x == 1.0, (x == 0.5) & (a == b)], [0.0, 1.0, 0.5], np.nan)
     live = np.isnan(beta)
     xs = x[live]
-    front = _each(math.exp, _ln_front_array(xs, a, b))
+    front = _each(math.exp, _ln_front(xs, a, b, _each))
     values = np.empty_like(xs)
     # The clamps mirror the scalar min(1.0, v) and max(0.0, v) exactly.
     low = xs < (a + 1.0) / (a + b + 2.0)

@@ -164,23 +164,13 @@ def _chain(theta: np.ndarray, first: float, length: int, total: float, out: np.n
     the last anchor up, and the rest as 1 minus the complement, summed from
     the first anchor on. The anchors are scalar calls, two per theta; the
     terms of every theta come from one ``binomial_pmf`` call and are summed
-    along the rows, so a row is what its theta gives alone. As in
-    ``reg_inc_beta``, every value is 0 at theta = 0 and 1 at theta = 1, and
-    equal shapes read exactly 1/2 at theta = 1/2.
+    along the rows, so a row is what its theta gives alone. At theta = 0
+    and 1 the anchors read 0 and 1 and, as no count is 0 or the size, every
+    term is 0: the row is all 0 or all 1. A one-value chain reads its
+    anchor, from 1/2 up as 1 - (1 - v), which is exact (Sterbenz). Equal
+    shapes read exactly 1/2 at theta = 1/2.
     """
     xs = theta.tolist()
-    if 0.0 in xs or 1.0 in xs:
-        ends = (theta == 0.0) | (theta == 1.0)
-        out[ends] = (theta[ends] == 1.0)[:, None]
-        inner = ~ends
-        if inner.any():
-            rows = np.empty((np.count_nonzero(inner), length))
-            _chain(theta[inner], first, length, total, rows)
-            out[inner] = rows
-        return
-    if length == 1:
-        out[:, 0] = [reg_inc_beta(t, first, total - first) for t in xs]
-        return
     last = first + (length - 1)
     a = first + np.arange(length, dtype=np.float64)
     # Row by row [1 - I(first), t(first), ..., t(last - 1), I(last)]

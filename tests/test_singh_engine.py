@@ -944,6 +944,32 @@ def test_exact_runs_at_large_n():
     assert curve.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_exact_runs_at_the_largest_n():
+    # n = 1e4 is the largest enumeration: only a moment kind reaches it,
+    # as a count kind's Beta shapes pass 1e4 first.
+    n, p = 10**4, 0.3
+    weights = _binomial_weights(n, p)
+    assert np.abs(weights - stats.binom.pmf(np.arange(n + 1), n, p)).max() <= 1e-12
+    curve = exact_singh_curve(StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(p, 2.0), n)
+    assert curve.m == n + 1
+    assert np.array_equal(np.sort(curve.weights), np.sort(weights))
+
+
+@pytest.mark.parametrize("n", [10**4 + 1, 10**9])
+def test_exact_refuses_an_enumeration_it_cannot_hold(n):
+    # Chebyshev has no Beta shape to bound n, but n + 1 weights at n = 1e9
+    # would take 8 GB: the refusal comes before any of them is formed.
+    spec, target = StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.3, 2.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="exact enumeration needs n <= 10000"):
+            exact_singh_curve(spec, target, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # --- metrics and classification ---
 
 
@@ -1008,6 +1034,20 @@ def test_classify_report_fields():
     assert report.dkw_epsilon == pytest.approx(dkw_epsilon(500, 0.05))
     assert -1.0 <= report.max_deficit <= 1.0
     assert report.conservatism_area == 0.0  # precise structures have no band
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_classify_refuses_a_delta_outside_the_unit_interval(exact):
+    # An exact curve has no DKW tube, but its delta is checked all the same.
+    spec, target = StructureSpec("jeffreys"), TargetSpec.bernoulli(0.3)
+    if exact:
+        result = exact_singh_curve(spec, target, 10)
+    else:
+        result = singh_curve(spec, target, 10, 200, SeededStream(33))
+    for delta in (5.0, -1.0, math.nan, 0.0, 1.0):
+        with pytest.raises(DomainError, match="delta must lie in"):
+            classify(result, delta)
+    assert classify(result, 0.5).m == result.m
 
 
 def test_classify_exact_curve_uses_rounding_tolerance():

@@ -11,6 +11,9 @@ from singh_audit.special_math import (
     DomainError,
     SeededStream,
     _beta_cf_array,
+    _each,
+    _ln_front,
+    binomial_pmf,
     reg_inc_beta,
     student_t_cdf,
     student_t_cdf_array,
@@ -158,6 +161,58 @@ T_VALUES = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_t_cdf_array_equals_scalar_bit_for_bit(ts, nu):
     assert _bits(student_t_cdf_array(ts, nu)) == _bits([student_t_cdf(t, nu) for t in ts])
+
+
+SMALL_SHAPES = st.floats(min_value=1e-3, max_value=19.99)
+LARGE_SHAPES = st.floats(min_value=20.0, max_value=1e4)
+FRONT_X = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 0.5, 1.0 - 2.0**-53]),
+    st.floats(min_value=5e-324, max_value=1.0 - 2.0**-53),
+)
+
+
+@example(xs=[5e-324, 1e-300, 0.5, 1.0 - 2.0**-53], shapes=(2.5, 3.0))
+@example(xs=[5e-324, 1e-300, 0.5, 1.0 - 2.0**-53], shapes=(0.5, 9999.5))
+@example(xs=[5e-324, 1e-300, 0.5, 1.0 - 2.0**-53], shapes=(9999.5, 0.5))
+@example(xs=[5e-324, 1e-300, 0.5, 1.0 - 2.0**-53], shapes=(25.0, 1e4))
+@given(
+    xs=st.lists(FRONT_X, min_size=1, max_size=20),
+    shapes=st.one_of(
+        st.tuples(SMALL_SHAPES, SMALL_SHAPES),
+        st.tuples(SMALL_SHAPES, LARGE_SHAPES),
+        st.tuples(LARGE_SHAPES, SMALL_SHAPES),
+        st.tuples(LARGE_SHAPES, LARGE_SHAPES),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_front_factor_of_an_array_equals_its_floats_bit_for_bit(xs, shapes):
+    # Three branches: three lgammas, Stirling for one large shape, and
+    # binomial_pmf's rows for two.
+    a, b = shapes
+    got = _ln_front(np.array(xs), a, b, _each)
+    assert _bits(got) == _bits([_ln_front(x, a, b) for x in xs])
+
+
+@pytest.mark.parametrize("size", [10.0, 10.5, 1000.0])
+@pytest.mark.parametrize("kind", ["integer", "half", "empty"])
+def test_binomial_pmf_states_the_point_masses(size, kind):
+    # Rows at 0, -0.0 and 1 are exact point masses at count 0 and count
+    # size, which may be absent from the counts; the inner rows are what
+    # each rate gives alone. The empty count list is the one-value chain.
+    counts = {
+        "integer": np.arange(math.floor(size) + 1.0),
+        "half": np.arange(0.5, size, 1.0),
+        "empty": np.empty(0),
+    }[kind]
+    rates = [0.3, 0.0, 1e-300, -0.0, 0.5, 1.0, 0.99]
+    rows = binomial_pmf(rates, size, counts)
+    assert rows.shape == (len(rates), counts.size)
+    for row, x in zip(rows, rates):
+        if x in (0.0, 1.0):
+            mass_at = 0.0 if x == 0.0 else size
+            assert _bits(row) == _bits(counts == mass_at)
+        else:
+            assert row.tobytes() == binomial_pmf([x], size, counts)[0].tobytes()
 
 
 def test_beta_array_refuses_an_unconverged_lane():
