@@ -7,10 +7,13 @@ x^a (1-x)^b / B(a, b) has one form, ``_ln_front``, for a float or an array
 of x, and ``student_t_cdf_array`` runs the continued fraction of the t
 tail's shapes (nu/2, 1/2) on every element at once, so it equals
 ``student_t_cdf`` bit for bit. ``binomial_pmf`` forms binomial terms of
-real size and count in Loader's saddle-point form, one row per
-probability, with the terms of the counts alone formed once per call and
-the point masses at probability 0 and 1 stated; they weight the exact
-enumeration and a count run's histograms, step the count kinds' Beta
+real size and count, one row per probability, with the terms of the
+counts alone formed once per call and the point masses at probability 0
+and 1 stated: by three lgammas below size 40, and above it in Loader's
+saddle-point form, which a row of 192 counts or more takes only at anchors
+every 32 counts and at its mode, filling the counts between with the exact
+ratio of neighbouring terms, recurring away from the mode. They weight the
+exact enumeration and a count run's histograms, step the count kinds' Beta
 chains and give the front factor when both shapes are large. Randomness
 comes from ``SeededStream``, a splittable handle that derives statistically
 independent substreams from a single master seed by index arithmetic and
@@ -21,6 +24,7 @@ the replicates themselves are drawn by ``singh_engine.TargetSpec.draw``.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -168,16 +172,50 @@ _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 # Below this size a binomial term is three lgammas: at most ~110 in
 # magnitude, so they lose nothing that matters and cost least.
 _LGAMMA_MAX_SIZE = 40.0
+# Counts per block between binomial_pmf's shared anchors: a term recurs at
+# most 31 steps from its anchor, a few ulps each, and the anchors cost one
+# saddle-point evaluation per 32 counts. A row of fewer than six blocks'
+# counts takes the saddle-point form at every count instead: forming one
+# row's anchors and runs costs about 110 us, as much as ~190 counts do.
+_ANCHOR_STEP = 32
+_RECUR_MIN_COUNTS = 6 * _ANCHOR_STEP
+
+
+def _stirling_climb(z: np.ndarray) -> np.ndarray:
+    # _stirling_corr at each element of a 1-D z in (0, _STIRLING_MIN), where
+    # five series terms fall short: z climbs to _STIRLING_MIN by the
+    # recurrence delta(y) = delta(y + 1) + (y + 1/2) ln(1 + 1/y) - 1, whose
+    # steps are small and positive and are summed smallest first, within
+    # ~1e-15. The lgamma form lgamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2
+    # cancels terms of up to ~60 and lost up to 1.1e-14 (at z = 17.5).
+    climb = np.ceil(_STIRLING_MIN - z)
+    lag = np.arange(_STIRLING_MIN)
+    y = z[:, None] + lag
+    steps = np.where(lag < climb[:, None], (y + 0.5) * _each(math.log1p, 1.0 / y) - 1.0, 0.0)
+    return _stirling_corr(z + climb) + steps[:, ::-1].cumsum(axis=1)[:, -1]
+
+
+@functools.cache
+def _stirling_halves() -> np.ndarray:
+    # The climbed values at z = 1/2, 1, ..., 39/2, where the counts and their
+    # complements of Jeffreys, Clopper-Pearson and half-integer c-box runs
+    # fall; formed at first use, not at import.
+    return _stirling_climb(np.arange(1.0, 2.0 * _STIRLING_MIN) / 2.0)
 
 
 def _stirling_corr_array(z: np.ndarray) -> np.ndarray:
-    # _stirling_corr at every element of z > 0; below _STIRLING_MIN, where
-    # five series terms fall short, it is formed from lgamma instead.
+    # _stirling_corr at every element of z > 0; below _STIRLING_MIN it is
+    # _stirling_climb's, looked up at the half-integers.
     out = _stirling_corr(np.maximum(z, _STIRLING_MIN))
     small = z < _STIRLING_MIN
     if small.any():
-        zs = z[small]
-        out[small] = _each(math.lgamma, zs) - (zs - 0.5) * _each(math.log, zs) + zs - _HALF_LN_2PI
+        twice = 2.0 * z[small]
+        halves = twice == np.floor(twice)
+        values = np.empty_like(twice)
+        values[halves] = _stirling_halves()[twice[halves].astype(np.intp) - 1]
+        if not halves.all():
+            values[~halves] = _stirling_climb(twice[~halves] / 2.0)
+        out[small] = values
     return out
 
 
@@ -203,22 +241,40 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
     """Binomial(size, x) probabilities, one row per x and one column per count.
 
     ``x`` is a 1-D array of probabilities in [0, 1]; size and counts are
-    real. A row at x = 0 (or -0.0) is the point mass at count 0 and a row
-    at x = 1 the point mass at count size: 1 there, 0 at every other count.
-    Every other row i holds Gamma(size+1) / (Gamma(k+1) Gamma(size-k+1)) x_i^k
-    (1-x_i)^(size-k) at each count 0 <= k <= size; it is x^k
-    (1-x)^(size-k) / ((k + 1) B(k + 1, size - k)), the step of the Beta
-    shift recurrence. A size below 40 takes three lgammas. A larger one
-    takes the saddle-point form of Loader (2000), "Fast and accurate
-    computation of binomial probabilities": Stirling errors plus two
-    deviances, so no large logarithm cancels, and k = 0 and k = size read
-    size ln(1-x) and size ln x. The terms that depend on the counts alone
-    (the lgammas, or the Stirling errors) are formed once per call, not
-    once per x; every element then takes the same operations, in the same
-    order, as it would in a call of its own, and every per-element log and
-    exp runs through ``math``. So a row never depends on the other rows. At
-    the real count k = a and size a + b it is also ``reg_inc_beta``'s front
-    factor x^a (1-x)^b / B(a, b), divided by a b / (a + b).
+    real, and the counts rise by 1 from the first (a row steps from one to
+    the next by exactly 1). A row at x = 0 (or -0.0) is the point mass at
+    count 0 and a row at x = 1 the point mass at count size: 1 there, 0 at
+    every other count. Every other row i holds Gamma(size+1) / (Gamma(k+1)
+    Gamma(size-k+1)) x_i^k (1-x_i)^(size-k) at each count 0 <= k <= size;
+    it is x^k (1-x)^(size-k) / ((k + 1) B(k + 1, size - k)), the step of
+    the Beta shift recurrence.
+
+    A size below 40 takes three lgammas per term, the count-only ones
+    formed once per call: for one row at size 10 about 10 times cheaper
+    than the saddle-point form at every count and 20 times cheaper than the
+    recurrence below. A larger size takes the saddle-point form of Loader
+    (2000), "Fast and accurate computation of binomial probabilities":
+    Stirling errors plus two deviances, so no large logarithm cancels, and
+    k = 0 and k = size read size ln(1-x) and size ln x. A row of fewer than
+    192 counts takes it at every count; a longer one at anchors only: the
+    first count, every 32nd after it and the last, shared by every row,
+    and each row's mode. The counts between take a running product of the
+    exact ratio t(k + 1) / t(k) = (size - k) / (k + 1) x / (1 - x), away
+    from the mode: upward from the nearest anchor at or below the count
+    from the mode on, downward from the nearest anchor above it below the
+    mode. So an anchor that underflows only ever sits on the far tail, and
+    the largest terms come from the mode's own anchor, where the
+    saddle-point form is most accurate; each step adds a few ulps. One call
+    evaluates every anchor of every row, with the Stirling errors, which
+    depend on the counts alone, formed once per count. At the real count
+    k = a and size a + b a term is also ``reg_inc_beta``'s front factor
+    x^a (1-x)^b / B(a, b), divided by a b / (a + b).
+
+    Every element takes only its own row's rate and anchors, and the
+    products run along the row, so a row never depends on the other rows.
+    Every per-element log and exp runs through ``math`` and the recurrence
+    takes only +, *, / and ``cumprod``, so the bits are the same on every
+    machine.
     """
     x = np.asarray(x, dtype=np.float64)
     xs = x.tolist()
@@ -241,23 +297,86 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
             for c, j in zip(ln_coef, ks)
         ]
         return np.array(terms).reshape(len(xs), len(ks))
-    rest = size - k
-    inner = (k > 0.0) & (rest > 0.0)
-    # The inner counts k, then their complements size - k: each numpy pass
-    # below (Stirling errors, logs, deviances) serves both sides at once,
-    # and the halves are recombined in the scalar form's order.
-    sides = np.concatenate((k[inner], rest[inner]))
-    half = sides.size // 2
+    if k.size < _RECUR_MIN_COUNTS:
+        return _saddle_point(xs, size, k, np.arange(k.size)[None, :])
+    last = k.size - 1
+    anchors = np.append(np.arange(0, last, _ANCHOR_STEP), last)
+    # Each row's mode, its first count k with k + 1 >= (size + 1) x, where
+    # the terms stop rising, is an anchor of its own beside the shared ones:
+    # counts from it on recur upward and counts below it downward, each
+    # from the nearest anchor on its mode's side. Anchors away from the
+    # mode carry the saddle-point form's larger error there (up to ~1e-14),
+    # which recurring across the mode would spread over its largest terms.
+    mode = np.minimum(np.searchsorted(k + 1.0, (size + 1.0) * x), last)
+    columns = np.empty((x.size, anchors.size + 1), dtype=np.intp)
+    columns[:, :-1] = np.arange(anchors.size)
+    columns[:, -1] = anchors.size + np.arange(x.size)
+    ends = _saddle_point(xs, size, np.concatenate((k[anchors], k[mode])), columns)
+    at, peak = ends[:, :-1], ends[:, -1]
+    # Two runs of blocks of _ANCHOR_STEP slots, block b from anchor b to
+    # anchor b + 1, plus a block of 1s. Rising, slot j holds count j's
+    # ratio t(k_j) / t(k_j - 1), or the term at an anchor. Falling,
+    # mirrored, slot span - j holds t(k_j) / t(k_j + 1), or the term at an
+    # anchor, so each block runs from its right end. In the mode's block
+    # both restart at the mode, after slots of 1.
+    span = (anchors.size - 1) * _ANCHOR_STEP
+    run = np.ones((2, x.size, span + _ANCHOR_STEP))
+    rise, fall = run
+    rise[:, 1:last] = ((size - k[:-2]) / (k[:-2] + 1.0)) * (x / (1.0 - x))[:, None]
+    rise[:, anchors[:-1]] = at[:, :-1]
+    # Only rows with counts below the mode form the inverse ratios. Their
+    # rates exceed 1 / (size + 1), so these stay finite; at x = 1e-310, a
+    # row whose mode is its first count, they would overflow.
+    rows = np.flatnonzero(mode > 0)
+    xd = x[rows]
+    inverse = ((k[1:-1] + 1.0) / (size - k[1:-1])) * ((1.0 - xd) / xd)[:, None]
+    fall[rows, span - last + 1:span] = inverse[:, ::-1]
+    fall[:, span - anchors[1:]] = at[:, 1:]
+    block = np.minimum(mode // _ANCHOR_STEP, anchors.size - 2)
+    first = np.array((anchors[block], span - anchors[block + 1]))
+    restart = np.array((mode, span - mode))
+    slots = first[:, :, None] + np.arange(_ANCHOR_STEP)
+    fill = slots < restart[:, :, None]
+    which, row, _ = np.nonzero(fill)
+    run[which, row, slots[fill]] = 1.0
+    run[[[0], [1]], np.arange(x.size), restart] = peak
+    up, down = _block_products(run.reshape(2 * x.size, span + _ANCHOR_STEP)).reshape(run.shape)
+    out = np.empty((x.size, k.size))
+    below = np.arange(1, last) < mode[:, None]
+    out[:, 1:last] = np.where(below, down[:, span - 1:span - last:-1], up[:, 1:last])
+    out[:, anchors] = at
+    return out
+
+
+def _block_products(run: np.ndarray) -> np.ndarray:
+    # Running products along each block of _ANCHOR_STEP slots, in slot
+    # order, so every row is what it would be alone.
+    rows, slots = run.shape
+    return run.reshape(rows, slots // _ANCHOR_STEP, _ANCHOR_STEP).cumprod(axis=2).reshape(rows, slots)
+
+
+def _saddle_point(xs: list, size: float, counts: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    # binomial_pmf's terms at size >= 40 in Loader's saddle-point form, for
+    # rates xs strictly inside (0, 1): row i, column j at counts[columns[i, j]]
+    # (columns has one row for all rates, or a row per rate). The terms of
+    # the counts alone, the Stirling errors, are formed once per count.
+    rest = size - counts
+    inner = (counts > 0.0) & (rest > 0.0)
+    # The inner counts k and their complements size - k, side by side, so
+    # each numpy pass below (Stirling errors, logs, deviances) serves both;
+    # the end counts take a stand-in, size, and their terms read size ln(1-x)
+    # or size ln x. The halves are recombined in the scalar form's order.
+    sides = np.where(inner, np.array((counts, rest)), size)
     stirling = _stirling_corr_array(sides)
-    corr = _stirling_corr(size) - stirling[:half] - stirling[half:]
+    corr = (_stirling_corr(size) - stirling[0] - stirling[1])[columns]
+    sides, inner, k = sides[:, columns], inner[columns], counts[columns]
     # Per x: size ln(1-x), size ln x, the two sides' means size x and
     # size (1-x), and ln(size x (1-x)).
     per_x = np.array([
         (size * math.log1p(-v), size * math.log(v), size * v, size * (1.0 - v), math.log(size * v * (1.0 - v)))
         for v in xs
     ]).reshape(len(xs), 5)
-    ln = np.where(k == 0.0, per_x[:, 0:1], per_x[:, 1:2])
-    means = per_x[:, 2:4].repeat(half, axis=1)
+    means = per_x[:, 2:4].T[:, :, None]
     # A mean below the smallest normal float can overflow a ratio to +inf,
     # whose term then reads exp(-inf) = 0.
     with np.errstate(over="ignore"):
@@ -265,12 +384,10 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
     dev = _deviance(sides, means, logs)
     # The saddle-point prefactor ln sqrt(size / (2 pi k r)) from the same
     # two logs: size / (k r) = (mean_k / k) (mean_r / r) / (size x (1-x)).
-    ln[:, inner] = (
-        corr
-        - dev[:, :half]
-        - dev[:, half:]
-        - 0.5 * (logs[:, :half] + logs[:, half:] + per_x[:, 4:5])
-        - _HALF_LN_2PI
+    ln = np.where(
+        inner,
+        corr - dev[0] - dev[1] - 0.5 * (logs[0] + logs[1] + per_x[:, 4:5]) - _HALF_LN_2PI,
+        np.where(k == 0.0, per_x[:, 0:1], per_x[:, 1:2]),
     )
     return _each(math.exp, ln)
 

@@ -195,7 +195,7 @@ PRESET_DIGESTS = {
     "fig2": "c8d1e7eb3fb954070e4ca64d3bc33d98d6126e5b0b9f80be1681512b403565ba",
     "fig3": "f792d66779b8888903222378a33801dabb72cef47d8aff5eaef380509c5174e6",
     "fig4": "248bb58590b475dc539452150402e8af75de61f0c71f4b27322a7307150c1328",
-    "fig5": "11c1292a5908212d320f771fa754b70a421c33f94385983d4d9a9137de814acd",
+    "fig5": "a7f409af97cf96fb87ee91caf07949cba4f5acd823e5a59d2ac5266629ffbc0e",
     "fig6": "7267586e0943c2998660e06f0bbd3099fb2594422d71d191a7df0622bf0ffb83",
     "fig7": "79d735732abda4a25947aa81a4028a88043b78bcad221b46008932c05d183141",
     "fig8": "843e0192f881cbc616df0001ee4b9ba4037c4cca09ad858b25172db37a679697",

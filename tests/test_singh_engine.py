@@ -897,7 +897,8 @@ def test_exact_matches_binomial_mixture_of_values():
 
 
 def test_binomial_weights_match_scipy_at_large_n():
-    # math.comb(n, k) cannot convert to float from n = 1030 on
+    # Past the exact oracle's n = 1000; the weights once came from
+    # math.comb(n, k), which no longer converts to a float from n = 1030.
     n = 2000
     for p in (0.01, 0.3, 0.5, 0.999):
         ref = stats.binom.pmf(np.arange(n + 1), n, p)
@@ -936,6 +937,21 @@ def test_binomial_weights_are_accurate_and_sum_to_one(n):
         live = ref > 1e-300
         assert (np.abs(weights[live] - ref[live]) / ref[live]).max() <= 5e-12
         assert abs(math.fsum(weights) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_binomial_weights_match_scipy_up_to_a_million(n):
+    # Anchored recurrence between saddle-point terms every 32 counts: each
+    # weight within 1e-11 relative of scipy wherever it exceeds 1e-280, and
+    # the running sum of the differences, the gap between the two CDFs,
+    # within 1e-14 (8.5e-12 and 5.9e-15 at most at n = 10**6).
+    k = np.arange(n + 1)
+    for p in (1e-6, 0.01, 0.3, 0.5, 0.97):
+        weights = _binomial_weights(n, p)
+        ref = stats.binom.pmf(k, n, p)
+        live = ref > 1e-280
+        assert (np.abs(weights[live] - ref[live]) / ref[live]).max() <= 1e-11
+        assert np.abs(np.cumsum(weights - ref)).max() <= 1e-14
 
 
 def test_exact_runs_at_large_n():

@@ -13,6 +13,8 @@ from singh_audit.special_math import (
     _beta_cf_array,
     _each,
     _ln_front,
+    _saddle_point,
+    _stirling_corr_array,
     binomial_pmf,
     reg_inc_beta,
     student_t_cdf,
@@ -213,6 +215,113 @@ def test_binomial_pmf_states_the_point_masses(size, kind):
             assert _bits(row) == _bits(counts == mass_at)
         else:
             assert row.tobytes() == binomial_pmf([x], size, counts)[0].tobytes()
+
+
+def _exact_terms(x: float, size: float, first: float, length: int) -> tuple[list[int], int]:
+    """Binomial(size, x) terms at counts first, first + 1, ... as integers t * 2**shift.
+
+    At the float x = a / d, for an integer size with counts from 0, or a
+    size n - 1/2 with counts from 1/2 (a Beta chain's call at c = 1/2).
+    The first term is (1 - x)^size, or Gamma(n + 1/2) / (Gamma(3/2)
+    Gamma(n)) sqrt(x) (1 - x)^(n - 1) with sqrt(x) to 200 bits; each next
+    one takes the exact ratio (size - k) / (k + 1) x / (1 - x), rounded down.
+    The shift gives the first term 1200 bits, so every term above 1e-300
+    keeps at least 200 bits through the roundings.
+    """
+    a, d = x.as_integer_ratio()
+    b = d - a
+    if first == 0.0:
+        num, den, powers = 1, 1, int(size)
+    else:
+        n = int(size + 0.5)
+        assert first == 0.5 and size == n - 0.5
+        num = 2 * math.factorial(2 * n) * math.isqrt((a * d) << 400)
+        den = 4**n * math.factorial(n) * math.factorial(n - 1) * (d << 200)
+        powers = n - 1
+    num, den = num * b**powers, den * d**powers
+    shift = 1200 + max(0, den.bit_length() - num.bit_length())
+    terms = [(num << shift) // den]
+    twice_size, twice_k = round(2 * size), round(2 * first)
+    for _ in range(length - 1):
+        terms.append(terms[-1] * (twice_size - twice_k) * a // ((twice_k + 2) * b))
+        twice_k += 2
+    return terms, shift
+
+
+# Saddle-point sizes: 40 and 41, rows of 191 and 192 counts on either side
+# of the recurrence's cutoff, the edges of its eighth block of 32 counts,
+# and larger rows; a chain's call at c = 1/2 has size n - 1/2 and counts
+# 1/2, ..., n - 3/2 (n = 40 would fall to the lgamma side).
+EXACT_CALLS = [(float(n), 0.0, n + 1) for n in (40, 41, 190, 191, 223, 224, 225, 250, 1000)] + [
+    (n - 0.5, 0.5, n - 1) for n in (41, 193, 194, 226, 255, 259, 1000)
+]
+
+
+@pytest.mark.parametrize("size, first, length", EXACT_CALLS)
+def test_binomial_pmf_matches_exact_terms(size, first, length):
+    # Each term is exp of a log whose absolute error grows with |ln t|: the
+    # anchors hold 1e-13 relative down to 1e-30 and 4e-13 down to 1e-300
+    # (the saddle-point form at every count reached 1.04e-13 and 3.2e-13
+    # here). The exact prefix sums of the terms stay within 5e-15 of the
+    # exact ones; recurring across the mode from the shared anchors alone
+    # reached 6.1e-15 (n = 255, x = 0.97).
+    counts = first + np.arange(length, dtype=np.float64)
+    for x in (1e-3, 0.05, 0.3, 0.5, 0.7, 0.97):
+        got = binomial_pmf([x], size, counts)[0]
+        exact, shift = _exact_terms(x, size, first, length)
+        run = worst_sum = 0
+        for value, term in zip(got.tolist(), exact):
+            p, q = value.as_integer_ratio()
+            run += (p << (shift - q.bit_length() + 1)) - term
+            worst_sum = max(worst_sum, abs(run))
+            t = term / 2**shift
+            if t > 1e-300:
+                assert abs(value - t) <= (1e-13 if t > 1e-30 else 4e-13) * t, (x, value, t)
+        assert worst_sum / 2**shift <= 5e-15, x
+
+
+def test_stirling_error_below_twenty_matches_mpmath():
+    # Below z = 20 the Stirling error climbs to 20 by its recurrence; the
+    # lgamma form it replaced lost up to 1.1e-14 (at z = 17.5).
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    z = np.concatenate((np.arange(0.5, 20.0, 0.5), [1e-3, 0.3, 2.7, 12.3, 19.99, 20.0, 25.5]))
+    for got, v in zip(_stirling_corr_array(z).tolist(), z.tolist()):
+        exact = mpmath.loggamma(v) - ((v - 0.5) * mpmath.log(v) - v + mpmath.log(2 * mpmath.pi) / 2)
+        assert abs(got - float(exact)) <= 1e-15, v
+
+
+PMF_RATES = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53]),
+    st.floats(min_value=5e-324, max_value=1.0 - 2.0**-53),
+)
+
+
+@example(size=1000.0, first=0.0, rates=[5e-324, 1e-310, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53])
+@example(size=999.5, first=0.5, rates=[5e-324, 1e-310, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53])
+@example(size=40.0, first=1.0, rates=[0.3, 1e-310])
+@given(
+    size=st.one_of(st.integers(min_value=40, max_value=3000).map(float), st.floats(min_value=40.0, max_value=3000.0)),
+    first=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.integers(min_value=1, max_value=30 * 64).map(lambda i: i / 64)),
+    rates=st.lists(PMF_RATES, min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_binomial_pmf_rows_match_one_count_at_a_time(size, first, rates):
+    # A full row recurs between anchors; a call at one count is a pure
+    # evaluation of the saddle-point form, which _saddle_point makes for
+    # every count at once, bit for bit. They agree within 1e-12 relative
+    # (down to the smallest normal float), every element is finite, and no
+    # floating-point warning is raised. A first count of a few bits keeps
+    # every first + j exact, so both evaluate the same counts: rounding
+    # first + j moves a count by up to half an ulp, which moved a term at
+    # x = 1 - 1e-12 by 1.2e-12, while a row steps by exactly 1.
+    counts = first + np.arange(math.floor(size - first) + 1.0)
+    rows = binomial_pmf(rates, size, counts)
+    alone = _saddle_point(rates, size, counts, np.arange(counts.size)[None, :])
+    for j in (0, counts.size // 2, counts.size - 1):
+        assert _bits(alone[:, j]) == _bits(binomial_pmf(rates, size, counts[j:j + 1])[:, 0])
+    assert np.isfinite(rows).all()
+    assert (np.abs(rows - alone) <= 1e-12 * alone + np.finfo(float).tiny).all()
 
 
 def test_beta_array_refuses_an_unconverged_lane():
