@@ -340,19 +340,15 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
     which, row, _ = np.nonzero(fill)
     run[which, row, slots[fill]] = 1.0
     run[[[0], [1]], np.arange(x.size), restart] = peak
-    up, down = _block_products(run.reshape(2 * x.size, span + _ANCHOR_STEP)).reshape(run.shape)
+    # Running products along each block, in slot order, so every row is
+    # what it would be alone.
+    blocks = run.reshape(2, x.size, span // _ANCHOR_STEP + 1, _ANCHOR_STEP)
+    up, down = blocks.cumprod(axis=3).reshape(run.shape)
     out = np.empty((x.size, k.size))
     below = np.arange(1, last) < mode[:, None]
     out[:, 1:last] = np.where(below, down[:, span - 1:span - last:-1], up[:, 1:last])
     out[:, anchors] = at
     return out
-
-
-def _block_products(run: np.ndarray) -> np.ndarray:
-    # Running products along each block of _ANCHOR_STEP slots, in slot
-    # order, so every row is what it would be alone.
-    rows, slots = run.shape
-    return run.reshape(rows, slots // _ANCHOR_STEP, _ANCHOR_STEP).cumprod(axis=2).reshape(rows, slots)
 
 
 def _saddle_point(xs: list, size: float, counts: np.ndarray, columns: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -252,19 +253,20 @@ def _exact_terms(x: float, size: float, first: float, length: int) -> tuple[list
 # of the recurrence's cutoff, the edges of its eighth block of 32 counts,
 # and larger rows; a chain's call at c = 1/2 has size n - 1/2 and counts
 # 1/2, ..., n - 3/2 (n = 40 would fall to the lgamma side).
-EXACT_CALLS = [(float(n), 0.0, n + 1) for n in (40, 41, 190, 191, 223, 224, 225, 250, 1000)] + [
+EXACT_CALLS = [(float(n), 0.0, n + 1) for n in (40, 41, 190, 191, 202, 223, 224, 225, 250, 1000)] + [
     (n - 0.5, 0.5, n - 1) for n in (41, 193, 194, 226, 255, 259, 1000)
 ]
 
 
 @pytest.mark.parametrize("size, first, length", EXACT_CALLS)
 def test_binomial_pmf_matches_exact_terms(size, first, length):
-    # Each term is exp of a log whose absolute error grows with |ln t|: the
-    # anchors hold 1e-13 relative down to 1e-30 and 4e-13 down to 1e-300
-    # (the saddle-point form at every count reached 1.04e-13 and 3.2e-13
-    # here). The exact prefix sums of the terms stay within 5e-15 of the
-    # exact ones; recurring across the mode from the shared anchors alone
-    # reached 6.1e-15 (n = 255, x = 0.97).
+    # Each term is exp of a log whose absolute error grows with |ln t|:
+    # they hold 1e-13 relative down to 1e-30 and 4e-13 down to 1e-300 (with
+    # the lgamma form of the small Stirling errors, the saddle-point form at
+    # every count reached 1.04e-13 and 3.2e-13 here). The exact prefix sums
+    # of the terms stay within 5e-15 of the exact ones; recurring across
+    # the mode from the shared anchors alone reached 6.1e-15 (n = 255,
+    # x = 0.97).
     counts = first + np.arange(length, dtype=np.float64)
     for x in (1e-3, 0.05, 0.3, 0.5, 0.7, 0.97):
         got = binomial_pmf([x], size, counts)[0]
@@ -280,15 +282,31 @@ def test_binomial_pmf_matches_exact_terms(size, first, length):
         assert worst_sum / 2**shift <= 5e-15, x
 
 
-def test_stirling_error_below_twenty_matches_mpmath():
+def _stirling_error_at_half(twice: int) -> float:
+    """Stirling's error ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2) at z = twice / 2.
+
+    To 50 digits with ``decimal``, from the exact Gamma of an integer,
+    (z - 1)!, or of a half-integer, (2n)! sqrt(pi) / (4^n n!) at z = n + 1/2.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582")
+        z = decimal.Decimal(twice) / 2
+        n = twice // 2
+        if twice % 2 == 0:
+            ln_gamma = decimal.Decimal(math.factorial(n - 1)).ln()
+        else:
+            ln_gamma = (decimal.Decimal(math.factorial(2 * n)) / (4**n * math.factorial(n))).ln() + pi.ln() / 2
+        return float(ln_gamma - ((z - decimal.Decimal("0.5")) * z.ln() - z + (2 * pi).ln() / 2))
+
+
+def test_stirling_error_below_twenty_is_exact_to_1e_15():
     # Below z = 20 the Stirling error climbs to 20 by its recurrence; the
     # lgamma form it replaced lost up to 1.1e-14 (at z = 17.5).
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    z = np.concatenate((np.arange(0.5, 20.0, 0.5), [1e-3, 0.3, 2.7, 12.3, 19.99, 20.0, 25.5]))
-    for got, v in zip(_stirling_corr_array(z).tolist(), z.tolist()):
-        exact = mpmath.loggamma(v) - ((v - 0.5) * mpmath.log(v) - v + mpmath.log(2 * mpmath.pi) / 2)
-        assert abs(got - float(exact)) <= 1e-15, v
+    twice = np.arange(1, 46)
+    got = _stirling_corr_array(twice / 2.0)
+    for value, t in zip(got.tolist(), twice.tolist()):
+        assert abs(value - _stirling_error_at_half(t)) <= 1e-15, t / 2
 
 
 PMF_RATES = st.one_of(
