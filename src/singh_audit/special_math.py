@@ -199,8 +199,10 @@ def _stirling_climb(z: np.ndarray) -> np.ndarray:
 def _stirling_halves() -> np.ndarray:
     # The climbed values at z = 1/2, 1, ..., 39/2, where the counts and their
     # complements of Jeffreys, Clopper-Pearson and half-integer c-box runs
-    # fall; formed at first use, not at import.
-    return _stirling_climb(np.arange(1.0, 2.0 * _STIRLING_MIN) / 2.0)
+    # fall; formed at first use, not at import, and shared read-only.
+    table = _stirling_climb(np.arange(1.0, 2.0 * _STIRLING_MIN) / 2.0)
+    table.flags.writeable = False
+    return table
 
 
 def _stirling_corr_array(z: np.ndarray) -> np.ndarray:
