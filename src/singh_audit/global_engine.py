@@ -119,9 +119,11 @@ def global_singh(
     per distinct count of each point, in one call that builds the Beta
     chains of all the chunk's truths together, expanded into sorted columns
     and reduced into the envelope by ``_drawn_count_values`` and one
-    maximum; any other target draws one point's rows at a time
-    (``_drawn_row_values``). So working memory is O(m + CHUNK_ELEMENTS)
-    samples besides the K grid targets, not O(K m) and not O(K n).
+    maximum; any other target draws one point at a time
+    (``_drawn_row_values``), a normal target each replicate's mean and sd
+    outright, a mixture its rows in chunks. So working memory is
+    O(m + CHUNK_ELEMENTS) samples besides the K grid targets, not O(K m)
+    and not O(K n).
     """
     targets = check_grid_args(structure, family, grid, n, m)
     chunks = _chunk_columns(structure, targets, n, m, stream)

@@ -105,15 +105,25 @@ def _path(d: str, color: str, dash: str, width: float = 1.6) -> str:
 def _step_path(curve: SinghCurve) -> str:
     """Staircase path of the curve's empirical CDF over alpha in [0, 1].
 
-    One step per distinct value in (0, 1]. ``_tx`` and ``_ty`` map all the
-    coordinates at once as numpy arrays, and one ``%`` format prints them:
-    ``%.2f`` is the routine behind ``_px``.
+    One step per half-pixel column ``floor(2 _tx(v))`` holding a distinct
+    value v in (0, 1]: the step of the column's last value, which rises to
+    the coverage there. So every vertex lies on the exact staircase, no
+    step is drawn more than half a pixel right of its value, and a curve
+    takes at most 2 _W + 1 steps however many values it has. ``_tx`` and
+    ``_ty`` map all the coordinates at once as numpy arrays, and one ``%``
+    format prints them: ``%.2f`` is the routine behind ``_px``.
     """
     req = curve.required
     inner = req[np.searchsorted(req, 0.0, side="right") : np.searchsorted(req, np.inf)]
-    values = inner[_run_starts(inner)]
+    distinct = inner[_run_starts(inner)]
+    x = _tx(distinct)
+    column = np.floor(2.0 * x)
+    last = np.empty(x.size, dtype=bool)
+    last[-1:] = True
+    np.not_equal(column[1:], column[:-1], out=last[:-1])
+    values = distinct[last]
     xy = np.empty((values.size, 2))
-    xy[:, 0] = _tx(values)
+    xy[:, 0] = x[last]
     xy[:, 1] = _ty(eval_curve(curve, values))
     steps = ("H %.2f V %.2f " * values.size) % tuple(xy.ravel().tolist())
     start = f"M {_px(_tx(0.0))} {_px(_ty(eval_curve(curve, 0.0)))}"

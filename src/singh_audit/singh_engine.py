@@ -38,7 +38,7 @@ __all__ = [
 
 COUNT_FAMILIES = ("bernoulli", "scaled_bernoulli")
 
-# Replicates per substream in a Monte Carlo run (stream layout v4; a
+# Replicates per substream in a Monte Carlo run (stream layout v5; a
 # mixture block also draws its normals from the substream's child 0).
 BLOCK = 4096
 # A count run draws one histogram of its counts per block, not one count
@@ -71,7 +71,10 @@ class TargetSpec:
     """Sampling distribution plus the true value under audit.
 
     ``theta0`` is derived from the family parameters (the normal mean, the
-    Bernoulli rate, the scaled-Bernoulli mean, the mixture mean).
+    Bernoulli rate, the scaled-Bernoulli mean, the mixture mean). ``draw``
+    draws datasets as rows; ``draw_moments`` draws, for a normal target,
+    only each dataset's mean and sample sd, which is all a moment kind
+    reads (stream layout v5, which changed only those runs' results).
     """
 
     # The fields each family takes, and the one holding its truth; a
@@ -179,11 +182,14 @@ class TargetSpec:
     ) -> np.ndarray:
         """A (rows, count) block of draws, continuing ``rng``'s sequence.
 
-        Normal and Bernoulli-family blocks are one generator call filled in
-        row-major order, so row i equals the i-th of ``rows`` successive
-        ``count``-draw calls. A mixture block (stream layout v3) takes all
-        its component picks from one ``rng`` call and all its normals from
-        one call on ``normals`` (default ``rng``), both in row-major order.
+        A moment kind's run on a normal target draws no rows but
+        ``draw_moments`` (stream layout v5); the predictive band's rows on
+        a normal target come from here. Normal and Bernoulli-family blocks
+        are one generator call filled in row-major order, so row i equals
+        the i-th of ``rows`` successive ``count``-draw calls. A mixture
+        block (stream layout v3) takes all its component picks from one
+        ``rng`` call and all its normals from one call on ``normals``
+        (default ``rng``), both in row-major order.
         With ``normals`` a generator of its own, successive calls therefore
         continue both sequences row by row, whatever their ``rows``.
         """
@@ -206,6 +212,24 @@ class TargetSpec:
                 pick = cdf.searchsorted(rng.random(size), side="right")
                 x = mus[pick] + sigmas[pick] * normals.standard_normal(size)
         return x.reshape(rows, count)
+
+    def draw_moments(self, rng: np.random.Generator, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The mean and sample sd of each of ``rows`` normal datasets of n draws.
+
+        Stream layout v5: under N(mu, sigma^2) the mean and sample sd of n
+        draws are independent, with mean ~ N(mu, sigma^2 / n) and (n - 1)
+        sd^2 / sigma^2 ~ chi-square with n - 1 degrees of freedom (Student
+        1908; Cochran's theorem), so they are drawn outright and no dataset
+        is formed. ``rng`` gives ``z = rng.standard_normal(rows)``, then
+        ``q = rng.chisquare(n - 1, rows)``; row i's mean is ``mu + sigma *
+        z[i] / sqrt(n)`` and its sd ``sigma * sqrt(q[i] / (n - 1))``, in
+        that order of float operations. Memory is O(rows) at any n >= 2.
+        """
+        if self.family != "normal":
+            raise UnsupportedTargetError("only a normal target draws its moments outright")
+        z = rng.standard_normal(rows)
+        q = rng.chisquare(n - 1, rows)
+        return self.mu + self.sigma * z / math.sqrt(n), self.sigma * np.sqrt(q / (n - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,20 +509,25 @@ def _count_runs(
 def _drawn_row_values(
     structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream
 ) -> list[np.ndarray]:
-    """Sorted bound columns of m replicates whose datasets are rows drawn from their block.
+    """Sorted bound columns of m replicates on a target other than a count family's.
 
-    Each block's generator hands out its rows in chunks of at most
-    CHUNK_ELEMENTS elements, or one row when a row is larger; for the
-    predictive band, which reads a next draw, a row's (n+1)-th draw is its
-    truth. A mixture block draws its normals from the block's child stream
-    0. A chunk only reduces its rows to what the structure reads: each
-    row's mean and sample sd for a moment kind (the t pivot, Chebyshev),
-    whose bounds are then evaluated once over all m replicates, so the t
-    pivot runs one continued fraction per run; ``evaluate_structure``'s
-    bounds for the band, which are rank counts per element. Chunking
-    changes neither the draws nor the values, only memory.
+    A moment kind (the t pivot, Chebyshev) on a normal target reads a
+    dataset only through its mean and sample sd, so each block draws those
+    two statistics of its replicates outright, ``TargetSpec.draw_moments``
+    on the block's generator (stream layout v5), in O(m) memory at any n.
+    Every other run draws its datasets as rows: each block's generator
+    hands them out in chunks of at most CHUNK_ELEMENTS elements, or one row
+    when a row is larger; for the predictive band, which reads a next draw,
+    a row's (n+1)-th draw is its truth. A mixture block draws its normals
+    from the block's child stream 0. A chunk only reduces its rows to what
+    the structure reads: each row's mean and sample sd for a moment kind,
+    ``evaluate_structure``'s bounds for the band, which are rank counts per
+    element. Chunking changes neither the draws nor the values, only
+    memory. A moment kind's bounds are evaluated once over all m
+    replicates, so the t pivot runs one continued fraction per run.
     """
     predictive = structure.reads_next_draw
+    moments = target.family == "normal" and not predictive
     width = n + 1 if predictive else n
     step = max(1, CHUNK_ELEMENTS // width)
     # The predictive band's bounds, or else a moment kind's means and sds.
@@ -508,6 +537,10 @@ def _drawn_row_values(
     for b, size in _blocks(m):
         block = stream.substream(b)
         rng = block.generator()
+        if moments:
+            i = b * BLOCK
+            first[i:i + size], second[i:i + size] = target.draw_moments(rng, size, n)
+            continue
         normals = block.generator(child=0) if mixture else None
         for start in range(0, size, step):
             rows = min(step, size - start)
@@ -525,7 +558,7 @@ def _drawn_row_values(
 def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream):
     """Monte Carlo Singh result: m replicates of size n in blocks of BLOCK.
 
-    Stream layout v4: block b holds replicates ``b * BLOCK`` onward (the
+    Stream layout v5: block b holds replicates ``b * BLOCK`` onward (the
     last block may be short) and draws them all from one generator,
     ``stream.substream(b).generator()``. On a Bernoulli-family target
     every structure but the predictive band reads a replicate only through
@@ -536,23 +569,30 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
     p))``, and nothing of length m is drawn or sorted; otherwise it draws
     one count per replicate, ``binomial(n, p, size)``, as v3 did. Either
     way each distinct count is evaluated once and a column sorts at most
-    n + 1 atoms. Every other run draws replicate i's dataset as the i-th
-    row of its block, and the predictive band, which reads a next draw,
-    takes that row's (n+1)-th draw as its truth. A Gaussian-mixture block
-    is the one exception to a single generator: its component picks come
-    from that generator and its normals from the block's child stream,
-    ``stream.substream(b).generator(child=0)``, each consumed in row order
-    (v2 interleaved picks and normals row by row in one generator; v3
-    changed mixture results only, v4 count runs only). Rows are drawn in
-    chunks of at most CHUNK_ELEMENTS sample elements, so a block never
-    becomes one (BLOCK, n) matrix; a moment kind keeps only each row's
-    mean and sd and evaluates its bounds once per run, and chunk bounds
-    change no value. Block boundaries depend only on m, and the choice of
-    a count run's draw only on n and m, so the result is a pure function
-    of (structure, target, n, m, stream). Both paths hand
-    back sorted columns, which are wrapped without sorting again. Precise
-    structures return a SinghCurve; imprecise ones return a SinghBand
-    built from the same replicates.
+    n + 1 atoms. On a normal target a moment kind (the t pivot, Chebyshev)
+    reads a replicate only through its mean and sample sd, which are
+    independent there, so block b draws those two statistics of its
+    replicates outright, ``TargetSpec.draw_moments``: ``size`` standard
+    normals, then ``size`` chi-squares with n - 1 degrees of freedom, in
+    O(m) memory at any n. Every other run draws replicate i's dataset as
+    the i-th row of its block, and the predictive band, which reads a next
+    draw, takes that row's (n+1)-th draw as its truth. A Gaussian-mixture
+    block is the one exception to a single generator: its component picks
+    come from that generator and its normals from the block's child
+    stream, ``stream.substream(b).generator(child=0)``, each consumed in
+    row order (v2 interleaved picks and normals row by row in one
+    generator; v3 changed mixture results only, v4 count runs only, v5
+    moment kinds on a normal target only). Rows are drawn in chunks of at
+    most CHUNK_ELEMENTS sample elements, so a block never becomes one
+    (BLOCK, n) matrix; a moment kind keeps only each row's mean and sd and
+    evaluates its bounds once per run, and chunk bounds change no value.
+    Block boundaries depend only on m, the choice of a count run's draw
+    only on n and m, and the choice of a moment draw only on the structure
+    kind and the target family, so the result is a pure function of
+    (structure, target, n, m, stream). Both paths hand back sorted
+    columns, which are wrapped without sorting again. Precise structures
+    return a SinghCurve; imprecise ones return a SinghBand built from the
+    same replicates.
     """
     check_run_args(structure, target, n, m)
     if target.family in COUNT_FAMILIES and not structure.reads_next_draw:

@@ -5,8 +5,9 @@ with the standard continued-fraction expansion so results are identical on
 every platform and carry no heavyweight dependency. The Beta front factor
 x^a (1-x)^b / B(a, b) has one form, ``_ln_front``, for a float or an array
 of x, and ``student_t_cdf_array`` runs the continued fraction of the t
-tail's shapes (nu/2, 1/2) on every element at once, so it equals
-``student_t_cdf`` bit for bit. ``binomial_pmf`` forms binomial terms of
+tail's shapes (nu/2, 1/2) on every element at once, with x = nu / (nu +
+t^2) and its complement each formed directly; ``student_t_cdf`` is one
+element of it. ``binomial_pmf`` forms binomial terms of
 real size and count, one row per probability, with the terms of the
 counts alone formed once per call and the point masses at probability 0
 and 1 stated: by three lgammas below size 40, and above it in Loader's
@@ -106,10 +107,14 @@ def _stirling_corr(z: float) -> float:
     )
 
 
-def _ln_front(x, a: float, b: float, each=lambda fn, value: fn(value)):
+def _ln_front(x, a: float, b: float, each=lambda fn, value: fn(value), y=None):
     """log of x^a (1-x)^b / B(a, b) without large-argument cancellation.
 
     ``x`` is a float, or a 1-D array whose caller passes ``each=_each``.
+    ``y``, when given, is 1 - x formed directly by the caller (the pairing
+    of BRATIO's x and y, DiDonato & Morris 1992), so the branches with a
+    small shape never form 1 - x by subtraction; without it they subtract
+    and correct for the rounding of that subtraction.
     Every log of a per-element value runs through ``each`` and so through
     ``math``; the rest is numpy arithmetic, which rounds like Python floats,
     in the float's left-to-right order, so every element equals a float
@@ -126,8 +131,11 @@ def _ln_front(x, a: float, b: float, each=lambda fn, value: fn(value)):
         x = np.asarray(x, dtype=np.float64)
         terms = binomial_pmf(x.reshape(-1), a + b, [a]).reshape(x.shape)
         return each(lambda v: math.log(v) if v > 0.0 else -math.inf, a * b / (a + b) * terms)
-    xc = 1.0 - x
-    xc_err = (1.0 - xc) - x
+    if y is None:
+        xc = 1.0 - x
+        xc_err = (1.0 - xc) - x
+    else:
+        xc, xc_err = y, 0.0
     if a <= b:
         small, large = a, b
         x_small, x_large = x, xc
@@ -157,7 +165,7 @@ def _ln_front(x, a: float, b: float, each=lambda fn, value: fn(value)):
         - math.lgamma(a)
         - math.lgamma(b)
         + a * each(math.log, x)
-        + b * each(math.log1p, -x)
+        + b * (each(math.log1p, -x) if y is None else each(math.log, y))
     )
 
 
@@ -523,50 +531,56 @@ def _beta_cf_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 def student_t_cdf(t: float, nu: float) -> float:
-    """CDF of the Student-t distribution with ``nu`` degrees of freedom."""
-    if not 0.0 < nu < math.inf:
-        raise DomainError("degrees of freedom must be positive and finite")
-    if t == 0.0:
-        return 0.5
-    # One-tail mass via I_x(nu/2, 1/2) at x = nu / (nu + t^2); the two tails
-    # share one evaluation, so the symmetry T(t) + T(-t) = 1 is exact.
-    x = nu / (nu + t * t)
-    tail = 0.5 * reg_inc_beta(x, 0.5 * nu, 0.5)
-    return tail if t < 0.0 else 1.0 - tail
+    """CDF of the Student-t distribution with ``nu`` degrees of freedom.
+
+    One element of ``student_t_cdf_array``, the one evaluation of the t CDF.
+    """
+    return float(student_t_cdf_array([t], nu)[0])
 
 
 def student_t_cdf_array(t, nu: float) -> np.ndarray:
-    """``student_t_cdf`` at each element of ``t``, bit for bit.
+    """CDF of the Student-t distribution with ``nu`` degrees of freedom at each element of ``t``.
 
-    The package's one array incomplete beta: every lane's tail is
-    I_x(nu/2, 1/2), so the shapes are two floats, the front factor's shape
-    terms are formed once, and the continued fraction runs on all lanes at
-    once. A NaN ``t``, or a continued fraction that does not converge,
+    The package's one array incomplete beta. The lower tail at -|t| is
+    I_x(nu/2, 1/2) / 2 with x = nu / (nu + t^2), and its complement
+    y = t^2 / (nu + t^2) is formed directly too, as BRATIO pairs x and y
+    (DiDonato & Morris 1992, ACM TOMS 708): a tail on the small-x side is
+    read as I_x(nu/2, 1/2), any other as 1 - I_y(1/2, nu/2), so 1 - x is
+    never formed by subtraction and t near 0, where x rounds to 1, keeps
+    its y. Every lane shares the shapes, so the front factor's shape terms
+    are formed once and the continued fraction runs on all lanes at once;
+    T(t) is the tail for t < 0 and 1 minus it otherwise, so T(t) + T(-t) = 1
+    exactly. A NaN ``t``, or a continued fraction that does not converge,
     raises DomainError for the whole call.
     """
     if not 0.0 < nu < math.inf:
         raise DomainError("degrees of freedom must be positive and finite")
     t = np.asarray(t, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        x = nu / (nu + t * t)
+    # t^2 = inf (|t| > 1.3e154) makes y NaN; x is 0 there, a lane whose
+    # value is stated below, so no continued fraction reads that y.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t2 = t * t
+        x = nu / (nu + t2)
+        y = t2 / (nu + t2)
     inside = (x >= 0.0) & (x <= 1.0)
     if not inside.all():
         raise DomainError(f"x must lie in [0, 1], got {float(x[~inside][0])!r}")
     a, b = 0.5 * nu, 0.5
-    # reg_inc_beta's early returns, in its order of precedence.
-    beta = np.select([x == 0.0, x == 1.0, (x == 0.5) & (a == b)], [0.0, 1.0, 0.5], np.nan)
+    # I_x(a, b) at no tail (x = 0), at no t^2 (y = 0), and the exact median
+    # of the symmetric Beta(1/2, 1/2) at t = +-1, nu = 1.
+    beta = np.select([x == 0.0, y == 0.0, (x == 0.5) & (a == b)], [0.0, 1.0, 0.5], np.nan)
     live = np.isnan(beta)
-    xs = x[live]
-    front = _each(math.exp, _ln_front(xs, a, b, _each))
+    xs, ys = x[live], y[live]
+    front = _each(math.exp, _ln_front(xs, a, b, _each, ys))
     values = np.empty_like(xs)
-    # The clamps mirror the scalar min(1.0, v) and max(0.0, v) exactly.
+    # The clamps keep I within [0, 1], as reg_inc_beta's min and max do.
     low = xs < (a + 1.0) / (a + b + 2.0)
     if low.any():
         v = front[low] * _beta_cf_array(xs[low], a, b) / a
         values[low] = np.where(v < 1.0, v, 1.0)
     high = ~low
     if high.any():
-        v = 1.0 - front[high] * _beta_cf_array(1.0 - xs[high], b, a) / b
+        v = 1.0 - front[high] * _beta_cf_array(ys[high], b, a) / b
         values[high] = np.where(v > 0.0, v, 0.0)
     beta[live] = values
     tail = 0.5 * beta

@@ -6,6 +6,8 @@ evaluation that sums the weights on every call. ``singh_audit.outputs``
 prints the same text in bulk from numpy and must match them byte for byte.
 """
 
+import math
+
 import numpy as np
 
 from singh_audit.singh_engine import SinghBand
@@ -41,13 +43,19 @@ def _px(v: float) -> str:
 
 
 def step_path(curve) -> str:
-    """Staircase path of the curve's empirical CDF, one step at a time."""
+    """Staircase path of the curve's empirical CDF, one step at a time.
+
+    A distinct value takes a step unless the next one lies in the same
+    half-pixel column, floor(2 x).
+    """
     values = np.unique(curve.required)
-    values = values[(values > 0.0) & np.isfinite(values)]
+    values = values[(values > 0.0) & np.isfinite(values)].tolist()
     start = eval_curve(curve, 0.0)
     parts = [f"M {_px(_tx(0.0))} {_px(_ty(start))}"]
-    for v, y in zip(values.tolist(), eval_curve(curve, values).tolist()):
-        parts.append(f"H {_px(_tx(v))} V {_px(_ty(y))}")
+    for i, v in enumerate(values):
+        if i + 1 < len(values) and math.floor(2.0 * _tx(values[i + 1])) == math.floor(2.0 * _tx(v)):
+            continue
+        parts.append(f"H {_px(_tx(v))} V {_px(_ty(eval_curve(curve, v)))}")
     parts.append(f"H {_px(_tx(1.0))}")
     return " ".join(parts)
 

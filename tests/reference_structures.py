@@ -38,10 +38,14 @@ def student_t_pivot(mu: float, samples) -> tuple[float, float]:
     n = int(data.size)
     if n < 2:
         raise DegenerateDataError("need at least two samples for a t pivot")
-    sd = float(data.std(ddof=1))
+    return student_t_pivot_of_moments(mu, n, float(data.mean()), float(data.std(ddof=1)))
+
+
+def student_t_pivot_of_moments(mu: float, n: int, mean: float, sd: float) -> tuple[float, float]:
+    """The t pivot of a dataset of n draws with this mean and sample sd."""
     if sd == 0.0:
         raise DegenerateDataError("zero sample standard deviation")
-    t = (mu - float(data.mean())) / (sd / math.sqrt(n))
+    t = (mu - mean) / (sd / math.sqrt(n))
     value = student_t_cdf(t, n - 1)
     return value, value
 
@@ -88,10 +92,13 @@ def chebyshev_required_confidence(mu: float, samples) -> tuple[float, float]:
     n = int(data.size)
     if n < 2:
         raise DomainError("need at least two samples for a Chebyshev bound")
-    mean = float(data.mean())
+    return chebyshev_of_moments(mu, n, float(data.mean()), float(data.std(ddof=1)))
+
+
+def chebyshev_of_moments(mu: float, n: int, mean: float, sd: float) -> tuple[float, float]:
+    """The Chebyshev required confidence of a dataset of n draws with this mean and sample sd."""
     if mu <= mean:
         return 0.0, 0.0
-    sd = float(data.std(ddof=1))
     if sd == 0.0:
         return math.inf, math.inf
     z = (mu - mean) * math.sqrt(n) / sd

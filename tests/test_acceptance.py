@@ -11,6 +11,7 @@ import hashlib
 import time
 
 import numpy as np
+from scipy import special
 
 from singh_audit.presets import PRESETS
 from singh_audit.runner import run_analysis, run_preset
@@ -41,11 +42,16 @@ def preset_doc(preset: str, name: str | None = None) -> str:
     return docs[name or preset]
 
 
-def ks_distance(curve) -> float:
-    # Exact sup distance between the empirical CDF and the diagonal.
+def ks_distance(curve, cdf=lambda alpha: alpha) -> float:
+    # Exact sup distance between the empirical CDF and a CDF on [0, 1]
+    # (the diagonal by default) that is continuous but for an atom at 0:
+    # read at every replicate from both sides, where the CDF's left limit
+    # at 0 is 0.
     s = curve.required
     ranks = np.arange(1, s.size + 1, dtype=np.float64)
-    return float(max((ranks / curve.m - s).max(), (s - (ranks - 1.0) / curve.m).max()))
+    c = cdf(s)
+    c_left = np.where(s > 0.0, c, 0.0)
+    return float(max((ranks / curve.m - c).max(), (c_left - (ranks - 1.0) / curve.m).max()))
 
 
 def straddle_margins(band: SinghBand, eps: float) -> tuple[float, float]:
@@ -189,16 +195,18 @@ def _assert_csv_matches_result(path, result) -> None:
 # sha256 of each preset's artifacts at its full budget (see
 # artifacts_digest). A change to any CSV, JSON or SVG byte shows here.
 # fig2, fig3 and fig5..fig9 are pinned under stream layout v4, whose count
-# runs draw one histogram per block; fig1 and fig4 draw rows, as v3 did.
+# runs draw one histogram per block; fig1 under v5, whose normal moment
+# runs draw each replicate's mean and sd; fig4 draws rows, as v3 did. The
+# SVG staircases take one step per half-pixel column.
 PRESET_DIGESTS = {
-    "fig1": "0764448f4b3bcb61e4a0a142f3826c2faa9f101af88846f975c2fd0b546fa257",
+    "fig1": "98b59769177c296e5238b99e81adbbb94215d99e3558065a028537e03e4dfaea",
     "fig2": "c8d1e7eb3fb954070e4ca64d3bc33d98d6126e5b0b9f80be1681512b403565ba",
     "fig3": "f792d66779b8888903222378a33801dabb72cef47d8aff5eaef380509c5174e6",
     "fig4": "248bb58590b475dc539452150402e8af75de61f0c71f4b27322a7307150c1328",
-    "fig5": "a7f409af97cf96fb87ee91caf07949cba4f5acd823e5a59d2ac5266629ffbc0e",
-    "fig6": "7267586e0943c2998660e06f0bbd3099fb2594422d71d191a7df0622bf0ffb83",
-    "fig7": "79d735732abda4a25947aa81a4028a88043b78bcad221b46008932c05d183141",
-    "fig8": "843e0192f881cbc616df0001ee4b9ba4037c4cca09ad858b25172db37a679697",
+    "fig5": "b89afe967d52219f6216bb906f3c84a055d183860a2d218354a2798b01787f61",
+    "fig6": "cdd0ef1e68abc4abbfe1d7ff24a1eb85a9e22129e812bd988fa86171d2f9e51f",
+    "fig7": "5dba9f18ed71d18a818926a42f2629d87bac9198e24a4174e324403dd0f60a6c",
+    "fig8": "cd348b31e68eda902ca7634fb2cf8ea8aaa117087bf675c01d47b6009862c496",
     "fig9": "038d47e43870c35549adfc75c4f36fdc5e5e312f9cc13595ebf0b5c0a3f7509a",
 }
 
@@ -226,3 +234,22 @@ def test_09_preset_artifacts_are_deterministic_and_self_consistent(tmp_path):
             _assert_csv_matches_result(
                 tmp_path / "a" / preset_name / f"{scenario.name}.csv", result
             )
+
+
+def test_10_chebyshev_on_a_normal_agrees_with_its_closed_form_curve():
+    # Chebyshev's required confidence is z^2 / (z^2 + 1) with z = sqrt(n)
+    # (mu - mean) / sd, and 0 where z <= 0; on a normal target z is
+    # t-distributed with n - 1 degrees of freedom. So the exact curve is
+    # C(alpha) = F(sqrt(alpha / (1 - alpha))), F the t CDF (scipy's stdtr,
+    # a test-only oracle), with mass 1/2 at alpha = 0.
+    m = 100_000
+    for n in (5, 30):
+        curve = singh_curve(
+            StructureSpec("chebyshev_ucl"), TargetSpec.normal(4.0, 3.0), n, m, SeededStream(20_200 + n)
+        )
+        assert curve.never_count == 0
+
+        def exact(alpha, nu=n - 1):
+            return special.stdtr(nu, np.sqrt(alpha / (1.0 - alpha)))
+
+        assert ks_distance(curve, exact) <= dkw_epsilon(m, 1e-3)

@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -179,6 +180,38 @@ def test_svg_precise_layout(tmp_path):
     assert 'd="M 64.00 456.00 L 472.00 48.00"' in svg
     assert 'stroke-dasharray="8 5"' in svg
     assert 'd="M 64.00 456.00 H 268.00 V 48.00 H 472.00"' in svg
+
+
+def test_step_path_merges_steps_that_share_a_half_pixel_column():
+    # 0.5 and 0.5 + 1/1632 lie a quarter pixel apart, at x = 268.00 and
+    # 268.25: one step, the later value's, rises past both.
+    path = outputs._step_path(curve(0.5, 0.5 + 0.25 / 408.0, 0.75))
+    assert path == "M 64.00 456.00 H 268.25 V 184.00 H 370.00 V 48.00 H 472.00"
+
+
+def test_step_path_takes_one_step_per_half_pixel_column():
+    # Each step is the last distinct value of its half-pixel column, so a
+    # curve takes at most 2 * 408 + 1 steps. Each vertex lies on the exact
+    # staircase: the coverage at a value drawn at that x. No value's rise
+    # is drawn more than half a pixel right of it, and the path starts and
+    # ends as the full staircase does.
+    values = np.random.default_rng(3).random(10_000)
+    c = SinghCurve(np.sort(values))
+    path = outputs._step_path(c)
+    assert path.startswith(f"M 64.00 {eval_curve(c, 0.0) * -408.0 + 456.0:.2f} H ")
+    assert path.endswith(" V 48.00 H 472.00")
+    steps = [(float(x), y) for x, y in re.findall(r"H (\S+) V (\S+)", path)]
+    assert len(steps) <= 2 * 408 + 1
+    distinct = np.unique(values)
+    x = 64.0 + distinct * 408.0
+    printed = [f"{v:.2f}" for v in x.tolist()]
+    rises = [f"{456.0 - cov * 408.0:.2f}" for cov in eval_curve(c, distinct).tolist()]
+    on_staircase = set(zip(printed, rises))
+    for step_x, step_y in steps:
+        assert (f"{step_x:.2f}", step_y) in on_staircase
+    step_xs = np.array([step_x for step_x, _ in steps])
+    drawn = step_xs[np.searchsorted(step_xs, x - 0.005)]
+    assert (drawn <= x + 0.505).all()
 
 
 def test_svg_band_layout(tmp_path):

@@ -33,6 +33,8 @@ GRID = np.linspace(0.0, 1.0, 1001)
 # A few KB: a count run whose m is small beside n holds O(m), not O(n).
 # Chebyshev at n = 10**12 peaks at 3.5 KB for m = 1 and 11 KB for m = 50.
 PEAK_BOUND = 32 * 1024
+# fig4's target. A moment kind on a mixture still draws its datasets as rows.
+MIXTURE = TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5])
 
 
 def curve_of(*values, never=0, weights=None):
@@ -332,23 +334,48 @@ def test_bernoulli_replicates_replay_binomial_counts_per_block(n, p, histogram):
         np.testing.assert_allclose(curve.required, expected, rtol=0, atol=1e-14)
 
 
-def test_normal_replicates_replay_rows_of_their_block():
-    # Layout v2: replicate i of block b is the i-th row drawn from
-    # substream(b)'s generator; the last block is short. Rows drawn and
-    # evaluated one at a time by the scalar pivot give the same values as
-    # the chunked block draws and the batched kernel.
-    spec = StructureSpec("student_t_pivot")
-    target = TargetSpec.normal(4.0, 3.0)
-    stream = SeededStream(27)
-    n, m = 6, BLOCK + 3
-    result = singh_curve(spec, target, n, m, stream)
+def _moment_run_replay(spec, target, n, m, seed):
+    # Stream layout v5 from numpy alone: block b's generator is spawn key
+    # (b,), as in _count_run_replay. It draws the block's size standard
+    # normals z, then as many chi-squares q with n - 1 degrees of freedom;
+    # replicate i of the block has the mean mu + sigma z[i] / sqrt(n) and
+    # the sd sigma sqrt(q[i] / (n - 1)), which the scalar reference reads
+    # one replicate at a time.
+    of_moments = {
+        "student_t_pivot": reference.student_t_pivot_of_moments,
+        "chebyshev_ucl": reference.chebyshev_of_moments,
+    }[spec.kind]
     values = []
-    for b, size in ((0, BLOCK), (1, 3)):
-        rng = stream.substream(b).generator()
-        for _ in range(size):
-            x = 4.0 + 3.0 * rng.standard_normal(n)
-            values.append(reference.student_t_pivot(4.0, x)[0])
-    assert np.array_equal(result.required, np.sort(values))
+    for b, start in enumerate(range(0, m, BLOCK)):
+        size = min(BLOCK, m - start)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        z = rng.standard_normal(size)
+        q = rng.chisquare(n - 1, size)
+        means = target.mu + target.sigma * z / math.sqrt(n)
+        sds = target.sigma * np.sqrt(q / (n - 1))
+        values += [of_moments(target.mu, n, mean, sd)[0] for mean, sd in zip(means.tolist(), sds.tolist())]
+    return np.sort(values)
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("student_t_pivot", 6), ("chebyshev_ucl", 6), ("chebyshev_ucl", 10**9),
+])
+def test_normal_moment_replicates_replay_from_numpy_alone(kind, n):
+    # m = BLOCK + 3 spans two blocks, the last one short. A moment kind on
+    # a normal target draws each replicate's mean and sd, not its n draws,
+    # so n = 10**9 costs what n = 6 does.
+    spec = StructureSpec(kind)
+    target = TargetSpec.normal(4.0, 3.0)
+    m = BLOCK + 3
+    result = singh_curve(spec, target, n, m, SeededStream(27))
+    assert result.required.tobytes() == _moment_run_replay(spec, target, n, m, 27).tobytes()
+
+
+def test_only_a_normal_target_draws_its_moments():
+    rng = np.random.default_rng(0)
+    for target in (TargetSpec.bernoulli(0.3), TargetSpec.mixture([1.0], [0.0], [1.0])):
+        with pytest.raises(UnsupportedTargetError, match="normal"):
+            target.draw_moments(rng, 3, 10)
 
 
 def _mixture_replay(weights, mus, sigmas, seed, n, m):
@@ -402,31 +429,42 @@ def _required_digest(result) -> str:
     return digest.hexdigest()
 
 
+# fig1's t pivot and Chebyshev on fig1's target at n = 30, at m = BLOCK + 5
+# under stream layout v5.
+FIG1_DIGEST = "eb2f3c0950f73e45a9c0c381caa9a86757380c6a51eca0f8ac148505196422c7"
+CHEBYSHEV_NORMAL_DIGEST = "de4e05d7924243fc320a350d3de24ed1167e631d45351a7c72bc9f13cbe205a9"
+
+
+@pytest.mark.parametrize("kind, n, seed, expected", [
+    ("student_t_pivot", 10, 101, FIG1_DIGEST),
+    ("chebyshev_ucl", 30, 7, CHEBYSHEV_NORMAL_DIGEST),
+], ids=["fig1", "chebyshev_normal"])
+def test_moment_digests_replay_from_numpy_alone(kind, n, seed, expected):
+    values = _moment_run_replay(StructureSpec(kind), TargetSpec.normal(4.0, 3.0), n, BLOCK + 5, seed)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == expected
+
+
 @pytest.mark.parametrize("structure, target, n, seed, expected", [
-    (StructureSpec("student_t_pivot"), TargetSpec.normal(4.0, 3.0), 10, 101,
-     "61b74528b0c3ab8bf1dbde46c695f3bfc13ec150ffb001df4f7e58c2f5895471"),
-    (StructureSpec("empirical_predictive"),
-     TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5]), 10, 104,
-     FIG4_DIGEST),
-    (StructureSpec("chebyshev_ucl"), TargetSpec.normal(4.0, 3.0), 30, 7,
-     "ea3ff3cf37f9ef7f5b9ad836bae38301075ea0685f9d99cc19ce4f5cbc862039"),
+    (StructureSpec("student_t_pivot"), TargetSpec.normal(4.0, 3.0), 10, 101, FIG1_DIGEST),
+    (StructureSpec("empirical_predictive"), MIXTURE, 10, 104, FIG4_DIGEST),
+    (StructureSpec("chebyshev_ucl"), TargetSpec.normal(4.0, 3.0), 30, 7, CHEBYSHEV_NORMAL_DIGEST),
 ], ids=["fig1", "fig4", "chebyshev_normal"])
 def test_required_values_are_frozen(structure, target, n, seed, expected):
     # sha256 of the float64 bytes of `required` (lower then upper curve for
-    # a band) at m = BLOCK + 5. fig1 and Chebyshev were computed with the
-    # per-row kernels of stream layout v2, which v3 left as they were; fig4
-    # is pinned under v3, and the test above rebuilds it from numpy alone.
-    # Any change to a kernel's bits, the draws or the layout shows here.
+    # a band) at m = BLOCK + 5. fig1 and Chebyshev are pinned under stream
+    # layout v5, which draws each replicate's mean and sd, and the t CDF
+    # that forms t^2 / (nu + t^2) directly; fig4 is pinned under v3. The
+    # tests above rebuild all three from numpy alone. Any change to a
+    # kernel's bits, the draws or the layout shows here.
     result = singh_curve(structure, target, n, BLOCK + 5, SeededStream(seed))
     assert _required_digest(result) == expected
 
 
 @pytest.mark.parametrize("structure, target, n, seed", [
-    (StructureSpec("student_t_pivot"), TargetSpec.normal(4.0, 3.0), 10, 101),
-    (StructureSpec("chebyshev_ucl"), TargetSpec.normal(4.0, 3.0), 30, 7),
-    (StructureSpec("empirical_predictive"),
-     TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5]), 10, 104),
-], ids=["fig1", "chebyshev_normal", "fig4"])
+    (StructureSpec("student_t_pivot"), MIXTURE, 10, 101),
+    (StructureSpec("chebyshev_ucl"), MIXTURE, 30, 7),
+    (StructureSpec("empirical_predictive"), MIXTURE, 10, 104),
+], ids=["t_pivot_mixture", "chebyshev_mixture", "fig4"])
 def test_chunk_size_changes_no_value(monkeypatch, structure, target, n, seed):
     # CHUNK_ELEMENTS is a memory setting, not a layout constant: 64-element
     # chunks (a few rows each) give the same values as the default.
@@ -449,9 +487,9 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     evaluate, beta = singh_engine.evaluate_structure, structures.reg_inc_beta
     t_cdf = structures.student_t_cdf_array
 
-    def counting_generator(self):
+    def counting_generator(self, child=None):
         calls["generator"] += 1
-        return generator(self)
+        return generator(self, child)
 
     def counting_evaluate(*args):
         calls["evaluate"] += 1
@@ -477,13 +515,23 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), 12, m, SeededStream(29))
     assert calls == {"generator": 3, "evaluate": 0, "beta": 2, "t_cdf": 0}
 
-    # A row target of a moment kind: the chunks (n = 10 gives 3,276 rows,
-    # so each full block takes two and the last one) only keep each row's
-    # mean and sd, and the t pivot's CDF runs once over all m replicates.
+    # A moment kind on a normal target: each block draws its replicates'
+    # means and sds (stream layout v5), and the t pivot's CDF runs once over
+    # all m replicates.
     calls.update(generator=0, evaluate=0, beta=0)
     singh_curve(StructureSpec("student_t_pivot"), TargetSpec.normal(0.0, 1.0), 10, m, SeededStream(29))
-    assert CHUNK_ELEMENTS // 10 == 3276
     assert calls == {"generator": 3, "evaluate": 0, "beta": 0, "t_cdf": 1}
+    assert lanes == [m]
+
+    # On a mixture the rows are drawn in chunks (n = 10 gives 3,276 rows,
+    # so each full block takes two and the last one), and a chunk only
+    # keeps each row's mean and sd: still one t CDF call over m lanes. A
+    # mixture block takes a second generator for its normals.
+    calls.update(generator=0, t_cdf=0)
+    lanes.clear()
+    singh_curve(StructureSpec("student_t_pivot"), MIXTURE, 10, m, SeededStream(29))
+    assert CHUNK_ELEMENTS // 10 == 3276
+    assert calls == {"generator": 6, "evaluate": 0, "beta": 0, "t_cdf": 1}
     assert lanes == [m]
 
     # A moment structure on a count target reads each count's mean and
@@ -636,6 +684,32 @@ def test_large_n_count_run_draws_counts_in_constant_memory(count_draws, m):
     assert peak < PEAK_BOUND
 
 
+def _traced_run(spec, n, m, seed):
+    tracemalloc.start()
+    try:
+        curve = singh_curve(spec, TargetSpec.normal(4.0, 3.0), n, m, SeededStream(seed))
+        return curve, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_normal_moment_runs_hold_constant_memory_in_n():
+    # Stream layout v5 draws a normal replicate's mean and sd, never its n
+    # draws: Chebyshev, which has no bound on n, peaks at n = 10**8 within
+    # twice its peak at n = 30, and so does the t pivot at its largest
+    # accepted n, 20,001, whose curve stays uniform within DKW at 1e-3.
+    m = 5000
+    for spec, n in ((StructureSpec("chebyshev_ucl"), 10**8), (StructureSpec("student_t_pivot"), 20_001)):
+        _, small = _traced_run(spec, 30, m, 38)
+        curve, large = _traced_run(spec, n, m, 38)
+        assert curve.m == m
+        assert large <= 2 * small
+    # The t pivot's curve at n = 20,001 against the diagonal, read exactly.
+    ranks = np.arange(1, m + 1) / m
+    ks = max((ranks - curve.required).max(), (curve.required - (ranks - 1.0 / m)).max())
+    assert ks <= dkw_epsilon(m, 1e-3)
+
+
 @pytest.mark.parametrize("n, p", [
     (10, 0.5), (30, 0.05), (250, 0.01), (250, 0.5), (250, 0.99), (1000, 0.3),
 ])
@@ -670,19 +744,18 @@ def test_row_chunks_stay_within_the_element_budget(monkeypatch):
 
     monkeypatch.setattr(TargetSpec, "draw", recording_draw)
     # Chebyshev evaluates no Beta CDF, so n = 200,000 is inside its range.
-    spec, target = StructureSpec("chebyshev_ucl"), TargetSpec.normal(0.0, 1.0)
+    spec, target = StructureSpec("chebyshev_ucl"), TargetSpec.mixture([0.5, 0.5], [0.0, 3.0], [1.0, 1.0])
     curve = singh_curve(spec, target, 200_000, 3, SeededStream(34))
     assert curve.m == 3
     assert shapes == [(1, 200_000)] * 3
+    # A moment kind on a normal target draws no rows at all (layout v5).
+    shapes.clear()
+    assert singh_curve(spec, TargetSpec.normal(0.0, 1.0), 200_000, 3, SeededStream(34)).m == 3
+    assert shapes == []
     runs = [
         (spec, target, 30, BLOCK),
         (StructureSpec("student_t_pivot"), target, 10, 2 * BLOCK + 1),
-        (
-            StructureSpec("empirical_predictive"),
-            TargetSpec.mixture([0.5, 0.5], [0.0, 3.0], [1.0, 1.0]),
-            40,
-            BLOCK + 7,
-        ),
+        (StructureSpec("empirical_predictive"), target, 40, BLOCK + 7),
     ]
     for spec, target, n, m in runs:
         shapes.clear()

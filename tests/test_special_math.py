@@ -364,6 +364,24 @@ def test_t_cdf_matches_reference():
             assert abs(student_t_cdf(float(t), nu) - stats.t.cdf(t, nu)) <= 1e-12
 
 
+NEAR_ZERO_T = [5e-324, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 1e3, 1e8]
+
+
+@pytest.mark.parametrize("nu", [1.0, 9.0, 1000.0, 20_000.0])
+def test_t_cdf_keeps_its_accuracy_near_zero(nu):
+    # t^2 / (nu + t^2) is formed directly, so t near 0, where nu / (nu +
+    # t^2) rounds to 1, keeps it. nu = 1 is the Cauchy CDF 1/2 + atan(t) /
+    # pi, the oracle there, since scipy's stdtr itself is off by up to 8e-11
+    # near t = 0 at nu = 1; nu = 20,000 is the t pivot's largest.
+    ts = np.array(NEAR_ZERO_T + [-t for t in NEAR_ZERO_T])
+    if nu == 1.0:
+        exact = 0.5 + np.arctan(ts) / np.pi
+    else:
+        exact = sp.stdtr(nu, ts)
+    assert np.abs(student_t_cdf_array(ts, nu) - exact).max() <= 1e-12
+    assert max(abs(student_t_cdf(t, nu) - e) for t, e in zip(ts.tolist(), exact.tolist())) <= 1e-12
+
+
 @pytest.mark.parametrize("nu", [1.0, 3.0, 30.0])
 def test_t_cdf_center_is_exact(nu):
     assert student_t_cdf(0.0, nu) == 0.5
