@@ -224,9 +224,9 @@ class TargetSpec:
         ``q = rng.chisquare(n - 1, rows)``; row i's mean is ``mu + sigma *
         z[i] / sqrt(n)`` and its sd ``sigma * sqrt(q[i] / (n - 1))``, in
         that order of float operations. Memory is O(rows) at any n >= 2.
+        The target must be normal; ``_drawn_row_values`` is the one place
+        that decides which runs draw this way.
         """
-        if self.family != "normal":
-            raise UnsupportedTargetError("only a normal target draws its moments outright")
         z = rng.standard_normal(rows)
         q = rng.chisquare(n - 1, rows)
         return self.mu + self.sigma * z / math.sqrt(n), self.sigma * np.sqrt(q / (n - 1))

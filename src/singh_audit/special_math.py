@@ -5,11 +5,11 @@ with the standard continued-fraction expansion so results are identical on
 every platform and carry no heavyweight dependency. The Beta front factor
 x^a (1-x)^b / B(a, b) has one form, ``_ln_front``, for a float or an array
 of x, and ``student_t_cdf_array`` runs the continued fraction of the t
-tail's shapes (nu/2, 1/2) on every element at once, with x = nu / (nu +
-t^2) and its complement each formed directly; ``student_t_cdf`` is one
-element of it. ``binomial_pmf`` forms binomial terms of
-real size and count, one row per probability, with the terms of the
-counts alone formed once per call and the point masses at probability 0
+tail's shapes (nu/2, 1/2) on every element at once, so it equals
+``student_t_cdf`` bit for bit; both form x = nu / (nu + t^2) and its
+complement directly. ``binomial_pmf`` forms binomial terms of real size
+and count, one row per probability, with the terms of the counts alone
+formed once per call and the point masses at probability 0
 and 1 stated: by three lgammas below size 40, and above it in Loader's
 saddle-point form, which a row of 192 counts or more takes only at anchors
 every 32 counts and at its mode, filling the counts between with the exact
@@ -533,25 +533,48 @@ def _beta_cf_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
 def student_t_cdf(t: float, nu: float) -> float:
     """CDF of the Student-t distribution with ``nu`` degrees of freedom.
 
-    One element of ``student_t_cdf_array``, the one evaluation of the t CDF.
+    The lower tail at -|t| is I_x(nu/2, 1/2) / 2 with x = nu / (nu + t^2),
+    and its complement y = t^2 / (nu + t^2) is formed directly too, as
+    BRATIO pairs x and y (DiDonato & Morris 1992, ACM TOMS 708): a tail on
+    the small-x side is read as I_x(nu/2, 1/2), any other as
+    1 - I_y(1/2, nu/2), so 1 - x is never formed by subtraction and t near
+    0, where x rounds to 1, keeps its y. The two tails share one
+    evaluation, so T(t) + T(-t) = 1 exactly.
     """
-    return float(student_t_cdf_array([t], nu)[0])
+    if not 0.0 < nu < math.inf:
+        raise DomainError("degrees of freedom must be positive and finite")
+    if t == 0.0:
+        return 0.5
+    t2 = t * t
+    x = _check_prob(nu / (nu + t2), "x")
+    # t^2 = inf makes y NaN; x is 0 there, and returns before y is read.
+    y = t2 / (nu + t2)
+    a, b = 0.5 * nu, 0.5
+    if x == 0.0:
+        beta = 0.0
+    elif y == 0.0:
+        beta = 1.0
+    elif x == 0.5 and a == b:
+        beta = 0.5
+    else:
+        front = math.exp(_ln_front(x, a, b, y=y))
+        if x < (a + 1.0) / (a + b + 2.0):
+            beta = min(1.0, front * _beta_cf(x, a, b) / a)
+        else:
+            beta = max(0.0, 1.0 - front * _beta_cf(y, b, a) / b)
+    tail = 0.5 * beta
+    return tail if t < 0.0 else 1.0 - tail
 
 
 def student_t_cdf_array(t, nu: float) -> np.ndarray:
-    """CDF of the Student-t distribution with ``nu`` degrees of freedom at each element of ``t``.
+    """``student_t_cdf`` at each element of ``t``, bit for bit.
 
-    The package's one array incomplete beta. The lower tail at -|t| is
-    I_x(nu/2, 1/2) / 2 with x = nu / (nu + t^2), and its complement
-    y = t^2 / (nu + t^2) is formed directly too, as BRATIO pairs x and y
-    (DiDonato & Morris 1992, ACM TOMS 708): a tail on the small-x side is
-    read as I_x(nu/2, 1/2), any other as 1 - I_y(1/2, nu/2), so 1 - x is
-    never formed by subtraction and t near 0, where x rounds to 1, keeps
-    its y. Every lane shares the shapes, so the front factor's shape terms
-    are formed once and the continued fraction runs on all lanes at once;
-    T(t) is the tail for t < 0 and 1 minus it otherwise, so T(t) + T(-t) = 1
-    exactly. A NaN ``t``, or a continued fraction that does not converge,
-    raises DomainError for the whole call.
+    The package's one array incomplete beta, in the scalar's x/y pairing:
+    every lane's tail is I_x(nu/2, 1/2) or 1 - I_y(1/2, nu/2), so the
+    shapes are two floats, the front factor's shape terms are formed once,
+    and the continued fraction runs on all lanes at once. A NaN ``t``, or a
+    continued fraction that does not converge, raises DomainError for the
+    whole call.
     """
     if not 0.0 < nu < math.inf:
         raise DomainError("degrees of freedom must be positive and finite")
@@ -566,14 +589,15 @@ def student_t_cdf_array(t, nu: float) -> np.ndarray:
     if not inside.all():
         raise DomainError(f"x must lie in [0, 1], got {float(x[~inside][0])!r}")
     a, b = 0.5 * nu, 0.5
-    # I_x(a, b) at no tail (x = 0), at no t^2 (y = 0), and the exact median
-    # of the symmetric Beta(1/2, 1/2) at t = +-1, nu = 1.
+    # The scalar's stated values, in its order of precedence: no tail (x =
+    # 0), no t^2 (y = 0), and the exact median of the symmetric Beta(1/2,
+    # 1/2) at t = +-1, nu = 1.
     beta = np.select([x == 0.0, y == 0.0, (x == 0.5) & (a == b)], [0.0, 1.0, 0.5], np.nan)
     live = np.isnan(beta)
     xs, ys = x[live], y[live]
     front = _each(math.exp, _ln_front(xs, a, b, _each, ys))
     values = np.empty_like(xs)
-    # The clamps keep I within [0, 1], as reg_inc_beta's min and max do.
+    # The clamps mirror the scalar min(1.0, v) and max(0.0, v) exactly.
     low = xs < (a + 1.0) / (a + b + 2.0)
     if low.any():
         v = front[low] * _beta_cf_array(xs[low], a, b) / a

@@ -371,13 +371,6 @@ def test_normal_moment_replicates_replay_from_numpy_alone(kind, n):
     assert result.required.tobytes() == _moment_run_replay(spec, target, n, m, 27).tobytes()
 
 
-def test_only_a_normal_target_draws_its_moments():
-    rng = np.random.default_rng(0)
-    for target in (TargetSpec.bernoulli(0.3), TargetSpec.mixture([1.0], [0.0], [1.0])):
-        with pytest.raises(UnsupportedTargetError, match="normal"):
-            target.draw_moments(rng, 3, 10)
-
-
 def _mixture_replay(weights, mus, sigmas, seed, n, m):
     # Stream layout v3 from numpy alone: block b's component picks are
     # uniforms from spawn key (b,) and its normals standard normals from
