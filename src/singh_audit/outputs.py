@@ -6,12 +6,21 @@ rather than through a charting library. A CSV lists each distinct alpha
 once, printed with 17 significant digits so that it reads back as the value
 it stands for, and its coverage with 9, evaluated at that value; re-evaluating
 the curve at a listed alpha reproduces the printed coverage exactly.
+
+Every artifact goes through one writer, ``_write``, which rewrites a file in
+place: it opens without truncating, writes the new bytes over the old ones,
+then cuts the file to length. An existing artifact so keeps its inode, its
+mode bits and any symlink that points at it, and ends exactly at the new
+bytes. Truncating a non-empty file to zero first, as ``open(path, "w")``
+does, makes some file systems flush and free its blocks on close, which
+cost several times the write itself on every re-run into a full directory.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +28,29 @@ import numpy as np
 from .singh_engine import CoverageReport, SinghCurve, eval_curve
 
 __all__ = ["emit_csv", "emit_svg", "emit_svg_overlay", "emit_report"]
+
+
+_OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _write(path: Path, *parts: str) -> Path:
+    """Write ``parts`` in order over the file at ``path``, then cut it to length.
+
+    The file is opened without ``O_TRUNC`` (created with mode 0o666 less the
+    umask if absent), so the new bytes overwrite the old ones in place, and
+    the ``finally`` truncates at the end of what was written, also when a
+    part fails to write. The one trade-off: a process killed between its
+    last write and the truncate leaves the old file's tail after the new
+    bytes, where a truncate-first writer would leave a short file.
+    """
+    fd = os.open(path, _OPEN_FLAGS, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="\n") as f:
+        try:
+            for part in parts:
+                f.write(part)
+        finally:
+            f.truncate()
+    return path
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -56,19 +88,17 @@ def emit_csv(result, path) -> Path:
     # Written in parts, not as one joined copy: a third live copy of a large
     # body was enough for the C allocator to release its heap top and fault
     # it back in on every band audit (about 450 page faults each).
-    with path.open("w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{header}\n")
-        f.write(body)
-        f.write(f"# never={curves[0].never_count}\n")
-    return path
+    return _write(path, f"{header}\n", body, f"# never={curves[0].never_count}\n")
+
+
+# CoverageReport holds only scalars, so reading its fields needs no deep copy.
+_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(CoverageReport))
 
 
 def emit_report(report: CoverageReport, path, name: str) -> Path:
     """Write a CoverageReport as a small JSON document."""
-    path = Path(path)
-    payload = {"name": name, **dataclasses.asdict(report)}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
-    return path
+    payload = {"name": name, **{k: getattr(report, k) for k in _REPORT_FIELDS}}
+    return _write(Path(path), json.dumps(payload, indent=2, sort_keys=True), "\n")
 
 
 _SIZE = 520
@@ -143,12 +173,21 @@ def _diagonal(dash: str) -> str:
     return _path(d, "#777777", dash, width=1.2)
 
 
-def _frame_and_axes(title: str) -> list[str]:
-    parts = [
+def _furniture() -> tuple[str, str]:
+    """Every plot's document head, frame and axes, split where its title goes.
+
+    Built once at import: the title is the only part that differs by plot.
+    """
+    head = "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_SIZE}" height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
         f'<rect x="{_px(_X0)}" y="{_px(_Y0)}" width="{_px(_W)}" height="{_px(_H)}" '
         'fill="none" stroke="#000000" stroke-width="1"/>',
         f'<text x="{_px(_X0 + _W / 2)}" y="28" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        'font-family="sans-serif" font-size="15">',
+    ])
+    axes = [
         f'<text x="{_px(_X0 + _W / 2)}" y="{_px(_Y0 + _H + 36)}" text-anchor="middle" '
         'font-family="sans-serif" font-size="13">alpha</text>',
         f'<text x="18" y="{_px(_Y0 + _H / 2)}" text-anchor="middle" '
@@ -157,32 +196,30 @@ def _frame_and_axes(title: str) -> list[str]:
     ]
     for t in _TICKS:
         x, y = _tx(t), _ty(t)
-        parts.append(
+        axes.append(
             f'<line x1="{_px(x)}" y1="{_px(_Y0 + _H)}" x2="{_px(x)}" '
             f'y2="{_px(_Y0 + _H + 5)}" stroke="#000000" stroke-width="1"/>'
         )
-        parts.append(
+        axes.append(
             f'<text x="{_px(x)}" y="{_px(_Y0 + _H + 19)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{t:g}</text>'
         )
-        parts.append(
+        axes.append(
             f'<line x1="{_px(_X0 - 5)}" y1="{_px(y)}" x2="{_px(_X0)}" '
             f'y2="{_px(y)}" stroke="#000000" stroke-width="1"/>'
         )
-        parts.append(
+        axes.append(
             f'<text x="{_px(_X0 - 9)}" y="{_px(y + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{t:g}</text>'
         )
-    return parts
+    return head, "</text>\n" + "\n".join(axes) + "\n"
 
 
-def _document(body: list[str]) -> str:
-    head = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_SIZE}" height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">'
-    )
-    return head + "\n" + "\n".join(body) + "\n</svg>\n"
+_HEAD, _AXES = _furniture()
+
+
+def _document(title: str, body: list[str]) -> str:
+    return _HEAD + title + _AXES + "\n".join(body) + "\n</svg>\n"
 
 
 def emit_svg(result, report: CoverageReport, path, name: str) -> Path:
@@ -192,12 +229,9 @@ def emit_svg(result, report: CoverageReport, path, name: str) -> Path:
     upper bound solid, its lower bound dashed, and the diagonal dotted. The
     title carries the scenario name and its classification.
     """
-    path = Path(path)
-    body = _frame_and_axes(f"{name}: {report.classification}")
-    body.append(_diagonal(_DASHED if len(result.curves) == 1 else _DOTTED))
+    body = [_diagonal(_DASHED if len(result.curves) == 1 else _DOTTED)]
     body += _curve_paths(result, "#000000")
-    path.write_text(_document(body), encoding="utf-8", newline="\n")
-    return path
+    return _write(Path(path), _document(f"{name}: {report.classification}", body))
 
 
 def emit_svg_overlay(items, path, title: str) -> Path:
@@ -207,9 +241,7 @@ def emit_svg_overlay(items, path, title: str) -> Path:
     fixed palette, bands use solid/dashed pairs of one color, and the
     diagonal is dotted.
     """
-    path = Path(path)
-    body = _frame_and_axes(title)
-    body.append(_diagonal(_DOTTED))
+    body = [_diagonal(_DOTTED)]
     legend_y = _Y0 + 16.0
     for idx, (label, result) in enumerate(items):
         color = _OVERLAY_COLORS[idx % len(_OVERLAY_COLORS)]
@@ -225,5 +257,4 @@ def emit_svg_overlay(items, path, title: str) -> Path:
             f'font-family="sans-serif" font-size="12">{label}</text>'
         )
         legend_y += 16.0
-    path.write_text(_document(body), encoding="utf-8", newline="\n")
-    return path
+    return _write(Path(path), _document(title, body))

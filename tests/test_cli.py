@@ -221,6 +221,16 @@ def test_cli_missing_file(tmp_path, capsys):
     assert "cannot read scenario" in capsys.readouterr().err
 
 
+def test_cli_unwritable_artifact_is_a_runtime_error(scenario_file, tmp_path, capsys):
+    # A directory where the CSV belongs cannot be opened for writing; unlike
+    # a permission bit, that holds for every user.
+    out = tmp_path / "out"
+    (out / "demo_run.csv").mkdir(parents=True)
+    code = main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert "runtime error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--replicates", "0"), ("--seed", "-1")])
 def test_cli_bad_overrides(scenario_file, tmp_path, capsys, flag, value):
     code = main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path), flag, value])

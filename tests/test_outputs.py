@@ -1,5 +1,7 @@
 import json
+import os
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 import reference_outputs as reference
 from singh_audit import outputs
 from singh_audit.outputs import emit_csv, emit_report, emit_svg, emit_svg_overlay
+from singh_audit.runner import run_preset, run_scenario
+from singh_audit.scenario import parse_scenario
 from singh_audit.singh_engine import (
     CoverageReport,
     SinghBand,
@@ -286,6 +290,84 @@ def test_csv_rejects_nothing_but_reports_path(tmp_path):
 def test_alpha_prints_as_its_own_double(tmp_path, value, printed):
     text = emit_csv(curve(value), tmp_path / "c.csv").read_text()
     assert f"{printed},1" in text
+
+
+# --- rewriting an existing artifact in place ---
+
+T_PIVOT = """\
+name = rewrite
+structure = student_t_pivot
+target = normal
+mu = 0
+sigma = 1
+n = 8
+m = 2000
+seed = 11
+"""
+
+
+def artifact_bytes(written):
+    return {p.name: p.read_bytes() for p in written}
+
+
+def test_a_shrinking_rewrite_equals_a_fresh_run(tmp_path):
+    # The second run writes fewer bytes into every file the first one left,
+    # so any tail left past the new end would show as a difference.
+    scenario = parse_scenario(T_PIVOT)
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    big = artifact_bytes(run_scenario(scenario, reused) + run_preset("fig7", reused, replicates=2000))
+    small = replace(scenario, m=200)
+    rewritten = artifact_bytes(run_scenario(small, reused) + run_preset("fig7", reused, replicates=200))
+    expected = artifact_bytes(run_scenario(small, fresh) + run_preset("fig7", fresh, replicates=200))
+    assert sorted(rewritten) == sorted(expected) == [
+        "fig7.svg", "fig7_c05.csv", "fig7_c05.json", "fig7_c1.csv", "fig7_c1.json",
+        "fig7_c3.csv", "fig7_c3.json", "rewrite.csv", "rewrite.json", "rewrite.svg",
+    ]
+    for name in ("rewrite.csv", "rewrite.svg", "rewrite.json", "fig7.svg"):
+        assert len(rewritten[name]) < len(big[name])
+    for name, data in expected.items():
+        assert rewritten[name] == data, name
+        assert (reused / name).read_bytes() == data, name
+
+
+def test_a_rewrite_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old contents, longer than the new ones\n" * 20)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    emit_csv(curve(0.5), link)
+    assert link.is_symlink()
+    assert target.read_text() == emit_csv(curve(0.5), tmp_path / "fresh.csv").read_text()
+
+
+def test_a_rewrite_keeps_the_inode_and_mode(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text("x" * 1000)
+    path.chmod(0o640)
+    before = path.stat()
+    report = CoverageReport("valid", 0.0, 0.0, 0.05, 10)
+    emit_report(report, path, "demo")
+    after = path.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert after.st_mode & 0o777 == 0o640
+    assert path.read_bytes() == emit_report(report, tmp_path / "fresh.json", "demo").read_bytes()
+
+
+def test_a_failed_write_still_cuts_the_file_to_what_was_written(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text("a longer old file")
+    with pytest.raises(TypeError):
+        outputs._write(path, "abc", None)
+    assert path.read_bytes() == b"abc"
+
+
+def test_a_new_artifact_is_created_with_the_umask_mode(tmp_path):
+    mask = os.umask(0o022)
+    try:
+        path = emit_csv(curve(0.5), tmp_path / "new.csv")
+    finally:
+        os.umask(mask)
+    assert path.stat().st_mode & 0o777 == 0o644
 
 
 # --- bulk emission against the per-row reference ---
