@@ -311,8 +311,8 @@ def artifact_bytes(written):
 
 
 def test_a_shrinking_rewrite_equals_a_fresh_run(tmp_path):
-    # The second run writes fewer bytes into every file the first one left,
-    # so any tail left past the new end would show as a difference.
+    # The second run writes shorter files over longer ones (the four checked
+    # below), so an old tail left past the new end would show as a difference.
     scenario = parse_scenario(T_PIVOT)
     reused, fresh = tmp_path / "reused", tmp_path / "fresh"
     big = artifact_bytes(run_scenario(scenario, reused) + run_preset("fig7", reused, replicates=2000))
@@ -327,7 +327,6 @@ def test_a_shrinking_rewrite_equals_a_fresh_run(tmp_path):
         assert len(rewritten[name]) < len(big[name])
     for name, data in expected.items():
         assert rewritten[name] == data, name
-        assert (reused / name).read_bytes() == data, name
 
 
 def test_a_rewrite_writes_through_a_symlink(tmp_path):
