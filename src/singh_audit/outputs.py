@@ -39,9 +39,18 @@ def _write(path: Path, *parts: str) -> Path:
     The file is opened without ``O_TRUNC`` (created with mode 0o666 less the
     umask if absent), so the new bytes overwrite the old ones in place, and
     the ``finally`` truncates at the end of what was written, also when a
-    part fails to write. The one trade-off: a process killed between its
-    last write and the truncate leaves the old file's tail after the new
-    bytes, where a truncate-first writer would leave a short file.
+    part fails to write.
+
+    What this costs is how an interrupted rewrite looks. A process killed
+    before the truncate leaves the new bytes followed by the old file's
+    tail, a CSV's old ``# never=`` trailer included. A system crash or
+    power loss before the kernel writes the pages back can leave some of
+    the file's blocks from the new run and some from the old one. Either
+    way the file looks whole but mixes two runs, where a truncate-first
+    writer leaves a short or empty file that is plainly broken. The speed
+    comes from the same place: ext4 (``auto_da_alloc``) starts writeback
+    when a file truncated to zero is closed, and this writer never
+    truncates to zero. Neither writer syncs, so neither is durable.
     """
     fd = os.open(path, _OPEN_FLAGS, 0o666)
     with open(fd, "w", encoding="utf-8", newline="\n") as f:
