@@ -10,6 +10,9 @@ result, a precise curve and both sides of a band alike, takes that maximum;
 a sorted lower column never exceeds its upper column, so the envelope band
 keeps its order. A never-covered replicate is +inf in its column, so it
 sorts last and passes through the index-wise maximum unchanged.
+
+This module holds the grid and its check. The envelope is the one run path,
+``singh_engine._envelope``, of which a local run is the one-point case.
 """
 
 from __future__ import annotations
@@ -21,26 +24,14 @@ import numpy as np
 
 from .special_math import DomainError, SeededStream, is_integer
 from .singh_engine import (
-    CHUNK_ELEMENTS,
-    COUNT_FAMILIES,
     StructureSpec,
     TargetSpec,
-    _drawn_count_values,
-    _drawn_row_values,
-    _result,
+    _envelope,
     check_run_args,
     singh_curve,  # noqa: F401  (perfbench/spans.py wraps it here by name)
 )
 
 __all__ = ["ParameterGrid", "check_grid_args", "global_singh"]
-
-# A count grid's chunk evaluates the Beta chains of all its points at once:
-# n + 1 values per point, each needing up to about 20 working floats at
-# the peak of the saddle-point binomial terms, against about 3 per drawn
-# replicate (its count and the two sorted columns). So a chunk takes
-# CHUNK_ELEMENTS // max(m, CHAIN_WEIGHT (n + 1)) points, and either side
-# stays O(CHUNK_ELEMENTS) floats.
-CHAIN_WEIGHT = 8
 
 
 @dataclass(frozen=True)
@@ -105,44 +96,10 @@ def global_singh(
     Each curve of the result is the index-wise maximum of that curve's
     sorted ``required`` columns over the grid points: the pointwise minimum
     coverage. Grid point j draws as a local ``singh_curve`` rooted at
-    ``stream.substream(j * m)`` would, whose blocks take the
-    ceil(m / BLOCK) <= m substreams from there on, so the grid points'
-    substreams are disjoint and a one-point grid reproduces the local run
-    bit for bit. ``family`` supplies every parameter except the truth,
-    which the grid replaces. The run is checked once (``check_grid_args``),
-    before any grid point's substream is formed.
-
-    No grid point becomes a local result. On a Bernoulli-family target the
-    points are drawn CHUNK_ELEMENTS // max(m, CHAIN_WEIGHT (n + 1)) at a
-    time (at least one), and each chunk's counts (one histogram per block
-    when 8 (n + 1) <= m, else one count per replicate) are evaluated once
-    per distinct count of each point, in one call that builds the Beta
-    chains of all the chunk's truths together, expanded into sorted columns
-    and reduced into the envelope by ``_drawn_count_values`` and one
-    maximum; any other target draws one point at a time
-    (``_drawn_row_values``), a normal target each replicate's mean and sd
-    outright, a mixture its rows in chunks. So working memory is
-    O(m + CHUNK_ELEMENTS) samples besides the K grid targets, not O(K m)
-    and not O(K n).
+    ``stream.substream(j * m)`` would, so a one-point grid reproduces the
+    local run bit for bit: both are ``singh_engine._envelope``, which also
+    bounds working memory. ``family`` supplies every parameter except the
+    truth, which the grid replaces. The run is checked once
+    (``check_grid_args``), before any grid point's substream is formed.
     """
-    targets = check_grid_args(structure, family, grid, n, m)
-    chunks = _chunk_columns(structure, targets, n, m, stream)
-    envelope = next(chunks)
-    for columns in chunks:
-        for running, column in zip(envelope, columns):
-            np.maximum(running, column, out=running)
-    return _result(structure, envelope)
-
-
-def _chunk_columns(
-    structure: StructureSpec, targets: list[TargetSpec], n: int, m: int, stream: SeededStream
-):
-    """Each chunk of grid points' sorted columns, reduced to their index-wise maximum."""
-    if targets[0].family in COUNT_FAMILIES:
-        step = max(1, CHUNK_ELEMENTS // max(m, CHAIN_WEIGHT * (n + 1)))
-        for lo in range(0, len(targets), step):
-            draws = [(t, stream.substream(j * m)) for j, t in enumerate(targets[lo:lo + step], lo)]
-            yield [c.max(axis=0) for c in _drawn_count_values(structure, draws, n, m)]
-    else:
-        for j, target in enumerate(targets):
-            yield _drawn_row_values(structure, target, n, m, stream.substream(j * m))
+    return _envelope(structure, check_grid_args(structure, family, grid, n, m), n, m, stream)

@@ -227,8 +227,13 @@ def _furniture() -> tuple[str, str]:
 _HEAD, _AXES = _furniture()
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data; ``xml.sax.saxutils`` would import urllib."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _document(title: str, body: list[str]) -> str:
-    return _HEAD + title + _AXES + "\n".join(body) + "\n</svg>\n"
+    return _HEAD + _escape(title) + _AXES + "\n".join(body) + "\n</svg>\n"
 
 
 def emit_svg(result, report: CoverageReport, path, name: str) -> Path:
@@ -263,7 +268,7 @@ def emit_svg_overlay(items, path, title: str) -> Path:
         )
         body.append(
             f'<text x="{_px(x_text + 28)}" y="{_px(legend_y)}" '
-            f'font-family="sans-serif" font-size="12">{label}</text>'
+            f'font-family="sans-serif" font-size="12">{_escape(label)}</text>'
         )
         legend_y += 16.0
     return _write(Path(path), _document(title, body))

@@ -27,11 +27,6 @@ def _doc(**fields) -> str:
     return "\n".join(f"{key} = {value}" for key, value in fields.items()) + "\n"
 
 
-def _single(name: str, **fields) -> Preset:
-    doc = _doc(name=name, outputs="csv,report", **fields)
-    return Preset(name=name, documents=(doc,), plots=((name, (0,)),))
-
-
 def _sweep(name: str, docs: "list[tuple[str, dict]]", groups=None) -> Preset:
     documents = tuple(
         _doc(name=doc_name, outputs="csv,report", **fields) for doc_name, fields in docs
@@ -39,6 +34,10 @@ def _sweep(name: str, docs: "list[tuple[str, dict]]", groups=None) -> Preset:
     if groups is None:
         groups = ((name, tuple(range(len(documents)))),)
     return Preset(name=name, documents=documents, plots=groups)
+
+
+def _single(name: str, **fields) -> Preset:
+    return _sweep(name, [(name, fields)])
 
 
 PRESETS: dict[str, Preset] = {}

@@ -7,7 +7,9 @@ diagonal; dips below signal overconfidence, slack above signals
 conservatism. Monte Carlo curves come with a distribution-free tolerance
 band (the DKW bound), and for Bernoulli-family targets an exact enumeration
 over the success count replaces simulation entirely, serving as the oracle
-the Monte Carlo path is tested against.
+the Monte Carlo path is tested against. A local run is the one-point case
+of the grid envelope (``_envelope``), and the exact and Monte Carlo count
+paths evaluate and order their atoms through one kernel (``_atom_columns``).
 """
 
 from __future__ import annotations
@@ -52,6 +54,13 @@ HISTOGRAM_FACTOR = 8
 # O(max(n, CHUNK_ELEMENTS)) and never O(BLOCK * n). What a chunk leaves
 # behind, its rows' statistics or bounds, is O(m) over the run.
 CHUNK_ELEMENTS = 2**15
+# A count envelope's chunk evaluates the Beta chains of all its points at
+# once: n + 1 values per point, each needing up to about 20 working floats
+# at the peak of the saddle-point binomial terms, against about 3 per drawn
+# replicate (its count and the two sorted columns). So a chunk takes
+# CHUNK_ELEMENTS // max(m, CHAIN_WEIGHT (n + 1)) points, and either side
+# stays O(CHUNK_ELEMENTS) floats.
+CHAIN_WEIGHT = 8
 
 DEFAULT_GRID_POINTS = 1001
 # Conservatism must show across the central α range; at the extreme tails
@@ -416,43 +425,54 @@ def _columns(structure: StructureSpec) -> int:
     return 1 if structure.is_precise else 2
 
 
+def _atom_columns(
+    structure: StructureSpec, targets: list[TargetSpec], n: int, point: np.ndarray, counts: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each bound column's atom values ordered by (point, value), with that order.
+
+    Atom i is the success count ``counts[i]`` of ``targets[point[i]]``. The
+    one kernel of the exact and Monte Carlo count paths: one
+    ``evaluate_counts`` call evaluates every atom, with a truth and a
+    success value per atom (a scaled-Bernoulli mean sweep moves both; one
+    target passes scalars), so the chains of all distinct truths are built
+    together, once each. Every structure reads a count alone, so the t
+    pivot raises only if a degenerate count is an atom, and runs its
+    continued fraction on the atoms, not on m lanes.
+    """
+    if len(targets) == 1:
+        truth, success = targets[0].theta0, _success_value(targets[0])
+    else:
+        truth = np.array([t.theta0 for t in targets])[point]
+        success = np.array([_success_value(t) for t in targets])[point]
+    columns = []
+    for values in evaluate_counts(structure, truth, n, counts, success)[:_columns(structure)]:
+        order = np.lexsort((values, point))
+        columns.append((values[order], order))
+    return columns
+
+
 def _drawn_count_values(
     structure: StructureSpec, draws: list[tuple[TargetSpec, SeededStream]], n: int, m: int
 ) -> list[np.ndarray]:
     """Sorted bound columns as (K, m) matrices, row j from the pair ``draws[j]``.
 
     Row j holds m Binomial(n, p) success counts drawn from ``draws[j]`` as
-    stream layout v4 has it (``_count_histograms`` or ``_count_runs``),
-    and reads each through ``evaluate_counts``. Every structure reads a
-    count alone, so each distinct count of a row, an atom, is evaluated
-    once: the t pivot then raises only if a degenerate count was drawn,
-    and runs its continued fraction on the atoms, not on m lanes. One
-    ``evaluate_counts`` call evaluates all K rows' atoms, with a truth and
-    a success value per atom (a scaled-Bernoulli mean sweep moves both;
-    one point passes scalars), so the chains of all distinct truths are
-    built together, once each, as the histogram side forms the K rows'
-    weights in one ``_binomial_weights`` call. A row's column is its atoms
-    in ascending value, repeated by their multiplicities: nothing of length
-    m is gathered or sorted by value. A local run is K = 1; working memory
-    is O(K max(m, n + 1)), which ``global_singh`` bounds by drawing at most
-    CHUNK_ELEMENTS // max(m, CHAIN_WEIGHT (n + 1)) points at a time.
+    stream layout v4 has it (``_count_histograms`` or ``_count_runs``);
+    each distinct count of a row, an atom, is evaluated once
+    (``_atom_columns``), as the histogram side forms the K rows' weights in
+    one ``_binomial_weights`` call. A row's column is its atoms in
+    ascending value, repeated by their multiplicities: nothing of length m
+    is gathered or sorted by value. Working memory is O(K max(m, n + 1)),
+    which ``_envelope`` bounds by its chunk size.
     """
     if HISTOGRAM_FACTOR * (n + 1) <= m:
         point, counts, mult = _count_histograms(draws, n, m)
     else:
         point, counts, mult = _count_runs(draws, n, m)
-    if len(draws) == 1:
-        truth, success = draws[0][0].theta0, _success_value(draws[0][0])
-    else:
-        truth = np.array([t.theta0 for t, _ in draws])[point]
-        success = np.array([_success_value(t) for t, _ in draws])[point]
-    bounds = evaluate_counts(structure, truth, n, counts, success)
-    columns = []
-    for values in bounds[:_columns(structure)]:
-        # Each point's atoms in ascending value.
-        order = np.lexsort((values, point))
-        columns.append(np.repeat(values[order], mult[order]).reshape(len(draws), m))
-    return columns
+    return [
+        np.repeat(values, mult[order]).reshape(len(draws), m)
+        for values, order in _atom_columns(structure, [t for t, _ in draws], n, point, counts)
+    ]
 
 
 def _count_histograms(
@@ -592,19 +612,45 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
     (structure, target, n, m, stream). Both paths hand back sorted
     columns, which are wrapped without sorting again. Precise structures
     return a SinghCurve; imprecise ones return a SinghBand built from the
-    same replicates.
+    same replicates. A local run is the one-point ``_envelope``.
     """
     check_run_args(structure, target, n, m)
-    if target.family in COUNT_FAMILIES and not structure.reads_next_draw:
-        columns = [c[0] for c in _drawn_count_values(structure, [(target, stream)], n, m)]
+    return _envelope(structure, [target], n, m, stream)
+
+
+def _envelope(structure: StructureSpec, targets: list[TargetSpec], n: int, m: int, stream: SeededStream):
+    """Worst-case Singh result over ``targets``, point j drawn from ``stream.substream(j * m)``.
+
+    The one run path of the Monte Carlo engine, local (one point) and
+    global alike. Point j's blocks take the ceil(m / BLOCK) <= m substreams
+    from ``stream.substream(j * m)`` on, so the points' substreams are
+    disjoint and ``stream.substream(0)`` equals ``stream``. Each curve is the
+    index-wise maximum of its sorted columns over the points: the pointwise
+    minimum coverage. On a Bernoulli-family target every structure but the
+    predictive band takes the count path, CHUNK_ELEMENTS // max(m,
+    CHAIN_WEIGHT (n + 1)) points at a time (at least one), each chunk
+    folded by one maximum; any other run draws one point at a time
+    (``_drawn_row_values``). Working memory is O(m + CHUNK_ELEMENTS)
+    samples besides the targets, not O(K m) and not O(K n).
+    """
+    pairs = [(target, stream.substream(j * m)) for j, target in enumerate(targets)]
+    if targets[0].family in COUNT_FAMILIES and not structure.reads_next_draw:
+        step = max(1, CHUNK_ELEMENTS // max(m, CHAIN_WEIGHT * (n + 1)))
+        starts = range(0, len(pairs), step)
+        drawn = (_drawn_count_values(structure, pairs[lo:lo + step], n, m) for lo in starts)
+        # A one-point chunk's column is its row, not a reduced copy.
+        chunks = ([c[0] if len(c) == 1 else c.max(axis=0) for c in matrices] for matrices in drawn)
     else:
-        columns = _drawn_row_values(structure, target, n, m, stream)
-    return _result(structure, columns)
+        chunks = (_drawn_row_values(structure, target, n, m, s) for target, s in pairs)
+    envelope = next(chunks)
+    for columns in chunks:
+        for running, column in zip(envelope, columns):
+            np.maximum(running, column, out=running)
+    return _result(structure, [SinghCurve(column) for column in envelope])
 
 
-def _result(structure: StructureSpec, columns: list[np.ndarray]):
-    """A precise structure's SinghCurve, or an imprecise one's SinghBand, of sorted columns."""
-    curves = [SinghCurve(column) for column in columns]
+def _result(structure: StructureSpec, curves: list[SinghCurve]):
+    """A precise structure's SinghCurve, or an imprecise one's SinghBand, of its curves."""
     return curves[0] if structure.is_precise else SinghBand(*curves)
 
 
@@ -624,22 +670,17 @@ def _binomial_weights(n: int, p) -> np.ndarray:
     return binomial_pmf(p.reshape(-1), float(n), np.arange(n + 1.0)).reshape(p.shape + (n + 1,))
 
 
-def _weighted_curve(values: np.ndarray, weights: np.ndarray) -> SinghCurve:
-    order = np.argsort(values, kind="stable")
-    return SinghCurve(values[order], weights=weights[order])
-
-
 def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     """Exact Singh result by enumerating the success count of a two-point target.
 
     For Bernoulli-family targets every structure but the predictive band
     reads the dataset only through its success count k, so the full
     distribution of required confidence is the n+1 values at k = 0..n
-    carrying binomial weights, evaluated by ``evaluate_counts``. This is
-    the zero-noise reference the Monte Carlo path is validated against;
-    both read the structure from the count through that one function. The
-    t pivot is refused: the enumeration always holds k = 0 and k = n,
-    whose zero spread leaves the pivot undefined, whatever their weight.
+    carrying binomial weights. This is the zero-noise reference the Monte
+    Carlo path is validated against; both evaluate and order the atoms
+    through one kernel, ``_atom_columns``. The t pivot is refused: the
+    enumeration always holds k = 0 and k = n, whose zero spread leaves the
+    pivot undefined, whatever their weight.
     Every kind is held to n <= ``MAX_ACCURATE_SHAPE``, the bound the count
     kinds meet through their Beta shapes, before any weight is formed.
     """
@@ -656,12 +697,9 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     if n > MAX_ACCURATE_SHAPE:
         raise DomainError(f"exact enumeration needs n <= {MAX_ACCURATE_SHAPE:g}, got n = {n}")
     weights = _binomial_weights(n, target.p)
-    success = _success_value(target)
-    lowers, uppers = evaluate_counts(structure, target.theta0, n, np.arange(n + 1), success)
-    lower = _weighted_curve(lowers, weights)
-    if structure.is_precise:
-        return lower
-    return SinghBand(lower, _weighted_curve(uppers, weights))
+    counts = np.arange(n + 1)
+    columns = _atom_columns(structure, [target], n, np.zeros_like(counts), counts)
+    return _result(structure, [SinghCurve(values, weights=weights[order]) for values, order in columns])
 
 
 def classify(result, delta: float = 0.01) -> CoverageReport:

@@ -9,6 +9,7 @@ guarantee.
 import functools
 import hashlib
 import time
+from xml.etree import ElementTree
 
 import numpy as np
 from scipy import special
@@ -228,6 +229,9 @@ def test_09_preset_artifacts_are_deterministic_and_self_consistent(tmp_path):
         for one, two in zip(first, second):
             assert one.read_bytes() == two.read_bytes(), one.name
         assert artifacts_digest(first) == PRESET_DIGESTS[preset_name], preset_name
+        for path in first:
+            if path.suffix == ".svg":
+                ElementTree.parse(path)  # every pinned plot is well-formed XML
         for doc in preset.documents:
             scenario = parse_scenario(doc)
             result, _ = analysis(doc)

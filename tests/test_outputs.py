@@ -3,6 +3,7 @@ import os
 import re
 from dataclasses import replace
 from unittest import mock
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -252,6 +253,22 @@ def test_svg_overlay_layout(tmp_path):
     assert ">band</text>" in svg
     assert 'stroke="#000000" stroke-width="2"' in svg  # first legend key
     assert '"#c0392b"' in svg  # second series color
+
+
+def test_svg_text_is_escaped_and_reads_back(tmp_path):
+    # A name with XML's markup characters still gives a well-formed file
+    # whose title and legend label read back as the name itself.
+    name = "R&D <x> & y>"
+    result = curve(0.5)
+    report = classify(result)
+    single = ElementTree.parse(emit_svg(result, report, tmp_path / "s.svg", name))
+    overlay = ElementTree.parse(emit_svg_overlay([(name, result)], tmp_path / "o.svg", title=name))
+
+    def texts(tree):
+        return [t.text for t in tree.iter("{http://www.w3.org/2000/svg}text")]
+
+    assert f"{name}: {report.classification}" in texts(single)
+    assert texts(overlay).count(name) == 2  # the title and the legend label
 
 
 def test_svg_bytes_deterministic(tmp_path):

@@ -10,6 +10,7 @@ from scipy import special as sp
 from scipy import stats
 
 import reference_structures as reference
+from singh_audit.global_engine import ParameterGrid, global_singh
 from singh_audit.singh_engine import (
     BLOCK,
     CHUNK_ELEMENTS,
@@ -453,19 +454,38 @@ def test_required_values_are_frozen(structure, target, n, seed, expected):
     assert _required_digest(result) == expected
 
 
-@pytest.mark.parametrize("structure, target, n, seed", [
-    (StructureSpec("student_t_pivot"), MIXTURE, 10, 101),
-    (StructureSpec("chebyshev_ucl"), MIXTURE, 30, 7),
-    (StructureSpec("empirical_predictive"), MIXTURE, 10, 104),
-], ids=["t_pivot_mixture", "chebyshev_mixture", "fig4"])
-def test_chunk_size_changes_no_value(monkeypatch, structure, target, n, seed):
+@pytest.mark.parametrize("structure, target, n, m, seed, grid, chunks", [
+    (StructureSpec("student_t_pivot"), MIXTURE, 10, BLOCK + 5, 101, None, []),
+    (StructureSpec("chebyshev_ucl"), MIXTURE, 30, BLOCK + 5, 7, None, []),
+    (StructureSpec("empirical_predictive"), MIXTURE, 10, BLOCK + 5, 104, None, []),
+    # 64 // max(m, 8 (n + 1)) = 2 points per chunk: seven points take four.
+    (StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.5), 3, 20, 108,
+     ParameterGrid.uniform(0.0, 1.0, 7), [2, 2, 2, 1]),
+    (StructureSpec("student_t_pivot"), TargetSpec.normal(0.0, 2.0), 10, BLOCK + 5, 101,
+     ParameterGrid.uniform(-1.0, 1.0, 3), []),
+], ids=["t_pivot_mixture", "chebyshev_mixture", "fig4", "clopper_pearson_grid", "t_pivot_normal_grid"])
+def test_chunk_size_changes_no_value(monkeypatch, structure, target, n, m, seed, grid, chunks):
     # CHUNK_ELEMENTS is a memory setting, not a layout constant: 64-element
-    # chunks (a few rows each) give the same values as the default.
+    # chunks (a few rows each, or a few points of a count grid) give the
+    # same values as the default, local and global runs alike.
     from singh_audit import singh_engine
 
-    expected = singh_curve(structure, target, n, BLOCK + 5, SeededStream(seed))
+    def run():
+        if grid is None:
+            return singh_curve(structure, target, n, m, SeededStream(seed))
+        return global_singh(structure, target, grid, n, m, SeededStream(seed))
+
+    expected = run()
+    drawn, sizes = singh_engine._drawn_count_values, []
+
+    def counting_drawn(structure, draws, *args):
+        sizes.append(len(draws))
+        return drawn(structure, draws, *args)
+
+    monkeypatch.setattr(singh_engine, "_drawn_count_values", counting_drawn)
     monkeypatch.setattr(singh_engine, "CHUNK_ELEMENTS", 64)
-    result = singh_curve(structure, target, n, BLOCK + 5, SeededStream(seed))
+    result = run()
+    assert sizes == chunks
     assert _required_digest(result) == _required_digest(expected)
 
 
