@@ -57,19 +57,13 @@ def _run_command(args) -> int:
     except ScenarioValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        written = run_scenario(scenario, args.out, fmt=args.format)
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    for path in written:
-        print(path)
-    return EXIT_OK
+    return _print_written(lambda: run_scenario(scenario, args.out, fmt=args.format))
 
 
-def _preset_command(args) -> int:
+def _print_written(run) -> int:
+    """Call ``run`` and print each path it wrote; any failure is a runtime error."""
     try:
-        written = run_preset(args.name, args.out)
+        written = run()
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -82,7 +76,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _run_command(args)
-    return _preset_command(args)
+    return _print_written(lambda: run_preset(args.name, args.out))
 
 
 if __name__ == "__main__":

@@ -2,14 +2,13 @@
 
 When the true parameter is unknown, a structure is only as good as its worst
 coverage over the plausible parameter region. Each grid point gets its own
-full Monte Carlo run, and the per-point sorted required-confidence columns
-are combined index-wise into envelope curves as they are drawn. Larger
-required confidence means less coverage, so the index-wise maximum of sorted
-columns is the pointwise minimum coverage over the grid. Every curve of a
-result, a precise curve and both sides of a band alike, takes that maximum;
-a sorted lower column never exceeds its upper column, so the envelope band
-keeps its order. A never-covered replicate is +inf in its column, so it
-sorts last and passes through the index-wise maximum unchanged.
+full Monte Carlo run, and every curve of the result, a precise curve and
+both sides of a band alike, is the pointwise minimum of the points'
+coverage curves: at each required-confidence value, the fewest replicates
+covered at that level over the grid. A band replicate's lower value never
+exceeds its upper one, so the envelope band keeps its order. A
+never-covered replicate requires +inf, which no level reaches, so the
+envelope's never count is the largest over the points.
 
 This module holds the grid and its check. The envelope is the one run path,
 ``singh_engine._envelope``, of which a local run is the one-point case.
@@ -93,9 +92,9 @@ def global_singh(
 ):
     """Worst-case Singh result across ``grid``, one full run per grid point.
 
-    Each curve of the result is the index-wise maximum of that curve's
-    sorted ``required`` columns over the grid points: the pointwise minimum
-    coverage. Grid point j draws as a local ``singh_curve`` rooted at
+    Each curve of the result is the pointwise minimum coverage of that
+    curve over the grid points, held as atoms with integer counts of
+    replicates. Grid point j draws as a local ``singh_curve`` rooted at
     ``stream.substream(j * m)`` would, so a one-point grid reproduces the
     local run bit for bit: both are ``singh_engine._envelope``, which also
     bounds working memory. ``family`` supplies every parameter except the

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .singh_engine import CoverageReport, SinghCurve, eval_curve
+from .singh_engine import CoverageReport, SinghCurve, _run_starts, eval_curve
 
 __all__ = ["emit_csv", "emit_svg", "emit_svg_overlay", "emit_report"]
 
@@ -62,14 +62,6 @@ def _write(path: Path, *parts: str) -> Path:
     return path
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """A mask, True where each run of equal neighbours begins in a sorted array."""
-    new = np.empty(values.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    return new
-
-
 def emit_csv(result, path) -> Path:
     """Write a Singh result as an alpha/coverage table.
 
@@ -81,9 +73,9 @@ def emit_csv(result, path) -> Path:
     """
     path = Path(path)
     curves = result.curves
-    # Each column's distinct values, so a count curve copies its at most
-    # n + 1 atoms rather than its m replicates; a band's two columns are
-    # merged by a stable sort.
+    # Each column's distinct values (a count curve's atoms already are), so
+    # a row curve's ties are not copied; a band's two columns are merged by
+    # a stable sort.
     distinct = [c.required[_run_starts(c.required)] for c in curves]
     values = distinct[0] if len(distinct) == 1 else np.sort(np.concatenate(distinct), kind="stable")
     header = "alpha,coverage" if len(curves) == 1 else "alpha,coverage_lower,coverage_upper"
@@ -205,22 +197,16 @@ def _furniture() -> tuple[str, str]:
     ]
     for t in _TICKS:
         x, y = _tx(t), _ty(t)
-        axes.append(
+        axes += [
             f'<line x1="{_px(x)}" y1="{_px(_Y0 + _H)}" x2="{_px(x)}" '
-            f'y2="{_px(_Y0 + _H + 5)}" stroke="#000000" stroke-width="1"/>'
-        )
-        axes.append(
+            f'y2="{_px(_Y0 + _H + 5)}" stroke="#000000" stroke-width="1"/>',
             f'<text x="{_px(x)}" y="{_px(_Y0 + _H + 19)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{t:g}</text>'
-        )
-        axes.append(
+            f'font-family="sans-serif" font-size="11">{t:g}</text>',
             f'<line x1="{_px(_X0 - 5)}" y1="{_px(y)}" x2="{_px(_X0)}" '
-            f'y2="{_px(y)}" stroke="#000000" stroke-width="1"/>'
-        )
-        axes.append(
+            f'y2="{_px(y)}" stroke="#000000" stroke-width="1"/>',
             f'<text x="{_px(_X0 - 9)}" y="{_px(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{t:g}</text>'
-        )
+            f'font-family="sans-serif" font-size="11">{t:g}</text>',
+        ]
     return head, "</text>\n" + "\n".join(axes) + "\n"
 
 
@@ -261,14 +247,12 @@ def emit_svg_overlay(items, path, title: str) -> Path:
         color = _OVERLAY_COLORS[idx % len(_OVERLAY_COLORS)]
         body += _curve_paths(result, color)
         x_text = _X0 + 12.0
-        body.append(
+        body += [
             f'<line x1="{_px(x_text)}" y1="{_px(legend_y - 4)}" '
             f'x2="{_px(x_text + 22)}" y2="{_px(legend_y - 4)}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        body.append(
+            f'stroke="{color}" stroke-width="2"/>',
             f'<text x="{_px(x_text + 28)}" y="{_px(legend_y)}" '
-            f'font-family="sans-serif" font-size="12">{_escape(label)}</text>'
-        )
+            f'font-family="sans-serif" font-size="12">{_escape(label)}</text>',
+        ]
         legend_y += 16.0
     return _write(Path(path), _document(title, body))

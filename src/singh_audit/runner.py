@@ -88,14 +88,11 @@ def run_preset(name: str, out_dir, replicates: int | None = None) -> list[Path]:
         # A preset's plots are its figures, drawn below, not one per run.
         written += _emit(scenario, result, report, out, scenario.outputs - {"svg"})
     for plot_stem, indices in preset.plots:
+        path = out / f"{plot_stem}.svg"
         if len(indices) == 1:
             scenario, result, report = ran[indices[0]]
-            written.append(
-                emit_svg(result, report, out / f"{plot_stem}.svg", scenario.name)
-            )
+            written.append(emit_svg(result, report, path, scenario.name))
         else:
             items = [(ran[i][0].name, ran[i][1]) for i in indices]
-            written.append(
-                emit_svg_overlay(items, out / f"{plot_stem}.svg", plot_stem)
-            )
+            written.append(emit_svg_overlay(items, path, plot_stem))
     return written

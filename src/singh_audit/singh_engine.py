@@ -8,8 +8,9 @@ conservatism. Monte Carlo curves come with a distribution-free tolerance
 band (the DKW bound), and for Bernoulli-family targets an exact enumeration
 over the success count replaces simulation entirely, serving as the oracle
 the Monte Carlo path is tested against. A local run is the one-point case
-of the grid envelope (``_envelope``), and the exact and Monte Carlo count
-paths evaluate and order their atoms through one kernel (``_atom_columns``).
+of the grid envelope (``_envelope``), which folds grid points as step CDFs
+(``_fold``), and the exact and Monte Carlo count paths evaluate and order
+their atoms through one kernel (``_atom_columns``).
 """
 
 from __future__ import annotations
@@ -56,10 +57,12 @@ HISTOGRAM_FACTOR = 8
 CHUNK_ELEMENTS = 2**15
 # A count envelope's chunk evaluates the Beta chains of all its points at
 # once: n + 1 values per point, each needing up to about 20 working floats
-# at the peak of the saddle-point binomial terms, against about 3 per drawn
-# replicate (its count and the two sorted columns). So a chunk takes
-# CHUNK_ELEMENTS // max(m, CHAIN_WEIGHT (n + 1)) points, and either side
-# stays O(CHUNK_ELEMENTS) floats.
+# at the peak of the saddle-point binomial terms (a point drawn one count
+# per replicate has m < HISTOGRAM_FACTOR (n + 1) of them, within the same
+# budget). Its fold then holds a (points x atoms) matrix, at most
+# min(m, n + 1) atoms per point. So a chunk takes the most points K, at
+# least one, with K CHAIN_WEIGHT (n + 1) and K^2 min(m, n + 1) both at most
+# CHUNK_ELEMENTS, and stays O(CHUNK_ELEMENTS) floats.
 CHAIN_WEIGHT = 8
 
 DEFAULT_GRID_POINTS = 1001
@@ -243,16 +246,22 @@ class TargetSpec:
 
 @dataclass(frozen=True, eq=False)
 class SinghCurve:
-    """Sorted required-confidence values, one per replicate or atom.
+    """Ascending required-confidence values, each with its count or weight.
 
     A replicate that no confidence level covers holds +inf, which sorts last
-    and stays uncovered at every alpha, so ``m`` counts all of them. Monte
-    Carlo curves weight every value 1/m; exact enumeration curves carry
-    explicit per-value probability weights instead. Compared by identity.
+    and stays uncovered at every alpha. A Monte Carlo count curve, and an
+    envelope folded over more than one grid point, holds its distinct
+    atoms with integer ``counts``, the replicates at each atom; a curve
+    with neither ``counts`` nor ``weights`` holds one value per replicate.
+    Either way ``m`` and ``never_count`` count replicates, and each weighs
+    1/m. An exact enumeration curve carries a probability ``weights`` per
+    atom instead, and there ``m`` and ``never_count`` count atoms, whatever
+    their probability. Compared by identity.
     """
 
     required: np.ndarray
     weights: np.ndarray | None = None
+    counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.required, dtype=np.float64).copy()
@@ -275,6 +284,14 @@ class SinghCurve:
                 raise DomainError("weights must match values and total at most 1")
             w.flags.writeable = False
             object.__setattr__(self, "weights", w)
+        if self.counts is not None:
+            if self.weights is not None:
+                raise DomainError("a curve takes counts or weights, not both")
+            c = np.array(self.counts)
+            if c.dtype.kind not in "iu" or c.shape != arr.shape or (c < 1).any():
+                raise DomainError("counts must be positive integers, one per value")
+            c.flags.writeable = False
+            object.__setattr__(self, "counts", c)
 
     @cached_property
     def coverage(self) -> np.ndarray:
@@ -282,18 +299,22 @@ class SinghCurve:
 
         The curve at alpha is ``coverage[searchsorted(required, alpha,
         "right")]``. A curve that is never evaluated, such as one grid
-        point of a global run, never builds it.
+        point of a global run, never builds it. A counted curve divides
+        its integer cumulative count by m, so each coverage is the i / m
+        of its i replicates, bit for bit.
         """
-        if self.weights is None:
+        if self.weights is not None:
+            cov = np.concatenate(([0.0], np.cumsum(self.weights)))
+        elif self.counts is None:
             cov = np.arange(self.m + 1) / self.m
         else:
-            cov = np.concatenate(([0.0], np.cumsum(self.weights)))
+            cov = np.concatenate(([0], np.cumsum(self.counts))) / self.m
         cov.flags.writeable = False
         return cov
 
     @property
     def m(self) -> int:
-        return int(self.required.size)
+        return int(self.required.size if self.counts is None else self.counts.sum())
 
     @property
     def curves(self) -> tuple[SinghCurve]:
@@ -302,8 +323,9 @@ class SinghCurve:
 
     @property
     def never_count(self) -> int:
-        """Replicates (or atoms) that no confidence level covers."""
-        return self.m - int(np.searchsorted(self.required, np.inf))
+        """Replicates (atoms, on an exact curve) that no confidence level covers."""
+        first = int(np.searchsorted(self.required, np.inf))
+        return self.m - first if self.counts is None else int(self.counts[first:].sum())
 
     @property
     def never_fraction(self) -> float:
@@ -341,9 +363,10 @@ class SinghBand:
 class CoverageReport:
     """Classification and summary statistics for one Singh result.
 
-    ``m`` and ``never_count`` count replicates of a Monte Carlo curve, but
-    atoms (one per success count) of an exact weighted curve, whatever
-    their probability; the never-covered probability mass is the curve's
+    ``m`` and ``never_count`` count replicates of a Monte Carlo curve (on a
+    counted curve, its counts' total and its count at +inf), but atoms
+    (one per success count) of an exact weighted curve, whatever their
+    probability; the never-covered probability mass is the curve's
     ``SinghCurve.never_fraction``.
     """
 
@@ -426,11 +449,13 @@ def _columns(structure: StructureSpec) -> int:
 
 
 def _atom_columns(
-    structure: StructureSpec, targets: list[TargetSpec], n: int, point: np.ndarray, counts: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each bound column's atom values ordered by (point, value), with that order.
+    structure: StructureSpec, targets: list[TargetSpec], n: int,
+    point: np.ndarray, counts: np.ndarray, mass: np.ndarray,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each bound column's (point, value, mass) of every atom, ordered by (value, point).
 
-    Atom i is the success count ``counts[i]`` of ``targets[point[i]]``. The
+    Atom i is the success count ``counts[i]`` of ``targets[point[i]]``, of
+    mass ``mass[i]``: a count of replicates or a probability. The
     one kernel of the exact and Monte Carlo count paths: one
     ``evaluate_counts`` call evaluates every atom, with a truth and a
     success value per atom (a scaled-Bernoulli mean sweep moves both; one
@@ -444,35 +469,72 @@ def _atom_columns(
     else:
         truth = np.array([t.theta0 for t in targets])[point]
         success = np.array([_success_value(t) for t in targets])[point]
-    columns = []
-    for values in evaluate_counts(structure, truth, n, counts, success)[:_columns(structure)]:
-        order = np.lexsort((values, point))
-        columns.append((values[order], order))
-    return columns
+    columns = evaluate_counts(structure, truth, n, counts, success)[:_columns(structure)]
+    orders = [np.lexsort((point, values)) for values in columns]
+    return [(point[order], values[order], mass[order]) for values, order in zip(columns, orders)]
 
 
 def _drawn_count_values(
     structure: StructureSpec, draws: list[tuple[TargetSpec, SeededStream]], n: int, m: int
-) -> list[np.ndarray]:
-    """Sorted bound columns as (K, m) matrices, row j from the pair ``draws[j]``.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each bound column's envelope over the pairs ``draws``, as (atoms, counts).
 
-    Row j holds m Binomial(n, p) success counts drawn from ``draws[j]`` as
-    stream layout v4 has it (``_count_histograms`` or ``_count_runs``);
-    each distinct count of a row, an atom, is evaluated once
-    (``_atom_columns``), as the histogram side forms the K rows' weights in
-    one ``_binomial_weights`` call. A row's column is its atoms in
-    ascending value, repeated by their multiplicities: nothing of length m
-    is gathered or sorted by value. Working memory is O(K max(m, n + 1)),
-    which ``_envelope`` bounds by its chunk size.
+    Point j holds m Binomial(n, p) success counts drawn from ``draws[j]``
+    as stream layout v4 has it (``_count_histograms`` or ``_count_runs``);
+    each distinct count of a point, an atom, is evaluated once
+    (``_atom_columns``), as the histogram side forms the points' weights
+    in one ``_binomial_weights`` call. ``_fold`` then takes the least
+    cumulative count over the points: nothing of length m is gathered or
+    sorted by value. Working memory is O(K (n + 1)) on the histogram side
+    and O(K m) below it, plus the fold's K^2 min(m, n + 1), which
+    ``_envelope`` bounds by its chunk size.
     """
-    if HISTOGRAM_FACTOR * (n + 1) <= m:
-        point, counts, mult = _count_histograms(draws, n, m)
-    else:
-        point, counts, mult = _count_runs(draws, n, m)
-    return [
-        np.repeat(values, mult[order]).reshape(len(draws), m)
-        for values, order in _atom_columns(structure, [t for t, _ in draws], n, point, counts)
-    ]
+    drawn = _count_histograms if HISTOGRAM_FACTOR * (n + 1) <= m else _count_runs
+    columns = _atom_columns(structure, [target for target, _ in draws], n, *drawn(draws, n, m))
+    return [_fold(*column) for column in columns]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """A mask, True where each run of equal neighbours begins in a sorted array."""
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return new
+
+
+def _fold(point: np.ndarray, values: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least cumulative mass over the points, as (atoms, mass) of a step CDF.
+
+    Value i, ascending across every point, carries ``mass[i]`` of point
+    ``point[i]``; a point may repeat a value. The fold takes, at each
+    distinct value v, the least mass at or below v over the points, and
+    keeps the values where that minimum steps up, with the step. Points of
+    m replicates each fold to the index-wise maximum of their sorted
+    columns, since its count at or below v is the least such count over
+    the columns: the pointwise minimum coverage. Integer counts stay
+    integers (exact in the float64 sums below 2^53); probability weights
+    fold the same way. A (points x distinct values) matrix holds the
+    cumulative masses, so the caller bounds the fold's size.
+    """
+    new = _run_starts(values)
+    atoms = values[new]
+    cells = point * atoms.size + (np.cumsum(new) - 1)
+    cum = np.bincount(cells, mass, (point.max() + 1) * atoms.size).reshape(-1, atoms.size)
+    step = np.diff(np.cumsum(cum, axis=1, out=cum).min(axis=0), prepend=0.0)
+    keep = step > 0.0
+    return atoms[keep], step[keep].astype(mass.dtype)
+
+
+def _merged(first: tuple, second: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_fold``'s (point, values, mass) of two ascending (values, counts) columns.
+
+    The first column is point 0 and the second point 1; a column without
+    counts counts each value once.
+    """
+    values = np.concatenate((first[0], second[0]))
+    order = np.argsort(values, kind="stable")
+    mass = np.concatenate([np.ones(v.size, np.int64) if c is None else c for v, c in (first, second)])
+    return (order >= first[0].size).astype(np.int64), values[order], mass[order]
 
 
 def _count_histograms(
@@ -516,14 +578,11 @@ def _count_runs(
             row[b * BLOCK:b * BLOCK + size] = rng.binomial(n, target.p, size)
     counts.sort(axis=1)
     flat = counts.ravel()
-    # An atom starts where a row starts or its sorted count changes; edge
-    # K m, where row K would start, closes the last atom.
-    edges = np.empty(flat.size + 1, dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=edges[1:-1])
-    edges[::m] = True
-    edges = np.flatnonzero(edges)
-    first = edges[:-1]
-    return first // m, flat[first], edges[1:] - first
+    # An atom starts where a row starts or its sorted count changes.
+    first = _run_starts(flat)
+    first[::m] = True
+    first = np.flatnonzero(first)
+    return first // m, flat[first], np.diff(first, append=flat.size)
 
 
 def _drawn_row_values(
@@ -609,8 +668,9 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
     Block boundaries depend only on m, the choice of a count run's draw
     only on n and m, and the choice of a moment draw only on the structure
     kind and the target family, so the result is a pure function of
-    (structure, target, n, m, stream). Both paths hand back sorted
-    columns, which are wrapped without sorting again. Precise structures
+    (structure, target, n, m, stream). The count path hands back each
+    column's atoms with their counts of replicates, the row path its sorted
+    column, and neither is sorted again. Precise structures
     return a SinghCurve; imprecise ones return a SinghBand built from the
     same replicates. A local run is the one-point ``_envelope``.
     """
@@ -625,28 +685,31 @@ def _envelope(structure: StructureSpec, targets: list[TargetSpec], n: int, m: in
     global alike. Point j's blocks take the ceil(m / BLOCK) <= m substreams
     from ``stream.substream(j * m)`` on, so the points' substreams are
     disjoint and ``stream.substream(0)`` equals ``stream``. Each curve is the
-    index-wise maximum of its sorted columns over the points: the pointwise
-    minimum coverage. On a Bernoulli-family target every structure but the
-    predictive band takes the count path, CHUNK_ELEMENTS // max(m,
-    CHAIN_WEIGHT (n + 1)) points at a time (at least one), each chunk
-    folded by one maximum; any other run draws one point at a time
-    (``_drawn_row_values``). Working memory is O(m + CHUNK_ELEMENTS)
-    samples besides the targets, not O(K m) and not O(K n).
+    pointwise minimum coverage over the points, ``_fold``'s least
+    cumulative count. On a Bernoulli-family target every structure but the
+    predictive band takes the count path, min(CHUNK_ELEMENTS //
+    (CHAIN_WEIGHT (n + 1)), isqrt(CHUNK_ELEMENTS // min(m, n + 1))) points
+    at a time (at least one), and each curve is atoms with integer counts;
+    any other run draws one point at a time (``_drawn_row_values``), and
+    its sorted column of m values stands as it is while it is the only
+    one. The running envelope folds with each next chunk's. Either way a
+    curve's ``m`` and ``never_count`` count replicates, as they do on
+    every Monte Carlo curve; only an exact curve counts atoms. Working memory
+    is O(m + CHUNK_ELEMENTS) samples besides the targets, not O(K m) and
+    not O(K n).
     """
     pairs = [(target, stream.substream(j * m)) for j, target in enumerate(targets)]
     if targets[0].family in COUNT_FAMILIES and not structure.reads_next_draw:
-        step = max(1, CHUNK_ELEMENTS // max(m, CHAIN_WEIGHT * (n + 1)))
+        chains = CHUNK_ELEMENTS // (CHAIN_WEIGHT * (n + 1))
+        step = max(1, min(chains, math.isqrt(CHUNK_ELEMENTS // min(m, n + 1))))
         starts = range(0, len(pairs), step)
-        drawn = (_drawn_count_values(structure, pairs[lo:lo + step], n, m) for lo in starts)
-        # A one-point chunk's column is its row, not a reduced copy.
-        chunks = ([c[0] if len(c) == 1 else c.max(axis=0) for c in matrices] for matrices in drawn)
+        chunks = (_drawn_count_values(structure, pairs[lo:lo + step], n, m) for lo in starts)
     else:
-        chunks = (_drawn_row_values(structure, target, n, m, s) for target, s in pairs)
+        chunks = ([(c, None) for c in _drawn_row_values(structure, t, n, m, s)] for t, s in pairs)
     envelope = next(chunks)
     for columns in chunks:
-        for running, column in zip(envelope, columns):
-            np.maximum(running, column, out=running)
-    return _result(structure, [SinghCurve(column) for column in envelope])
+        envelope = [_fold(*_merged(running, column)) for running, column in zip(envelope, columns)]
+    return _result(structure, [SinghCurve(values, counts=counts) for values, counts in envelope])
 
 
 def _result(structure: StructureSpec, curves: list[SinghCurve]):
@@ -698,8 +761,8 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
         raise DomainError(f"exact enumeration needs n <= {MAX_ACCURATE_SHAPE:g}, got n = {n}")
     weights = _binomial_weights(n, target.p)
     counts = np.arange(n + 1)
-    columns = _atom_columns(structure, [target], n, np.zeros_like(counts), counts)
-    return _result(structure, [SinghCurve(values, weights=weights[order]) for values, order in columns])
+    columns = _atom_columns(structure, [target], n, np.zeros_like(counts), counts, weights)
+    return _result(structure, [SinghCurve(values, weights=w) for _, values, w in columns])
 
 
 def classify(result, delta: float = 0.01) -> CoverageReport:

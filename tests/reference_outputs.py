@@ -17,12 +17,17 @@ _X0, _Y0, _W, _H = 64.0, 48.0, 408.0, 408.0
 
 
 def eval_curve(curve, alpha):
-    """Fraction of replicates (or weight) whose required confidence is at most ``alpha``."""
+    """Fraction of replicates (or weight) whose required confidence is at most ``alpha``.
+
+    A counted curve's replicates are its values repeated by their counts.
+    """
     a = np.asarray(alpha, dtype=np.float64)
     if (a < 0.0).any() or (a > 1.0).any():
         raise DomainError("alpha must lie in [0, 1]")
     idx = np.searchsorted(curve.required, a, side="right")
-    if curve.weights is None:
+    if curve.counts is not None:
+        cov = np.concatenate(([0], np.cumsum(curve.counts)))[idx] / curve.m
+    elif curve.weights is None:
         cov = idx / curve.m
     else:
         cum = np.concatenate(([0.0], np.cumsum(curve.weights)))

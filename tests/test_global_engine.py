@@ -1,18 +1,22 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_global import reference_global_singh
+from reference_global import expanded, reference_global_singh
+from singh_audit import singh_engine
 from singh_audit.global_engine import ParameterGrid, global_singh
 from singh_audit.singh_engine import (
     BLOCK,
     CHUNK_ELEMENTS,
     SinghBand,
     TargetSpec,
+    _fold,
+    _merged,
     classify,
     eval_curve,
     singh_curve,
@@ -61,8 +65,8 @@ def test_singleton_grid_reproduces_local_run():
     stream = SeededStream(41)
     local = singh_curve(spec, family, 10, 400, stream)
     combined = global_singh(spec, family, ParameterGrid((0.4,)), 10, 400, stream)
-    assert np.array_equal(local.lower_curve.required, combined.lower_curve.required)
-    assert np.array_equal(local.upper_curve.required, combined.upper_curve.required)
+    assert expanded(local.lower_curve).tobytes() == expanded(combined.lower_curve).tobytes()
+    assert expanded(local.upper_curve).tobytes() == expanded(combined.upper_curve).tobytes()
 
 
 def test_band_envelope_brackets_every_grid_point():
@@ -76,9 +80,9 @@ def test_band_envelope_brackets_every_grid_point():
     combined = global_singh(spec, family, grid, n, m, stream)
     for j, theta in enumerate(grid.thetas):
         point = singh_curve(spec, family.with_truth(theta), n, m, stream.substream(j * m))
-        assert (combined.lower_curve.required >= point.lower_curve.required).all()
-        assert (combined.upper_curve.required >= point.upper_curve.required).all()
-    assert (combined.lower_curve.required <= combined.upper_curve.required).all()
+        assert (expanded(combined.lower_curve) >= expanded(point.lower_curve)).all()
+        assert (expanded(combined.upper_curve) >= expanded(point.upper_curve)).all()
+    assert (expanded(combined.lower_curve) <= expanded(combined.upper_curve)).all()
     assert classify(combined).conservatism_area >= 0.0
 
 
@@ -90,10 +94,10 @@ def test_precise_envelope_is_indexwise_maximum():
     stream = SeededStream(43)
     combined = global_singh(spec, family, grid, n, m, stream)
     cols = [
-        singh_curve(spec, family.with_truth(t), n, m, stream.substream(j * m)).required
+        expanded(singh_curve(spec, family.with_truth(t), n, m, stream.substream(j * m)))
         for j, t in enumerate(grid.thetas)
     ]
-    assert np.array_equal(combined.required, np.maximum(cols[0], cols[1]))
+    assert expanded(combined).tobytes() == np.maximum(cols[0], cols[1]).tobytes()
 
 
 def test_extending_grid_moves_envelopes_outward():
@@ -103,8 +107,8 @@ def test_extending_grid_moves_envelopes_outward():
     stream = SeededStream(44)
     base = global_singh(spec, family, ParameterGrid((0.2, 0.5)), n, m, stream)
     extended = global_singh(spec, family, ParameterGrid((0.2, 0.5, 0.8)), n, m, stream)
-    assert (extended.lower_curve.required >= base.lower_curve.required).all()
-    assert (extended.upper_curve.required >= base.upper_curve.required).all()
+    assert (expanded(extended.lower_curve) >= expanded(base.lower_curve)).all()
+    assert (expanded(extended.upper_curve) >= expanded(base.upper_curve)).all()
 
 
 def test_band_envelope_reports_an_overconfident_grid_point():
@@ -138,8 +142,9 @@ def test_global_handles_never_columns():
 
 
 def test_fig8_style_envelope_with_never_columns_is_indexwise_max():
-    # several grid points hold +inf (never-covered) replicates; the envelope
-    # is the plain index-wise maximum of the per-point sorted arrays
+    # several grid points hold +inf (never-covered) replicates; the envelope,
+    # expanded by its counts, is the plain index-wise maximum of the
+    # per-point sorted arrays
     spec = StructureSpec("chebyshev_ucl")
     family = TargetSpec.scaled_bernoulli(0.3, 2.0)
     grid = ParameterGrid.uniform(0.5, 4.0, 6)
@@ -147,11 +152,11 @@ def test_fig8_style_envelope_with_never_columns_is_indexwise_max():
     stream = SeededStream(48)
     combined = global_singh(spec, family, grid, n, m, stream)
     cols = [
-        singh_curve(spec, family.with_truth(t), n, m, stream.substream(j * m)).required
+        expanded(singh_curve(spec, family.with_truth(t), n, m, stream.substream(j * m)))
         for j, t in enumerate(grid.thetas)
     ]
     assert sum(np.isinf(c).any() for c in cols) >= 2
-    assert np.array_equal(combined.required, np.max(cols, axis=0))
+    assert expanded(combined).tobytes() == np.max(cols, axis=0).tobytes()
     assert combined.never_count == max(int(np.isinf(c).sum()) for c in cols)
 
 
@@ -161,7 +166,7 @@ def test_global_determinism():
     grid = ParameterGrid.uniform(0.1, 0.9, 4)
     a = global_singh(spec, family, grid, 6, 150, SeededStream(46))
     b = global_singh(spec, family, grid, 6, 150, SeededStream(46))
-    assert np.array_equal(a.required, b.required)
+    assert expanded(a).tobytes() == expanded(b).tobytes()
 
 
 def test_global_checks_run_args_before_any_grid_point():
@@ -219,36 +224,93 @@ REFERENCE_CASES = {
 
 @given(
     case=st.sampled_from(sorted(REFERENCE_CASES)),
-    # m = 3 * BLOCK crosses block boundaries, and its grid of up to six
-    # points spans three chunks of CHUNK_ELEMENTS // m points. At m = 200
-    # a count run draws histograms up to n = 24 and counts from n = 25 on.
+    # m = 3 * BLOCK crosses block boundaries. At m = 200 a count run draws
+    # histograms up to n = 24 and counts from n = 25 on. A count chunk's
+    # size does not depend on m on the histogram side, so 64-element chunks
+    # (one or two points each) make a grid of up to six points span several.
     m=st.sampled_from([1, 5, 200, 300, BLOCK + 3, 3 * BLOCK]),
     n=st.integers(2, 30),
+    chunk_elements=st.sampled_from([CHUNK_ELEMENTS, 64]),
     seed=st.integers(0, 2**32),
     data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_global_matches_the_per_point_reference(case, m, n, seed, data):
+def test_global_matches_the_per_point_reference(case, m, n, chunk_elements, seed, data):
     structure, family, values = REFERENCE_CASES[case]
     grid = ParameterGrid(tuple(data.draw(st.lists(values, min_size=1, max_size=6))))
     stream = SeededStream(seed)
-    got = global_singh(structure, family, grid, n, m, stream)
+    with mock.patch.object(singh_engine, "CHUNK_ELEMENTS", chunk_elements):
+        got = global_singh(structure, family, grid, n, m, stream)
     expected = reference_global_singh(structure, family, grid, n, m, stream)
     assert len(got.curves) == len(expected.curves)
     for ours, theirs in zip(got.curves, expected.curves):
-        assert ours.required.tobytes() == theirs.required.tobytes()
+        assert expanded(ours).tobytes() == theirs.required.tobytes()
     if len(grid) == 1:
         local = singh_curve(structure, family.with_truth(grid.thetas[0]), n, m, stream)
         for ours, theirs in zip(got.curves, local.curves):
-            assert ours.required.tobytes() == theirs.required.tobytes()
+            assert expanded(ours).tobytes() == expanded(theirs).tobytes()
+
+
+def _counted(rng, column):
+    """A sorted column as (values, counts), some values split over several entries.
+
+    A quarter of the time, the column itself without counts, as a row-path
+    point is.
+    """
+    if rng.random() < 0.25:
+        return column, None
+    cuts = rng.random(column.size) < 0.3
+    cuts[0] = True
+    cuts[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(cuts)
+    return column[starts], np.diff(np.append(starts, column.size))
+
+
+@given(k=st.integers(1, 20), m=st.integers(1, 30), band=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_fold_is_the_indexwise_maximum_of_the_expanded_columns(k, m, band, seed):
+    # Points of m replicates each, given as atoms with integer counts (or as
+    # plain sorted columns), fold to atoms whose counts expand, bit for bit,
+    # to the index-wise maximum of the points' sorted columns: all points in
+    # one fold, as a count chunk folds, and one point at a time into a
+    # running envelope, as chunks and row-path points fold. Replicates draw
+    # from a pool of seven values, so they tie within and across points,
+    # with +inf among them. A band replicate's lower value never exceeds its
+    # upper one, and the band's two folded curves keep that order.
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate(([0.0, 0.25, 1.0, np.inf], rng.random(3)))
+    pairs = rng.choice(pool, (k, m, 2))
+    sides = [pairs.min(axis=2), pairs.max(axis=2)] if band else [pairs[:, :, 0]]
+    folded = []
+    for side in sides:
+        columns = np.sort(side, axis=1)
+        expected = columns.max(axis=0).tobytes()
+        points = [_counted(rng, c) for c in columns]
+        point = np.concatenate([np.full(v.size, j) for j, (v, _) in enumerate(points)])
+        values = np.concatenate([v for v, _ in points])
+        mass = np.concatenate([np.ones(v.size, np.int64) if c is None else c for v, c in points])
+        order = np.lexsort((point, values))
+        results = [_fold(point[order], values[order], mass[order])]
+        if k > 1:
+            running = points[0]
+            for column in points[1:]:
+                running = _fold(*_merged(running, column))
+            results.append(running)
+        for atoms, counts in results:
+            assert (atoms[1:] > atoms[:-1]).all()
+            assert counts.dtype.kind == "i" and (counts >= 1).all()
+            assert np.repeat(atoms, counts).tobytes() == expected
+        folded.append(np.repeat(*results[0]))
+    assert (folded[0] <= folded[-1]).all()
 
 
 def test_global_memory_is_bounded_by_the_chunk_not_the_grid():
     # K = 1000 points of m = 2000: one curve column of every point at once
-    # is K m 8 bytes = 16 MB, per curve. The envelope draws CHUNK_ELEMENTS
-    # // m points at a time, whose counts and two expanded band columns are
-    # 3 CHUNK_ELEMENTS 8 bytes (768 KiB); the envelope itself is a few
-    # columns of m 8 bytes, and the grid's targets are O(K) small objects.
+    # is K m 8 bytes = 16 MB, per curve. The envelope draws a chunk of K'
+    # points at a time, whose histograms and chains are K' (n + 1) values
+    # and whose fold is a (K' x K' (n + 1)) matrix, K' = 54 at n = 10, so
+    # under CHUNK_ELEMENTS 8 bytes (256 KiB) each; the envelope itself is at
+    # most m atoms, and the grid's targets are O(K) small objects.
     # K = 2000 points of n = 1000 at m = 2: each point's Beta chain holds
     # n + 1 values, so chunks of CHUNK_ELEMENTS // m points, 16,384 chains
     # evaluated at once, peaked at 66 MB; the chains must size a chunk too.

@@ -10,6 +10,7 @@ from scipy import special as sp
 from scipy import stats
 
 import reference_structures as reference
+from reference_global import expanded
 from singh_audit.global_engine import ParameterGrid, global_singh
 from singh_audit.singh_engine import (
     BLOCK,
@@ -173,6 +174,12 @@ def test_curve_validation():
         SinghCurve(np.array([0.2]), weights=np.array([0.5, 0.5]))
     with pytest.raises(DomainError, match="weights must not be NaN"):
         SinghCurve(np.array([0.1, 0.2]), weights=np.array([np.nan, 0.5]))
+    # counts: positive integers, one per value, and never beside weights
+    for counts in ([1.5, 2.0], [2.0, 3.0], [True, True], [0, 3], [-1, 3], [3], [[1, 2]]):
+        with pytest.raises(DomainError, match="counts must be positive integers"):
+            SinghCurve(np.array([0.1, 0.2]), counts=np.array(counts))
+    with pytest.raises(DomainError, match="counts or weights, not both"):
+        SinghCurve(np.array([0.1, 0.2]), weights=np.array([0.5, 0.5]), counts=np.array([1, 1]))
     # trailing +inf, +inf must pass the sort check without a RuntimeWarning
     c = curve_of(0.1, never=2)
     assert (c.m, c.never_count) == (3, 2)
@@ -271,7 +278,7 @@ def test_singh_curve_is_deterministic():
     target = TargetSpec.bernoulli(0.4)
     a = singh_curve(spec, target, 8, 300, SeededStream(21))
     b = singh_curve(spec, target, 8, 300, SeededStream(21))
-    assert np.array_equal(a.required, b.required)
+    assert expanded(a).tobytes() == expanded(b).tobytes()
     assert a.m == b.m == 300
 
 
@@ -282,7 +289,8 @@ def _count_run_replay(spec, target, n, m, seed):
     # weights, and the run's histogram is their sum; otherwise each block
     # draws one Binomial(n, p) count per replicate, as v3 did. Each drawn
     # count is evaluated on its own, and a sorted column repeats its value
-    # by the count's multiplicity.
+    # by the count's multiplicity: a count curve's atoms expanded by their
+    # counts.
     sizes = [min(BLOCK, m - start) for start in range(0, m, BLOCK)]
     generators = [
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))) for b in range(len(sizes))
@@ -325,14 +333,14 @@ def test_bernoulli_replicates_replay_binomial_counts_per_block(n, p, histogram):
     counts, mult, columns = _count_run_replay(spec, target, n, m, 22)
     assert mult.sum() == m
     for curve, column in zip(result.curves, columns):
-        assert curve.required.tobytes() == column.tobytes()
+        assert expanded(curve).tobytes() == column.tobytes()
     ref_lowers, ref_uppers = zip(*(
         reference.clopper_pearson(target.theta0, np.concatenate((np.ones(k), np.zeros(n - k))))
         for k in counts.tolist()
     ))
     for curve, ref in zip(result.curves, (ref_lowers, ref_uppers)):
         expected = np.sort(np.repeat(ref, mult))
-        np.testing.assert_allclose(curve.required, expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(expanded(curve), expected, rtol=0, atol=1e-14)
 
 
 def _moment_run_replay(spec, target, n, m, seed):
@@ -419,7 +427,7 @@ def test_fig4_digest_replays_from_numpy_alone():
 def _required_digest(result) -> str:
     digest = hashlib.sha256()
     for curve in result.curves:
-        digest.update(curve.required.tobytes())
+        digest.update(expanded(curve).tobytes())
     return digest.hexdigest()
 
 
@@ -444,12 +452,12 @@ def test_moment_digests_replay_from_numpy_alone(kind, n, seed, expected):
     (StructureSpec("chebyshev_ucl"), TargetSpec.normal(4.0, 3.0), 30, 7, CHEBYSHEV_NORMAL_DIGEST),
 ], ids=["fig1", "fig4", "chebyshev_normal"])
 def test_required_values_are_frozen(structure, target, n, seed, expected):
-    # sha256 of the float64 bytes of `required` (lower then upper curve for
-    # a band) at m = BLOCK + 5. fig1 and Chebyshev are pinned under stream
-    # layout v5, which draws each replicate's mean and sd, and the t CDF
-    # that forms t^2 / (nu + t^2) directly; fig4 is pinned under v3. The
-    # tests above rebuild all three from numpy alone. Any change to a
-    # kernel's bits, the draws or the layout shows here.
+    # sha256 of the float64 bytes of the expanded `required` (lower then
+    # upper curve for a band) at m = BLOCK + 5. fig1 and Chebyshev are
+    # pinned under stream layout v5, which draws each replicate's mean and
+    # sd, and the t CDF that forms t^2 / (nu + t^2) directly; fig4 is
+    # pinned under v3. The tests above rebuild all three from numpy alone.
+    # Any change to a kernel's bits, the draws or the layout shows here.
     result = singh_curve(structure, target, n, BLOCK + 5, SeededStream(seed))
     assert _required_digest(result) == expected
 
@@ -674,7 +682,7 @@ def test_count_run_draws_a_histogram_from_8_n_plus_1_replicates(count_draws, n):
         curve = singh_curve(spec, target, n, m, SeededStream(35))
         assert {drawn for drawn, _, _ in count_draws} == {method}
         _, _, columns = _count_run_replay(spec, target, n, m, 35)
-        assert curve.required.tobytes() == columns[0].tobytes()
+        assert expanded(curve).tobytes() == columns[0].tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 50])
@@ -693,7 +701,7 @@ def test_large_n_count_run_draws_counts_in_constant_memory(count_draws, m):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert again.required.tobytes() == curve.required.tobytes()
+    assert expanded(again).tobytes() == expanded(curve).tobytes()
     assert peak < PEAK_BOUND
 
 
@@ -826,8 +834,36 @@ def test_count_columns_equal_sorted_per_replicate_bounds(spec, n, p, mean, seed,
     result = singh_curve(spec, target, n, m, stream)
     assert len(result.curves) == len(columns)
     for curve, column in zip(result.curves, columns):
-        assert curve.required.tobytes() == column.tobytes()
+        assert expanded(curve).tobytes() == column.tobytes()
         assert curve.never_count == np.isinf(column).sum()
+
+
+@given(
+    spec=st.sampled_from([s for s in COUNT_READERS if s.kind != "student_t_pivot"]),
+    n=st.integers(1, 40),
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    histogram=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_count_curve_evaluates_as_its_expanded_column(spec, n, p, histogram, seed, data):
+    # A count curve holds its distinct atoms and their counts. Read at the
+    # 1001-point alpha grid and at every finite atom, it gives the coverage
+    # of its expanded column of m values, bit for bit, on the histogram
+    # side (8 (n + 1) <= m) and the per-replicate side alike; so do m and
+    # the never count.
+    n = max(n, spec.min_n)
+    side = st.integers(8 * (n + 1), 8 * (n + 1) + BLOCK) if histogram else st.integers(1, 8 * (n + 1) - 1)
+    m = data.draw(side)
+    target = TargetSpec.bernoulli(p) if spec.reads_count else TargetSpec.scaled_bernoulli(max(p, 0.1), 2.0)
+    for curve in singh_curve(spec, target, n, m, SeededStream(seed)).curves:
+        assert curve.counts is not None and (curve.required[1:] > curve.required[:-1]).all()
+        column = SinghCurve(expanded(curve))
+        alphas = np.concatenate((GRID, curve.required[np.isfinite(curve.required)]))
+        assert eval_curve(curve, alphas).tobytes() == eval_curve(column, alphas).tobytes()
+        assert (curve.m, curve.never_count) == (column.m, column.never_count)
+        assert curve.m == m
 
 
 def test_t_pivot_on_bernoulli_raises_only_for_drawn_degenerate_counts():
@@ -901,8 +937,8 @@ def test_chebyshev_run_records_never():
         StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.2, 2.0), 5, 2000,
         SeededStream(26),
     )
-    assert curve.required.size == curve.m == 2000
-    assert np.isinf(curve.required).sum() == curve.never_count > 0
+    assert expanded(curve).size == curve.m == 2000
+    assert np.isinf(expanded(curve)).sum() == curve.never_count > 0
 
 
 # --- exact enumeration ---
