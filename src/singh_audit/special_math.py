@@ -1,22 +1,26 @@
 """Special functions and seeded random streams.
 
-The regularized incomplete beta function and the Student-t CDF are computed
-with the standard continued-fraction expansion so results are identical on
-every platform and carry no heavyweight dependency. The Beta front factor
-x^a (1-x)^b / B(a, b) has one form, ``_ln_front``, for a float or an array
-of x, and ``student_t_cdf_array`` runs the continued fraction of the t
-tail's shapes (nu/2, 1/2) on every element at once, so it equals
-``student_t_cdf`` bit for bit; both form x = nu / (nu + t^2) and its
-complement directly. ``binomial_pmf`` forms binomial terms of real size
-and count, one row per probability, with the terms of the counts alone
-formed once per call and the point masses at probability 0
-and 1 stated: by three lgammas below size 40, and above it in Loader's
-saddle-point form, which a row of 192 counts or more takes only at anchors
-every 32 counts and at its mode, filling the counts between with the exact
-ratio of neighbouring terms, recurring away from the mode. They weight the
-exact enumeration and a count run's histograms, step the count kinds' Beta
-chains and give the front factor when both shapes are large. Randomness
-comes from ``SeededStream``, a splittable handle that derives statistically
+The regularized incomplete beta function and the Student-t CDF are
+computed with the standard continued-fraction expansion so results are
+identical on every platform and carry no heavyweight dependency. Both
+scalar functions check their arguments and then run one core,
+``_reg_inc_beta``, which holds the stated values, the front factor, the
+continued-fraction side and the clamp; the t CDF hands it the complement y
+that it forms directly. The Beta front factor x^a (1-x)^b / B(a, b) has
+one form, ``_ln_front``, for a float or an array of x, and
+``student_t_cdf_array`` runs the continued fraction of the t tail's shapes
+(nu/2, 1/2) on every element at once, so it equals ``student_t_cdf`` bit
+for bit; both form x = nu / (nu + t^2) and its complement directly.
+``binomial_pmf`` forms binomial terms of real size and count, one row per
+probability, with the terms of the counts alone formed once per call and
+the point masses at probability 0 and 1 stated: by three lgammas below
+size 40, and above it in Loader's saddle-point form, which a row of 192
+counts or more takes only at anchors every 32 counts and at its mode,
+filling the counts between with the exact ratio of neighbouring terms,
+recurring away from the mode. They weight the exact enumeration and a
+count run's histograms, step the count kinds' Beta chains and give the
+front factor when both shapes are large. Randomness comes from
+``SeededStream``, a splittable handle that derives statistically
 independent substreams from a single master seed by index arithmetic and
 hands out ``numpy.random.Generator`` objects positioned at their start (or
 at the start of a child stream). This module knows the valid seed range;
@@ -453,8 +457,9 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
     Degenerate shapes follow the point-mass conventions: a = 0 is a point
     mass at 0 (the CDF is 1 for every x >= 0) and b = 0 is a point mass at 1
-    (0 below 1, then 1). A NaN, infinite or negative shape raises
-    DomainError. Absolute error is below 1e-12 for a, b <=
+    (0 below 1, then 1); positive shapes run ``_reg_inc_beta``, the scalar
+    core shared with ``student_t_cdf``. A NaN, infinite or negative shape
+    raises DomainError. Absolute error is below 1e-12 for a, b <=
     ``MAX_ACCURATE_SHAPE`` (1e4); where the continued fraction does not
     converge (shapes near 1e6 and beyond) it raises DomainError.
     """
@@ -467,18 +472,29 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 1.0
     if b == 0.0:
         return 1.0 if x == 1.0 else 0.0
+    return _reg_inc_beta(x, a, b)
+
+
+def _reg_inc_beta(x: float, a: float, b: float, y: float | None = None) -> float:
+    # I_x(a, b) for positive shapes and x in [0, 1], past the public
+    # functions' checks: the stated values, the front factor, the side of
+    # the continued fraction and the clamp. ``y``, when given, is 1 - x
+    # formed by the caller (BRATIO's pairing of x and y); without it 1 - x
+    # is subtracted here and _ln_front corrects that subtraction's
+    # rounding. x = 0 decides before y is read.
     if x == 0.0:
         return 0.0
-    if x == 1.0:
+    xc = 1.0 - x if y is None else y
+    if xc == 0.0:
         return 1.0
     if x == 0.5 and a == b:
         # Beta(a, a) is symmetric about 1/2; return the exact median so
         # weak-inequality ties at 0.5 resolve consistently.
         return 0.5
-    front = math.exp(_ln_front(x, a, b))
+    front = math.exp(_ln_front(x, a, b, y=y))
     if x < (a + 1.0) / (a + b + 2.0):
         return min(1.0, front * _beta_cf(x, a, b) / a)
-    return max(0.0, 1.0 - front * _beta_cf(1.0 - x, b, a) / b)
+    return max(0.0, 1.0 - front * _beta_cf(xc, b, a) / b)
 
 
 def _beta_cf_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -538,8 +554,9 @@ def student_t_cdf(t: float, nu: float) -> float:
     BRATIO pairs x and y (DiDonato & Morris 1992, ACM TOMS 708): a tail on
     the small-x side is read as I_x(nu/2, 1/2), any other as
     1 - I_y(1/2, nu/2), so 1 - x is never formed by subtraction and t near
-    0, where x rounds to 1, keeps its y. The two tails share one
-    evaluation, so T(t) + T(-t) = 1 exactly.
+    0, where x rounds to 1, keeps its y. The incomplete beta is
+    ``reg_inc_beta``'s scalar core, ``_reg_inc_beta``, handed that y. The
+    two tails share one evaluation, so T(t) + T(-t) = 1 exactly.
     """
     if not 0.0 < nu < math.inf:
         raise DomainError("degrees of freedom must be positive and finite")
@@ -547,22 +564,8 @@ def student_t_cdf(t: float, nu: float) -> float:
         return 0.5
     t2 = t * t
     x = _check_prob(nu / (nu + t2), "x")
-    # t^2 = inf makes y NaN; x is 0 there, and returns before y is read.
-    y = t2 / (nu + t2)
-    a, b = 0.5 * nu, 0.5
-    if x == 0.0:
-        beta = 0.0
-    elif y == 0.0:
-        beta = 1.0
-    elif x == 0.5 and a == b:
-        beta = 0.5
-    else:
-        front = math.exp(_ln_front(x, a, b, y=y))
-        if x < (a + 1.0) / (a + b + 2.0):
-            beta = min(1.0, front * _beta_cf(x, a, b) / a)
-        else:
-            beta = max(0.0, 1.0 - front * _beta_cf(y, b, a) / b)
-    tail = 0.5 * beta
+    # t^2 = inf makes y NaN; x is 0 there, which decides before y is read.
+    tail = 0.5 * _reg_inc_beta(x, 0.5 * nu, 0.5, t2 / (nu + t2))
     return tail if t < 0.0 else 1.0 - tail
 
 

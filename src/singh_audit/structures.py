@@ -86,8 +86,8 @@ class StructureSpec:
         if self.kind not in STRUCTURE_KINDS:
             raise DomainError(f"unknown structure kind {self.kind!r}")
         if self.kind == "scaled_cbox":
-            if self.c is None or not self.c > 0.0:
-                raise DomainError("c must be positive")
+            if self.c is None or not 0.0 < self.c < math.inf:
+                raise DomainError("c must be positive and finite")
         elif self.c is not None:
             raise DomainError(f"structure {self.kind!r} takes no c parameter")
 

@@ -108,6 +108,11 @@ def test_negative_c_message():
         parse_scenario(fields(structure="scaled_cbox", c="-1"))
 
 
+def test_infinite_c_message():
+    with pytest.raises(ScenarioValidationError, match="c must be positive and finite"):
+        parse_scenario(fields(structure="scaled_cbox", c="inf"))
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

@@ -131,6 +131,91 @@ def test_beta_reflection_symmetry(a, b, k):
     assert total == pytest.approx(1.0, abs=5e-13)
 
 
+_ONE_BELOW_1 = 1.0 - 2.0**-53
+
+# float.hex of I_x(a, b), pinned so that any change to the scalar path's
+# operations or their order shows as a changed bit.
+BETA_BITS = [
+    # Stated values, in their order of precedence: a = 0 (even at x = 0),
+    # then b = 0, x = 0, x = 1 and the median at a = b.
+    (0.0, 0.0, 3.0, "0x1.0000000000000p+0"),
+    (0.3, 0.0, 3.0, "0x1.0000000000000p+0"),
+    (1.0, 0.0, 3.0, "0x1.0000000000000p+0"),
+    (0.5, 0.0, 1e-300, "0x1.0000000000000p+0"),
+    (0.0, 2.0, 0.0, "0x0.0p+0"),
+    (0.5, 2.0, 0.0, "0x0.0p+0"),
+    (1.0, 2.0, 0.0, "0x1.0000000000000p+0"),
+    (0.5, 0.5, 0.0, "0x0.0p+0"),
+    (0.0, 2.5, 2.5, "0x0.0p+0"),
+    (1.0, 2.5, 2.5, "0x1.0000000000000p+0"),
+    (0.5, 2.5, 2.5, "0x1.0000000000000p-1"),
+    (0.5, 30.5, 30.5, "0x1.0000000000000p-1"),
+    (0.5, 2.5, 3.5, "0x1.56eb794be5796p-1"),
+    # Small shapes, three lgammas and log1p(-x); both sides, and x = 1 -
+    # 2^-53, whose complement 2^-53 is not 0.
+    (0.2, 2.0, 3.0, "0x1.72474538ef349p-3"),
+    (0.7, 2.0, 3.0, "0x1.d525460aa64c3p-1"),
+    (5e-324, 0.5, 0.5, "0x1.45f306dc9c8acp-538"),
+    (_ONE_BELOW_1, 2.0, 3.0, "0x1.0000000000000p+0"),
+    (_ONE_BELOW_1, 0.5, 0.5, "0x1.ffffffc66137bp-1"),
+    (1e-5, 1.0, 1.0, "0x1.4f8b588e368eep-17"),
+    # One small shape: Stirling, with 1 - x subtracted and corrected.
+    (0.01, 0.5, 30.5, "0x1.21042340b8bc1p-1"),
+    (0.05, 0.5, 30.5, "0x1.d7ffdb5bd88d3p-1"),
+    (0.3, 1.0, 1000.0, "0x1.0000000000000p+0"),
+    (1e-4, 1.0, 1000.0, "0x1.85cdf19d22cb6p-4"),
+    (0.9995, 1000.5, 0.5, "0x1.44cd53834e010p-2"),
+    (0.99, 1000.5, 0.5, "0x1.ebc2774b6622ap-18"),
+    (_ONE_BELOW_1, 1000.5, 0.5, "0x1.fffff361fc94dp-1"),
+    # Both shapes at least 20: the front factor from binomial_pmf.
+    (0.4, 20.5, 30.5, "0x1.fc085de757cbep-2"),
+    (0.45, 20.5, 30.5, "0x1.8556160292ff2p-1"),
+    (0.3, 250.0, 751.0, "0x1.ffe5f9db74493p-1"),
+    (0.26, 250.0, 751.0, "0x1.8ca8e74b5835ap-1"),
+    (_ONE_BELOW_1, 9000.5, 1000.5, "0x1.0000000000000p+0"),
+]
+
+# float.hex of T(t) for nu degrees of freedom; the front factor reads the
+# complement y = t^2 / (nu + t^2) as formed, not 1 - x.
+T_BITS = [
+    # Stated values: t = 0; x = 0 at t = +-inf and at |t| > 1.3e154, where
+    # y is NaN; y = 0 where t^2 underflows; the median at t = +-1, nu = 1.
+    (0.0, 3.0, "0x1.0000000000000p-1"),
+    (-0.0, 3.0, "0x1.0000000000000p-1"),
+    (math.inf, 3.0, "0x1.0000000000000p+0"),
+    (-math.inf, 3.0, "0x0.0p+0"),
+    (1e155, 3.0, "0x1.0000000000000p+0"),
+    (-1e200, 0.5, "0x0.0p+0"),
+    (1e-200, 3.0, "0x1.0000000000000p-1"),
+    (1.0, 1.0, "0x1.8000000000000p-1"),
+    (-1.0, 1.0, "0x1.0000000000000p-2"),
+    # Small shapes, three lgammas; both sides, and x rounded to 1 with y
+    # still positive.
+    (-3.0, 3.0, "0x1.d86c6b37d8214p-6"),
+    (0.4, 3.0, "0x1.48b879479f943p-1"),
+    (2.0, 1.0, "0x1.b46feb898833fp-1"),
+    (-0.2, 1.5, "0x1.bafaaa64a87bcp-2"),
+    (-1e-8, 3.0, "0x1.ffffffc0daddap-2"),
+    (1e-8, 3.0, "0x1.0000001f92913p-1"),
+    (-1e-160, 3.0, "0x1.0000000000000p-1"),
+    # One small shape: Stirling; both sides.
+    (-2.5, 61.0, "0x1.ef95c90a1d35bp-8"),
+    (0.05, 61.0, "0x1.0a2ab68b38ba0p-1"),
+    (1e-9, 20001.0, "0x1.000000036d45cp-1"),
+    (-4.0, 20001.0, "0x1.0aa20fe40e1dap-15"),
+]
+
+
+@pytest.mark.parametrize("x, a, b, bits", BETA_BITS)
+def test_beta_bits_are_pinned(x, a, b, bits):
+    assert reg_inc_beta(x, a, b).hex() == bits
+
+
+@pytest.mark.parametrize("t, nu, bits", T_BITS)
+def test_t_cdf_bits_are_pinned(t, nu, bits):
+    assert student_t_cdf(t, nu).hex() == bits
+
+
 def _bits(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 

@@ -156,8 +156,9 @@ def test_scaled_cbox_c_one_is_clopper_pearson():
 
 
 def test_scaled_cbox_rejects_bad_c():
-    with pytest.raises(DomainError, match="c must be positive"):
-        StructureSpec("scaled_cbox", 0.0)
+    for c in (0.0, math.inf):
+        with pytest.raises(DomainError, match="c must be positive"):
+            StructureSpec("scaled_cbox", c)
 
 
 # --- empirical_predictive ---
