@@ -7,6 +7,13 @@ once, printed with 17 significant digits so that it reads back as the value
 it stands for, and its coverage with 9, evaluated at that value; re-evaluating
 the curve at a listed alpha reproduces the printed coverage exactly.
 
+A CSV body is exactly the text of ``%.17g`` and ``%.9g``. A table of fewer
+than ``_KERNEL_ROWS`` rows is printed by one ``%`` format. A larger one is
+printed ``_CHUNK_ROWS`` rows at a time by a numpy kernel, ``_cells``, that
+forms the digits of each cell in [1e-4, 1) by exact integer arithmetic,
+prints 0 and 1 as ``0`` and ``1``, and passes every other cell (below 1e-4,
+-0.0, above 1, not finite) to ``%`` one at a time.
+
 Every artifact goes through one writer, ``_write``, which rewrites a file in
 place: it opens without truncating, writes the new bytes over the old ones,
 then cuts the file to length. An existing artifact so keeps its inode, its
@@ -62,6 +69,131 @@ def _write(path: Path, *parts: str) -> Path:
     return path
 
 
+# Below this many rows a table's one ``%`` format beats the kernel, whose
+# fixed cost is about 60 numpy calls a column and chunk. Timed through
+# emit_csv on curves and bands of 256 to 768 rows (see CHANGES.md), the two
+# cross between 256 and 384 rows; 512 leaves the kernel a 10-25% margin on
+# both. A count curve's table, at most n + 3 rows, stays on ``%`` for
+# n <= 508.
+_KERNEL_ROWS = 512
+# Rows the kernel prints at once: fewer pay its fixed cost more often, more
+# hold larger temporaries. Of 1024, 2048, 4096 and 8192, 2048 gave the least
+# emit_csv time on the continuous_mc benchmark (see CHANGES.md).
+_CHUNK_ROWS = 2048
+
+# The kernel lays each row out in little-endian 4-byte words, pads every
+# cell with NUL bytes to a fixed width and deletes the NULs at the end.
+_WORD = np.dtype("<u4")
+
+
+def _group_words() -> np.ndarray:
+    """Word g is the four digits of g; word 10000 + g the same with trailing zeros as NULs."""
+    # uint16 keeps each import-time temporary at 80 kB.
+    g = np.arange(10_000, dtype=np.uint16)[:, None]
+    digits = (g // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + 48).astype(np.uint8)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 48, axis=1)[:, ::-1]
+    return np.concatenate((digits, np.where(trailing, 0, digits))).view(_WORD).ravel()
+
+
+_GROUPS = _group_words()
+_POINT, _ONE, _ZERO, _COMMA, _NEWLINE = np.frombuffer(
+    b"0.\0\0" b"1\0\0\0" b"0\0\0\0" b",\0\0\0" b"\n\0\0\0", dtype=_WORD
+)
+_POW5 = np.array([5**k for k in range(21)], dtype=np.uint64)
+
+
+# The doubles 0.1, 0.01 and 0.001 each lie just above their decimal, so
+# x >= 0.01 exactly when x >= 1/100.
+_DECADES = (0.1, 0.01, 0.001)
+_U64 = np.uint64
+
+
+def _cells(x: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Write ``"%.{p}g" % v`` for each v of ``x`` into the rows of ``out``, NUL-padded.
+
+    ``out`` is an (x.size, 1 + (p + 3) // 4) view of ``_WORD``s: p + 7 bytes
+    a row, the longest ``%.{p}g`` of any double. The fast class, v in
+    [1e-4, 1), has a decimal exponent E in [-4, -1], counted exactly against
+    ``_DECADES``. Its p digits are D = round-half-even(v 10**q) with
+    q = p - 1 - E, and v = f 2**e with f < 2**53, so v 10**q is the integer
+    f 5**q shifted right by s = -(q + e), 36 to 54 bits here. The product,
+    below 2**100, is held in two 64-bit limbs, H and L. A D that carries to
+    10**p raises E by one, and a carry to E = 0 prints ``1``. The cell prints
+    ``0.``, then -E - 1 zeros and D with its trailing zeros dropped: D's
+    four-digit groups are words of ``_GROUPS``, and its top group, ``000d``
+    as p + 3 is a multiple of 4, keeps -E - 1 of its three zeros.
+    """
+    fast = (x >= 1e-4) & (x < 1.0)
+    bits = np.where(fast, x, 0.5).view(np.uint64)
+    E = (x >= _DECADES[0]).astype(np.int64)
+    E += x >= _DECADES[1]
+    E += x >= _DECADES[2]
+    E -= 4
+    E[~fast] = -1
+    f = (bits & _U64(2**52 - 1)) | _U64(2**52)
+    s = (1076 - p + E - (bits.view(np.int64) >> 52)).view(np.uint64)
+    a = _POW5[p - 1 - E]
+    f_hi, f_lo = f >> _U64(32), f & _U64(2**32 - 1)
+    a_hi, a_lo = a >> _U64(32), a & _U64(2**32 - 1)
+    lo = f_lo * a_lo
+    mid = f_hi * a_lo
+    mid += f_lo * a_hi
+    L = lo + (mid << _U64(32))
+    H = f_hi * a_hi
+    H += mid >> _U64(32)
+    H += L < lo
+    Q = (H << (_U64(64) - s)) | (L >> s)
+    R = L & ((_U64(1) << s) - _U64(1))
+    half = _U64(1) << (s - _U64(1))
+    D = Q + ((R > half) | ((R == half) & (Q & _U64(1)).astype(bool)))
+    carry = D == _U64(10**p)
+    D[carry] = _U64(10 ** (p - 1))
+    E += carry
+    # Groups from the last: a group takes the stripped word (offset 10000)
+    # while every group after it is zero. D < 10**17 fits an int64.
+    D = D.view(np.int64)
+    offset = np.full(x.size, 10_000)
+    for j in range(out.shape[1] - 1, 0, -1):
+        rest = D // 10_000
+        group = D - rest * 10_000
+        out[:, j] = _GROUPS.take(group + offset)
+        offset *= group == 0
+        D = rest
+    out[:, 1] &= np.uint32(0xFFFFFFFF) << (8 * (E + 4)).astype(np.uint32)
+    one = (x == 1.0) | (E == 0)
+    zero = (x == 0.0) & ~np.signbit(x)
+    out[:, 0] = _POINT
+    out[one, 0] = _ONE
+    out[zero, 0] = _ZERO
+    out[one | zero, 1:] = 0
+    width = 4 * out.shape[1]
+    for i in np.flatnonzero(~(fast | one | zero)).tolist():
+        out[i] = np.frombuffer((f"%.{p}g" % x[i]).encode("ascii").ljust(width, b"\0"), dtype=_WORD)
+
+
+def _kernel_rows(columns: list[np.ndarray]) -> list[str]:
+    """The CSV rows of ``columns`` (alpha, then each coverage), ``_CHUNK_ROWS`` at a time."""
+    precisions = [17] + [9] * (len(columns) - 1)
+    # Per row: each cell's words, a comma word before each coverage, a newline word.
+    width = sum(1 + (p + 3) // 4 for p in precisions) + len(columns)
+    n = columns[0].size
+    chunks = []
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        words = np.empty((stop - start, width), dtype=_WORD)
+        at = 0
+        for column, p in zip(columns, precisions):
+            if at:
+                words[:, at] = _COMMA
+                at += 1
+            cell_words = 1 + (p + 3) // 4
+            _cells(column[start:stop], p, words[:, at : at + cell_words])
+            at += cell_words
+        words[:, at] = _NEWLINE
+        chunks.append(words.tobytes().translate(None, b"\0").decode("ascii"))
+    return chunks
+
+
 def emit_csv(result, path) -> Path:
     """Write a Singh result as an alpha/coverage table.
 
@@ -70,6 +202,12 @@ def emit_csv(result, path) -> Path:
     Each alpha is printed with 17 significant digits, which read back as the
     same double, and its coverage with 9, evaluated at that value. Ends with
     a ``# never=<count>`` comment so excluded replicates stay visible.
+
+    The body is the text ``%.17g`` and ``%.9g`` print, byte for byte. A
+    table of ``_KERNEL_ROWS`` rows or more is printed by the numpy kernel
+    ``_cells``: its fast class is every cell in [1e-4, 1), plus 0 and 1,
+    and any other cell goes through ``%`` on its own. A smaller table is one
+    ``%`` format.
     """
     path = Path(path)
     curves = result.curves
@@ -82,14 +220,17 @@ def emit_csv(result, path) -> Path:
     alphas = np.concatenate(([0.0], values[: np.searchsorted(values, np.inf)], [1.0]))
     # Merges equal neighbours, a stored 0 or 1 with its endpoint row among them.
     alphas = alphas[_run_starts(alphas)]
-    # Row-major cells: each row's alpha, then its coverage per curve.
-    cells = np.column_stack([alphas, *(eval_curve(c, alphas) for c in curves)])
-    row = "%.17g" + ",%.9g" * len(curves) + "\n"
-    body = (row * alphas.size) % tuple(cells.ravel().tolist())
+    columns = [alphas, *(eval_curve(c, alphas) for c in curves)]
+    if alphas.size < _KERNEL_ROWS:
+        row = "%.17g" + ",%.9g" * len(curves) + "\n"
+        # Row-major cells: each row's alpha, then its coverage per curve.
+        body = [(row * alphas.size) % tuple(np.column_stack(columns).ravel().tolist())]
+    else:
+        body = _kernel_rows(columns)
     # Written in parts, not as one joined copy: a third live copy of a large
     # body was enough for the C allocator to release its heap top and fault
     # it back in on every band audit (about 450 page faults each).
-    return _write(path, f"{header}\n", body, f"# never={curves[0].never_count}\n")
+    return _write(path, f"{header}\n", *body, f"# never={curves[0].never_count}\n")
 
 
 # CoverageReport holds only scalars, so reading its fields needs no deep copy.

@@ -29,7 +29,7 @@ def run_analysis(scenario: Scenario):
     if scenario.is_global:
         result = global_singh(
             scenario.structure, scenario.target, scenario.grid,
-            scenario.n, scenario.m, stream,
+            scenario.n, scenario.m, stream, targets=scenario.targets,
         )
     else:
         result = singh_curve(

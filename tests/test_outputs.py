@@ -7,7 +7,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import reference_outputs as reference
@@ -309,6 +309,84 @@ def test_alpha_prints_as_its_own_double(tmp_path, value, printed):
     assert f"{printed},1" in text
 
 
+# --- the numpy CSV kernel against % ---
+
+
+def kernel_text(values, p):
+    """``values`` printed by the kernel, one cell a line."""
+    x = np.asarray(values, dtype=np.float64)
+    cell_words = 1 + (p + 3) // 4
+    words = np.zeros((x.size, cell_words + 1), dtype=outputs._WORD)
+    outputs._cells(x, p, words[:, :cell_words])
+    words[:, cell_words] = outputs._NEWLINE
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def assert_prints_as_percent(values, p):
+    values = np.asarray(values, dtype=np.float64).tolist()
+    got, expected = kernel_text(values, p), (f"%.{p}g\n" * len(values)) % tuple(values)
+    if got != expected:
+        v, g, e = next(t for t in zip(values, got.splitlines(), expected.splitlines()) if t[1] != t[2])
+        pytest.fail(f"{v!r}: the kernel printed {g!r}, % prints {e!r}")
+
+
+# Doubles at the kernel's rounding, exponent and carry steps.
+HARD_VALUES = np.concatenate((
+    # Ties at digit p + 1: k / 2**18 has 18 decimals, k / 2**10 has 10.
+    np.arange(1, 2**18) / 2.0**18,
+    np.arange(1, 2**10) / 2.0**10,
+    # Each power of ten's double and its two neighbours.
+    [np.nextafter(10.0**-k, side) for k in range(1, 9) for side in (0.0, 1.0)],
+    10.0 ** -np.arange(1, 9),
+    # Values 9 digits round up to 1.
+    1.0 - np.arange(1, 4097) * 2.0**-53,
+    # 0 and 1 print without digits; the rest go through % one by one.
+    [0.0, 1.0, -0.0, 5e-324, 1e-300, 1e-4, np.nextafter(1e-4, 0.0), 9.99999999e-5,
+     0.99999999949, 0.9999999995, 2.0, -0.5, np.inf, -np.inf, np.nan],
+))
+
+
+@pytest.mark.parametrize("p", [17, 9])
+def test_kernel_prints_a_million_values_as_percent(p):
+    rng = np.random.default_rng(28)
+    values = np.concatenate((
+        rng.random(500_000),
+        10.0 ** rng.uniform(-12.0, 0.0, 500_000),
+        HARD_VALUES,
+    ))
+    assert_prints_as_percent(values, p)
+
+
+@given(values=st.lists(st.floats(), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+@seed(28)
+def test_kernel_prints_any_double_as_percent(values):
+    for p in (17, 9):
+        assert_prints_as_percent(values, p)
+
+
+@pytest.mark.parametrize("rows", [
+    outputs._KERNEL_ROWS - 1, outputs._KERNEL_ROWS, outputs._KERNEL_ROWS + 1,
+    3 * outputs._CHUNK_ROWS + 5,
+])
+@pytest.mark.parametrize("band", [False, True])
+def test_tables_at_the_cutover_and_across_chunks_print_as_the_reference(tmp_path, rows, band):
+    # rows - 2 distinct values strictly inside (0, 1), then the 0 and 1 rows.
+    values = np.unique(np.random.default_rng(rows).random(rows + 8))
+    values = values[values > 0.0][: rows - 2]
+    if band:
+        halves = [values[0::2], values[1::2]]
+        m = max(h.size for h in halves)
+        result = SinghBand(*(curve(*h.tolist(), never=m - h.size) for h in halves))
+    else:
+        result = curve(*values.tolist())
+    with mock.patch.object(outputs, "_kernel_rows", wraps=outputs._kernel_rows) as kernel:
+        text = emit_csv(result, tmp_path / "t.csv").read_text(encoding="utf-8")
+    assert kernel.called == (rows >= outputs._KERNEL_ROWS)
+    assert text.count("\n") == rows + 2
+    assert text == reference.csv_text(result)
+
+
 # --- rewriting an existing artifact in place ---
 
 T_PIVOT = """\
@@ -468,6 +546,7 @@ def test_emit_svg_overlay_matches_reference(out_dir, items):
 
 def test_engine_results_emit_as_the_reference(tmp_path):
     stream = SeededStream(17)
+    band_values = np.sort(np.random.default_rng(17).random(2000))
     results = [
         singh_curve(StructureSpec("student_t_pivot"), TargetSpec.normal(4.0, 3.0), 10, 2000, stream),
         singh_curve(StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.2, 2.0), 5, 500, stream),
@@ -477,7 +556,16 @@ def test_engine_results_emit_as_the_reference(tmp_path):
         curve(0.5),
         curve(never=3),
         curve(0.0, 0.0, 1.0, never=1),
+        # Above the kernel's row cutover: a t-pivot curve of 10^4 replicates,
+        singh_curve(StructureSpec("student_t_pivot"), TargetSpec.normal(4.0, 3.0), 10, 10_000, stream),
+        # a band whose two columns each hold 2000 distinct values,
+        SinghBand(SinghCurve(band_values * 0.5), SinghCurve(band_values)),
+        # and an exact curve whose early coverage is below 1e-4, printed by %.
+        exact_singh_curve(StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.3), 1000),
     ]
+    assert all(c.required.size > outputs._KERNEL_ROWS for r in results[-3:] for c in r.curves)
+    coverage = [row.split(",")[1] for row in reference.csv_text(results[-1]).splitlines()[1:-1]]
+    assert sum("e-" in cell for cell in coverage) > 100
     for i, result in enumerate(results):
         assert emit_csv(result, tmp_path / f"{i}.csv").read_text() == reference.csv_text(result)
         for c in result.curves:

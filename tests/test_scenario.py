@@ -1,15 +1,19 @@
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
-from singh_audit.global_engine import ParameterGrid
+from singh_audit import global_engine, scenario as scenario_module
+from singh_audit.global_engine import ParameterGrid, check_grid_args, global_singh
 from singh_audit.presets import PRESETS
+from singh_audit.runner import run_preset, run_scenario
 from singh_audit.scenario import (
     OUTPUT_KINDS,
     ScenarioParseError,
     ScenarioValidationError,
     parse_scenario,
 )
+from singh_audit.special_math import SeededStream
 
 MINIMAL = """\
 structure = clopper_pearson
@@ -261,6 +265,31 @@ def test_worst_case_sweep_preset_is_global():
     assert s.grid.thetas[0] == 0.0
     assert s.grid.thetas[-1] == 1.0
     assert s.m == 1000
+
+
+def test_a_global_scenario_run_checks_its_grid_once(tmp_path):
+    # Construction checks the grid and keeps its targets, so the run checks
+    # nothing again; a direct global_singh call still checks.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_grid_args(*args)
+
+    doc = fields(theta0=None, grid_lo="0.1", grid_hi="0.9", grid_k="5", m="50", outputs="csv")
+    with mock.patch.object(scenario_module, "check_grid_args", counted), \
+            mock.patch.object(global_engine, "check_grid_args", counted):
+        s = parse_scenario(doc)
+        run_scenario(s, tmp_path / "run")
+        assert len(calls) == 1
+        global_singh(s.structure, s.target, s.grid, s.n, s.m, SeededStream(s.seed))
+        assert len(calls) == 2
+        calls.clear()
+        run_preset("fig8", tmp_path / "fig8")
+        assert len(calls) == len(PRESETS["fig8"].documents)
+    assert s.targets == tuple(check_grid_args(s.structure, s.target, s.grid, s.n, s.m))
+    assert replace(s, n=12).targets == tuple(check_grid_args(s.structure, s.target, s.grid, 12, s.m))
+    assert parse_scenario(MINIMAL).targets is None
 
 
 def test_mixture_preset_is_predictive():
