@@ -498,51 +498,87 @@ def _reg_inc_beta(x: float, a: float, b: float, y: float | None = None) -> float
 
 
 def _beta_cf_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    # _beta_cf on every lane at once for one pair of shapes, in the same
-    # IEEE operations and order, so each lane equals the scalar result bit
-    # for bit. A lane leaves the loop at the iteration the scalar would
-    # return; lanes are independent, so dropping converged ones changes
-    # nothing for the rest.
+    """``_beta_cf`` at every lane of ``x`` for one pair of shapes, bit for bit.
+
+    Each lane runs the scalar's IEEE operations in its order, on
+    preallocated buffers updated in place (``out=``), so it equals the
+    scalar result bit for bit and an iteration allocates nothing. A lane
+    is done at the iteration where the scalar would return: its ``h`` is
+    recorded then and its x set to NaN, which masks it, since every later
+    step of a NaN lane stays NaN and never reads as converged. Masked
+    lanes keep iterating, warning-free, until at most half the array is
+    still live; only then are the live lanes compacted into smaller
+    buffers, so an array of N lanes is re-indexed at most log2(N) times.
+    Lanes are independent, so neither the masking nor the compaction
+    changes any other lane. A lane still unconverged after
+    ``_CF_MAX_ITERATIONS`` fails the whole call, with the first such lane
+    named, as the scalar fails.
+    """
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < tiny, tiny, d)
-    d = 1.0 / d
-    h = d
     out = np.empty_like(x)
     lanes = np.arange(x.size)
+    x = x.copy()
+    c = np.ones_like(x)
+    # The scalar clamps d and c, each formed as 1 + v, to tiny where |1 +
+    # v| < tiny. That holds just where 1 + v == 0: for v in [-2, -1/2] the
+    # sum is exact (Sterbenz), so it is 0 or at least 2^-53 in magnitude,
+    # and for any other v it is at least 1/2.
+    d = 1.0 - qab * x / qap
+    d[d == 0.0] = tiny
+    np.divide(1.0, d, out=d)
+    h = d.copy()
+
+    def buffers(size: int) -> tuple:
+        # aa and t, the recorded h of finished lanes, and two masks:
+        # finished lanes, and a scratch mask.
+        return (np.empty(size), np.empty(size), np.empty(size),
+                np.zeros(size, dtype=bool), np.empty(size, dtype=bool))
+
+    aa, t, result, finished, mask = buffers(x.size)
+    live = x.size
+
+    def step(coef: float, den: float) -> None:
+        # One Lentz step: aa = coef x / den, then d and c, each clamped
+        # away from 0 as the scalar does, and d inverted; t = d c.
+        np.divide(np.multiply(x, coef, aa), den, aa)
+        np.add(np.multiply(aa, d, d), 1.0, d)
+        np.copyto(d, tiny, where=np.equal(d, 0.0, mask))
+        np.add(np.divide(aa, c, c), 1.0, c)
+        np.copyto(c, tiny, where=np.equal(c, 0.0, mask))
+        np.divide(1.0, d, d)
+        np.multiply(d, c, t)
+
     # Python floats overflow to inf and make NaN silently; so do these lanes.
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, _CF_MAX_ITERATIONS):
             m2 = 2 * m
-            aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-            d = 1.0 + aa * d
-            d = np.where(np.abs(d) < tiny, tiny, d)
-            c = 1.0 + aa / c
-            c = np.where(np.abs(c) < tiny, tiny, c)
-            d = 1.0 / d
-            h = h * (d * c)
-            aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-            d = 1.0 + aa * d
-            d = np.where(np.abs(d) < tiny, tiny, d)
-            c = 1.0 + aa / c
-            c = np.where(np.abs(c) < tiny, tiny, c)
-            d = 1.0 / d
-            delta = d * c
-            h = h * delta
-            done = np.abs(delta - 1.0) < 1e-16
-            if done.any():
-                out[lanes[done]] = h[done]
-                if done.all():
+            step(m * (b - m), (qam + m2) * (a + m2))
+            h *= t
+            step(-(a + m) * (qab + m), (a + m2) * (qap + m2))
+            h *= t
+            # t is the scalar's delta, and |delta - 1| < 1e-16 holds just
+            # where delta == 1: delta - 1 is exact for delta in [1/2, 2]
+            # (Sterbenz), and no other double lies within 1e-16 of 1.
+            done = np.equal(t, 1.0, mask)
+            if not done.any():
+                continue
+            np.copyto(result, h, where=done)
+            np.copyto(x, np.nan, where=done)
+            np.logical_or(finished, done, finished)
+            live -= np.count_nonzero(done)
+            if 2 * live <= x.size:
+                out[lanes[finished]] = result[finished]
+                if live == 0:
                     return out
-                keep = ~done
+                keep = ~finished
                 lanes, x, c, d, h = (v[keep] for v in (lanes, x, c, d, h))
+                aa, t, result, finished, mask = buffers(x.size)
     raise DomainError(
         "incomplete beta continued fraction did not converge at "
-        f"x={float(x[0])!r}, a={a!r}, b={b!r}"
+        f"x={float(x[~finished][0])!r}, a={a!r}, b={b!r}"
     )
 
 

@@ -15,6 +15,7 @@ from singh_audit.singh_engine import (
     CHUNK_ELEMENTS,
     SinghBand,
     TargetSpec,
+    _atoms,
     _fold,
     _merged,
     classify,
@@ -254,11 +255,10 @@ def test_global_matches_the_per_point_reference(case, m, n, chunk_elements, seed
 def _counted(rng, column):
     """A sorted column as (values, counts), some values split over several entries.
 
-    A quarter of the time, the column itself without counts, as a row-path
-    point is.
+    A quarter of the time, every value its own entry of count 1.
     """
     if rng.random() < 0.25:
-        return column, None
+        return column, np.ones(column.size, np.int64)
     cuts = rng.random(column.size) < 0.3
     cuts[0] = True
     cuts[1:] |= column[1:] != column[:-1]
@@ -269,11 +269,12 @@ def _counted(rng, column):
 @given(k=st.integers(1, 20), m=st.integers(1, 30), band=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_fold_is_the_indexwise_maximum_of_the_expanded_columns(k, m, band, seed):
-    # Points of m replicates each, given as atoms with integer counts (or as
-    # plain sorted columns), fold to atoms whose counts expand, bit for bit,
-    # to the index-wise maximum of the points' sorted columns: all points in
-    # one fold, as a count chunk folds, and one point at a time into a
-    # running envelope, as chunks and row-path points fold. Replicates draw
+    # Points of m replicates each, given as atoms with integer counts, fold
+    # to atoms whose counts expand, bit for bit, to the index-wise maximum
+    # of the points' sorted columns: all points in one fold, as a count
+    # chunk folds, and one point at a time into a running envelope, as
+    # chunks fold. A row-path grid takes that maximum itself and cuts it
+    # into atoms once (_atoms), which must equal the fold. Replicates draw
     # from a pool of seven values, so they tie within and across points,
     # with +inf among them. A band replicate's lower value never exceeds its
     # upper one, and the band's two folded curves keep that order.
@@ -296,6 +297,9 @@ def test_fold_is_the_indexwise_maximum_of_the_expanded_columns(k, m, band, seed)
             for column in points[1:]:
                 running = _fold(*_merged(running, column))
             results.append(running)
+        rowwise = _atoms(np.maximum.reduce(columns))
+        assert [v.tobytes() for v in rowwise] == [v.tobytes() for v in results[0]]
+        assert rowwise[1].dtype == results[0][1].dtype
         for atoms, counts in results:
             assert (atoms[1:] > atoms[:-1]).all()
             assert counts.dtype.kind == "i" and (counts >= 1).all()

@@ -146,6 +146,48 @@ def test_single_component_mixture_draw_matches_normal():
     assert np.array_equal(mixed, draw(TargetSpec.normal(4.0, 3.0), 8, 64, rows=2))
 
 
+class _Edges:
+    """A stand-in for a generator whose ``random`` hands out ``values`` cyclically."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size):
+        return np.resize(self.values, size)
+
+
+@given(
+    parts=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 4),
+)
+@settings(max_examples=120, deadline=None)
+def test_mixture_picks_equal_the_inverse_cdf_search(parts, seed, rows):
+    # Dyadic weights summing to exactly 1, zero weights among them, so the
+    # CDF's edges repeat and are exact: a block must equal the picks of
+    # cdf.searchsorted(u, "right") from the same uniforms and normals. The
+    # stand-in generator hits every edge, and its neighbours, exactly.
+    parts = list(parts)
+    total = sum(parts)
+    parts[seed % len(parts)] += (1 << max(total - 1, 0).bit_length()) - total
+    weights = np.array(parts, dtype=np.float64) / sum(parts)
+    mus = np.arange(len(parts), dtype=np.float64) * 3.0
+    sigmas = 1.0 + np.arange(len(parts), dtype=np.float64) / 8.0
+    target = TargetSpec.mixture(weights, mus, sigmas)
+    cdf = np.cumsum(weights)
+    assert cdf[-1] == 1.0
+    edges = np.concatenate((cdf[:-1], np.nextafter(cdf[:-1], 0.0), np.nextafter(cdf[:-1], 1.0), [0.0]))
+    # Every row holds every edge and its neighbours.
+    count = edges.size
+    stream = SeededStream(seed)
+    for uniforms in (stream.generator(), _Edges(edges[edges < 1.0])):
+        x = target.draw(uniforms, rows, count, stream.generator(child=0))
+        u = (uniforms if isinstance(uniforms, _Edges) else stream.generator()).random(rows * count)
+        pick = cdf.searchsorted(u, "right")
+        expected = mus[pick] + sigmas[pick] * stream.generator(child=0).standard_normal(rows * count)
+        assert x.tobytes() == expected.reshape(rows, count).tobytes()
+
+
 def test_mixture_draw_mean():
     x = draw(TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5]), 9, 200_000)
     sd = math.sqrt(0.5 * (3.0**2 + 4.0**2) + 0.5 * (1.5**2 + 5.0**2) - 4.5**2)

@@ -245,6 +245,11 @@ T_VALUES = st.one_of(
 @example(ts=[0.5, -0.5, 30.0, -30.0], nu=9.0)  # a > b, both branches
 @example(ts=[0.5, -0.5, 3.0, -3.0], nu=19_999.0)  # Stirling front factor
 @example(ts=[0.0, 1e-200, 1e200, -1e200, math.inf, -math.inf], nu=40.0)
+# 4,001 lanes that converge over 9 to 26 iterations: the finished lanes are
+# compacted away 6 to 8 times within one continued fraction.
+@example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=1)
+@example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=9)
+@example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=30)
 @given(ts=st.lists(T_VALUES, min_size=1, max_size=30), nu=T_NUS)
 @settings(max_examples=300, deadline=None)
 def test_t_cdf_array_equals_scalar_bit_for_bit(ts, nu):
@@ -431,6 +436,13 @@ def test_beta_array_refuses_an_unconverged_lane():
     # One lane that cannot converge fails the whole call, like the scalar.
     with pytest.raises(DomainError, match="did not converge"):
         _beta_cf_array(np.array([0.2, 1.0 / 3.0]), 1e6, 2e6)
+    # The message names the first lane still unconverged. Near the mean of
+    # Beta(1e6, 4e6) neither x = 0.2 nor x = 0.1999999 converges, while
+    # 1e-3 and 0.1 do: with one of three lanes finished it stays masked in
+    # place, and with two of four they are compacted away.
+    for lanes in ([1e-3, 0.2, 0.1999999], [1e-3, 0.1, 0.2, 0.1999999]):
+        with pytest.raises(DomainError, match=r"did not converge at x=0\.2, a=1000000\.0, b=4000000\.0"):
+            _beta_cf_array(np.array(lanes), 1e6, 4e6)
 
 
 def test_t_cdf_array_refuses_nan_t():
