@@ -17,7 +17,6 @@ This module holds the grid and its check. The envelope is the one run path,
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +69,12 @@ def check_grid_args(
 ) -> list[TargetSpec]:
     """Raise for a global run the engines cannot evaluate; else each grid point's target.
 
-    The one check of a global run: every global ``Scenario`` calls it once
-    and keeps the targets, and ``global_singh`` calls it unless handed them.
-    A grid replaces the family's truth parameter, so a structure whose
-    truth is each replicate's next draw is refused, and every grid value
-    must be a valid truth of ``family``; then the run is checked as a local
-    one (``check_run_args``).
+    The one check of a global run: ``global_singh`` calls it on every run,
+    and every global ``Scenario`` when it is constructed. A grid replaces
+    the family's truth parameter, so a structure whose truth is each
+    replicate's next draw is refused, and every grid value must be a valid
+    truth of ``family``; then the run is checked as a local one
+    (``check_run_args``).
     """
     if structure.reads_next_draw:
         raise DomainError("predictive scenarios cannot use a parameter grid")
@@ -91,8 +90,6 @@ def global_singh(
     n: int,
     m: int,
     stream: SeededStream,
-    *,
-    targets: Sequence[TargetSpec] | None = None,
 ):
     """Worst-case Singh result across ``grid``, one full run per grid point.
 
@@ -102,12 +99,7 @@ def global_singh(
     ``stream.substream(j * m)`` would, so a one-point grid reproduces the
     local run bit for bit: both are ``singh_engine._envelope``, which also
     bounds working memory. ``family`` supplies every parameter except the
-    truth, which the grid replaces. The run is checked once
-    (``check_grid_args``), before any grid point's substream is formed.
-    ``targets`` are the points' targets as ``check_grid_args`` returned them
-    for these same arguments (a ``Scenario`` holds them from its own
-    check); given, the check is not run again.
+    truth, which the grid replaces. The run is checked (``check_grid_args``)
+    before any grid point's substream is formed.
     """
-    if targets is None:
-        targets = check_grid_args(structure, family, grid, n, m)
-    return _envelope(structure, targets, n, m, stream)
+    return _envelope(structure, check_grid_args(structure, family, grid, n, m), n, m, stream)

@@ -28,8 +28,7 @@ def run_analysis(scenario: Scenario):
     stream = SeededStream(scenario.seed)
     if scenario.is_global:
         result = global_singh(
-            scenario.structure, scenario.target, scenario.grid,
-            scenario.n, scenario.m, stream, targets=scenario.targets,
+            scenario.structure, scenario.target, scenario.grid, scenario.n, scenario.m, stream
         )
     else:
         result = singh_curve(

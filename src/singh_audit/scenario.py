@@ -10,7 +10,7 @@ the wrong experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .global_engine import ParameterGrid, check_grid_args
 from .singh_engine import TargetSpec, UnsupportedTargetError, check_run_args
@@ -44,8 +44,6 @@ class Scenario:
     and a local one with ``check_run_args``, then the seed, delta and
     outputs, and raises ScenarioValidationError. ``dataclasses.replace``
     constructs anew, so an overridden scenario is checked like a parsed one.
-    A global scenario keeps the grid points' targets its check returned in
-    ``targets`` (None for a local one), so running it checks no grid again.
     """
 
     name: str
@@ -57,13 +55,11 @@ class Scenario:
     seed: int
     delta: float
     outputs: frozenset[str]
-    targets: tuple[TargetSpec, ...] | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         try:
             if self.grid is not None:
-                targets = check_grid_args(self.structure, self.target, self.grid, self.n, self.m)
-                object.__setattr__(self, "targets", tuple(targets))
+                check_grid_args(self.structure, self.target, self.grid, self.n, self.m)
             else:
                 check_run_args(self.structure, self.target, self.n, self.m)
         except (DomainError, UnsupportedTargetError) as exc:

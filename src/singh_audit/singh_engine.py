@@ -16,7 +16,7 @@ their atoms through one kernel (``_atom_columns``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import ClassVar
 
@@ -41,14 +41,15 @@ __all__ = [
 
 COUNT_FAMILIES = ("bernoulli", "scaled_bernoulli")
 
-# Replicates per substream in a Monte Carlo run (stream layout v5; a
-# mixture block also draws its normals from the substream's child 0).
+# Replicates per substream in a Monte Carlo run (the stream layout of
+# ``singh_curve``; a mixture block also draws its normals from the
+# substream's child 0).
 BLOCK = 4096
 # A count run draws one histogram of its counts per block, not one count
 # per replicate, when its m replicates are at least this many times the
-# n + 1 possible counts (stream layout v4). Like BLOCK, a layout constant,
-# set where the two draws cost about the same: the histogram's Binomial
-# weights, O(n) to form, against m counts drawn and sorted.
+# n + 1 possible counts. Like BLOCK, a layout constant, set where the two
+# draws cost about the same: the histogram's Binomial weights, O(n) to
+# form, against m counts drawn and sorted.
 HISTOGRAM_FACTOR = 8
 # Sample elements per drawn chunk: rows are drawn in chunks of at most this
 # many elements (at least one row), so a drawn matrix stays
@@ -86,7 +87,7 @@ class TargetSpec:
     Bernoulli rate, the scaled-Bernoulli mean, the mixture mean). ``draw``
     draws datasets as rows; ``draw_moments`` draws, for a normal target,
     only each dataset's mean and sample sd, which is all a moment kind
-    reads (stream layout v5, which changed only those runs' results).
+    reads.
     """
 
     # The fields each family takes, and the one holding its truth; a
@@ -179,11 +180,16 @@ class TargetSpec:
         return float(getattr(self, truth))
 
     def with_truth(self, theta: float) -> "TargetSpec":
-        """Same family with the inferred-truth parameter replaced."""
-        truth = self.FAMILY_FIELDS[self.family][1]
+        """Same family with the inferred-truth parameter replaced.
+
+        Built from the family's own fields alone, not all of ``TargetSpec``'s.
+        """
+        fields, truth = self.FAMILY_FIELDS[self.family]
         if truth is None:
             raise UnsupportedTargetError("a mixture has no truth parameter to sweep")
-        return replace(self, **{truth: float(theta)})
+        values = {x: getattr(self, x) for x in fields}
+        values[truth] = float(theta)
+        return TargetSpec(self.family, **values)
 
     def draw(
         self,
@@ -195,21 +201,19 @@ class TargetSpec:
         """A (rows, count) block of draws, continuing ``rng``'s sequence.
 
         A moment kind's run on a normal target draws no rows but
-        ``draw_moments`` (stream layout v5); the predictive band's rows on
-        a normal target come from here. Normal and Bernoulli-family blocks
-        are one generator call filled in row-major order, so row i equals
-        the i-th of ``rows`` successive ``count``-draw calls. A mixture
-        block (stream layout v3) takes all its component picks from one
-        ``rng`` call and all its normals from one call on ``normals``
-        (default ``rng``), both in row-major order.
-        With ``normals`` a generator of its own, successive calls therefore
-        continue both sequences row by row, whatever their ``rows``. A
-        draw u picks component ``cdf.searchsorted(u, "right")`` of the
-        normalised component CDF: since u < 1 = ``cdf[-1]``, that is the
-        number of inner edges at or below u, counted in K - 1 comparison
-        passes over the block, O(K) per draw but no binary search of
-        unsorted keys (16 times cheaper at K = 2). A single component draws
-        no picks.
+        ``draw_moments``; the predictive band's rows on a normal target come
+        from here. Normal and Bernoulli-family blocks are one generator call
+        filled in row-major order, so row i equals the i-th of ``rows``
+        successive ``count``-draw calls. A mixture block takes all its
+        component picks from one ``rng`` call and all its normals from one call
+        on ``normals`` (default ``rng``), both in row-major order. With
+        ``normals`` a generator of its own, successive calls therefore continue
+        both sequences row by row, whatever their ``rows``. A draw u picks
+        component ``cdf.searchsorted(u, "right")`` of the normalised component
+        CDF: since u < 1 = ``cdf[-1]``, that is the number of inner edges at or
+        below u, counted in K - 1 comparison passes over the block, O(K) per
+        draw but no binary search of unsorted keys (16 times cheaper at K = 2).
+        A single component draws no picks.
         """
         size = rows * count
         if self.family == "normal":
@@ -237,9 +241,9 @@ class TargetSpec:
     def draw_moments(self, rng: np.random.Generator, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The mean and sample sd of each of ``rows`` normal datasets of n draws.
 
-        Stream layout v5: under N(mu, sigma^2) the mean and sample sd of n
-        draws are independent, with mean ~ N(mu, sigma^2 / n) and (n - 1)
-        sd^2 / sigma^2 ~ chi-square with n - 1 degrees of freedom (Student
+        Under N(mu, sigma^2) the mean and sample sd of n draws are
+        independent, with mean ~ N(mu, sigma^2 / n) and (n - 1) sd^2 /
+        sigma^2 ~ chi-square with n - 1 degrees of freedom (Student
         1908; Cochran's theorem), so they are drawn outright and no dataset
         is formed. ``rng`` gives ``z = rng.standard_normal(rows)``, then
         ``q = rng.chisquare(n - 1, rows)``; row i's mean is ``mu + sigma *
@@ -258,14 +262,13 @@ class SinghCurve:
     """Ascending required-confidence values, each with its count or weight.
 
     A replicate that no confidence level covers holds +inf, which sorts last
-    and stays uncovered at every alpha. A Monte Carlo count curve, and an
-    envelope folded over more than one grid point, holds its distinct
-    atoms with integer ``counts``, the replicates at each atom; a curve
-    with neither ``counts`` nor ``weights`` holds one value per replicate.
-    Either way ``m`` and ``never_count`` count replicates, and each weighs
-    1/m. An exact enumeration curve carries a probability ``weights`` per
-    atom instead, and there ``m`` and ``never_count`` count atoms, whatever
-    their probability. Compared by identity.
+    and stays uncovered at every alpha. Every Monte Carlo curve the engines
+    return holds its distinct atoms with integer ``counts``, the replicates at
+    each atom; a curve built with neither ``counts`` nor ``weights`` holds one
+    value per replicate. Either way ``m`` and ``never_count`` count replicates,
+    and each weighs 1/m. An exact enumeration curve carries a probability
+    ``weights`` per atom instead, and there ``m`` and ``never_count`` count
+    atoms, whatever their probability. Compared by identity.
     """
 
     required: np.ndarray
@@ -307,10 +310,9 @@ class SinghCurve:
         """Mass of the first i values at index i, computed on first use.
 
         The curve at alpha is ``coverage[searchsorted(required, alpha,
-        "right")]``. A curve that is never evaluated, such as one grid
-        point of a global run, never builds it. A counted curve divides
-        its integer cumulative count by m, so each coverage is the i / m
-        of its i replicates, bit for bit.
+        "right")]``, and the array is kept for every later evaluation. A
+        counted curve divides its integer cumulative count by m, so each
+        coverage is the i / m of its i replicates, bit for bit.
         """
         if self.weights is not None:
             cov = np.concatenate(([0.0], np.cumsum(self.weights)))
@@ -494,7 +496,7 @@ def _drawn_count_values(
     """Each bound column's envelope over the pairs ``draws``, as (atoms, counts).
 
     Point j holds m Binomial(n, p) success counts drawn from ``draws[j]``
-    as stream layout v4 has it (``_count_histograms`` or ``_count_runs``);
+    as the stream layout has it (``_count_histograms`` or ``_count_runs``);
     each distinct count of a point, an atom, is evaluated once
     (``_atom_columns``), as the histogram side forms the points' weights
     in one ``_binomial_weights`` call. ``_fold`` then takes the least
@@ -560,8 +562,8 @@ def _count_histograms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(point, count, multiplicity) of every drawn count, from one histogram per block.
 
-    The histogram side of stream layout v4, taken when HISTOGRAM_FACTOR (n
-    + 1) <= m: block b of a point draws
+    The histogram side of a count run's draw, taken when HISTOGRAM_FACTOR
+    (n + 1) <= m: block b of a point draws
     ``stream.substream(b).generator().multinomial(size, _binomial_weights(n,
     p))``, the histogram over k = 0..n of its ``size`` counts, and a point
     sums its blocks' histograms. One ``_binomial_weights`` call gives every
@@ -582,12 +584,12 @@ def _count_runs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(point, count, multiplicity) of every drawn count, from one count per replicate.
 
-    The direct side of stream layout v4, as v3 drew every count run: block
-    b of a point is ``stream.substream(b).generator().binomial(n, p,
-    size)``, in replicate order. Each point's counts are sorted and one
-    run-start pass finds every point's atoms and their multiplicities. No
-    histogram of size n + 1 is formed: Chebyshev's n has no Beta-shape
-    bound, and this side holds every run whose m is small beside n.
+    The direct side of a count run's draw: block b of a point is
+    ``stream.substream(b).generator().binomial(n, p, size)``, in replicate
+    order. Each point's counts are sorted and one run-start pass finds every
+    point's atoms and their multiplicities. No histogram of size n + 1 is
+    formed: Chebyshev's n has no Beta-shape bound, and this side holds every
+    run whose m is small beside n.
     """
     counts = np.empty((len(draws), m), dtype=np.int64)
     for row, (target, stream) in zip(counts, draws):
@@ -608,20 +610,19 @@ def _drawn_row_values(
 ) -> list[np.ndarray]:
     """Sorted bound columns of m replicates on a target other than a count family's.
 
-    A moment kind (the t pivot, Chebyshev) on a normal target reads a
-    dataset only through its mean and sample sd, so each block draws those
-    two statistics of its replicates outright, ``TargetSpec.draw_moments``
-    on the block's generator (stream layout v5), in O(m) memory at any n.
-    Every other run draws its datasets as rows: each block's generator
-    hands them out in chunks of at most CHUNK_ELEMENTS elements, or one row
-    when a row is larger; for the predictive band, which reads a next draw,
-    a row's (n+1)-th draw is its truth. A mixture block draws its normals
-    from the block's child stream 0. A chunk only reduces its rows to what
-    the structure reads: each row's mean and sample sd for a moment kind,
-    ``evaluate_structure``'s bounds for the band, which are rank counts per
-    element. Chunking changes neither the draws nor the values, only
-    memory. A moment kind's bounds are evaluated once over all m
-    replicates, so the t pivot runs one continued fraction per run.
+    A moment kind (the t pivot, Chebyshev) on a normal target reads a dataset
+    only through its mean and sample sd, so each block draws those two
+    statistics of its replicates outright, ``TargetSpec.draw_moments`` on the
+    block's generator, in O(m) memory at any n. Every other run draws its
+    datasets as rows: each block's generator hands them out in chunks of at
+    most CHUNK_ELEMENTS elements, or one row when a row is larger; for the
+    predictive band, which reads a next draw, a row's (n+1)-th draw is its
+    truth. A mixture block draws its normals from the block's child stream 0. A
+    chunk only reduces its rows to what the structure reads: each row's mean
+    and sample sd for a moment kind, ``evaluate_structure``'s bounds for the
+    band, which are rank counts per element. Chunking changes neither the draws
+    nor the values, only memory. A moment kind's bounds are evaluated once over
+    all m replicates, so the t pivot runs one continued fraction per run.
     """
     predictive = structure.reads_next_draw
     moments = target.family == "normal" and not predictive
@@ -655,42 +656,37 @@ def _drawn_row_values(
 def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream):
     """Monte Carlo Singh result: m replicates of size n in blocks of BLOCK.
 
-    Stream layout v5: block b holds replicates ``b * BLOCK`` onward (the
-    last block may be short) and draws them all from one generator,
-    ``stream.substream(b).generator()``. On a Bernoulli-family target
-    every structure but the predictive band reads a replicate only through
-    its Binomial(n, p) success count, through ``evaluate_counts`` as in
-    ``exact_singh_curve``, so the run depends on its draws only through
-    the histogram of counts. When HISTOGRAM_FACTOR (n + 1) <= m, block b
-    draws that histogram outright, ``multinomial(size, _binomial_weights(n,
-    p))``, and nothing of length m is drawn or sorted; otherwise it draws
-    one count per replicate, ``binomial(n, p, size)``, as v3 did. Either
-    way each distinct count is evaluated once and a column sorts at most
-    n + 1 atoms. On a normal target a moment kind (the t pivot, Chebyshev)
-    reads a replicate only through its mean and sample sd, which are
-    independent there, so block b draws those two statistics of its
-    replicates outright, ``TargetSpec.draw_moments``: ``size`` standard
-    normals, then ``size`` chi-squares with n - 1 degrees of freedom, in
-    O(m) memory at any n. Every other run draws replicate i's dataset as
-    the i-th row of its block, and the predictive band, which reads a next
-    draw, takes that row's (n+1)-th draw as its truth. A Gaussian-mixture
-    block is the one exception to a single generator: its component picks
-    come from that generator and its normals from the block's child
-    stream, ``stream.substream(b).generator(child=0)``, each consumed in
-    row order (v2 interleaved picks and normals row by row in one
-    generator; v3 changed mixture results only, v4 count runs only, v5
-    moment kinds on a normal target only). Rows are drawn in chunks of at
-    most CHUNK_ELEMENTS sample elements, so a block never becomes one
-    (BLOCK, n) matrix; a moment kind keeps only each row's mean and sd and
-    evaluates its bounds once per run, and chunk bounds change no value.
-    Block boundaries depend only on m, the choice of a count run's draw
-    only on n and m, and the choice of a moment draw only on the structure
-    kind and the target family, so the result is a pure function of
-    (structure, target, n, m, stream). The count path hands back each
-    column's atoms with their counts of replicates, the row path its sorted
-    column, and neither is sorted again. Precise structures
-    return a SinghCurve; imprecise ones return a SinghBand built from the
-    same replicates. A local run is the one-point ``_envelope``.
+    Stream layout v5: block b holds replicates ``b * BLOCK`` onward (the last
+    block may be short) and draws them all from one generator,
+    ``stream.substream(b).generator()``. On a Bernoulli-family target every
+    structure but the predictive band reads a replicate only through its
+    Binomial(n, p) success count, through ``evaluate_counts`` as in
+    ``exact_singh_curve``, so the run depends on its draws only through the
+    histogram of counts. When HISTOGRAM_FACTOR (n + 1) <= m, block b draws that
+    histogram outright, ``multinomial(size, _binomial_weights(n, p))``, and
+    nothing of length m is drawn or sorted; otherwise it draws one count per
+    replicate, ``binomial(n, p, size)``. Either way each distinct count is
+    evaluated once and a column sorts at most n + 1 atoms. On a normal target a
+    moment kind (the t pivot, Chebyshev) reads a replicate only through its
+    mean and sample sd, which are independent there, so block b draws those two
+    statistics of its replicates outright, ``TargetSpec.draw_moments``:
+    ``size`` standard normals, then ``size`` chi-squares with n - 1 degrees of
+    freedom, in O(m) memory at any n. Every other run draws replicate i's
+    dataset as the i-th row of its block, and the predictive band, which reads
+    a next draw, takes that row's (n+1)-th draw as its truth. A
+    Gaussian-mixture block is the one exception to a single generator: its
+    component picks come from that generator and its normals from the block's
+    child stream, ``stream.substream(b).generator(child=0)``, each consumed in
+    row order. Rows are drawn in chunks of at most CHUNK_ELEMENTS sample
+    elements, so a block never becomes one (BLOCK, n) matrix; a moment kind
+    keeps only each row's mean and sd and evaluates its bounds once per run,
+    and chunk bounds change no value. Block boundaries depend only on m, the
+    choice of a count run's draw only on n and m, and the choice of a moment
+    draw only on the structure kind and the target family, so the result is a
+    pure function of (structure, target, n, m, stream). Each curve holds its
+    atoms with their counts of replicates. Precise structures return a
+    SinghCurve; imprecise ones return a SinghBand built from the same
+    replicates. A local run is the one-point ``_envelope``.
     """
     check_run_args(structure, target, n, m)
     return _envelope(structure, [target], n, m, stream)
@@ -707,17 +703,16 @@ def _envelope(structure: StructureSpec, targets: list[TargetSpec], n: int, m: in
     cumulative count. On a Bernoulli-family target every structure but the
     predictive band takes the count path, min(CHUNK_ELEMENTS //
     (CHAIN_WEIGHT (n + 1)), isqrt(CHUNK_ELEMENTS // min(m, n + 1))) points
-    at a time (at least one), and each curve is atoms with integer counts,
-    the running envelope folded with each next chunk's. Any other run
-    draws one point at a time (``_drawn_row_values``), a sorted column of
-    m values per curve, and folds it into the running envelope as the
-    index-wise maximum of the sorted columns, which is what ``_fold``'s
-    atoms and counts expand to; a one-point run keeps its column, and a
-    grid's is cut into atoms with counts once, at the end. Either way a
-    curve's ``m`` and ``never_count`` count replicates, as they do on
-    every Monte Carlo curve; only an exact curve counts atoms. Working memory
-    is O(m + CHUNK_ELEMENTS) samples besides the targets, not O(K m) and
-    not O(K n).
+    at a time (at least one), the running envelope folded with each next
+    chunk's. Any other run draws one point at a time
+    (``_drawn_row_values``), a sorted column of m values per curve, folds
+    it into the running envelope as the index-wise maximum of the sorted
+    columns, which is what ``_fold``'s atoms and counts expand to, and cuts
+    the envelope into atoms with counts once, at the end. Either way every
+    curve is atoms with integer counts, and its ``m`` and ``never_count``
+    count replicates; only an exact curve counts atoms. Working memory is
+    O(m + CHUNK_ELEMENTS) samples besides the targets, not O(K m) and not
+    O(K n).
     """
     pairs = [(target, stream.substream(j * m)) for j, target in enumerate(targets)]
     if targets[0].family in COUNT_FAMILIES and not structure.reads_next_draw:
@@ -733,8 +728,6 @@ def _envelope(structure: StructureSpec, targets: list[TargetSpec], n: int, m: in
     envelope = next(columns)
     for point in columns:
         envelope = [np.maximum(running, column, out=running) for running, column in zip(envelope, point)]
-    if len(pairs) == 1:
-        return _result(structure, [SinghCurve(values) for values in envelope])
     return _result(structure, [SinghCurve(atoms, counts=counts) for atoms, counts in map(_atoms, envelope)])
 
 

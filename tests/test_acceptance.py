@@ -14,6 +14,7 @@ from xml.etree import ElementTree
 import numpy as np
 from scipy import special
 
+from reference_global import expanded
 from singh_audit.presets import PRESETS
 from singh_audit.runner import run_analysis, run_preset
 from singh_audit.scenario import parse_scenario
@@ -47,8 +48,8 @@ def ks_distance(curve, cdf=lambda alpha: alpha) -> float:
     # Exact sup distance between the empirical CDF and a CDF on [0, 1]
     # (the diagonal by default) that is continuous but for an atom at 0:
     # read at every replicate from both sides, where the CDF's left limit
-    # at 0 is 0.
-    s = curve.required
+    # at 0 is 0. A counted curve is read as its expanded sorted column.
+    s = expanded(curve)
     ranks = np.arange(1, s.size + 1, dtype=np.float64)
     c = cdf(s)
     c_left = np.where(s > 0.0, c, 0.0)

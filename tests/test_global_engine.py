@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from unittest import mock
@@ -177,6 +178,25 @@ def test_global_checks_run_args_before_any_grid_point():
     for m in (2.5, 3.0):
         with pytest.raises(DomainError, match="m must be an integer"):
             global_singh(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), grid, 10, m, SeededStream(48))
+
+
+def test_global_singh_checks_its_arguments_on_every_call():
+    # No keyword hands global_singh its grid's targets, so no caller gets
+    # round check_grid_args: a Jeffreys structure on a normal family is
+    # refused, not run on the moment path, and m = 0 is a DomainError.
+    assert list(inspect.signature(global_singh).parameters) == [
+        "structure", "family", "grid", "n", "m", "stream",
+    ]
+    args = (StructureSpec("jeffreys"), TargetSpec.normal(0, 1), ParameterGrid((0.0,)), 10, 100)
+    with pytest.raises(TypeError):
+        global_singh(*args, SeededStream(1), targets=[TargetSpec.normal(0, 1)])
+    with pytest.raises(DomainError, match="jeffreys requires a bernoulli target"):
+        global_singh(*args, SeededStream(1))
+    with pytest.raises(DomainError, match="m must be at least 1"):
+        global_singh(
+            StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.3), ParameterGrid((0.3,)),
+            10, 0, SeededStream(1),
+        )
 
 
 def test_global_band_straddle_small_run():

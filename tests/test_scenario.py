@@ -267,9 +267,9 @@ def test_worst_case_sweep_preset_is_global():
     assert s.m == 1000
 
 
-def test_a_global_scenario_run_checks_its_grid_once(tmp_path):
-    # Construction checks the grid and keeps its targets, so the run checks
-    # nothing again; a direct global_singh call still checks.
+def test_a_global_scenario_checks_its_grid_when_built_and_on_every_run(tmp_path):
+    # Construction checks the grid and keeps nothing; every run checks it
+    # again through global_singh, as any direct call does.
     calls = []
 
     def counted(*args):
@@ -280,16 +280,18 @@ def test_a_global_scenario_run_checks_its_grid_once(tmp_path):
     with mock.patch.object(scenario_module, "check_grid_args", counted), \
             mock.patch.object(global_engine, "check_grid_args", counted):
         s = parse_scenario(doc)
-        run_scenario(s, tmp_path / "run")
         assert len(calls) == 1
+        run_scenario(s, tmp_path / "run")
+        run_scenario(s, tmp_path / "again")
+        assert len(calls) == 3
         global_singh(s.structure, s.target, s.grid, s.n, s.m, SeededStream(s.seed))
-        assert len(calls) == 2
+        assert len(calls) == 4
+        replace(s, n=12)
+        assert calls[-1] == (s.structure, s.target, s.grid, 12, s.m)
         calls.clear()
         run_preset("fig8", tmp_path / "fig8")
-        assert len(calls) == len(PRESETS["fig8"].documents)
-    assert s.targets == tuple(check_grid_args(s.structure, s.target, s.grid, s.n, s.m))
-    assert replace(s, n=12).targets == tuple(check_grid_args(s.structure, s.target, s.grid, 12, s.m))
-    assert parse_scenario(MINIMAL).targets is None
+        assert len(calls) == 2 * len(PRESETS["fig8"].documents)
+    assert not hasattr(s, "targets")
 
 
 def test_mixture_preset_is_predictive():

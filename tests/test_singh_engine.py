@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -94,9 +95,19 @@ def test_target_truth_parameter():
 
 
 def test_target_with_truth():
-    assert TargetSpec.normal(4.0, 3.0).with_truth(1.0).mu == 1.0
-    assert TargetSpec.bernoulli(0.4).with_truth(0.2).p == 0.2
-    assert TargetSpec.scaled_bernoulli(0.2, 2.0).with_truth(5.0).mean == 5.0
+    # with_truth builds the point's target from its family's fields alone;
+    # it must be the dataclasses.replace of the truth field, as a float.
+    for target, truth, thetas in (
+        (TargetSpec.normal(4.0, 3.0), "mu", (-2.5, 0, 1e6)),
+        (TargetSpec.bernoulli(0.4), "p", (0, 0.2, 1)),
+        (TargetSpec.scaled_bernoulli(0.2, 2.0), "mean", (1e-3, 5, 7.5)),
+    ):
+        for theta in thetas:
+            point = target.with_truth(theta)
+            assert point == dataclasses.replace(target, **{truth: float(theta)})
+            assert type(getattr(point, truth)) is float
+        with pytest.raises(DomainError):
+            target.with_truth(math.nan)
     with pytest.raises(UnsupportedTargetError):
         TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5]).with_truth(1.0)
 
@@ -419,7 +430,8 @@ def test_normal_moment_replicates_replay_from_numpy_alone(kind, n):
     target = TargetSpec.normal(4.0, 3.0)
     m = BLOCK + 3
     result = singh_curve(spec, target, n, m, SeededStream(27))
-    assert result.required.tobytes() == _moment_run_replay(spec, target, n, m, 27).tobytes()
+    assert result.counts is not None
+    assert expanded(result).tobytes() == _moment_run_replay(spec, target, n, m, 27).tobytes()
 
 
 def _mixture_replay(weights, mus, sigmas, seed, n, m):
@@ -453,8 +465,9 @@ def test_mixture_predictive_replicates_replay_rows_across_chunks():
     assert BLOCK > 5 * (CHUNK_ELEMENTS // (n + 1))
     band = singh_curve(StructureSpec("empirical_predictive"), target, n, m, SeededStream(30))
     lowers, uppers = _mixture_replay(weights, mus, sigmas, 30, n, m)
-    assert np.array_equal(band.lower_curve.required, lowers)
-    assert np.array_equal(band.upper_curve.required, uppers)
+    assert all(curve.counts is not None for curve in band.curves)
+    assert np.array_equal(expanded(band.lower_curve), lowers)
+    assert np.array_equal(expanded(band.upper_curve), uppers)
 
 
 # fig4's band at m = BLOCK + 5 under stream layout v3.
@@ -769,7 +782,8 @@ def test_normal_moment_runs_hold_constant_memory_in_n():
         assert large <= 2 * small
     # The t pivot's curve at n = 20,001 against the diagonal, read exactly.
     ranks = np.arange(1, m + 1) / m
-    ks = max((ranks - curve.required).max(), (curve.required - (ranks - 1.0 / m)).max())
+    column = expanded(curve)
+    ks = max((ranks - column).max(), (column - (ranks - 1.0 / m)).max())
     assert ks <= dkw_epsilon(m, 1e-3)
 
 
