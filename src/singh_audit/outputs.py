@@ -201,7 +201,8 @@ def emit_csv(result, path) -> Path:
     then 1; bands list both bound columns at the union of their values.
     Each alpha is printed with 17 significant digits, which read back as the
     same double, and its coverage with 9, evaluated at that value. Ends with
-    a ``# never=<count>`` comment so excluded replicates stay visible.
+    a ``# never=<mass>`` comment, the lower curve's ``never_count``, so the
+    never-covered replicates (or probability, on an exact curve) stay visible.
 
     The body is the text ``%.17g`` and ``%.9g`` print, byte for byte. A
     table of ``_KERNEL_ROWS`` rows or more is printed by the numpy kernel
@@ -211,9 +212,9 @@ def emit_csv(result, path) -> Path:
     """
     path = Path(path)
     curves = result.curves
-    # Each column's distinct values (a count curve's atoms already are), so
-    # a row curve's ties are not copied; a band's two columns are merged by
-    # a stable sort.
+    # Each column's distinct values: an exact curve can repeat an atom, as
+    # the Chebyshev case's five atoms at 0. A band's two columns are merged
+    # by a stable sort.
     distinct = [c.required[_run_starts(c.required)] for c in curves]
     values = distinct[0] if len(distinct) == 1 else np.sort(np.concatenate(distinct), kind="stable")
     header = "alpha,coverage" if len(curves) == 1 else "alpha,coverage_lower,coverage_upper"

@@ -42,8 +42,7 @@ __all__ = [
 COUNT_FAMILIES = ("bernoulli", "scaled_bernoulli")
 
 # Replicates per substream in a Monte Carlo run (the stream layout of
-# ``singh_curve``; a mixture block also draws its normals from the
-# substream's child 0).
+# ``singh_curve``).
 BLOCK = 4096
 # A count run draws one histogram of its counts per block, not one count
 # per replicate, when its m replicates are at least this many times the
@@ -259,16 +258,15 @@ class TargetSpec:
 
 @dataclass(frozen=True, eq=False)
 class SinghCurve:
-    """Ascending required-confidence values, each with its count or weight.
+    """Ascending required-confidence atoms, each with a mass.
 
-    A replicate that no confidence level covers holds +inf, which sorts last
-    and stays uncovered at every alpha. Every Monte Carlo curve the engines
-    return holds its distinct atoms with integer ``counts``, the replicates at
-    each atom; a curve built with neither ``counts`` nor ``weights`` holds one
-    value per replicate. Either way ``m`` and ``never_count`` count replicates,
-    and each weighs 1/m. An exact enumeration curve carries a probability
-    ``weights`` per atom instead, and there ``m`` and ``never_count`` count
-    atoms, whatever their probability. Compared by identity.
+    An atom that no confidence level covers holds +inf, which sorts last and
+    stays uncovered at every alpha. The mass is exactly one array: integer
+    ``counts`` >= 1, the replicates at each atom of a Monte Carlo curve, or
+    probability ``weights``, an exact enumeration's. ``m`` is the counts'
+    total, None on an exact curve, and ``never_count`` the mass at +inf in
+    the curve's own unit: an int of replicates or a float of probability.
+    Compared by identity.
     """
 
     required: np.ndarray
@@ -288,6 +286,8 @@ class SinghCurve:
             raise DomainError("required values must lie in [0, 1] or be +inf")
         arr.flags.writeable = False
         object.__setattr__(self, "required", arr)
+        if (self.weights is None) == (self.counts is None):
+            raise DomainError("a curve takes counts or weights, exactly one of them")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64).copy()
             if np.isnan(w).any():
@@ -296,9 +296,7 @@ class SinghCurve:
                 raise DomainError("weights must match values and total at most 1")
             w.flags.writeable = False
             object.__setattr__(self, "weights", w)
-        if self.counts is not None:
-            if self.weights is not None:
-                raise DomainError("a curve takes counts or weights, not both")
+        else:
             c = np.array(self.counts)
             if c.dtype.kind not in "iu" or c.shape != arr.shape or (c < 1).any():
                 raise DomainError("counts must be positive integers, one per value")
@@ -307,25 +305,22 @@ class SinghCurve:
 
     @cached_property
     def coverage(self) -> np.ndarray:
-        """Mass of the first i values at index i, computed on first use.
+        """Mass of the first i atoms at index i, over m, computed on first use.
 
         The curve at alpha is ``coverage[searchsorted(required, alpha,
         "right")]``, and the array is kept for every later evaluation. A
         counted curve divides its integer cumulative count by m, so each
-        coverage is the i / m of its i replicates, bit for bit.
+        coverage is the i / m of its i replicates, bit for bit; an exact
+        curve divides by 1, which leaves its cumulative weights as they are.
         """
-        if self.weights is not None:
-            cov = np.concatenate(([0.0], np.cumsum(self.weights)))
-        elif self.counts is None:
-            cov = np.arange(self.m + 1) / self.m
-        else:
-            cov = np.concatenate(([0], np.cumsum(self.counts))) / self.m
+        mass = self.weights if self.counts is None else self.counts
+        cov = np.concatenate(([0], np.cumsum(mass))) / (self.m or 1)
         cov.flags.writeable = False
         return cov
 
     @property
-    def m(self) -> int:
-        return int(self.required.size if self.counts is None else self.counts.sum())
+    def m(self) -> int | None:
+        return None if self.counts is None else int(self.counts.sum())
 
     @property
     def curves(self) -> tuple[SinghCurve]:
@@ -333,15 +328,15 @@ class SinghCurve:
         return (self,)
 
     @property
-    def never_count(self) -> int:
-        """Replicates (atoms, on an exact curve) that no confidence level covers."""
-        first = int(np.searchsorted(self.required, np.inf))
-        return self.m - first if self.counts is None else int(self.counts[first:].sum())
+    def never_count(self) -> int | float:
+        """Mass on the +inf atoms, in the curve's own unit."""
+        mass = self.weights if self.counts is None else self.counts
+        return mass[np.searchsorted(self.required, np.inf):].sum().item()
 
     @property
     def never_fraction(self) -> float:
         """Probability mass left uncovered even at alpha = 1."""
-        return 1.0 - eval_curve(self, 1.0)
+        return self.never_count / (self.m or 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,10 +353,10 @@ class SinghBand:
 
     def __post_init__(self) -> None:
         if self.lower_curve.m != self.upper_curve.m:
-            raise DomainError("band curves must share the replicate count")
+            raise DomainError("band curves must both be exact or share the replicate count")
 
     @property
-    def m(self) -> int:
+    def m(self) -> int | None:
         return self.lower_curve.m
 
     @property
@@ -372,21 +367,14 @@ class SinghBand:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Classification and summary statistics for one Singh result.
-
-    ``m`` and ``never_count`` count replicates of a Monte Carlo curve (on a
-    counted curve, its counts' total and its count at +inf), but atoms
-    (one per success count) of an exact weighted curve, whatever their
-    probability; the never-covered probability mass is the curve's
-    ``SinghCurve.never_fraction``.
-    """
+    """Classification and summary statistics for one Singh result."""
 
     classification: str
     max_deficit: float
     conservatism_area: float
     dkw_epsilon: float
-    m: int
-    never_count: int = 0
+    m: int | None
+    never_count: int | float = 0
 
 
 def dkw_epsilon(m: int, delta: float = 0.01) -> float:
@@ -495,15 +483,13 @@ def _drawn_count_values(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each bound column's envelope over the pairs ``draws``, as (atoms, counts).
 
-    Point j holds m Binomial(n, p) success counts drawn from ``draws[j]``
-    as the stream layout has it (``_count_histograms`` or ``_count_runs``);
-    each distinct count of a point, an atom, is evaluated once
-    (``_atom_columns``), as the histogram side forms the points' weights
-    in one ``_binomial_weights`` call. ``_fold`` then takes the least
-    cumulative count over the points: nothing of length m is gathered or
-    sorted by value. Working memory is O(K (n + 1)) on the histogram side
-    and O(K m) below it, plus the fold's K^2 min(m, n + 1), which
-    ``_envelope`` bounds by its chunk size.
+    Point j holds the m success counts drawn from ``draws[j]`` by
+    ``_count_histograms`` or ``_count_runs``; each distinct count of a
+    point, an atom, is evaluated once (``_atom_columns``), and ``_fold``
+    takes the least cumulative count over the points: nothing of length m
+    is gathered or sorted by value. Working memory is O(K (n + 1)) on the
+    histogram side and O(K m) below it, plus the fold's K^2 min(m, n + 1),
+    which ``_envelope`` bounds by its chunk size.
     """
     drawn = _count_histograms if HISTOGRAM_FACTOR * (n + 1) <= m else _count_runs
     columns = _atom_columns(structure, [target for target, _ in draws], n, *drawn(draws, n, m))
@@ -562,13 +548,10 @@ def _count_histograms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(point, count, multiplicity) of every drawn count, from one histogram per block.
 
-    The histogram side of a count run's draw, taken when HISTOGRAM_FACTOR
-    (n + 1) <= m: block b of a point draws
-    ``stream.substream(b).generator().multinomial(size, _binomial_weights(n,
-    p))``, the histogram over k = 0..n of its ``size`` counts, and a point
-    sums its blocks' histograms. One ``_binomial_weights`` call gives every
-    point's weights. A point's atoms are the non-zero entries, in ascending
-    count, and their values the multiplicities.
+    The histogram side of ``singh_curve``'s count-run layout. A point sums
+    its blocks' histograms, and one ``_binomial_weights`` call gives every
+    point's cell probabilities. A point's atoms are the non-zero entries,
+    in ascending count, and their values the multiplicities.
     """
     hist = np.zeros((len(draws), n + 1), dtype=np.int64)
     weights = _binomial_weights(n, [target.p for target, _ in draws])
@@ -584,12 +567,11 @@ def _count_runs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(point, count, multiplicity) of every drawn count, from one count per replicate.
 
-    The direct side of a count run's draw: block b of a point is
-    ``stream.substream(b).generator().binomial(n, p, size)``, in replicate
-    order. Each point's counts are sorted and one run-start pass finds every
-    point's atoms and their multiplicities. No histogram of size n + 1 is
-    formed: Chebyshev's n has no Beta-shape bound, and this side holds every
-    run whose m is small beside n.
+    The per-replicate side of ``singh_curve``'s count-run layout. Each
+    point's counts are sorted and one run-start pass finds every point's
+    atoms and their multiplicities. No histogram of size n + 1 is formed:
+    Chebyshev's n has no Beta-shape bound, and this side holds every run
+    whose m is small beside n.
     """
     counts = np.empty((len(draws), m), dtype=np.int64)
     for row, (target, stream) in zip(counts, draws):
@@ -610,19 +592,15 @@ def _drawn_row_values(
 ) -> list[np.ndarray]:
     """Sorted bound columns of m replicates on a target other than a count family's.
 
-    A moment kind (the t pivot, Chebyshev) on a normal target reads a dataset
-    only through its mean and sample sd, so each block draws those two
-    statistics of its replicates outright, ``TargetSpec.draw_moments`` on the
-    block's generator, in O(m) memory at any n. Every other run draws its
-    datasets as rows: each block's generator hands them out in chunks of at
-    most CHUNK_ELEMENTS elements, or one row when a row is larger; for the
-    predictive band, which reads a next draw, a row's (n+1)-th draw is its
-    truth. A mixture block draws its normals from the block's child stream 0. A
-    chunk only reduces its rows to what the structure reads: each row's mean
-    and sample sd for a moment kind, ``evaluate_structure``'s bounds for the
-    band, which are rank counts per element. Chunking changes neither the draws
-    nor the values, only memory. A moment kind's bounds are evaluated once over
-    all m replicates, so the t pivot runs one continued fraction per run.
+    Draws as ``singh_curve``'s layout has it: a moment kind on a normal
+    target its statistics alone, in O(m) memory at any n, any other run
+    its rows, in chunks of at most CHUNK_ELEMENTS elements (one row when a
+    row is larger). A chunk only reduces its rows to what the structure
+    reads: each row's mean and sample sd for a moment kind,
+    ``evaluate_structure``'s bounds for the predictive band, which are rank
+    counts per element. Chunking changes neither the draws nor the values,
+    only memory. A moment kind's bounds are evaluated once over all m
+    replicates, so the t pivot runs one continued fraction per run.
     """
     predictive = structure.reads_next_draw
     moments = target.family == "normal" and not predictive
@@ -660,33 +638,26 @@ def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, st
     block may be short) and draws them all from one generator,
     ``stream.substream(b).generator()``. On a Bernoulli-family target every
     structure but the predictive band reads a replicate only through its
-    Binomial(n, p) success count, through ``evaluate_counts`` as in
-    ``exact_singh_curve``, so the run depends on its draws only through the
-    histogram of counts. When HISTOGRAM_FACTOR (n + 1) <= m, block b draws that
-    histogram outright, ``multinomial(size, _binomial_weights(n, p))``, and
-    nothing of length m is drawn or sorted; otherwise it draws one count per
-    replicate, ``binomial(n, p, size)``. Either way each distinct count is
-    evaluated once and a column sorts at most n + 1 atoms. On a normal target a
-    moment kind (the t pivot, Chebyshev) reads a replicate only through its
-    mean and sample sd, which are independent there, so block b draws those two
-    statistics of its replicates outright, ``TargetSpec.draw_moments``:
-    ``size`` standard normals, then ``size`` chi-squares with n - 1 degrees of
-    freedom, in O(m) memory at any n. Every other run draws replicate i's
-    dataset as the i-th row of its block, and the predictive band, which reads
-    a next draw, takes that row's (n+1)-th draw as its truth. A
-    Gaussian-mixture block is the one exception to a single generator: its
-    component picks come from that generator and its normals from the block's
-    child stream, ``stream.substream(b).generator(child=0)``, each consumed in
-    row order. Rows are drawn in chunks of at most CHUNK_ELEMENTS sample
-    elements, so a block never becomes one (BLOCK, n) matrix; a moment kind
-    keeps only each row's mean and sd and evaluates its bounds once per run,
-    and chunk bounds change no value. Block boundaries depend only on m, the
+    Binomial(n, p) success count, so a count run depends on its draws only
+    through the histogram of counts: when HISTOGRAM_FACTOR (n + 1) <= m,
+    block b draws that histogram outright, ``multinomial(size,
+    _binomial_weights(n, p))``, and otherwise one count per replicate,
+    ``binomial(n, p, size)``. On a normal target a moment kind (the t pivot,
+    Chebyshev) reads a replicate only through its mean and sample sd, which
+    are independent there, so block b draws those two statistics outright,
+    ``TargetSpec.draw_moments``: ``size`` standard normals, then ``size``
+    chi-squares with n - 1 degrees of freedom. Every other run draws
+    replicate i's dataset as the i-th row of its block, and the predictive
+    band, which reads a next draw, takes that row's (n+1)-th draw as its
+    truth. A Gaussian-mixture block is the one exception to a single
+    generator: its component picks come from that generator and its normals
+    from the block's child stream, ``stream.substream(b).generator(child=0)``,
+    each consumed in row order. Block boundaries depend only on m, the
     choice of a count run's draw only on n and m, and the choice of a moment
-    draw only on the structure kind and the target family, so the result is a
-    pure function of (structure, target, n, m, stream). Each curve holds its
-    atoms with their counts of replicates. Precise structures return a
-    SinghCurve; imprecise ones return a SinghBand built from the same
-    replicates. A local run is the one-point ``_envelope``.
+    draw only on the structure kind and the target family, so the result is
+    a pure function of (structure, target, n, m, stream). Precise
+    structures return a SinghCurve; imprecise ones return a SinghBand built
+    from the same replicates. A local run is the one-point ``_envelope``.
     """
     check_run_args(structure, target, n, m)
     return _envelope(structure, [target], n, m, stream)
@@ -696,21 +667,18 @@ def _envelope(structure: StructureSpec, targets: list[TargetSpec], n: int, m: in
     """Worst-case Singh result over ``targets``, point j drawn from ``stream.substream(j * m)``.
 
     The one run path of the Monte Carlo engine, local (one point) and
-    global alike. Point j's blocks take the ceil(m / BLOCK) <= m substreams
-    from ``stream.substream(j * m)`` on, so the points' substreams are
-    disjoint and ``stream.substream(0)`` equals ``stream``. Each curve is the
-    pointwise minimum coverage over the points, ``_fold``'s least
-    cumulative count. On a Bernoulli-family target every structure but the
-    predictive band takes the count path, min(CHUNK_ELEMENTS //
-    (CHAIN_WEIGHT (n + 1)), isqrt(CHUNK_ELEMENTS // min(m, n + 1))) points
-    at a time (at least one), the running envelope folded with each next
-    chunk's. Any other run draws one point at a time
+    global alike. Point j lays out its blocks as ``singh_curve`` does, on
+    the ceil(m / BLOCK) <= m substreams from ``stream.substream(j * m)`` on,
+    so the points' substreams are disjoint and ``stream.substream(0)``
+    equals ``stream``. Each curve is the pointwise minimum coverage over the
+    points, ``_fold``'s least cumulative count. A count run takes
+    min(CHUNK_ELEMENTS // (CHAIN_WEIGHT (n + 1)), isqrt(CHUNK_ELEMENTS //
+    min(m, n + 1))) points at a time (at least one), the running envelope
+    folded with each next chunk's. Any other run draws one point at a time
     (``_drawn_row_values``), a sorted column of m values per curve, folds
     it into the running envelope as the index-wise maximum of the sorted
     columns, which is what ``_fold``'s atoms and counts expand to, and cuts
-    the envelope into atoms with counts once, at the end. Either way every
-    curve is atoms with integer counts, and its ``m`` and ``never_count``
-    count replicates; only an exact curve counts atoms. Working memory is
+    the envelope into counted atoms once, at the end. Working memory is
     O(m + CHUNK_ELEMENTS) samples besides the targets, not O(K m) and not
     O(K n).
     """
@@ -815,7 +783,7 @@ def classify(result, delta: float = 0.01) -> CoverageReport:
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
     curve = result.curves[0]
-    eps = dkw_epsilon(curve.m, delta) if curve.weights is None else EXACT_TOLERANCE
+    eps = EXACT_TOLERANCE if curve.m is None else dkw_epsilon(curve.m, delta)
     alphas, central, spacing = _alpha_grid()
     covs = [_coverage_at(c, alphas) for c in result.curves]
     gap = covs[0] - alphas

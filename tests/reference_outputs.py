@@ -19,7 +19,8 @@ _X0, _Y0, _W, _H = 64.0, 48.0, 408.0, 408.0
 def eval_curve(curve, alpha):
     """Fraction of replicates (or weight) whose required confidence is at most ``alpha``.
 
-    A counted curve's replicates are its values repeated by their counts.
+    A counted curve's replicates are its values repeated by their counts;
+    an exact curve's coverage is its cumulative weight.
     """
     a = np.asarray(alpha, dtype=np.float64)
     if (a < 0.0).any() or (a > 1.0).any():
@@ -27,11 +28,8 @@ def eval_curve(curve, alpha):
     idx = np.searchsorted(curve.required, a, side="right")
     if curve.counts is not None:
         cov = np.concatenate(([0], np.cumsum(curve.counts)))[idx] / curve.m
-    elif curve.weights is None:
-        cov = idx / curve.m
     else:
-        cum = np.concatenate(([0.0], np.cumsum(curve.weights)))
-        cov = cum[idx]
+        cov = np.concatenate(([0.0], np.cumsum(curve.weights)))[idx]
     return float(cov) if np.isscalar(alpha) else cov
 
 

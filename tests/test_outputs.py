@@ -29,14 +29,20 @@ from singh_audit.special_math import SeededStream
 from singh_audit.structures import StructureSpec
 
 
+def ones(values):
+    """A counted curve of these sorted values, each of count 1."""
+    return SinghCurve(values, counts=np.ones(np.size(values), np.int64))
+
+
 def curve(*values, never=0):
-    return SinghCurve(np.asarray(sorted(values) + [np.inf] * never, dtype=np.float64))
+    return ones(np.asarray(sorted(values) + [np.inf] * never, dtype=np.float64))
 
 
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[-1].startswith("# never=")
-    never = int(lines[-1].partition("=")[2])
+    # An int of replicates, or a float of probability on an exact curve.
+    never = json.loads(lines[-1].partition("=")[2])
     rows = [line.split(",") for line in lines[1:-1]]
     return lines[0], rows, never
 
@@ -126,11 +132,29 @@ def test_csv_round_trip_monte_carlo_band(tmp_path):
 
 def test_csv_round_trip_exact_weighted_band(tmp_path):
     band = exact_singh_curve(StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.4), n=5)
-    _, rows, _ = read_csv(emit_csv(band, tmp_path / "b.csv"))
+    _, rows, never = read_csv(emit_csv(band, tmp_path / "b.csv"))
+    assert never == band.lower_curve.never_count == 0.0
+    assert type(never) is float
     for alpha_s, lo_s, up_s in rows:
         a = float(alpha_s)
         assert format(eval_curve(band.lower_curve, a), ".9g") == lo_s
         assert format(eval_curve(band.upper_curve, a), ".9g") == up_s
+
+
+def test_exact_never_count_is_the_never_covered_mass(tmp_path):
+    # The paper's ProUCL Chebyshev case: the all-zero dataset, of mass
+    # 0.8^5, is never covered. The curve, its report, its CSV and its JSON
+    # all give that mass, the +inf atom's weight, not a count of atoms.
+    curve = exact_singh_curve(StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.2, 2.0), 5)
+    report = classify(curve)
+    assert curve.never_count == report.never_count == 0.32768
+    assert report.m is None
+    _, _, never = read_csv(emit_csv(curve, tmp_path / "c.csv"))
+    assert never == 0.32768
+    assert (tmp_path / "c.csv").read_text(encoding="utf-8").endswith("\n# never=0.32768\n")
+    payload = json.loads(emit_report(report, tmp_path / "r.json", "x").read_text(encoding="utf-8"))
+    assert payload["never_count"] == 0.32768
+    assert payload["m"] is None
 
 
 # --- JSON report ---
@@ -201,7 +225,7 @@ def test_step_path_takes_one_step_per_half_pixel_column():
     # is drawn more than half a pixel right of it, and the path starts and
     # ends as the full staircase does.
     values = np.random.default_rng(3).random(10_000)
-    c = SinghCurve(np.sort(values))
+    c = ones(np.sort(values))
     path = outputs._step_path(c)
     assert path.startswith(f"M 64.00 {eval_curve(c, 0.0) * -408.0 + 456.0:.2f} H ")
     assert path.endswith(" V 48.00 H 472.00")
@@ -480,31 +504,52 @@ VALUES = st.one_of(
 )
 
 
+def _split(draw, total, parts):
+    """``total`` as ``parts`` integers of at least 1 each."""
+    spare = total - parts
+    counts = []
+    for _ in range(parts - 1):
+        extra = draw(st.integers(0, spare))
+        counts.append(1 + extra)
+        spare -= extra
+    return counts + [1 + spare]
+
+
 @st.composite
-def curves(draw, m=None):
-    """A sorted curve with ties, +inf tails and, half the time, weights."""
-    if m is None:
-        finite = draw(st.lists(VALUES, max_size=30))
-        never = draw(st.integers(0 if finite else 1, 4))
-    else:
-        finite = draw(st.lists(VALUES, max_size=m))
-        never = m - len(finite)
-    values = sorted(finite) + [np.inf] * never
-    weights = None
-    if draw(st.booleans()):
-        raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(values), max_size=len(values))))
+def curves(draw, m=None, exact=False):
+    """A sorted curve with ties and +inf tails.
+
+    Its atoms carry integer counts of 1 or more, ``m`` in all if given, or
+    with ``exact`` probability weights.
+    """
+    finite = draw(st.lists(VALUES, max_size=30))
+    never = draw(st.integers(0 if finite else 1, 4))
+    values = np.array(sorted(finite) + [np.inf] * never, dtype=np.float64)
+    if exact:
+        raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=values.size, max_size=values.size)))
         scale = draw(st.sampled_from([1.0, 0.5]))
-        weights = raw / raw.sum() * scale if raw.sum() > 0.0 else raw
-    return SinghCurve(np.array(values, dtype=np.float64), weights=weights)
+        return SinghCurve(values, weights=raw / raw.sum() * scale if raw.sum() > 0.0 else raw)
+    if m is None:
+        counts = draw(st.lists(st.integers(1, 50), min_size=values.size, max_size=values.size))
+    else:
+        values = values[-m:]
+        counts = _split(draw, m, values.size)
+    return SinghCurve(values, counts=np.array(counts, dtype=np.int64))
 
 
 @st.composite
 def bands(draw):
+    """A counted band of one m, or an exact band whose curves differ in atom count."""
+    if draw(st.booleans()):
+        lower = draw(curves(exact=True))
+        size = lower.required.size
+        return SinghBand(lower, draw(curves(exact=True).filter(lambda c: c.required.size != size)))
     lower = draw(curves())
     return SinghBand(lower, draw(curves(m=lower.m)))
 
 
-RESULTS = st.one_of(curves(), bands())
+CURVES = st.one_of(curves(), curves(exact=True))
+RESULTS = st.one_of(CURVES, bands())
 
 
 @pytest.fixture(scope="module")
@@ -512,7 +557,7 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("emission")
 
 
-@given(result=curves(), alphas=st.lists(VALUES, max_size=10))
+@given(result=CURVES, alphas=st.lists(VALUES, max_size=10))
 @settings(max_examples=300, deadline=None)
 def test_eval_curve_matches_reference(result, alphas):
     # The coverage the curve carries equals the sums the reference redoes.
@@ -522,7 +567,7 @@ def test_eval_curve_matches_reference(result, alphas):
         assert eval_curve(result, a).hex() == reference.eval_curve(result, a).hex()
 
 
-@given(result=curves())
+@given(result=CURVES)
 @settings(max_examples=300, deadline=None)
 def test_step_path_matches_reference(result):
     assert outputs._step_path(result) == reference.step_path(result)
@@ -559,7 +604,7 @@ def test_engine_results_emit_as_the_reference(tmp_path):
         # Above the kernel's row cutover: a t-pivot curve of 10^4 replicates,
         singh_curve(StructureSpec("student_t_pivot"), TargetSpec.normal(4.0, 3.0), 10, 10_000, stream),
         # a band whose two columns each hold 2000 distinct values,
-        SinghBand(SinghCurve(band_values * 0.5), SinghCurve(band_values)),
+        SinghBand(ones(band_values * 0.5), ones(band_values)),
         # and an exact curve whose early coverage is below 1e-4, printed by %.
         exact_singh_curve(StructureSpec("clopper_pearson"), TargetSpec.bernoulli(0.3), 1000),
     ]

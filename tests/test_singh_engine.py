@@ -22,7 +22,9 @@ from singh_audit.singh_engine import (
     SinghCurve,
     TargetSpec,
     UnsupportedTargetError,
+    _atom_columns,
     _binomial_weights,
+    _fold,
     classify,
     dkw_epsilon,
     eval_curve,
@@ -41,8 +43,14 @@ MIXTURE = TargetSpec.mixture([0.5, 0.5], [4.0, 5.0], [3.0, 1.5])
 
 
 def curve_of(*values, never=0, weights=None):
-    vals = np.sort(np.asarray(values, dtype=np.float64))
-    return SinghCurve(np.concatenate((vals, np.full(never, np.inf))), weights=weights)
+    """A curve of the sorted values and ``never`` +inf atoms, each of count 1 unless weighted."""
+    vals = np.concatenate((np.sort(np.asarray(values, dtype=np.float64)), np.full(never, np.inf)))
+    return ones(vals) if weights is None else SinghCurve(vals, weights=weights)
+
+
+def ones(values):
+    """A counted curve of these values as given, each of count 1."""
+    return SinghCurve(values, counts=np.ones(np.size(values), np.int64))
 
 
 # --- target specs ---
@@ -209,20 +217,20 @@ def test_mixture_draw_mean():
 
 
 def test_curve_validation():
-    with pytest.raises(DomainError):
-        SinghCurve(np.array([0.4, 0.2]))
-    with pytest.raises(DomainError):
-        SinghCurve(np.array([0.2, 1.4]))
-    with pytest.raises(DomainError):
-        SinghCurve(np.array([0.2, 1.4, np.inf]))
-    with pytest.raises(DomainError):
-        SinghCurve(np.array([np.inf, 0.2]))
-    with pytest.raises(DomainError):
-        SinghCurve(np.array([0.2, np.nan]))
-    with pytest.raises(DomainError):
-        SinghCurve(np.array([-np.inf, 0.2]))
-    with pytest.raises(DomainError):
-        SinghCurve(np.array([]))
+    with pytest.raises(DomainError, match="sorted ascending"):
+        ones(np.array([0.4, 0.2]))
+    with pytest.raises(DomainError, match=r"lie in \[0, 1\]"):
+        ones(np.array([0.2, 1.4]))
+    with pytest.raises(DomainError, match=r"lie in \[0, 1\]"):
+        ones(np.array([0.2, 1.4, np.inf]))
+    with pytest.raises(DomainError, match="sorted ascending"):
+        ones(np.array([np.inf, 0.2]))
+    with pytest.raises(DomainError, match="must not be NaN"):
+        ones(np.array([0.2, np.nan]))
+    with pytest.raises(DomainError, match=r"lie in \[0, 1\]"):
+        ones(np.array([-np.inf, 0.2]))
+    with pytest.raises(DomainError, match="non-empty"):
+        ones(np.array([]))
     with pytest.raises(DomainError):
         SinghCurve(np.array([0.2]), weights=np.array([0.5, 0.5]))
     with pytest.raises(DomainError, match="weights must not be NaN"):
@@ -231,23 +239,49 @@ def test_curve_validation():
     for counts in ([1.5, 2.0], [2.0, 3.0], [True, True], [0, 3], [-1, 3], [3], [[1, 2]]):
         with pytest.raises(DomainError, match="counts must be positive integers"):
             SinghCurve(np.array([0.1, 0.2]), counts=np.array(counts))
-    with pytest.raises(DomainError, match="counts or weights, not both"):
+    # exactly one mass: neither and both are refused
+    with pytest.raises(DomainError, match="counts or weights, exactly one"):
         SinghCurve(np.array([0.1, 0.2]), weights=np.array([0.5, 0.5]), counts=np.array([1, 1]))
+    with pytest.raises(DomainError, match="counts or weights, exactly one"):
+        SinghCurve(np.array([0.1, 0.2]))
     # trailing +inf, +inf must pass the sort check without a RuntimeWarning
     c = curve_of(0.1, never=2)
     assert (c.m, c.never_count) == (3, 2)
-    assert c.never_fraction == pytest.approx(2 / 3)
+    assert type(c.never_count) is int
+    assert c.never_fraction == 2 / 3
 
 
 def test_weighted_never_fraction_is_probability_mass():
+    # An exact curve has no m, and its never count is the mass at +inf.
     c = curve_of(0.2, 0.6, never=1, weights=np.array([0.5, 0.3, 0.2]))
-    assert c.never_count == 1
-    assert c.never_fraction == pytest.approx(0.2)
+    assert c.m is None
+    assert c.never_count == c.never_fraction == 0.2
+    assert type(c.never_count) is float
 
 
 def test_band_requires_matching_m():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="share the replicate count"):
         SinghBand(curve_of(0.1, 0.2), curve_of(0.3))
+    # A folded exact band, the exact envelope over two grid points: every
+    # count of each point with its binomial weight, folded. Its curves
+    # differ in atom count, and neither has an m.
+    n, thetas = 10, [0.3, 0.5]
+    targets = [TargetSpec.bernoulli(theta) for theta in thetas]
+    point, counts = np.repeat([0, 1], n + 1), np.tile(np.arange(n + 1), 2)
+    mass = _binomial_weights(n, thetas).ravel()
+    columns = _atom_columns(StructureSpec("clopper_pearson"), targets, n, point, counts, mass)
+    lower, upper = (SinghCurve(atoms, weights=weights) for atoms, weights in (_fold(*c) for c in columns))
+    band = SinghBand(lower, upper)
+    assert lower.weights is not None and upper.weights is not None
+    assert lower.required.size != upper.required.size
+    assert band.m is None
+    # A counted curve pairs with neither side of it, nor with a counted curve of another m.
+    for exact in (lower, upper):
+        for pair in ((curve_of(0.1, 0.2), exact), (exact, curve_of(0.1, 0.2))):
+            with pytest.raises(DomainError, match="share the replicate count"):
+                SinghBand(*pair)
+    with pytest.raises(DomainError, match="share the replicate count"):
+        SinghBand(SinghCurve([0.1, 0.2], counts=[2, 1]), SinghCurve([0.3], counts=[2]))
 
 
 def test_results_list_their_curves_coverage_side_first():
@@ -258,10 +292,10 @@ def test_results_list_their_curves_coverage_side_first():
 
 
 def test_results_compare_and_hash_by_identity():
-    c = SinghCurve([0.1, 0.5])
-    band = SinghBand(c, SinghCurve([0.2, 0.6]))
+    c = ones([0.1, 0.5])
+    band = SinghBand(c, ones([0.2, 0.6]))
     assert c == c
-    assert c != SinghCurve([0.1, 0.5])
+    assert c != ones([0.1, 0.5])
     assert band == band
     assert hash(c) == hash(c)
     assert {c, band, c} == {c, band}
@@ -915,7 +949,7 @@ def test_count_curve_evaluates_as_its_expanded_column(spec, n, p, histogram, see
     target = TargetSpec.bernoulli(p) if spec.reads_count else TargetSpec.scaled_bernoulli(max(p, 0.1), 2.0)
     for curve in singh_curve(spec, target, n, m, SeededStream(seed)).curves:
         assert curve.counts is not None and (curve.required[1:] > curve.required[:-1]).all()
-        column = SinghCurve(expanded(curve))
+        column = ones(expanded(curve))
         alphas = np.concatenate((GRID, curve.required[np.isfinite(curve.required)]))
         assert eval_curve(curve, alphas).tobytes() == eval_curve(column, alphas).tobytes()
         assert (curve.m, curve.never_count) == (column.m, column.never_count)
@@ -1035,15 +1069,18 @@ def test_exact_chebyshev_case_study_step():
         StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.2, 2.0), 5
     )
     # every dataset with a success sits at required confidence 0; the
-    # all-zero dataset (mass 0.8^5) is never covered: one +inf atom
-    assert curve.never_count == 1
-    assert curve.m == 6
+    # all-zero dataset (mass 0.8^5) is never covered: one +inf atom, whose
+    # weight is the curve's never count, read directly
+    assert curve.m is None
+    assert curve.weights.size == 6
     (inf_idx,) = np.nonzero(np.isinf(curve.required))
     assert inf_idx.tolist() == [5]
     assert curve.weights[5] == pytest.approx(0.8**5, abs=1e-15)
+    assert curve.never_count == curve.weights[5] == 0.32768
+    assert type(curve.never_count) is float
     assert (curve.required[:5] == 0.0).all()
     assert eval_curve(curve, 0.95) == pytest.approx(1.0 - 0.8**5, abs=1e-12)
-    assert curve.never_fraction == pytest.approx(0.8**5, abs=1e-12)
+    assert curve.never_fraction == curve.never_count
 
 
 @pytest.mark.parametrize("theta0, endpoint", [(0.0, 0.0), (1.0, 1.0)])
@@ -1134,7 +1171,8 @@ def test_binomial_weights_match_scipy_up_to_a_million(n):
 
 def test_exact_runs_at_large_n():
     curve = exact_singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.3), 2000)
-    assert curve.m == 2001
+    assert curve.m is None
+    assert curve.weights.size == 2001
     assert curve.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -1145,7 +1183,8 @@ def test_exact_runs_at_the_largest_n():
     weights = _binomial_weights(n, p)
     assert np.abs(weights - stats.binom.pmf(np.arange(n + 1), n, p)).max() <= 1e-12
     curve = exact_singh_curve(StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(p, 2.0), n)
-    assert curve.m == n + 1
+    assert curve.m is None
+    assert curve.weights.size == n + 1
     assert np.array_equal(np.sort(curve.weights), np.sort(weights))
 
 
@@ -1247,13 +1286,14 @@ def test_classify_refuses_a_delta_outside_the_unit_interval(exact):
 def test_classify_exact_curve_uses_rounding_tolerance():
     # An exact curve has no sampling noise: exact Jeffreys at n = 30 dips
     # 0.071 below the diagonal, which a DKW tube with m = n + 1 atoms
-    # (epsilon 0.29) would have passed as favourable.
+    # (epsilon 0.29) would have passed as favourable. It has no m.
     curve = exact_singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.5), 30)
     report = classify(curve)
     assert report.classification == "overconfident"
     assert report.dkw_epsilon == EXACT_TOLERANCE
     assert report.max_deficit == pytest.approx(0.071, abs=0.001)
-    assert report.m == 31
+    assert report.m is None
+    assert curve.weights.size == 31
 
 
 def test_classify_exact_clopper_pearson_band_forgives_rounding_only():
