@@ -1,15 +1,18 @@
 """Special functions and seeded random streams.
 
-The regularized incomplete beta function and the Student-t CDF are
-computed with the standard continued-fraction expansion so results are
-identical on every platform and carry no heavyweight dependency. Both
-scalar functions check their arguments and then run one core,
-``_reg_inc_beta``, which holds the stated values, the front factor, the
-continued-fraction side and the clamp; the t CDF hands it the complement y
-that it forms directly. The Beta front factor x^a (1-x)^b / B(a, b) has
-one form, ``_ln_front``, for a float or an array of x, and
-``student_t_cdf_array`` runs the continued fraction of the t tail's shapes
-(nu/2, 1/2) on every element at once, so it equals ``student_t_cdf`` bit
+The regularized incomplete beta function is computed with the standard
+continued-fraction expansion so results are identical on every platform
+and carry no heavyweight dependency. The Student-t CDF has two forms: at
+integer degrees of freedom up to 100 a finite trigonometric sum near the
+centre and its positive complementary series in the tails
+(``_t_centre_tail``, ``_t_far_tail``), and at any other nu the incomplete
+beta. Both scalar functions check their arguments; the incomplete beta
+then runs one core, ``_reg_inc_beta``, which holds the stated values, the
+front factor, the continued-fraction side and the clamp, and the t CDF's
+second form hands it the complement y that it forms directly. The Beta
+front factor x^a (1-x)^b / B(a, b) has one form, ``_ln_front``, for a
+float or an array of x, and ``student_t_cdf_array`` runs either form of
+the t CDF on every element at once, so it equals ``student_t_cdf`` bit
 for bit; both form x = nu / (nu + t^2) and its complement directly.
 ``binomial_pmf`` forms binomial terms of real size and count, one row per
 probability, with the terms of the counts alone formed once per call and
@@ -582,17 +585,134 @@ def _beta_cf_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
     )
 
 
+# Largest degrees of freedom whose t CDF takes the finite sum. Against
+# mpmath the sum holds 1e-15 absolute and 1e-12 relative in the lower tail
+# up to nu = 125; its absolute error grows with nu (at most 8.1e-16 up to
+# 100, 1.0e-15 at 126), so 100 keeps a margin. The continued fraction
+# reads up to 5e-15 absolute over the same range.
+_T_SUM_MAX_NU = 100
+# The sum's centre, |t| <= 3: there the lower tail is at least P(Z < -3),
+# about 1.3e-3, at every nu, so forming it as (1 - A) / 2 keeps 1e-12
+# relative; beyond it c^2 < nu / (nu + 9) and the tail series is summed.
+_T_CENTRE_T2 = 9.0
+
+
+def _t_sums(nu: float) -> bool:
+    """True when the t CDF at ``nu`` degrees of freedom takes the finite sum."""
+    return nu <= _T_SUM_MAX_NU and float(nu).is_integer()
+
+
+def _t_ratio(j: int, nu: int) -> float:
+    # a_j / a_(j-1) of the series in c^2 below: (1/2)_j / j! for even nu,
+    # (2j)!! / (2j + 1)!! for odd.
+    odd = nu % 2
+    return (2 * j - 1 + odd) / (2 * j + odd)
+
+
+def _t_centre_tail(at, t2, nu: int, each=lambda fn, value: fn(value)):
+    """T(-|t|) by the finite sum at integer ``nu``, for 0 <= t^2 <= 9.
+
+    ``at`` is |t| and ``t2`` is t^2, floats or 1-D arrays (whose caller
+    passes ``each=_each``). With c^2 = nu / (nu + t^2), s = |t| / sqrt(nu +
+    t^2) and a_j the coefficients of ``_t_ratio``, the two-sided mass
+    A = P(|T| <= |t|) is s P for even nu and (2 / pi) (atan(|t| / sqrt(nu))
+    + s c P) for odd, P = sum_(j < nu // 2) a_j c^(2j) (Abramowitz & Stegun
+    26.7.3-4), and the tail is (1 - A) / 2. P is summed by Horner's rule;
+    only +, -, *, / and sqrt, plus one ``math.atan`` per element for odd
+    nu, so an array equals its floats bit for bit.
+    """
+    r2 = nu + t2
+    c2 = nu / r2
+    p = 0.0
+    for j in range(nu // 2, 0, -1):
+        p = 1.0 + c2 * _t_ratio(j, nu) * p
+    if nu % 2 == 0:
+        return 0.5 - 0.5 * (at / np.sqrt(r2) * p)
+    root = math.sqrt(nu)
+    return 0.5 - (each(math.atan, at / root) + at * root / r2 * p) / math.pi
+
+
+def _t_series(term: float, c2: float, nu: int) -> float:
+    # _t_far_tail's sum_(j >= nu // 2) a_j c^(2j), from its first term.
+    # Each term is its predecessor times c^2 a_j / a_(j-1) < 1, so the
+    # terms fall, and the sum stops at the first term that leaves it
+    # unchanged: every later one leaves it unchanged too, as rounding is
+    # monotone.
+    total, j = term, nu // 2
+    while True:
+        j += 1
+        term = term * (c2 * _t_ratio(j, nu))
+        new = total + term
+        if new == total:
+            return total
+        total = new
+
+
+def _t_series_array(term: np.ndarray, c2: np.ndarray, nu: int) -> np.ndarray:
+    """``_t_series`` at every lane, bit for bit.
+
+    A lane that leaves its sum unchanged keeps iterating unchanged, as
+    ``_t_series`` explains, until at least half of the live lanes are
+    unchanged; only then are they recorded and dropped, so N lanes are
+    re-indexed at most log2(N) + 1 times, and the slowest lanes do not
+    hold the rest: near |t| = 3 at nu = 100 a lane takes up to about 390
+    terms, where most lanes out to |t| = 60 take 16.
+    """
+    # At nu = 1 the first term is the float 1.
+    term = np.broadcast_to(term, c2.shape)
+    out = np.empty_like(c2)
+    lanes = np.arange(c2.size)
+    total, j = term, nu // 2
+    while lanes.size:
+        j += 1
+        term = term * (c2 * _t_ratio(j, nu))
+        new = total + term
+        done = new == total
+        total = new
+        if 2 * np.count_nonzero(done) >= lanes.size:
+            out[lanes[done]] = total[done]
+            keep = ~done
+            lanes, term, total, c2 = lanes[keep], term[keep], total[keep], c2[keep]
+    return out
+
+
+def _t_far_tail(at, t2, nu: int, series=_t_series):
+    """T(-|t|) by the tail series at integer ``nu``, for 9 < t^2 < inf.
+
+    The complement of ``_t_centre_tail``'s finite sum, whose terms are all
+    positive: since 1 = s sum_(j >= 0) a_j c^(2j) for even nu and
+    atan(sqrt(nu) / |t|) = s c sum_(j >= 0) a_j c^(2j) for odd, the tail is
+    s / 2 sum_(j >= nu // 2) a_j c^(2j), or s c / pi times the same sum.
+    ``at`` and ``t2`` are floats, summed by ``_t_series``, or 1-D arrays,
+    whose caller passes ``series=_t_series_array``.
+    """
+    r2 = nu + t2
+    c2 = nu / r2
+    term = 1.0
+    for j in range(1, nu // 2 + 1):
+        term = term * (c2 * _t_ratio(j, nu))
+    total = series(term, c2, nu)
+    if nu % 2 == 0:
+        return 0.5 * (at / np.sqrt(r2) * total)
+    return at * math.sqrt(nu) / r2 * total / math.pi
+
+
 def student_t_cdf(t: float, nu: float) -> float:
     """CDF of the Student-t distribution with ``nu`` degrees of freedom.
 
-    The lower tail at -|t| is I_x(nu/2, 1/2) / 2 with x = nu / (nu + t^2),
-    and its complement y = t^2 / (nu + t^2) is formed directly too, as
-    BRATIO pairs x and y (DiDonato & Morris 1992, ACM TOMS 708): a tail on
-    the small-x side is read as I_x(nu/2, 1/2), any other as
-    1 - I_y(1/2, nu/2), so 1 - x is never formed by subtraction and t near
-    0, where x rounds to 1, keeps its y. The incomplete beta is
-    ``reg_inc_beta``'s scalar core, ``_reg_inc_beta``, handed that y. The
-    two tails share one evaluation, so T(t) + T(-t) = 1 exactly.
+    The lower tail T(-|t|) has two forms. At integer nu up to
+    ``_T_SUM_MAX_NU`` (100) it is a finite trigonometric sum in
+    c^2 = nu / (nu + t^2): for |t| <= 3 the closed form of ``_t_centre_tail``
+    and beyond it the positive tail series of ``_t_far_tail``. At any other
+    nu it is I_x(nu/2, 1/2) / 2 with x = nu / (nu + t^2), and its complement
+    y = t^2 / (nu + t^2) is formed directly too, as BRATIO pairs x and y
+    (DiDonato & Morris 1992, ACM TOMS 708): a tail on the small-x side is
+    read as I_x(nu/2, 1/2), any other as 1 - I_y(1/2, nu/2), so 1 - x is
+    never formed by subtraction and t near 0, where x rounds to 1, keeps
+    its y. The incomplete beta is ``reg_inc_beta``'s scalar core,
+    ``_reg_inc_beta``, handed that y. Either way x = 0 (|t| > 1.3e154, where
+    t^2 overflows) gives no tail, and the two tails share one evaluation,
+    so T(t) + T(-t) = 1 exactly.
     """
     if not 0.0 < nu < math.inf:
         raise DomainError("degrees of freedom must be positive and finite")
@@ -600,18 +720,28 @@ def student_t_cdf(t: float, nu: float) -> float:
         return 0.5
     t2 = t * t
     x = _check_prob(nu / (nu + t2), "x")
-    # t^2 = inf makes y NaN; x is 0 there, which decides before y is read.
-    tail = 0.5 * _reg_inc_beta(x, 0.5 * nu, 0.5, t2 / (nu + t2))
+    if not _t_sums(nu):
+        # t^2 = inf makes y NaN; x is 0 there, which decides before y is read.
+        tail = 0.5 * _reg_inc_beta(x, 0.5 * nu, 0.5, t2 / (nu + t2))
+    elif x == 0.0:
+        tail = 0.0
+    elif t2 <= _T_CENTRE_T2:
+        tail = float(_t_centre_tail(abs(t), t2, int(nu)))
+    else:
+        tail = float(_t_far_tail(abs(t), t2, int(nu)))
     return tail if t < 0.0 else 1.0 - tail
 
 
 def student_t_cdf_array(t, nu: float) -> np.ndarray:
     """``student_t_cdf`` at each element of ``t``, bit for bit.
 
-    The package's one array incomplete beta, in the scalar's x/y pairing:
-    every lane's tail is I_x(nu/2, 1/2) or 1 - I_y(1/2, nu/2), so the
-    shapes are two floats, the front factor's shape terms are formed once,
-    and the continued fraction runs on all lanes at once. A NaN ``t``, or a
+    At integer nu up to ``_T_SUM_MAX_NU`` every lane with |t| <= 3 takes
+    the finite sum and every other lane with a finite t^2 the tail series,
+    each for all its lanes at once. At any other nu this is the package's
+    one array incomplete beta, in the scalar's x/y pairing: every lane's
+    tail is I_x(nu/2, 1/2) or 1 - I_y(1/2, nu/2), so the shapes are two
+    floats, the front factor's shape terms are formed once, and the
+    continued fraction runs on all lanes at once. A NaN ``t``, or a
     continued fraction that does not converge, raises DomainError for the
     whole call.
     """
@@ -627,11 +757,26 @@ def student_t_cdf_array(t, nu: float) -> np.ndarray:
     inside = (x >= 0.0) & (x <= 1.0)
     if not inside.all():
         raise DomainError(f"x must lie in [0, 1], got {float(x[~inside][0])!r}")
+    if _t_sums(nu):
+        tail = np.zeros_like(t)
+        at, k = np.abs(t), int(nu)
+        centre = t2 <= _T_CENTRE_T2
+        far = ~centre & (x > 0.0)
+        tail[centre] = _t_centre_tail(at[centre], t2[centre], k, _each)
+        tail[far] = _t_far_tail(at[far], t2[far], k, _t_series_array)
+    else:
+        tail = 0.5 * _t_beta_array(x, y, nu)
+    return np.where(t == 0.0, 0.5, np.where(t < 0.0, tail, 1.0 - tail))
+
+
+def _t_beta_array(x: np.ndarray, y: np.ndarray, nu: float) -> np.ndarray:
+    # I_x(nu/2, 1/2) at each lane of x in [0, 1], with y = 1 - x as formed:
+    # the scalar _reg_inc_beta's steps, one continued fraction per side.
     a, b = 0.5 * nu, 0.5
     # The scalar's stated values, in its order of precedence: no tail (x =
-    # 0), no t^2 (y = 0), and the exact median of the symmetric Beta(1/2,
-    # 1/2) at t = +-1, nu = 1.
-    beta = np.select([x == 0.0, y == 0.0, (x == 0.5) & (a == b)], [0.0, 1.0, 0.5], np.nan)
+    # 0) and no t^2 (y = 0). Its third, the median of the symmetric Beta(a,
+    # a), needs nu = 1, which takes the sum.
+    beta = np.select([x == 0.0, y == 0.0], [0.0, 1.0], np.nan)
     live = np.isnan(beta)
     xs, ys = x[live], y[live]
     front = _each(math.exp, _ln_front(xs, a, b, _each, ys))
@@ -646,5 +791,4 @@ def student_t_cdf_array(t, nu: float) -> np.ndarray:
         v = 1.0 - front[high] * _beta_cf_array(ys[high], b, a) / b
         values[high] = np.where(v > 0.0, v, 0.0)
     beta[live] = values
-    tail = 0.5 * beta
-    return np.where(t == 0.0, 0.5, np.where(t < 0.0, tail, 1.0 - tail))
+    return beta

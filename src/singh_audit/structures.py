@@ -22,7 +22,8 @@ truth, whose terms come from one ``binomial_pmf`` call and whose sums run
 along the rows, so each row holds the bits its truth gives alone.
 
 - ``student_t_pivot``: T((mu - mean) / (sd / sqrt(n)); n - 1), exactly
-  uniform at the true normal mean.
+  uniform at the true normal mean; for n up to 101 the t CDF is its finite
+  sum at the integer n - 1, beyond that the incomplete beta.
 - ``jeffreys``: the Beta(k + 1/2, n - k + 1/2) posterior CDF at theta.
 - ``clopper_pearson`` and ``scaled_cbox``: the Beta(k + c, n - k) and
   Beta(k, n - k + c) CDFs at theta (c = 1 is Clopper-Pearson; smaller c

@@ -198,10 +198,11 @@ def _assert_csv_matches_result(path, result) -> None:
 # artifacts_digest). A change to any CSV, JSON or SVG byte shows here.
 # fig2, fig3 and fig5..fig9 are pinned under stream layout v4, whose count
 # runs draw one histogram per block; fig1 under v5, whose normal moment
-# runs draw each replicate's mean and sd; fig4 draws rows, as v3 did. The
+# runs draw each replicate's mean and sd, with the t CDF's finite sum at
+# nu = 9; fig4 draws rows, as v3 did. The
 # SVG staircases take one step per half-pixel column.
 PRESET_DIGESTS = {
-    "fig1": "98b59769177c296e5238b99e81adbbb94215d99e3558065a028537e03e4dfaea",
+    "fig1": "37d33d5844be945d960763c6491358839e7740390a6090d4e221c10e2862432e",
     "fig2": "c8d1e7eb3fb954070e4ca64d3bc33d98d6126e5b0b9f80be1681512b403565ba",
     "fig3": "f792d66779b8888903222378a33801dabb72cef47d8aff5eaef380509c5174e6",
     "fig4": "248bb58590b475dc539452150402e8af75de61f0c71f4b27322a7307150c1328",

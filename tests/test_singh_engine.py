@@ -522,7 +522,7 @@ def _required_digest(result) -> str:
 
 # fig1's t pivot and Chebyshev on fig1's target at n = 30, at m = BLOCK + 5
 # under stream layout v5.
-FIG1_DIGEST = "eb2f3c0950f73e45a9c0c381caa9a86757380c6a51eca0f8ac148505196422c7"
+FIG1_DIGEST = "46ce0a6c317173f2a6fe15139f43dfdec78fb5c1575e67d1d1e6ee95917b9ac6"
 CHEBYSHEV_NORMAL_DIGEST = "de4e05d7924243fc320a350d3de24ed1167e631d45351a7c72bc9f13cbe205a9"
 
 
@@ -544,8 +544,8 @@ def test_required_values_are_frozen(structure, target, n, seed, expected):
     # sha256 of the float64 bytes of the expanded `required` (lower then
     # upper curve for a band) at m = BLOCK + 5. fig1 and Chebyshev are
     # pinned under stream layout v5, which draws each replicate's mean and
-    # sd, and the t CDF that forms t^2 / (nu + t^2) directly; fig4 is
-    # pinned under v3. The tests above rebuild all three from numpy alone.
+    # sd, and fig1 by the t CDF's finite sum at nu = 9; fig4 is pinned
+    # under v3. The tests above rebuild all three from numpy alone.
     # Any change to a kernel's bits, the draws or the layout shows here.
     result = singh_curve(structure, target, n, BLOCK + 5, SeededStream(seed))
     assert _required_digest(result) == expected

@@ -1,6 +1,7 @@
 import decimal
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from scipy import special as sp
 from scipy import stats
 
 from singh_audit.special_math import (
+    _T_SUM_MAX_NU,
     DomainError,
     SeededStream,
     _beta_cf_array,
@@ -175,11 +177,13 @@ BETA_BITS = [
     (_ONE_BELOW_1, 9000.5, 1000.5, "0x1.0000000000000p+0"),
 ]
 
-# float.hex of T(t) for nu degrees of freedom; the front factor reads the
+# float.hex of T(t) for nu degrees of freedom. At integer nu up to 100 the
+# finite sum gives T (checked against mpmath: at most 77 ulps, 8.8e-15
+# relative, at t = -2.5, nu = 61); elsewhere the front factor reads the
 # complement y = t^2 / (nu + t^2) as formed, not 1 - x.
 T_BITS = [
     # Stated values: t = 0; x = 0 at t = +-inf and at |t| > 1.3e154, where
-    # y is NaN; y = 0 where t^2 underflows; the median at t = +-1, nu = 1.
+    # y is NaN; y = 0 where t^2 underflows; T(+-1) = 3/4 and 1/4 at nu = 1.
     (0.0, 3.0, "0x1.0000000000000p-1"),
     (-0.0, 3.0, "0x1.0000000000000p-1"),
     (math.inf, 3.0, "0x1.0000000000000p+0"),
@@ -189,18 +193,28 @@ T_BITS = [
     (1e-200, 3.0, "0x1.0000000000000p-1"),
     (1.0, 1.0, "0x1.8000000000000p-1"),
     (-1.0, 1.0, "0x1.0000000000000p-2"),
-    # Small shapes, three lgammas; both sides, and x rounded to 1 with y
-    # still positive.
-    (-3.0, 3.0, "0x1.d86c6b37d8214p-6"),
-    (0.4, 3.0, "0x1.48b879479f943p-1"),
-    (2.0, 1.0, "0x1.b46feb898833fp-1"),
-    (-0.2, 1.5, "0x1.bafaaa64a87bcp-2"),
+    # The finite sum's centre, |t| <= 3, odd and even nu.
+    (-3.0, 3.0, "0x1.d86c6b37d81f0p-6"),
+    (0.4, 3.0, "0x1.48b879479f944p-1"),
+    (2.0, 1.0, "0x1.b46feb898833ep-1"),
     (-1e-8, 3.0, "0x1.ffffffc0daddap-2"),
     (1e-8, 3.0, "0x1.0000001f92913p-1"),
     (-1e-160, 3.0, "0x1.0000000000000p-1"),
-    # One small shape: Stirling; both sides.
-    (-2.5, 61.0, "0x1.ef95c90a1d35bp-8"),
+    (-2.5, 61.0, "0x1.ef95c90a1d300p-8"),
     (0.05, 61.0, "0x1.0a2ab68b38ba0p-1"),
+    # Its tail series, |t| > 3.
+    (math.nextafter(-3.0, -4.0), 3.0, "0x1.d86c6b37d8209p-6"),
+    (-10.0, 1.0, "0x1.03e53b7a03527p-5"),
+    (-4.0, 9.0, "0x1.97b0a7bd440bfp-10"),
+    (-1e150, 2.0, "0x1.56e1fc2f8f359p-998"),
+    (-50.0, 100.0, "0x1.474c1a7949940p-240"),
+    # The continued fraction. Small shapes, three lgammas; both sides.
+    (-0.2, 1.5, "0x1.bafaaa64a87bcp-2"),
+    (-3.5, 3.5, "0x1.fa3864a7c987ap-7"),
+    (0.4, 3.5, "0x1.49a3c3dacc05ap-1"),
+    # One small shape: Stirling; both sides.
+    (-2.5, 61.5, "0x1.eed6c07b92fe1p-8"),
+    (0.05, 61.5, "0x1.0a2accc7761d8p-1"),
     (1e-9, 20001.0, "0x1.000000036d45cp-1"),
     (-4.0, 20001.0, "0x1.0aa20fe40e1dap-15"),
 ]
@@ -223,13 +237,15 @@ def _bits(values) -> list[int]:
 # Degrees of freedom on both sides of the shape swap (nu <= 1 puts
 # a = nu/2 at or below b = 1/2) and of the front factor's Stirling
 # threshold a = 20, up to the t pivot's limit nu = 20,000, plus the shapes
-# (nu/2, 1/2) once held to the scalar incomplete beta directly.
+# (nu/2, 1/2) once held to the scalar incomplete beta directly. Integers on
+# both sides of the finite sum's last nu, 100, and near-integers, which
+# take the continued fraction.
 T_NUS = st.one_of(
     st.floats(min_value=1e-3, max_value=1.0),
     st.floats(min_value=1.0, max_value=39.99),
     st.floats(min_value=40.0, max_value=20_000.0),
     st.integers(min_value=1, max_value=200),
-    st.sampled_from([1, 9, 40, 39999]),
+    st.sampled_from([1, 9, 40, 99, 100, 101, 39999, 9.0 - 1e-9, 9.0 + 1e-9]),
 )
 # Bulk values run both sides of the continued fraction; the wide range
 # holds squares that overflow to inf (|t| > 1.3e154) or underflow to 0.
@@ -240,16 +256,22 @@ T_VALUES = st.one_of(
 )
 
 
-@example(ts=[1.0, -1.0, 0.5, 3.0], nu=1)  # the exact median at t = +-1
+@example(ts=[1.0, -1.0, 0.5, 3.0], nu=1)  # T(+-1) = 3/4 and 1/4
 @example(ts=[0.5, -0.5, 30.0, -30.0], nu=0.5)  # a < b, both branches
-@example(ts=[0.5, -0.5, 30.0, -30.0], nu=9.0)  # a > b, both branches
+@example(ts=[0.5, -0.5, 30.0, -30.0], nu=9.5)  # a > b, both branches
 @example(ts=[0.5, -0.5, 3.0, -3.0], nu=19_999.0)  # Stirling front factor
 @example(ts=[0.0, 1e-200, 1e200, -1e200, math.inf, -math.inf], nu=40.0)
-# 4,001 lanes that converge over 9 to 26 iterations: the finished lanes are
-# compacted away 6 to 8 times within one continued fraction.
-@example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=1)
+@example(ts=[0.0, 1e-200, 1e200, -1e200, math.inf, -math.inf], nu=40.5)
+# 4,001 lanes at a non-integer nu, which converge over 9 to 28 iterations:
+# the finished lanes are compacted away 3 to 9 times within one continued
+# fraction. At an integer nu the same lanes take the sum's centre and its
+# tail series, whose finished lanes are dropped too (at nu = 100 they need
+# 11 to 390 terms).
+@example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=1.5)
+@example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=9.5)
+@example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=30.5)
 @example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=9)
-@example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=30)
+@example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=100)
 @given(ts=st.lists(T_VALUES, min_size=1, max_size=30), nu=T_NUS)
 @settings(max_examples=300, deadline=None)
 def test_t_cdf_array_equals_scalar_bit_for_bit(ts, nu):
@@ -445,20 +467,85 @@ def test_beta_array_refuses_an_unconverged_lane():
             _beta_cf_array(np.array(lanes), 1e6, 4e6)
 
 
-def test_t_cdf_array_refuses_nan_t():
+@pytest.mark.parametrize("nu", [3.0, 3.5])
+def test_t_cdf_array_refuses_nan_t(nu):
+    # On the finite sum (nu = 3) and the continued fraction (nu = 3.5).
     with pytest.raises(DomainError, match="x must lie in"):
-        student_t_cdf_array([0.5, math.nan], 3.0)
+        student_t_cdf_array([0.5, math.nan], nu)
     with pytest.raises(DomainError):
-        student_t_cdf(math.nan, 3.0)
+        student_t_cdf(math.nan, nu)
 
 
 # --- Student-t CDF ---
 
 
+def _t_tail_mpmath(t: float, nu: float) -> mpmath.mpf:
+    """T(-|t|) to 30 digits: I_x(nu/2, 1/2) / 2 at the exact x = nu / (nu + t^2)."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(nu) / (nu + mpmath.mpf(t) ** 2)
+        return mpmath.betainc(mpmath.mpf(nu) / 2, 0.5, 0, x, regularized=True) / 2
+
+
 def test_t_cdf_matches_reference():
+    # nu = 1 is the Cauchy CDF 1/2 + atan(t) / pi: scipy's stdtr is off by
+    # up to 8e-11 near t = 0 there. Other integer nu take mpmath.
     for nu in (1.0, 2.0, 5.0, 10.5, 50.0, 200.0, 2000.0):
-        for t in np.linspace(-8.0, 8.0, 33):
-            assert abs(student_t_cdf(float(t), nu) - stats.t.cdf(t, nu)) <= 1e-12
+        for t in np.linspace(-8.0, 8.0, 33).tolist():
+            if nu == 1.0:
+                with mpmath.workdps(30):
+                    exact = float(0.5 + mpmath.atan(t) / mpmath.pi)
+            elif nu == 10.5:
+                exact = stats.t.cdf(t, nu)
+            else:
+                tail = _t_tail_mpmath(t, nu)
+                exact = float(tail if t < 0.0 else 1 - tail)
+            assert abs(student_t_cdf(t, nu) - exact) <= 1e-12
+
+
+# Every nu of the finite sum, and the first of the continued fraction.
+SUM_NUS = range(1, _T_SUM_MAX_NU + 2)
+
+
+@pytest.mark.parametrize("nu", SUM_NUS)
+def test_t_cdf_sum_matches_mpmath(nu):
+    # Through the body, on both sides of the centre's edge |t| = 3, and out
+    # along the tail series to where the tail reaches 1e-300 or t^2
+    # overflows. The sum reads at most 4.1e-16 absolute here (8.1e-16 on a
+    # grid of 700 points in (0, 10], up to nu = 100). The continued
+    # fraction at nu = 101 reads 7.8e-16 here, but 2.5e-15 on that grid.
+    body = np.linspace(0.0, 10.0, 41)[1:].tolist() + [math.nextafter(3.0, 0.0), math.nextafter(3.0, 4.0)]
+    ts = body + np.geomspace(3.5, 1.3e154, 60).tolist()
+    lower = student_t_cdf_array([-t for t in ts], nu)
+    upper = student_t_cdf_array(ts, nu)
+    assert _bits(lower) == _bits([student_t_cdf(-t, nu) for t in ts])
+    for t, low, high in zip(ts, lower.tolist(), upper.tolist()):
+        tail = _t_tail_mpmath(t, nu)
+        assert abs(low - tail) <= 1e-15 and abs(high - (1 - tail)) <= 1e-15, t
+        if tail < 1e-300:
+            break
+        assert abs(low - tail) <= 1e-12 * tail, t
+
+
+@pytest.mark.parametrize("nu", SUM_NUS)
+def test_t_cdf_sum_is_a_cdf(nu):
+    # On a dense grid over [-60, 60]: values in [0, 1], never decreasing,
+    # and T(t) + T(-t) = 1 exactly.
+    half = np.linspace(0.0, 60.0, 6001)
+    ts = np.concatenate((-half[::-1], half[1:]))
+    values = student_t_cdf_array(ts, nu)
+    assert ((values >= 0.0) & (values <= 1.0)).all()
+    assert (np.diff(values) >= 0.0).all()
+    assert (values + values[::-1] == 1.0).all()
+    # The stated values, with no floating-point warning where t^2
+    # overflows (|t| > 1.3e154).
+    stated = [0.0, -0.0, math.inf, -math.inf, 1.5e154, -1.5e154, 1e300, -1e300]
+    expected = [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+    assert _bits(student_t_cdf_array(stated, nu)) == _bits(expected)
+    assert _bits([student_t_cdf(t, nu) for t in stated]) == _bits(expected)
+    if nu == 1:
+        assert _bits(student_t_cdf_array([1.0, -1.0], nu)) == _bits([0.75, 0.25])
+    with pytest.raises(DomainError, match="x must lie in"):
+        student_t_cdf_array([1.0, math.nan], nu)
 
 
 NEAR_ZERO_T = [5e-324, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 1e3, 1e8]
