@@ -649,31 +649,18 @@ def _t_series(term: float, c2: float, nu: int) -> float:
 
 
 def _t_series_array(term: np.ndarray, c2: np.ndarray, nu: int) -> np.ndarray:
-    """``_t_series`` at every lane, bit for bit.
-
-    A lane that leaves its sum unchanged keeps iterating unchanged, as
-    ``_t_series`` explains, until at least half of the live lanes are
-    unchanged; only then are they recorded and dropped, so N lanes are
-    re-indexed at most log2(N) + 1 times, and the slowest lanes do not
-    hold the rest: near |t| = 3 at nu = 100 a lane takes up to about 390
-    terms, where most lanes out to |t| = 60 take 16.
-    """
-    # At nu = 1 the first term is the float 1.
-    term = np.broadcast_to(term, c2.shape)
-    out = np.empty_like(c2)
-    lanes = np.arange(c2.size)
-    total, j = term, nu // 2
-    while lanes.size:
+    # _t_series at every lane, bit for bit: a lane that leaves its sum
+    # unchanged keeps it unchanged, as _t_series explains, so every lane
+    # iterates until the last one stops. At nu = 1 the first term is the
+    # float 1.
+    total, j = np.broadcast_to(term, c2.shape), nu // 2
+    while True:
         j += 1
         term = term * (c2 * _t_ratio(j, nu))
         new = total + term
-        done = new == total
+        if (new == total).all():
+            return total
         total = new
-        if 2 * np.count_nonzero(done) >= lanes.size:
-            out[lanes[done]] = total[done]
-            keep = ~done
-            lanes, term, total, c2 = lanes[keep], term[keep], total[keep], c2[keep]
-    return out
 
 
 def _t_far_tail(at, t2, nu: int, series=_t_series):
@@ -685,6 +672,13 @@ def _t_far_tail(at, t2, nu: int, series=_t_series):
     s / 2 sum_(j >= nu // 2) a_j c^(2j), or s c / pi times the same sum.
     ``at`` and ``t2`` are floats, summed by ``_t_series``, or 1-D arrays,
     whose caller passes ``series=_t_series_array``.
+
+    The series is capped at the centre's tail at its edge |t| = 3, so T
+    never steps down across the switch: there (1 - A) / 2 is off by up to
+    931 ulps of the tail (at nu = 67; A's rounding), where the series just
+    past the edge is within a few, and uncapped the tail rose from |t| = 3
+    to its next float at 45 of the 100 nu. The cap holds at most 82 floats
+    past the edge (at nu = 100).
     """
     r2 = nu + t2
     c2 = nu / r2
@@ -693,8 +687,10 @@ def _t_far_tail(at, t2, nu: int, series=_t_series):
         term = term * (c2 * _t_ratio(j, nu))
     total = series(term, c2, nu)
     if nu % 2 == 0:
-        return 0.5 * (at / np.sqrt(r2) * total)
-    return at * math.sqrt(nu) / r2 * total / math.pi
+        tail = 0.5 * (at / np.sqrt(r2) * total)
+    else:
+        tail = at * math.sqrt(nu) / r2 * total / math.pi
+    return np.minimum(tail, _t_centre_tail(math.sqrt(_T_CENTRE_T2), _T_CENTRE_T2, nu))
 
 
 def student_t_cdf(t: float, nu: float) -> float:
