@@ -213,28 +213,43 @@ class TargetSpec:
         below u, counted in K - 1 comparison passes over the block, O(K) per
         draw but no binary search of unsorted keys (16 times cheaper at K = 2).
         A single component draws no picks.
+
+        Each block is built in the buffer it was drawn into: a normal is
+        scaled and shifted where it lies, a count-family row is written over
+        its uniform, and a mixture's uniforms are released once its picks
+        are formed, so at most three block-sized arrays are live (picks,
+        normals and one gathered component parameter). IEEE multiplication
+        and addition are commutative, so ``z *= sigma; z += mu`` has the
+        bits of ``mu + sigma * z`` and ``u *= v`` on u's 0/1 those of ``v *
+        (u < p)``: no draw moves.
         """
         size = rows * count
+        if self.family in COUNT_FAMILIES:
+            x = rng.random(size)
+            np.less(x, self.p, out=x)
+            x *= _success_value(self)
+            return x.reshape(rows, count)
         if self.family == "normal":
             # Location-scale on standard normals keeps (mu=4, sigma=3) an
             # exact affine image of (mu=0, sigma=1) under the same generator.
-            x = self.mu + self.sigma * rng.standard_normal(size)
-        elif self.family in COUNT_FAMILIES:
-            x = _success_value(self) * (rng.random(size) < self.p)
-        else:
-            cdf, mus, sigmas = self._mixture
-            normals = rng if normals is None else normals
-            if cdf.size == 1:
-                # A single component draws no picks, only normals.
-                x = mus[0] + sigmas[0] * normals.standard_normal(size)
-            else:
-                # The inverse-CDF lookup of rng.choice(size, p=weights),
-                # without its per-call validation of the weights.
-                u = rng.random(size)
-                pick = (u >= cdf[0]).astype(np.intp)
-                for edge in cdf[1:-1]:
-                    pick += u >= edge
-                x = mus[pick] + sigmas[pick] * normals.standard_normal(size)
+            x = rng.standard_normal(size)
+            x *= self.sigma
+            x += self.mu
+            return x.reshape(rows, count)
+        cdf, mus, sigmas = self._mixture
+        normals = rng if normals is None else normals
+        pick = 0
+        if cdf.size > 1:
+            # The inverse-CDF lookup of rng.choice(size, p=weights), without
+            # its per-call validation of the weights.
+            u = rng.random(size)
+            pick = (u >= cdf[0]).astype(np.intp)
+            for edge in cdf[1:-1]:
+                pick += u >= edge
+            del u
+        x = normals.standard_normal(size)
+        x *= sigmas.take(pick)
+        x += mus.take(pick)
         return x.reshape(rows, count)
 
     def draw_moments(self, rng: np.random.Generator, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -600,7 +615,8 @@ def _drawn_row_values(
     ``evaluate_structure``'s bounds for the predictive band, which are rank
     counts per element. Chunking changes neither the draws nor the values,
     only memory. A moment kind's bounds are evaluated once over all m
-    replicates, so the t pivot runs one continued fraction per run.
+    replicates, so the t pivot runs one continued fraction per run. The
+    columns are this call's own, so they are sorted in place.
     """
     predictive = structure.reads_next_draw
     moments = target.family == "normal" and not predictive
@@ -628,7 +644,10 @@ def _drawn_row_values(
                 first[i:i + rows], second[i:i + rows] = row_moments(x)
     if not predictive:
         first, second = moment_bounds(structure, target.theta0, n, first, second)
-    return [np.sort(v) for v in (first, second)[:_columns(structure)]]
+    columns = [first, second][:_columns(structure)]
+    for column in columns:
+        column.sort()
+    return columns
 
 
 def singh_curve(structure: StructureSpec, target: TargetSpec, n: int, m: int, stream: SeededStream):

@@ -744,12 +744,9 @@ def student_t_cdf_array(t, nu: float) -> np.ndarray:
     if not 0.0 < nu < math.inf:
         raise DomainError("degrees of freedom must be positive and finite")
     t = np.asarray(t, dtype=np.float64)
-    # t^2 = inf (|t| > 1.3e154) makes y NaN; x is 0 there, a lane whose
-    # value is stated below, so no continued fraction reads that y.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         t2 = t * t
         x = nu / (nu + t2)
-        y = t2 / (nu + t2)
     inside = (x >= 0.0) & (x <= 1.0)
     if not inside.all():
         raise DomainError(f"x must lie in [0, 1], got {float(x[~inside][0])!r}")
@@ -761,6 +758,11 @@ def student_t_cdf_array(t, nu: float) -> np.ndarray:
         tail[centre] = _t_centre_tail(at[centre], t2[centre], k, _each)
         tail[far] = _t_far_tail(at[far], t2[far], k, _t_series_array)
     else:
+        # Only the incomplete beta reads the complement y. t^2 = inf (|t| >
+        # 1.3e154) makes it NaN; x is 0 there, a lane whose value is stated
+        # in _t_beta_array, so no continued fraction reads that y.
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = t2 / (nu + t2)
         tail = 0.5 * _t_beta_array(x, y, nu)
     return np.where(t == 0.0, 0.5, np.where(t < 0.0, tail, 1.0 - tail))
 

@@ -314,9 +314,11 @@ def evaluate_structure(spec: StructureSpec, truth, samples) -> tuple[np.ndarray,
             raise DomainError(f"{spec.kind} requires binary {{0,1}} data")
         return evaluate_counts(spec, truth, n, np.rint(x.sum(axis=1)))
     if spec.reads_next_draw:
+        # Each bound's rank counts take one einsum pass over the rows, not a
+        # sum of short rows; the counts are integers, so no bound moves.
         x_next = np.asarray(truth, dtype=np.float64)[..., None]
-        below = (x <= x_next).sum(axis=1) / (n + 1)
-        above = (n + 1 - (x >= x_next).sum(axis=1)) / (n + 1)
+        below = np.einsum("ij->i", x <= x_next, dtype=np.intp) / (n + 1)
+        above = (n + 1 - np.einsum("ij->i", x >= x_next, dtype=np.intp)) / (n + 1)
         return np.minimum(below, above), np.maximum(below, above)
     # A moment kind.
     return moment_bounds(spec, truth, n, *row_moments(x))

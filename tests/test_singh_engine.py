@@ -25,6 +25,7 @@ from singh_audit.singh_engine import (
     _atom_columns,
     _binomial_weights,
     _fold,
+    _success_value,
     classify,
     dkw_epsilon,
     eval_curve,
@@ -158,6 +159,46 @@ def test_scaled_bernoulli_draw_support_and_mean():
     assert set(np.unique(x)) <= {0.0, target / p}
     se = target * math.sqrt((1 - p) / p) / math.sqrt(x.size)
     assert abs(x.mean() - target) < 5 * se
+
+
+@pytest.mark.parametrize("target", [TargetSpec.bernoulli(0.3), TargetSpec.scaled_bernoulli(0.2, 2.0)])
+def test_count_family_rows_are_the_success_value_times_the_uniform_test(target):
+    # Rows are written over their uniforms, bit for bit value * (u < p).
+    x = draw(target, 12, 64, rows=3)
+    u = SeededStream(12).generator().random(3 * 64)
+    assert x.tobytes() == (_success_value(target) * (u < target.p)).reshape(3, 64).tobytes()
+
+
+# fig4's chunk: CHUNK_ELEMENTS // 11 = 2,978 rows of n + 1 = 11 draws.
+CHUNK_ROWS, CHUNK_WIDTH = CHUNK_ELEMENTS // 11, 11
+
+
+@pytest.mark.parametrize(
+    "target, arrays",
+    [
+        (TargetSpec.normal(4.0, 3.0), 1.0),
+        (TargetSpec.bernoulli(0.3), 1.2),
+        (TargetSpec.scaled_bernoulli(0.2, 2.0), 1.2),
+        (MIXTURE, 3.0),
+        (TargetSpec.mixture([0.25, 0.0, 0.75], [-2.0, 0.0, 3.0], [1.0, 5.0, 0.5]), 3.0),
+    ],
+    ids=["normal", "bernoulli", "scaled_bernoulli", "mixture", "mixture_zero_weight"],
+)
+def test_draw_peak_in_block_sized_arrays(target, arrays):
+    # A block is built in the buffer it was drawn into: a mixture holds its
+    # picks, its normals and one gathered component parameter at most, a
+    # normal only its normals, a count family its uniforms and the cast
+    # buffers of the test written over them. 4 KB covers the array headers.
+    block = CHUNK_ROWS * CHUNK_WIDTH * 8
+    rng, normals = SeededStream(13).generator(), SeededStream(13).generator(child=0)
+    target.draw(rng, CHUNK_ROWS, CHUNK_WIDTH, normals)
+    tracemalloc.start()
+    try:
+        target.draw(rng, CHUNK_ROWS, CHUNK_WIDTH, normals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * block + 4096
 
 
 def test_single_component_mixture_draw_matches_normal():
@@ -502,6 +543,40 @@ def test_mixture_predictive_replicates_replay_rows_across_chunks():
     assert all(curve.counts is not None for curve in band.curves)
     assert np.array_equal(expanded(band.lower_curve), lowers)
     assert np.array_equal(expanded(band.upper_curve), uppers)
+
+
+@pytest.mark.parametrize("n, m", [(1, BLOCK + 2), (10, BLOCK + 2), (1000, 40)])
+def test_band_rank_counts_equal_a_per_row_count_on_tied_data(n, m):
+    # Bernoulli rows are all ties. Each run crosses a chunk boundary: at
+    # n = 1 the block's, at n = 10 and 1000 one inside the first block.
+    assert min(BLOCK, CHUNK_ELEMENTS // (n + 1)) < m
+    target = TargetSpec.bernoulli(0.4)
+    band = singh_curve(StructureSpec("empirical_predictive"), target, n, m, SeededStream(41))
+    lowers, uppers = [], []
+    for b, start in enumerate(range(0, m, BLOCK)):
+        rows = target.draw(SeededStream(41).substream(b).generator(), min(BLOCK, m - start), n + 1)
+        for *data, x_next in rows.tolist():
+            below = sum(v <= x_next for v in data) / (n + 1)
+            above = (n + 1 - sum(v >= x_next for v in data)) / (n + 1)
+            lowers.append(min(below, above))
+            uppers.append(max(below, above))
+    assert expanded(band.lower_curve).tobytes() == np.sort(lowers).tobytes()
+    assert expanded(band.upper_curve).tobytes() == np.sort(uppers).tobytes()
+
+
+def test_fig4_sized_band_peak():
+    # fig4's run (n = 10, m = 10^4) holds at most three chunk-sized arrays
+    # while it draws, beside its two columns of m bounds, sorted in place.
+    # A first run loads what numpy loads lazily, outside the trace.
+    band = StructureSpec("empirical_predictive")
+    singh_curve(band, MIXTURE, 10, 100, SeededStream(104))
+    tracemalloc.start()
+    try:
+        singh_curve(band, MIXTURE, 10, 10_000, SeededStream(104))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_100_000
 
 
 # fig4's band at m = BLOCK + 5 under stream layout v3.
