@@ -2,12 +2,13 @@
 
 Run from the repository root:
 
-    python3 scripts/bench.py --out BENCH_<pr>.json [--against OTHER_CHECKOUT]
+    python3 scripts/bench.py --out BENCH_<pr>.json [--against OTHER_CHECKOUT] [--seed N]
 
 Each repeat runs, in a fresh process per step:
 
-- ``perfbench/run.py --trace 0`` for every workload, whose result is read
-  from ``.perfbench_out/result-*.json`` in the checkout;
+- ``perfbench/run.py --trace 0`` for every workload at the workload seed
+  ``--seed`` (5 by default), whose result is read from
+  ``.perfbench_out/result-*.json`` in the checkout;
 - ``scripts/run_all_presets.py`` at its full replicate budget, timed on the
   wall clock;
 - the Tier-1 suite (``python -m pytest -q --continue-on-collection-errors``),
@@ -60,11 +61,11 @@ def _run(checkout: Path, args: list[str]) -> tuple[float, str]:
     return elapsed, done.stdout
 
 
-def perfbench(checkout: Path, workload: str, seconds: float) -> dict:
+def perfbench(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     """End-to-end metrics and failed-audit count of one perfbench run."""
-    _run(checkout, ["perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+    _run(checkout, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
                     "--seconds", str(seconds), "--trace", "0"])
-    path = checkout / ".perfbench_out" / f"result-{workload}-seed{SEED}-trace0.json"
+    path = checkout / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0.json"
     result = json.loads(path.read_text())["result"]
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     metrics["failed"] = result["failed"]
@@ -118,7 +119,7 @@ def summary(values: list[float]) -> dict:
 def measure(checkout: Path, args, runs: dict) -> None:
     """One repeat of every step in ``checkout``, appended to ``runs``."""
     for workload in WORKLOADS:
-        for name, value in perfbench(checkout, workload, args.seconds).items():
+        for name, value in perfbench(checkout, workload, args.seconds, args.seed).items():
             runs.setdefault(f"{workload}.{name}", []).append(value)
     runs.setdefault("presets_s", []).append(presets_s(checkout))
     if args.tier1:
@@ -154,6 +155,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--repeats", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0, help="seconds per perfbench run")
+    parser.add_argument("--seed", type=int, default=SEED, help="perfbench workload seed")
     parser.add_argument("--against", type=Path, help="second checkout, measured in alternating pairs")
     parser.add_argument("--no-tier1", dest="tier1", action="store_false", help="do not time Tier-1")
     args = parser.parse_args(argv)
@@ -174,7 +176,7 @@ def main(argv=None) -> int:
 
     report = {
         "machine": machine(),
-        "settings": {"repeats": args.repeats, "seconds": args.seconds, "seed": SEED,
+        "settings": {"repeats": args.repeats, "seconds": args.seconds, "seed": args.seed,
                      "workloads": list(WORKLOADS), "tier1": args.tier1},
     }
     for label, checkout in checkouts.items():

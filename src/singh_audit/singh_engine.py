@@ -23,7 +23,16 @@ from typing import ClassVar
 import numpy as np
 
 from .special_math import MAX_ACCURATE_SHAPE, DomainError, SeededStream, binomial_pmf, is_integer
-from .structures import StructureSpec, evaluate_counts, evaluate_structure, moment_bounds, row_moments
+# evaluate_structure is not called here; it stays importable from this module
+# because perfbench's tracer wraps singh_engine.evaluate_structure.
+from .structures import (  # noqa: F401
+    StructureSpec,
+    band_bounds,
+    evaluate_counts,
+    evaluate_structure,
+    moment_bounds,
+    row_moments,
+)
 
 __all__ = [
     "UnsupportedTargetError",
@@ -611,9 +620,10 @@ def _drawn_row_values(
     target its statistics alone, in O(m) memory at any n, any other run
     its rows, in chunks of at most CHUNK_ELEMENTS elements (one row when a
     row is larger). A chunk only reduces its rows to what the structure
-    reads: each row's mean and sample sd for a moment kind,
-    ``evaluate_structure``'s bounds for the predictive band, which are rank
-    counts per element. Chunking changes neither the draws nor the values,
+    reads: each row's mean and sample sd for a moment kind, the predictive
+    band's rank counts per element (``structures.band_bounds``, without
+    ``evaluate_structure``'s finiteness check: a validated target draws
+    finite rows). Chunking changes neither the draws nor the values,
     only memory. A moment kind's bounds are evaluated once over all m
     replicates, so the t pivot runs one continued fraction per run. The
     columns are this call's own, so they are sorted in place.
@@ -639,7 +649,7 @@ def _drawn_row_values(
             x = target.draw(rng, rows, width, normals)
             i = b * BLOCK + start
             if predictive:
-                first[i:i + rows], second[i:i + rows] = evaluate_structure(structure, x[:, n], x[:, :n])
+                first[i:i + rows], second[i:i + rows] = band_bounds(x[:, n], x[:, :n])
             else:
                 first[i:i + rows], second[i:i + rows] = row_moments(x)
     if not predictive:

@@ -15,10 +15,11 @@ float or an array of x, and ``student_t_cdf_array`` runs either form of
 the t CDF on every element at once, so it equals ``student_t_cdf`` bit
 for bit; both form x = nu / (nu + t^2) and its complement directly.
 ``binomial_pmf`` forms binomial terms of real size and count, one row per
-probability, with the terms of the counts alone formed once per call and
-the point masses at probability 0 and 1 stated: by three lgammas below
-size 40, and above it in Loader's saddle-point form, which a row of 192
-counts or more takes only at anchors every 32 counts and at its mode,
+probability, with the terms of the counts alone formed once per (size,
+counts) into a cached read-only table, and the point masses at
+probability 0 and 1 stated: by three lgammas below size 40, and above it
+in Loader's saddle-point form, which a row of 192 counts or more takes
+only at anchors every 32 counts and at its mode,
 filling the counts between with the exact ratio of neighbouring terms,
 recurring away from the mode. They weight the exact enumeration and a
 count run's histograms, step the count kinds' Beta chains and give the
@@ -36,6 +37,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,9 +193,15 @@ _LGAMMA_MAX_SIZE = 40.0
 # most 31 steps from its anchor, a few ulps each, and the anchors cost one
 # saddle-point evaluation per 32 counts. A row of fewer than six blocks'
 # counts takes the saddle-point form at every count instead: forming one
-# row's anchors and runs costs about 110 us, as much as ~190 counts do.
+# row's anchors and runs costs about 90 us with its count table kept, as
+# much as ~180 counts do. Several rows per call recur more cheaply than
+# that, but the cutoff reads the row length alone, and moving it would
+# move the bits of rows of 41-191 counts.
 _ANCHOR_STEP = 32
 _RECUR_MIN_COUNTS = 6 * _ANCHOR_STEP
+# Most count tables binomial_pmf keeps, each of one (size, first count,
+# number of counts): the exact audits of one size use six keys.
+_COUNT_TABLES = 32
 
 
 def _stirling_climb(z: np.ndarray) -> np.ndarray:
@@ -254,6 +262,93 @@ def _deviance(x: np.ndarray, mean: np.ndarray, log_ratio: np.ndarray) -> np.ndar
     return np.where(np.abs(v) < 0.1, d * v + 2.0 * x * v * w * series, x * log_ratio - d)
 
 
+class _Counts(NamedTuple):
+    """The terms of ``binomial_pmf`` that depend on its size and counts alone.
+
+    ``_tabulate`` forms them; a cached table is read-only. Which fields are
+    set depends on the side the size and the number of counts select.
+    """
+
+    counts: np.ndarray
+    # Below _LGAMMA_MAX_SIZE, a (ln coefficient, k, size - k) triple per
+    # count k, the coefficient ln Gamma(size + 1) - ln Gamma(k + 1) -
+    # ln Gamma(size - k + 1): a row of Python floats costs less than numpy
+    # passes at these sizes.
+    lgamma: tuple = ()
+    # From _LGAMMA_MAX_SIZE on, _saddle_columns at every count; a row of
+    # _RECUR_MIN_COUNTS or more formed for one call alone leaves them out.
+    inner: np.ndarray | None = None
+    sides: np.ndarray | None = None
+    corr: np.ndarray | None = None
+    zero: np.ndarray | None = None
+    # From _RECUR_MIN_COUNTS counts on, the recurrence's: the anchors, the
+    # rising step ratios (size - k) / (k + 1) at all counts but the last
+    # two, and the falling ones (k + 1) / (size - k) at the inner counts,
+    # last first.
+    anchors: np.ndarray | None = None
+    rise: np.ndarray | None = None
+    fall: np.ndarray | None = None
+
+
+def _saddle_columns(size: float, k: np.ndarray) -> tuple:
+    # _saddle_point's terms of the counts alone, at each count k: whether
+    # it is inner (neither 0 nor size), the count and its complement size -
+    # k side by side, so each numpy pass (Stirling errors, logs, deviances)
+    # serves both, the Stirling errors' delta(size) - delta(k) - delta(size
+    # - k), and whether it is 0. The end counts take a stand-in, size, and
+    # their terms read size ln(1-x) or size ln x.
+    rest = size - k
+    inner = (k > 0.0) & (rest > 0.0)
+    sides = np.where(inner, np.array((k, rest)), size)
+    stirling = _stirling_corr_array(sides)
+    return inner, sides, _stirling_corr(size) - stirling[0] - stirling[1], k == 0.0
+
+
+def _tabulate(size: float, k: np.ndarray, kept: bool = False) -> _Counts:
+    # A fresh, writeable table of ``size`` and the counts ``k``. On the
+    # recurrence's side only a ``kept`` table forms the columns of every
+    # count: one call reads them at its anchors and modes alone.
+    if size < _LGAMMA_MAX_SIZE:
+        lgamma = math.lgamma
+        ln_size = lgamma(size + 1.0)
+        return _Counts(k, tuple(
+            (ln_size - lgamma(j + 1.0) - lgamma(size - j + 1.0), j, size - j) for j in k.tolist()
+        ))
+    if k.size < _RECUR_MIN_COUNTS:
+        return _Counts(k, (), *_saddle_columns(size, k))
+    last = k.size - 1
+    return _Counts(
+        k, (), *(_saddle_columns(size, k) if kept else [None] * 4),
+        anchors=np.append(np.arange(0, last, _ANCHOR_STEP), last),
+        rise=(size - k[:-2]) / (k[:-2] + 1.0),
+        fall=((k[1:-1] + 1.0) / (size - k[1:-1]))[::-1],
+    )
+
+
+@functools.lru_cache(maxsize=_COUNT_TABLES)
+def _count_table(size: float, first: float, length: int) -> _Counts:
+    # The shared, read-only table of the counts first, first + 1, ...,
+    # first + length - 1.
+    table = _tabulate(size, first + np.arange(length, dtype=np.float64), kept=True)
+    for field in table:
+        if isinstance(field, np.ndarray):
+            field.setflags(write=False)
+    return table
+
+
+def _table(size: float, k: np.ndarray) -> _Counts:
+    # The cached table of a row of two to MAX_ACCURATE_SHAPE + 1 counts that
+    # rise by exactly 1 from the first, the rows that repeat. A single count
+    # (a front factor's real shape, which rarely repeats), a longer row
+    # (only Chebyshev's histogram weights, at 50 bytes a count) or any other
+    # row gets a table of its own, which evicts no other.
+    if 1 < k.size <= MAX_ACCURATE_SHAPE + 1.0:
+        table = _count_table(size, float(k[0]), k.size)
+        if table.counts.tobytes() == k.tobytes():
+            return table
+    return _tabulate(size, k)
+
+
 def binomial_pmf(x, size: float, counts) -> np.ndarray:
     """Binomial(size, x) probabilities, one row per x and one column per count.
 
@@ -267,31 +362,53 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
     the Beta shift recurrence.
 
     A size below 40 takes three lgammas per term, the count-only ones
-    formed once per call: for one row at size 10 about 10 times cheaper
-    than the saddle-point form at every count and 20 times cheaper than the
-    recurrence below. A larger size takes the saddle-point form of Loader
-    (2000), "Fast and accurate computation of binomial probabilities":
-    Stirling errors plus two deviances, so no large logarithm cancels, and
-    k = 0 and k = size read size ln(1-x) and size ln x. A row of fewer than
-    192 counts takes it at every count; a longer one at anchors only: the
-    first count, every 32nd after it and the last, shared by every row,
-    and each row's mode. The counts between take a running product of the
-    exact ratio t(k + 1) / t(k) = (size - k) / (k + 1) x / (1 - x), away
-    from the mode: upward from the nearest anchor at or below the count
-    from the mode on, downward from the nearest anchor above it below the
-    mode. So an anchor that underflows only ever sits on the far tail, and
-    the largest terms come from the mode's own anchor, where the
-    saddle-point form is most accurate; each step adds a few ulps. One call
-    evaluates every anchor of every row, with the Stirling errors, which
-    depend on the counts alone, formed once per count. At the real count
-    k = a and size a + b a term is also ``reg_inc_beta``'s front factor
-    x^a (1-x)^b / B(a, b), divided by a b / (a + b).
+    formed once per (size, counts): for one row at size 10 about 10 times
+    cheaper than the saddle-point form at every count and 20 times cheaper
+    than the recurrence below. A larger size takes the saddle-point form of
+    Loader (2000), "Fast and accurate computation of binomial
+    probabilities": Stirling errors plus two deviances, so no large
+    logarithm cancels, and k = 0 and k = size read size ln(1-x) and size
+    ln x. A row of fewer than 192 counts takes it at every count; a longer
+    one at anchors only: the first count, every 32nd after it and the
+    last, shared by every row, and each row's mode. The counts between take
+    a running product of the exact ratio t(k + 1) / t(k) = (size - k) /
+    (k + 1) x / (1 - x), away from the mode: upward from the nearest anchor
+    at or below the count from the mode on, downward from the nearest
+    anchor above it below the mode. So an anchor that underflows only ever
+    sits on the far tail, and the largest terms come from the mode's own
+    anchor, where the saddle-point form is most accurate; each step adds a
+    few ulps. One call evaluates every anchor of every row. At the real
+    count k = a and size a + b a term is also ``reg_inc_beta``'s front
+    factor x^a (1-x)^b / B(a, b), divided by a b / (a + b). Each term holds
+    1e-13 relative down to 1e-30 and 4e-13 down to 1e-300: it is exp of a
+    log whose absolute error grows with |ln t|.
+
+    The terms of the size and counts alone (the lgammas, the Stirling
+    errors of every count and its complement, the step ratios and the
+    anchors) form a read-only table, kept in a least-recently-used cache of
+    ``_COUNT_TABLES`` (32) tables keyed by (size, first count, number of
+    counts), so the calls of a sweep over rates at one size form it once:
+    a full row at one rate then costs about 6 us at n = 30, 95 us at 250
+    and 115 us at 1000. A table holds 50 bytes a count on the recurrence's
+    side, 0.5 MB at the 10,001 counts of n = ``MAX_ACCURATE_SHAPE``, so the
+    cache holds at most about 16 MB. A single count (the front factor's
+    calls), a row longer than ``MAX_ACCURATE_SHAPE`` + 1 counts and counts
+    that do not rise by exactly 1 get a table of the call alone, which
+    evicts no kept one and, on the recurrence's side, holds Stirling
+    errors only at the anchors and modes the call reads. A call at a new
+    key forms its kept table first and costs more than one with a table of
+    its own: a few us more below size 40, about the same below 192
+    counts, and about 1.1 times as much at n = 250, 1.35 times at 1000
+    and 1.7 times at 5000, where a kept table forms the Stirling errors of
+    every count. A single exact audit of the CLI pays that once for each
+    of its keys.
 
     Every element takes only its own row's rate and anchors, and the
     products run along the row, so a row never depends on the other rows.
     Every per-element log and exp runs through ``math`` and the recurrence
     takes only +, *, / and ``cumprod``, so the bits are the same on every
-    machine.
+    machine, and a table read from the cache gives the bits a fresh one
+    does.
     """
     x = np.asarray(x, dtype=np.float64)
     xs = x.tolist()
@@ -303,21 +420,19 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
         out[x == 1.0] = k == size
         out[inner] = binomial_pmf(x[inner], size, k)
         return out
+    table = _table(size, k)
     if size < _LGAMMA_MAX_SIZE:
-        lgamma, log, log1p, exp = math.lgamma, math.log, math.log1p, math.exp
-        ln_size = lgamma(size + 1.0)
-        ks = k.tolist()
-        ln_coef = [ln_size - lgamma(j + 1.0) - lgamma(size - j + 1.0) for j in ks]
+        log, log1p, exp = math.log, math.log1p, math.exp
         terms = [
-            exp(c + j * ln_x + (size - j) * ln_1mx)
+            exp(c + j * ln_x + r * ln_1mx)
             for ln_x, ln_1mx in [(log(v), log1p(-v)) for v in xs]
-            for c, j in zip(ln_coef, ks)
+            for c, j, r in table.lgamma
         ]
-        return np.array(terms).reshape(len(xs), len(ks))
+        return np.array(terms).reshape(len(xs), k.size)
     if k.size < _RECUR_MIN_COUNTS:
-        return _saddle_point(xs, size, k, np.arange(k.size)[None, :])
+        return _saddle_point(xs, size, table)
     last = k.size - 1
-    anchors = np.append(np.arange(0, last, _ANCHOR_STEP), last)
+    anchors = table.anchors
     # Each row's mode, its first count k with k + 1 >= (size + 1) x, where
     # the terms stop rising, is an anchor of its own beside the shared ones:
     # counts from it on recur upward and counts below it downward, each
@@ -326,9 +441,18 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
     # which recurring across the mode would spread over its largest terms.
     mode = np.minimum(np.searchsorted(k + 1.0, (size + 1.0) * x), last)
     columns = np.empty((x.size, anchors.size + 1), dtype=np.intp)
-    columns[:, :-1] = np.arange(anchors.size)
-    columns[:, -1] = anchors.size + np.arange(x.size)
-    ends = _saddle_point(xs, size, np.concatenate((k[anchors], k[mode])), columns)
+    if table.corr is None:
+        # A table of this call alone has no columns; they are formed at its
+        # anchors and modes only, the columns one call reads.
+        picked = k[np.append(anchors, mode)]
+        source = _Counts(picked, (), *_saddle_columns(size, picked))
+        columns[:, :-1] = np.arange(anchors.size)
+        columns[:, -1] = anchors.size + np.arange(x.size)
+    else:
+        source = table
+        columns[:, :-1] = anchors
+        columns[:, -1] = mode
+    ends = _saddle_point(xs, size, source, columns)
     at, peak = ends[:, :-1], ends[:, -1]
     # Two runs of blocks of _ANCHOR_STEP slots, block b from anchor b to
     # anchor b + 1, plus a block of 1s. Rising, slot j holds count j's
@@ -339,15 +463,14 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
     span = (anchors.size - 1) * _ANCHOR_STEP
     run = np.ones((2, x.size, span + _ANCHOR_STEP))
     rise, fall = run
-    rise[:, 1:last] = ((size - k[:-2]) / (k[:-2] + 1.0)) * (x / (1.0 - x))[:, None]
+    rise[:, 1:last] = table.rise * (x / (1.0 - x))[:, None]
     rise[:, anchors[:-1]] = at[:, :-1]
     # Only rows with counts below the mode form the inverse ratios. Their
     # rates exceed 1 / (size + 1), so these stay finite; at x = 1e-310, a
     # row whose mode is its first count, they would overflow.
     rows = np.flatnonzero(mode > 0)
     xd = x[rows]
-    inverse = ((k[1:-1] + 1.0) / (size - k[1:-1])) * ((1.0 - xd) / xd)[:, None]
-    fall[rows, span - last + 1:span] = inverse[:, ::-1]
+    fall[rows, span - last + 1:span] = table.fall * ((1.0 - xd) / xd)[:, None]
     fall[:, span - anchors[1:]] = at[:, 1:]
     block = np.minimum(mode // _ANCHOR_STEP, anchors.size - 2)
     first = np.array((anchors[block], span - anchors[block + 1]))
@@ -368,21 +491,17 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
     return out
 
 
-def _saddle_point(xs: list, size: float, counts: np.ndarray, columns: np.ndarray) -> np.ndarray:
+def _saddle_point(xs: list, size: float, table: _Counts, columns: np.ndarray | None = None) -> np.ndarray:
     # binomial_pmf's terms at size >= 40 in Loader's saddle-point form, for
-    # rates xs strictly inside (0, 1): row i, column j at counts[columns[i, j]]
-    # (columns has one row for all rates, or a row per rate). The terms of
-    # the counts alone, the Stirling errors, are formed once per count.
-    rest = size - counts
-    inner = (counts > 0.0) & (rest > 0.0)
-    # The inner counts k and their complements size - k, side by side, so
-    # each numpy pass below (Stirling errors, logs, deviances) serves both;
-    # the end counts take a stand-in, size, and their terms read size ln(1-x)
-    # or size ln x. The halves are recombined in the scalar form's order.
-    sides = np.where(inner, np.array((counts, rest)), size)
-    stirling = _stirling_corr_array(sides)
-    corr = (_stirling_corr(size) - stirling[0] - stirling[1])[columns]
-    sides, inner, k = sides[:, columns], inner[columns], counts[columns]
+    # rates xs strictly inside (0, 1): row i, column j at the table's count
+    # columns[i, j] (columns has a row per rate), or without columns at
+    # every count. The halves of the table's sides are recombined in the
+    # scalar form's order.
+    if columns is None:
+        corr, sides, inner, zero = table.corr, table.sides[:, None], table.inner, table.zero
+    else:
+        corr, sides = table.corr[columns], table.sides[:, columns]
+        inner, zero = table.inner[columns], table.zero[columns]
     # Per x: size ln(1-x), size ln x, the two sides' means size x and
     # size (1-x), and ln(size x (1-x)).
     per_x = np.array([
@@ -400,7 +519,7 @@ def _saddle_point(xs: list, size: float, counts: np.ndarray, columns: np.ndarray
     ln = np.where(
         inner,
         corr - dev[0] - dev[1] - 0.5 * (logs[0] + logs[1] + per_x[:, 4:5]) - _HALF_LN_2PI,
-        np.where(k == 0.0, per_x[:, 0:1], per_x[:, 1:2]),
+        np.where(zero, per_x[:, 0:1], per_x[:, 1:2]),
     )
     return _each(math.exp, ln)
 

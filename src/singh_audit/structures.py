@@ -314,11 +314,21 @@ def evaluate_structure(spec: StructureSpec, truth, samples) -> tuple[np.ndarray,
             raise DomainError(f"{spec.kind} requires binary {{0,1}} data")
         return evaluate_counts(spec, truth, n, np.rint(x.sum(axis=1)))
     if spec.reads_next_draw:
-        # Each bound's rank counts take one einsum pass over the rows, not a
-        # sum of short rows; the counts are integers, so no bound moves.
-        x_next = np.asarray(truth, dtype=np.float64)[..., None]
-        below = np.einsum("ij->i", x <= x_next, dtype=np.intp) / (n + 1)
-        above = (n + 1 - np.einsum("ij->i", x >= x_next, dtype=np.intp)) / (n + 1)
-        return np.minimum(below, above), np.maximum(below, above)
+        return band_bounds(truth, x)
     # A moment kind.
     return moment_bounds(spec, truth, n, *row_moments(x))
+
+
+def band_bounds(truth, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of ``empirical_predictive`` for each row of a (rows, n) matrix.
+
+    ``truth`` is each row's next draw. Past ``evaluate_structure``'s checks:
+    the engine hands it rows drawn from a validated target, which are
+    finite. Each bound's rank counts take one einsum pass over the rows,
+    not a sum of short rows; the counts are integers, so no bound moves.
+    """
+    n = x.shape[1]
+    x_next = np.asarray(truth, dtype=np.float64)[..., None]
+    below = np.einsum("ij->i", x <= x_next, dtype=np.intp) / (n + 1)
+    above = (n + 1 - np.einsum("ij->i", x >= x_next, dtype=np.intp)) / (n + 1)
+    return np.minimum(below, above), np.maximum(below, above)

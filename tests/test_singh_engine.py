@@ -33,7 +33,7 @@ from singh_audit.singh_engine import (
     singh_curve,
 )
 from singh_audit.special_math import DomainError, SeededStream
-from singh_audit.structures import DegenerateDataError, StructureSpec, evaluate_counts
+from singh_audit.structures import DegenerateDataError, StructureSpec, evaluate_counts, evaluate_structure
 
 GRID = np.linspace(0.0, 1.0, 1001)
 # A few KB: a count run whose m is small beside n holds O(m), not O(n).
@@ -564,6 +564,28 @@ def test_band_rank_counts_equal_a_per_row_count_on_tied_data(n, m):
     assert expanded(band.upper_curve).tobytes() == np.sort(uppers).tobytes()
 
 
+@pytest.mark.parametrize("target", [TargetSpec.normal(4.0, 3.0), TargetSpec.bernoulli(0.4)])
+def test_band_chunks_equal_evaluate_structure_bit_for_bit(target):
+    # The engine takes each chunk's rank counts past evaluate_structure's
+    # finiteness check; on the same rows both give the same bits. n + 1 = 11
+    # gives chunks of 2,978 rows, so the first block spans two.
+    spec = StructureSpec("empirical_predictive")
+    n, m = 10, BLOCK + 5
+    band = singh_curve(spec, target, n, m, SeededStream(34))
+    rows = np.concatenate([
+        target.draw(SeededStream(34).substream(b).generator(), min(BLOCK, m - start), n + 1)
+        for b, start in enumerate(range(0, m, BLOCK))
+    ])
+    lower, upper = evaluate_structure(spec, rows[:, n], rows[:, :n])
+    assert expanded(band.lower_curve).tobytes() == np.sort(lower).tobytes()
+    assert expanded(band.upper_curve).tobytes() == np.sort(upper).tobytes()
+    # A public caller's rows are still checked.
+    samples = rows[:3, :n].copy()
+    samples[1, 4] = np.nan
+    with pytest.raises(DomainError, match="samples must be finite"):
+        evaluate_structure(spec, rows[:3, n], samples)
+
+
 def test_fig4_sized_band_peak():
     # fig4's run (n = 10, m = 10^4) holds at most three chunk-sized arrays
     # while it draws, beside its two columns of m bounds, sorted in place.
@@ -666,10 +688,11 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     # modules (as the benchmark's tracer does) see every call.
     from singh_audit import singh_engine, structures
 
-    calls = {"generator": 0, "evaluate": 0, "beta": 0, "t_cdf": 0}
+    calls = {"generator": 0, "evaluate": 0, "band": 0, "beta": 0, "t_cdf": 0}
     lanes = []
     generator = SeededStream.generator
-    evaluate, beta = singh_engine.evaluate_structure, structures.reg_inc_beta
+    evaluate, band = singh_engine.evaluate_structure, singh_engine.band_bounds
+    beta = structures.reg_inc_beta
     t_cdf = structures.student_t_cdf_array
 
     def counting_generator(self, child=None):
@@ -679,6 +702,10 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     def counting_evaluate(*args):
         calls["evaluate"] += 1
         return evaluate(*args)
+
+    def counting_band(*args):
+        calls["band"] += 1
+        return band(*args)
 
     def counting_beta(*args):
         calls["beta"] += 1
@@ -691,6 +718,7 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
 
     monkeypatch.setattr(SeededStream, "generator", counting_generator)
     monkeypatch.setattr(singh_engine, "evaluate_structure", counting_evaluate)
+    monkeypatch.setattr(singh_engine, "band_bounds", counting_band)
     monkeypatch.setattr(structures, "reg_inc_beta", counting_beta)
     monkeypatch.setattr(structures, "student_t_cdf_array", counting_t_cdf)
     m = 2 * BLOCK + 1
@@ -698,14 +726,14 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     # A count-reading structure: one chain over every count, whose two ends
     # are the only scalar reg_inc_beta calls, and no dataset rows at all.
     singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.4), 12, m, SeededStream(29))
-    assert calls == {"generator": 3, "evaluate": 0, "beta": 2, "t_cdf": 0}
+    assert calls == {"generator": 3, "evaluate": 0, "band": 0, "beta": 2, "t_cdf": 0}
 
     # A moment kind on a normal target: each block draws its replicates'
     # means and sds (stream layout v5), and the t pivot's CDF runs once over
     # all m replicates.
-    calls.update(generator=0, evaluate=0, beta=0)
+    calls.update(generator=0, beta=0)
     singh_curve(StructureSpec("student_t_pivot"), TargetSpec.normal(0.0, 1.0), 10, m, SeededStream(29))
-    assert calls == {"generator": 3, "evaluate": 0, "beta": 0, "t_cdf": 1}
+    assert calls == {"generator": 3, "evaluate": 0, "band": 0, "beta": 0, "t_cdf": 1}
     assert lanes == [m]
 
     # On a mixture the rows are drawn in chunks (n = 10 gives 3,276 rows,
@@ -716,7 +744,7 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     lanes.clear()
     singh_curve(StructureSpec("student_t_pivot"), MIXTURE, 10, m, SeededStream(29))
     assert CHUNK_ELEMENTS // 10 == 3276
-    assert calls == {"generator": 6, "evaluate": 0, "beta": 0, "t_cdf": 1}
+    assert calls == {"generator": 6, "evaluate": 0, "band": 0, "beta": 0, "t_cdf": 1}
     assert lanes == [m]
 
     # A moment structure on a count target reads each count's mean and
@@ -725,14 +753,15 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     singh_curve(
         StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.2, 2.0), 30, m, SeededStream(29)
     )
-    assert calls == {"generator": 3, "evaluate": 0, "beta": 0, "t_cdf": 0}
+    assert calls == {"generator": 3, "evaluate": 0, "band": 0, "beta": 0, "t_cdf": 0}
 
-    # empirical_predictive still evaluates each chunk: its bounds are rank
-    # counts per element. n + 1 = 11 gives chunks of 2,978 rows.
+    # empirical_predictive still takes each chunk's bounds, rank counts per
+    # element, past evaluate_structure's checks. n + 1 = 11 gives chunks of
+    # 2,978 rows.
     target = TargetSpec.normal(0.0, 1.0)
     singh_curve(StructureSpec("empirical_predictive"), target, 10, m, SeededStream(29))
     assert CHUNK_ELEMENTS // 11 == 2978
-    assert calls["evaluate"] == 5
+    assert (calls["evaluate"], calls["band"]) == (0, 5)
 
 
 class _RecordingGenerator:

@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
+import reference_binomial
+
 from singh_audit.special_math import (
     _T_SUM_MAX_NU,
     DomainError,
     SeededStream,
     _beta_cf_array,
+    _count_table,
     _each,
     _ln_front,
     _saddle_point,
     _stirling_corr_array,
+    _tabulate,
     binomial_pmf,
     reg_inc_beta,
     student_t_cdf,
@@ -447,11 +451,142 @@ def test_binomial_pmf_rows_match_one_count_at_a_time(size, first, rates):
     # x = 1 - 1e-12 by 1.2e-12, while a row steps by exactly 1.
     counts = first + np.arange(math.floor(size - first) + 1.0)
     rows = binomial_pmf(rates, size, counts)
-    alone = _saddle_point(rates, size, counts, np.arange(counts.size)[None, :])
+    alone = _saddle_point(rates, size, _tabulate(size, counts, kept=True))
     for j in (0, counts.size // 2, counts.size - 1):
         assert _bits(alone[:, j]) == _bits(binomial_pmf(rates, size, counts[j:j + 1])[:, 0])
     assert np.isfinite(rows).all()
     assert (np.abs(rows - alone) <= 1e-12 * alone + np.finfo(float).tiny).all()
+
+
+# --- binomial_pmf's count tables ---
+
+
+@pytest.fixture
+def cleared():
+    # Every cache test starts from an empty cache, so test order cannot matter.
+    _count_table.cache_clear()
+    yield
+    _count_table.cache_clear()
+
+
+TABLE_SIZES = st.one_of(
+    st.floats(min_value=0.5, max_value=39.99),
+    st.integers(min_value=40, max_value=3000).map(float),
+    st.floats(min_value=40.0, max_value=3000.0),
+)
+
+
+@example(size=10.0, first=0.0, share=1.0, rates=[0.3, 0.0, 1.0])
+@example(size=250.0, first=0.5, share=1.0, rates=[1e-3, 0.5, 0.97])
+@example(size=1000.0, first=0.0, share=1.0, rates=[5e-324, 1e-310, 0.5, 1.0 - 2.0**-53])
+@given(
+    size=TABLE_SIZES,
+    first=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.integers(min_value=1, max_value=30 * 64).map(lambda i: i / 64)),
+    share=st.floats(min_value=0.0, max_value=1.0),
+    rates=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), PMF_RATES), min_size=1, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_binomial_pmf_equals_the_per_call_algorithm_bit_for_bit(size, first, share, rates):
+    # Every side (lgamma, saddle point at every count, recurrence) with its
+    # table formed (a miss) and then read from the cache (a hit) gives the
+    # bits of the algorithm that formed every term per call.
+    _count_table.cache_clear()
+    counts = first + np.arange(math.floor(share * max(size - first + 1.0, 0.0)), dtype=np.float64)
+    expected = _bits(reference_binomial.binomial_pmf(rates, size, counts))
+    assert _bits(binomial_pmf(rates, size, counts)) == expected
+    assert _bits(binomial_pmf(rates, size, counts)) == expected
+
+
+# (size, counts) on every side: lgamma, the saddle point at every count with
+# 41 and 191 counts, the recurrence from 192 counts, a one-count front
+# factor and the empty counts of a one-value chain.
+TABLE_CALLS = {
+    "lgamma": (30.5, 0.5 + np.arange(30.0)),
+    "saddle_41": (40.0, np.arange(41.0)),
+    "saddle_191": (250.0, 1.0 + np.arange(191.0)),
+    "recurrence": (1000.0, np.arange(1001.0)),
+    "front_factor": (61.5, np.array([30.25])),
+    "empty": (250.0, np.empty(0)),
+}
+TABLE_RATES = [0.0, 1e-310, 0.03, 0.5, 0.97, 1.0]
+
+
+@pytest.mark.parametrize("call", TABLE_CALLS)
+def test_count_table_hit_and_miss_give_the_same_bits(cleared, call):
+    size, counts = TABLE_CALLS[call]
+    miss = _bits(binomial_pmf(TABLE_RATES, size, counts))
+    hit = _bits(binomial_pmf(TABLE_RATES, size, counts))
+    _count_table.cache_clear()
+    assert _bits(binomial_pmf(TABLE_RATES, size, counts)) == miss == hit
+    assert miss == _bits(reference_binomial.binomial_pmf(TABLE_RATES, size, counts))
+    # Only rows of two counts or more are cached.
+    assert _count_table.cache_info().currsize == (counts.size > 1)
+
+
+def test_count_tables_interleaved_keep_their_bits(cleared):
+    first = {call: _bits(binomial_pmf(TABLE_RATES, *TABLE_CALLS[call])) for call in TABLE_CALLS}
+    for _ in range(3):
+        for call in reversed(list(TABLE_CALLS)):
+            assert _bits(binomial_pmf(TABLE_RATES, *TABLE_CALLS[call])) == first[call], call
+    assert _count_table.cache_info().hits == 3 * 4
+
+
+@pytest.mark.parametrize("call", ["lgamma", "saddle_41", "recurrence"])
+def test_count_tables_are_read_only(cleared, call):
+    size, counts = TABLE_CALLS[call]
+    table = _count_table(size, float(counts[0]), counts.size)
+    arrays = [field for field in table if isinstance(field, np.ndarray)]
+    assert len(arrays) == {"lgamma": 1, "saddle_41": 5, "recurrence": 8}[call]
+    for field in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            field[...] = 0.0
+    with pytest.raises(TypeError):
+        table.lgamma[0] = (0.0, 0.0, 0.0)
+
+
+def test_count_cache_stays_within_its_bound(cleared):
+    limit = _count_table.cache_info().maxsize
+    for size in range(40, 40 + 2 * limit):
+        binomial_pmf([0.3], float(size), np.arange(size + 1.0))
+        assert _count_table.cache_info().currsize <= limit
+    assert _count_table.cache_info().currsize == limit
+
+
+def test_front_factor_calls_do_not_evict_long_rows(cleared):
+    # reg_inc_beta at two shapes >= 20 calls binomial_pmf at one real count,
+    # a new one on almost every call; none of them is cached.
+    rows = [(1000.0, np.arange(1001.0)), (999.5, 0.5 + np.arange(999.0))]
+    for size, counts in rows:
+        binomial_pmf([0.3], size, counts)
+    rng = np.random.default_rng(34)
+    for a, b in rng.uniform(20.0, 1e4, size=(200, 2)):
+        reg_inc_beta(0.4, a, b)
+    info = _count_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    for size, counts in rows:
+        binomial_pmf([0.7], size, counts)
+    assert _count_table.cache_info().hits == 2
+
+
+def test_rows_beyond_the_accurate_range_are_formed_per_call(cleared):
+    # Rows longer than MAX_ACCURATE_SHAPE + 1 counts (Chebyshev's histogram
+    # weights at large n) are neither kept nor given every count's columns,
+    # and give the per-call algorithm's bits.
+    counts = np.arange(12_001.0)
+    got = binomial_pmf(TABLE_RATES, 12_000.0, counts)
+    assert _bits(got) == _bits(reference_binomial.binomial_pmf(TABLE_RATES, 12_000.0, counts))
+    assert _count_table.cache_info().currsize == 0
+
+
+def test_count_tables_read_only_counts_that_rise_by_one(cleared):
+    # Counts that share a key's size, first count and length but not its
+    # steps get a table of their own, as they got their own terms before.
+    steady = np.arange(41.0)
+    skewed = steady.copy()
+    skewed[20] = 20.5
+    binomial_pmf([0.3], 40.0, steady)
+    got = binomial_pmf([0.3, 0.6], 40.0, skewed)
+    assert _bits(got) == _bits(reference_binomial.binomial_pmf([0.3, 0.6], 40.0, skewed))
 
 
 def test_beta_array_refuses_an_unconverged_lane():
