@@ -739,9 +739,9 @@ def _binomial_weights(n: int, p) -> np.ndarray:
     A scalar p gives one row of n + 1 weights, an array of K values a (K,
     n + 1) matrix from one ``binomial_pmf`` call, each row what its p gives
     alone; p = 0 and p = 1 take its point masses at k = 0 and k = n. That
-    is the helper whose terms step the count kinds' Beta chains, in
-    Loader's saddle-point form: no large logarithm cancels, so each weight
-    holds its relative accuracy at any n the engines accept.
+    is the helper whose terms step the count kinds' Beta chains.
+    ``binomial_pmf`` states the forms that give the terms at each size and
+    the relative accuracy each weight holds at any n the engines accept.
     The same weights are the exact enumeration's atom masses and the
     multinomial cell probabilities of a Monte Carlo count run's histograms.
     """

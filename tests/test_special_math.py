@@ -266,14 +266,17 @@ T_VALUES = st.one_of(
 @example(ts=[0.5, -0.5, 3.0, -3.0], nu=19_999.0)  # Stirling front factor
 @example(ts=[0.0, 1e-200, 1e200, -1e200, math.inf, -math.inf], nu=40.0)
 @example(ts=[0.0, 1e-200, 1e200, -1e200, math.inf, -math.inf], nu=40.5)
-# 4,001 lanes at a non-integer nu, which converge over 9 to 28 iterations:
-# the finished lanes are compacted away 3 to 9 times within one continued
-# fraction. At an integer nu the same lanes take the sum's centre and its
-# tail series, which runs every lane until the last stops (at nu = 100
-# they need 11 to 390 terms).
+# 4,001 lanes on the continued fraction, which converge at different
+# iterations, so finished lanes are dropped from it several times: at
+# non-integer nu, and at nu = 101 and 20,000, the t pivot's n = 102 and
+# its limit, which send it every value. At an integer nu up to 100 the
+# same lanes take the sum's centre and its tail series, which runs every
+# lane until the last stops (at nu = 100 they need 11 to 390 terms).
 @example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=1.5)
 @example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=9.5)
 @example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=30.5)
+@example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=101)
+@example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=20_000)
 @example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=9)
 @example(ts=np.linspace(-60.0, 60.0, 4001).tolist(), nu=100)
 @given(ts=st.lists(T_VALUES, min_size=1, max_size=30), nu=T_NUS)
@@ -593,10 +596,10 @@ def test_beta_array_refuses_an_unconverged_lane():
     # One lane that cannot converge fails the whole call, like the scalar.
     with pytest.raises(DomainError, match="did not converge"):
         _beta_cf_array(np.array([0.2, 1.0 / 3.0]), 1e6, 2e6)
-    # The message names the first lane still unconverged. Near the mean of
-    # Beta(1e6, 4e6) neither x = 0.2 nor x = 0.1999999 converges, while
-    # 1e-3 and 0.1 do: with one of three lanes finished it stays masked in
-    # place, and with two of four they are compacted away.
+    # The message names the first lane still unconverged, after finished
+    # lanes are dropped. Near the mean of Beta(1e6, 4e6) neither x = 0.2
+    # nor x = 0.1999999 converges, while 1e-3 and 0.1 do: one finished lane
+    # ahead of the pending ones, then two.
     for lanes in ([1e-3, 0.2, 0.1999999], [1e-3, 0.1, 0.2, 0.1999999]):
         with pytest.raises(DomainError, match=r"did not converge at x=0\.2, a=1000000\.0, b=4000000\.0"):
             _beta_cf_array(np.array(lanes), 1e6, 4e6)
