@@ -383,7 +383,7 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
     key forms its kept table first and costs more than one with a table of
     its own: a few us more below size 40, about the same below 192
     counts, and about 1.6 times as much at n = 250, 1.4 times at 1000
-    and 1.6 times at 5000, where a kept table forms the Stirling errors of
+    and 1.5 times at 5000, where a kept table forms the Stirling errors of
     every count, climbing at the ~40 below 20. A single exact audit of the
     CLI pays that once for each of its keys.
 
@@ -657,7 +657,7 @@ def _beta_cf_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
                 if done.all():
                     return out
                 keep = ~done
-                lanes, x, c, d, h = lanes[keep], x[keep], c[keep], d[keep], h[keep]
+                lanes, x, c, d, h = (v[keep] for v in (lanes, x, c, d, h))
     raise DomainError(
         "incomplete beta continued fraction did not converge at "
         f"x={float(x[0])!r}, a={a!r}, b={b!r}"
