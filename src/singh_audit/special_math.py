@@ -2,18 +2,17 @@
 
 The regularized incomplete beta function is computed with the standard
 continued-fraction expansion so results are identical on every platform
-and carry no heavyweight dependency. The Student-t CDF has two forms: at
-integer degrees of freedom up to 100 a finite trigonometric sum near the
-centre and its positive complementary series in the tails
-(``_t_centre_tail``, ``_t_far_tail``), and at any other nu the incomplete
-beta. Both scalar functions check their arguments; the incomplete beta
-then runs one core, ``_reg_inc_beta``, which holds the stated values, the
-front factor, the continued-fraction side and the clamp, and the t CDF's
-second form hands it the complement y that it forms directly. The Beta
-front factor x^a (1-x)^b / B(a, b) has one form, ``_ln_front``, for a
-float or an array of x, and ``student_t_cdf_array`` runs either form of
-the t CDF on every element at once, so it equals ``student_t_cdf`` bit
-for bit; both form x = nu / (nu + t^2) and its complement directly.
+and carry no heavyweight dependency. ``reg_inc_beta`` is its scalar form:
+it checks its arguments, states the values at x = 0 and 1 and the median
+of a symmetric Beta, and reads the front factor and one side of the
+continued fraction. ``student_t_cdf`` is the one Student-t CDF and runs
+on every element of its input at once, in two forms: at integer degrees
+of freedom up to 100 a finite trigonometric sum near the centre and its
+positive complementary series in the tails (``_t_centre_tail``,
+``_t_far_tail``), and at any other nu the incomplete beta, one array
+continued fraction per side, in the scalar's steps; it forms x = nu / (nu
++ t^2) and its complement directly. The Beta front factor x^a (1-x)^b /
+B(a, b) has one form, ``_ln_front``, for a float or an array of x.
 ``binomial_pmf`` forms binomial terms of real size and count, one row per
 probability, with the terms of the counts alone formed once per (size,
 counts) into a cached read-only table, and the point masses at
@@ -46,7 +45,6 @@ __all__ = [
     "SeededStream",
     "reg_inc_beta",
     "student_t_cdf",
-    "student_t_cdf_array",
 ]
 
 _MAX_SEED = 2**64
@@ -116,18 +114,17 @@ def _stirling_corr(z: float) -> float:
     )
 
 
-def _ln_front(x, a: float, b: float, each=lambda fn, value: fn(value), y=None):
+def _ln_front(x, a: float, b: float, y=None):
     """log of x^a (1-x)^b / B(a, b) without large-argument cancellation.
 
-    ``x`` is a float, or a 1-D array whose caller passes ``each=_each``.
-    ``y``, when given, is 1 - x formed directly by the caller (the pairing
-    of BRATIO's x and y, DiDonato & Morris 1992), so the branches with a
-    small shape never form 1 - x by subtraction; without it they subtract
-    and correct for the rounding of that subtraction.
-    Every log of a per-element value runs through ``each`` and so through
-    ``math``; the rest is numpy arithmetic, which rounds like Python floats,
-    in the float's left-to-right order, so every element equals a float
-    call bit for bit. A plain three-lgamma evaluation loses ~1e-11
+    ``x`` is a float or a 1-D array. ``y``, when given, is 1 - x formed
+    directly by the caller (the pairing of BRATIO's x and y, DiDonato &
+    Morris 1992), so the branches with a small shape never form 1 - x by
+    subtraction; without it they subtract and correct for the rounding of
+    that subtraction. Every log of a per-element value runs through
+    ``math``, by ``_each`` for an array; the rest is numpy arithmetic,
+    which rounds like Python floats, in the float's left-to-right order,
+    so every element equals a float call bit for bit. A plain three-lgamma evaluation loses ~1e-11
     absolutely once the shapes reach 1e4, because each lgamma is only
     correct to a few ulp of its own (huge) magnitude. With both shapes at
     least 20 the factor is a b / (a + b) times the Binomial(a + b, x) term
@@ -136,6 +133,7 @@ def _ln_front(x, a: float, b: float, each=lambda fn, value: fn(value), y=None):
     terms analytically. Either way every computed term stays modest near
     the region where the function is not saturated at 0 or 1.
     """
+    each = _each if isinstance(x, np.ndarray) else lambda fn, value: fn(value)
     if a >= _STIRLING_MIN and b >= _STIRLING_MIN:
         x = np.asarray(x, dtype=np.float64)
         terms = binomial_pmf(x.reshape(-1), a + b, [a]).reshape(x.shape)
@@ -211,10 +209,13 @@ def _stirling_climb(z: np.ndarray) -> np.ndarray:
     # steps are small and positive and are summed smallest first, within
     # ~1e-15. The lgamma form lgamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2
     # cancels terms of up to ~60 and lost up to 1.1e-14 (at z = 17.5).
+    # Only the lags below a value's climb take a step; the others are 0.
     climb = np.ceil(_STIRLING_MIN - z)
     lag = np.arange(_STIRLING_MIN)
-    y = z[:, None] + lag
-    steps = np.where(lag < climb[:, None], (y + 0.5) * _each(math.log1p, 1.0 / y) - 1.0, 0.0)
+    used = lag < climb[:, None]
+    y = (z[:, None] + lag)[used]
+    steps = np.zeros(used.shape)
+    steps[used] = (y + 0.5) * _each(math.log1p, 1.0 / y) - 1.0
     return _stirling_corr(z + climb) + steps[:, ::-1].cumsum(axis=1)[:, -1]
 
 
@@ -346,10 +347,8 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
     the Beta shift recurrence.
 
     A size below 40 takes three lgammas per term, the count-only ones
-    formed once per (size, counts): for one row at size 10 about 10 times
-    cheaper than the saddle-point form at every count and 20 times cheaper
-    than the recurrence below. A larger size takes the saddle-point form of
-    Loader (2000), "Fast and accurate computation of binomial
+    formed once per (size, counts). A larger size takes the saddle-point
+    form of Loader (2000), "Fast and accurate computation of binomial
     probabilities": Stirling errors plus two deviances, so no large
     logarithm cancels, and k = 0 and k = size read size ln(1-x) and size
     ln x. A row of fewer than 192 counts takes it at every count; a longer
@@ -371,21 +370,15 @@ def binomial_pmf(x, size: float, counts) -> np.ndarray:
     errors of every count and its complement, the step ratios and the
     anchors) form a read-only table, kept in a least-recently-used cache of
     ``_COUNT_TABLES`` (32) tables keyed by (size, first count, number of
-    counts), so the calls of a sweep over rates at one size form it once:
-    a full row at one rate then costs about 6 us at n = 30, 95 us at 250
-    and 115 us at 1000. A table holds 50 bytes a count on the recurrence's
-    side, 0.5 MB at the 10,001 counts of n = ``MAX_ACCURATE_SHAPE``, so the
-    cache holds at most about 16 MB. A single count (the front factor's
-    calls), a row longer than ``MAX_ACCURATE_SHAPE`` + 1 counts and counts
-    that do not rise by exactly 1 get a table of the call alone, which
-    evicts no kept one and, on the recurrence's side, holds Stirling
-    errors only at the anchors and modes the call reads. A call at a new
-    key forms its kept table first and costs more than one with a table of
-    its own: a few us more below size 40, about the same below 192
-    counts, and about 1.6 times as much at n = 250, 1.4 times at 1000
-    and 1.5 times at 5000, where a kept table forms the Stirling errors of
-    every count, climbing at the ~40 below 20. A single exact audit of the
-    CLI pays that once for each of its keys.
+    counts), so the calls of a sweep over rates at one size form it once.
+    A table holds 50 bytes a count on the recurrence's side, 0.5 MB at the
+    10,001 counts of n = ``MAX_ACCURATE_SHAPE``, so the cache holds at most
+    about 16 MB. A single count (the front factor's calls), a row longer
+    than ``MAX_ACCURATE_SHAPE`` + 1 counts and counts that do not rise by
+    exactly 1 get a table of the call alone, which evicts no kept one and,
+    on the recurrence's side, holds Stirling errors only at the anchors and
+    modes the call reads. A call at a new key forms its kept table first,
+    on the recurrence's side with the Stirling errors of every count.
 
     Every element takes only its own row's rate and anchors, and the
     products run along the row, so a row never depends on the other rows.
@@ -563,11 +556,12 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
     Degenerate shapes follow the point-mass conventions: a = 0 is a point
     mass at 0 (the CDF is 1 for every x >= 0) and b = 0 is a point mass at 1
-    (0 below 1, then 1); positive shapes run ``_reg_inc_beta``, the scalar
-    core shared with ``student_t_cdf``. A NaN, infinite or negative shape
-    raises DomainError. Absolute error is below 1e-12 for a, b <=
-    ``MAX_ACCURATE_SHAPE`` (1e4); where the continued fraction does not
-    converge (shapes near 1e6 and beyond) it raises DomainError.
+    (0 below 1, then 1). For positive shapes x = 0 and x = 1 read 0 and 1,
+    and the symmetric Beta(a, a) reads exactly 1/2 at its median. A NaN,
+    infinite or negative shape raises DomainError. Absolute error is below
+    1e-12 for a, b <= ``MAX_ACCURATE_SHAPE`` (1e4); where the continued
+    fraction does not converge (shapes near 1e6 and beyond) it raises
+    DomainError.
     """
     x = _check_prob(x, "x")
     if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
@@ -578,29 +572,18 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 1.0
     if b == 0.0:
         return 1.0 if x == 1.0 else 0.0
-    return _reg_inc_beta(x, a, b)
-
-
-def _reg_inc_beta(x: float, a: float, b: float, y: float | None = None) -> float:
-    # I_x(a, b) for positive shapes and x in [0, 1], past the public
-    # functions' checks: the stated values, the front factor, the side of
-    # the continued fraction and the clamp. ``y``, when given, is 1 - x
-    # formed by the caller (BRATIO's pairing of x and y); without it 1 - x
-    # is subtracted here and _ln_front corrects that subtraction's
-    # rounding. x = 0 decides before y is read.
     if x == 0.0:
         return 0.0
-    xc = 1.0 - x if y is None else y
-    if xc == 0.0:
+    if x == 1.0:
         return 1.0
     if x == 0.5 and a == b:
         # Beta(a, a) is symmetric about 1/2; return the exact median so
         # weak-inequality ties at 0.5 resolve consistently.
         return 0.5
-    front = math.exp(_ln_front(x, a, b, y=y))
+    front = math.exp(_ln_front(x, a, b))
     if x < (a + 1.0) / (a + b + 2.0):
         return min(1.0, front * _beta_cf(x, a, b) / a)
-    return max(0.0, 1.0 - front * _beta_cf(xc, b, a) / b)
+    return max(0.0, 1.0 - front * _beta_cf(1.0 - x, b, a) / b)
 
 
 def _beta_cf_array(x: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -688,17 +671,17 @@ def _t_ratio(j: int, nu: int) -> float:
     return (2 * j - 1 + odd) / (2 * j + odd)
 
 
-def _t_centre_tail(at, t2, nu: int, each=lambda fn, value: fn(value)):
+def _t_centre_tail(at: np.ndarray, t2: np.ndarray, nu: int) -> np.ndarray:
     """T(-|t|) by the finite sum at integer ``nu``, for 0 <= t^2 <= 9.
 
-    ``at`` is |t| and ``t2`` is t^2, floats or 1-D arrays (whose caller
-    passes ``each=_each``). With c^2 = nu / (nu + t^2), s = |t| / sqrt(nu +
-    t^2) and a_j the coefficients of ``_t_ratio``, the two-sided mass
-    A = P(|T| <= |t|) is s P for even nu and (2 / pi) (atan(|t| / sqrt(nu))
-    + s c P) for odd, P = sum_(j < nu // 2) a_j c^(2j) (Abramowitz & Stegun
-    26.7.3-4), and the tail is (1 - A) / 2. P is summed by Horner's rule;
-    only +, -, *, / and sqrt, plus one ``math.atan`` per element for odd
-    nu, so an array equals its floats bit for bit.
+    ``at`` is |t| and ``t2`` is t^2, 1-D arrays. With c^2 = nu / (nu +
+    t^2), s = |t| / sqrt(nu + t^2) and a_j the coefficients of
+    ``_t_ratio``, the two-sided mass A = P(|T| <= |t|) is s P for even nu
+    and (2 / pi) (atan(|t| / sqrt(nu)) + s c P) for odd, P = sum_(j < nu //
+    2) a_j c^(2j) (Abramowitz & Stegun 26.7.3-4), and the tail is (1 - A) /
+    2. P is summed by Horner's rule; only +, -, *, / and sqrt, plus one
+    ``math.atan`` per element for odd nu, so every element is what it
+    would be alone.
     """
     r2 = nu + t2
     c2 = nu / r2
@@ -708,49 +691,20 @@ def _t_centre_tail(at, t2, nu: int, each=lambda fn, value: fn(value)):
     if nu % 2 == 0:
         return 0.5 - 0.5 * (at / np.sqrt(r2) * p)
     root = math.sqrt(nu)
-    return 0.5 - (each(math.atan, at / root) + at * root / r2 * p) / math.pi
+    return 0.5 - (_each(math.atan, at / root) + at * root / r2 * p) / math.pi
 
 
-def _t_series(term: float, c2: float, nu: int) -> float:
-    # _t_far_tail's sum_(j >= nu // 2) a_j c^(2j), from its first term.
-    # Each term is its predecessor times c^2 a_j / a_(j-1) < 1, so the
-    # terms fall, and the sum stops at the first term that leaves it
-    # unchanged: every later one leaves it unchanged too, as rounding is
-    # monotone.
-    total, j = term, nu // 2
-    while True:
-        j += 1
-        term = term * (c2 * _t_ratio(j, nu))
-        new = total + term
-        if new == total:
-            return total
-        total = new
-
-
-def _t_series_array(term: np.ndarray, c2: np.ndarray, nu: int) -> np.ndarray:
-    # _t_series at every lane, bit for bit: a lane that leaves its sum
-    # unchanged keeps it unchanged, as _t_series explains, so every lane
-    # iterates until the last one stops. At nu = 1 the first term is the
-    # float 1.
-    total, j = np.broadcast_to(term, c2.shape), nu // 2
-    while True:
-        j += 1
-        term = term * (c2 * _t_ratio(j, nu))
-        new = total + term
-        if (new == total).all():
-            return total
-        total = new
-
-
-def _t_far_tail(at, t2, nu: int, series=_t_series):
+def _t_far_tail(at: np.ndarray, t2: np.ndarray, nu: int) -> np.ndarray:
     """T(-|t|) by the tail series at integer ``nu``, for 9 < t^2 < inf.
 
     The complement of ``_t_centre_tail``'s finite sum, whose terms are all
     positive: since 1 = s sum_(j >= 0) a_j c^(2j) for even nu and
     atan(sqrt(nu) / |t|) = s c sum_(j >= 0) a_j c^(2j) for odd, the tail is
     s / 2 sum_(j >= nu // 2) a_j c^(2j), or s c / pi times the same sum.
-    ``at`` and ``t2`` are floats, summed by ``_t_series``, or 1-D arrays,
-    whose caller passes ``series=_t_series_array``.
+    ``at`` and ``t2`` are 1-D arrays. Each term is its predecessor times
+    c^2 a_j / a_(j-1) < 1, so the terms fall, and once a term leaves an
+    element's sum unchanged every later one does too, as rounding is
+    monotone; so every element iterates until the last one stops.
 
     The series is capped at the centre's tail at its edge |t| = 3, so T
     never steps down across the switch: there (1 - A) / 2 is off by up to
@@ -764,78 +718,60 @@ def _t_far_tail(at, t2, nu: int, series=_t_series):
     term = 1.0
     for j in range(1, nu // 2 + 1):
         term = term * (c2 * _t_ratio(j, nu))
-    total = series(term, c2, nu)
+    # At nu = 1 the first term is the float 1.
+    total, j = np.broadcast_to(term, c2.shape), nu // 2
+    while True:
+        j += 1
+        term = term * (c2 * _t_ratio(j, nu))
+        new = total + term
+        if (new == total).all():
+            break
+        total = new
     if nu % 2 == 0:
         tail = 0.5 * (at / np.sqrt(r2) * total)
     else:
         tail = at * math.sqrt(nu) / r2 * total / math.pi
-    return np.minimum(tail, _t_centre_tail(math.sqrt(_T_CENTRE_T2), _T_CENTRE_T2, nu))
+    edge = _t_centre_tail(np.array([math.sqrt(_T_CENTRE_T2)]), np.array([_T_CENTRE_T2]), nu)
+    return np.minimum(tail, edge)
 
 
-def student_t_cdf(t: float, nu: float) -> float:
+def student_t_cdf(t, nu: float):
     """CDF of the Student-t distribution with ``nu`` degrees of freedom.
 
-    The lower tail T(-|t|) has two forms. At integer nu up to
-    ``_T_SUM_MAX_NU`` (100) it is a finite trigonometric sum in
-    c^2 = nu / (nu + t^2): for |t| <= 3 the closed form of ``_t_centre_tail``
-    and beyond it the positive tail series of ``_t_far_tail``. At any other
-    nu it is I_x(nu/2, 1/2) / 2 with x = nu / (nu + t^2), and its complement
-    y = t^2 / (nu + t^2) is formed directly too, as BRATIO pairs x and y
+    A float for a scalar ``t``, and otherwise an array of t's shape, each
+    element what it would be alone. The lower tail T(-|t|) has two forms.
+    At integer nu up to ``_T_SUM_MAX_NU`` (100) it is a finite
+    trigonometric sum in c^2 = nu / (nu + t^2): for |t| <= 3 the closed
+    form of ``_t_centre_tail`` and beyond it the positive tail series of
+    ``_t_far_tail``, each on all its elements at once. At any other nu it
+    is I_x(nu/2, 1/2) / 2 with x = nu / (nu + t^2), and its complement y =
+    t^2 / (nu + t^2) is formed directly too, as BRATIO pairs x and y
     (DiDonato & Morris 1992, ACM TOMS 708): a tail on the small-x side is
     read as I_x(nu/2, 1/2), any other as 1 - I_y(1/2, nu/2), so 1 - x is
     never formed by subtraction and t near 0, where x rounds to 1, keeps
-    its y. The incomplete beta is ``reg_inc_beta``'s scalar core,
-    ``_reg_inc_beta``, handed that y. Either way x = 0 (|t| > 1.3e154, where
-    t^2 overflows) gives no tail, and the two tails share one evaluation,
-    so T(t) + T(-t) = 1 exactly.
+    its y. The shapes are two floats, so ``_t_beta_array`` forms the front
+    factor's shape terms once and runs one continued fraction per side on
+    all elements at once. Either way x = 0 (|t| > 1.3e154, where t^2
+    overflows) gives no tail, and the two tails share one evaluation, so
+    T(t) + T(-t) = 1 exactly. A NaN ``t``, or a continued fraction that
+    does not converge, raises DomainError for the whole call.
     """
     if not 0.0 < nu < math.inf:
         raise DomainError("degrees of freedom must be positive and finite")
-    if t == 0.0:
-        return 0.5
-    t2 = t * t
-    x = _check_prob(nu / (nu + t2), "x")
-    if not _t_sums(nu):
-        # t^2 = inf makes y NaN; x is 0 there, which decides before y is read.
-        tail = 0.5 * _reg_inc_beta(x, 0.5 * nu, 0.5, t2 / (nu + t2))
-    elif x == 0.0:
-        tail = 0.0
-    elif t2 <= _T_CENTRE_T2:
-        tail = float(_t_centre_tail(abs(t), t2, int(nu)))
-    else:
-        tail = float(_t_far_tail(abs(t), t2, int(nu)))
-    return tail if t < 0.0 else 1.0 - tail
-
-
-def student_t_cdf_array(t, nu: float) -> np.ndarray:
-    """``student_t_cdf`` at each element of ``t``, bit for bit.
-
-    At integer nu up to ``_T_SUM_MAX_NU`` every lane with |t| <= 3 takes
-    the finite sum and every other lane with a finite t^2 the tail series,
-    each for all its lanes at once. At any other nu this is the package's
-    one array incomplete beta, in the scalar's x/y pairing: every lane's
-    tail is I_x(nu/2, 1/2) or 1 - I_y(1/2, nu/2), so the shapes are two
-    floats, the front factor's shape terms are formed once, and the
-    continued fraction runs on all lanes at once. A NaN ``t``, or a
-    continued fraction that does not converge, raises DomainError for the
-    whole call.
-    """
-    if not 0.0 < nu < math.inf:
-        raise DomainError("degrees of freedom must be positive and finite")
-    t = np.asarray(t, dtype=np.float64)
+    ts = np.asarray(t, dtype=np.float64)
     with np.errstate(over="ignore"):
-        t2 = t * t
+        t2 = ts * ts
         x = nu / (nu + t2)
     inside = (x >= 0.0) & (x <= 1.0)
     if not inside.all():
         raise DomainError(f"x must lie in [0, 1], got {float(x[~inside][0])!r}")
     if _t_sums(nu):
-        tail = np.zeros_like(t)
-        at, k = np.abs(t), int(nu)
+        tail = np.zeros_like(ts)
+        at, k = np.abs(ts), int(nu)
         centre = t2 <= _T_CENTRE_T2
         far = ~centre & (x > 0.0)
-        tail[centre] = _t_centre_tail(at[centre], t2[centre], k, _each)
-        tail[far] = _t_far_tail(at[far], t2[far], k, _t_series_array)
+        tail[centre] = _t_centre_tail(at[centre], t2[centre], k)
+        tail[far] = _t_far_tail(at[far], t2[far], k)
     else:
         # Only the incomplete beta reads the complement y. t^2 = inf (|t| >
         # 1.3e154) makes it NaN; x is 0 there, a lane whose value is stated
@@ -843,22 +779,23 @@ def student_t_cdf_array(t, nu: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             y = t2 / (nu + t2)
         tail = 0.5 * _t_beta_array(x, y, nu)
-    return np.where(t == 0.0, 0.5, np.where(t < 0.0, tail, 1.0 - tail))
+    values = np.where(ts == 0.0, 0.5, np.where(ts < 0.0, tail, 1.0 - tail))
+    return float(values) if np.isscalar(t) else values
 
 
 def _t_beta_array(x: np.ndarray, y: np.ndarray, nu: float) -> np.ndarray:
     # I_x(nu/2, 1/2) at each lane of x in [0, 1], with y = 1 - x as formed:
-    # the scalar _reg_inc_beta's steps, one continued fraction per side.
+    # reg_inc_beta's steps, one continued fraction per side.
     a, b = 0.5 * nu, 0.5
-    # The scalar's stated values, in its order of precedence: no tail (x =
-    # 0) and no t^2 (y = 0). Its third, the median of the symmetric Beta(a,
-    # a), needs nu = 1, which takes the sum.
+    # reg_inc_beta's stated values, in its order of precedence: no tail (x
+    # = 0) and no t^2 (y = 0, where x = 1). Its third, the median of the
+    # symmetric Beta(a, a), needs nu = 1, which takes the sum.
     beta = np.select([x == 0.0, y == 0.0], [0.0, 1.0], np.nan)
     live = np.isnan(beta)
     xs, ys = x[live], y[live]
-    front = _each(math.exp, _ln_front(xs, a, b, _each, ys))
+    front = _each(math.exp, _ln_front(xs, a, b, y=ys))
     values = np.empty_like(xs)
-    # The clamps mirror the scalar min(1.0, v) and max(0.0, v) exactly.
+    # The clamps mirror reg_inc_beta's min(1.0, v) and max(0.0, v) exactly.
     low = xs < (a + 1.0) / (a + b + 2.0)
     if low.any():
         v = front[low] * _beta_cf_array(xs[low], a, b) / a

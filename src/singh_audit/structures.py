@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_math import DomainError, binomial_pmf, reg_inc_beta, student_t_cdf_array
+from .special_math import DomainError, binomial_pmf, reg_inc_beta, student_t_cdf
 
 __all__ = [
     "DegenerateDataError",
@@ -235,7 +235,7 @@ def moment_bounds(spec: StructureSpec, truth, n: int, mean, sd) -> tuple[np.ndar
             raise DegenerateDataError("zero sample standard deviation")
         with np.errstate(over="ignore"):
             t = (mu - mean) / (sd / math.sqrt(n))
-        value = student_t_cdf_array(t, n - 1)
+        value = student_t_cdf(t, n - 1)
         return value, value
     if n < 2:
         raise DomainError("need at least two samples for a Chebyshev bound")

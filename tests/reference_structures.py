@@ -4,7 +4,8 @@ Each function takes the candidate value and one dataset as a 1-D array and
 returns the ``(lower, upper)`` required confidence as floats (equal for a
 precise structure, +inf where no level covers). They are written out
 independently of ``singh_audit.structures``: the count kinds call
-``reg_inc_beta`` with their Beta shapes spelled out here, so the batched
+``reg_inc_beta`` with their Beta shapes spelled out here and the t pivot
+calls the scalar t CDF of ``reference_t``, so the batched
 kernels are held to a second implementation rather than to themselves
 (bit for bit, except the count kinds, whose chains of binomial terms are
 held to these calls within 1e-14).
@@ -14,7 +15,8 @@ import math
 
 import numpy as np
 
-from singh_audit.special_math import DomainError, reg_inc_beta, student_t_cdf
+from reference_t import student_t_cdf
+from singh_audit.special_math import DomainError, reg_inc_beta
 from singh_audit.structures import DegenerateDataError
 
 

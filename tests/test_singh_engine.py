@@ -693,7 +693,7 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     generator = SeededStream.generator
     evaluate, band = singh_engine.evaluate_structure, singh_engine.band_bounds
     beta = structures.reg_inc_beta
-    t_cdf = structures.student_t_cdf_array
+    t_cdf = structures.student_t_cdf
 
     def counting_generator(self, child=None):
         calls["generator"] += 1
@@ -720,7 +720,7 @@ def test_one_generator_per_block_and_one_chain_per_count_target(monkeypatch):
     monkeypatch.setattr(singh_engine, "evaluate_structure", counting_evaluate)
     monkeypatch.setattr(singh_engine, "band_bounds", counting_band)
     monkeypatch.setattr(structures, "reg_inc_beta", counting_beta)
-    monkeypatch.setattr(structures, "student_t_cdf_array", counting_t_cdf)
+    monkeypatch.setattr(structures, "student_t_cdf", counting_t_cdf)
     m = 2 * BLOCK + 1
 
     # A count-reading structure: one chain over every count, whose two ends

@@ -10,8 +10,10 @@ from scipy import special as sp
 from scipy import stats
 
 import reference_binomial
+import reference_t
 
 from singh_audit.special_math import (
+    _STIRLING_MIN,
     _T_SUM_MAX_NU,
     DomainError,
     SeededStream,
@@ -20,12 +22,13 @@ from singh_audit.special_math import (
     _each,
     _ln_front,
     _saddle_point,
+    _stirling_climb,
+    _stirling_corr,
     _stirling_corr_array,
     _tabulate,
     binomial_pmf,
     reg_inc_beta,
     student_t_cdf,
-    student_t_cdf_array,
 )
 
 SHAPES = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -85,8 +88,12 @@ def test_beta_symmetric_median_is_exact(a):
 
 
 def test_beta_endpoints():
-    assert reg_inc_beta(0.0, 2.0, 3.0) == 0.0
-    assert reg_inc_beta(1.0, 2.0, 3.0) == 1.0
+    # Small shapes, one large and two large, and each point mass: x = 0
+    # reads 0 and x = 1 reads 1, except a = 0, the point mass at 0, which
+    # reads 1 at x = 0 too.
+    for a, b in [(2.0, 3.0), (0.5, 0.5), (0.5, 61.5), (61.5, 0.5), (25.0, 1e4), (0.0, 5.0), (5.0, 0.0)]:
+        assert reg_inc_beta(0.0, a, b) == (1.0 if a == 0.0 else 0.0)
+        assert reg_inc_beta(1.0, a, b) == 1.0
 
 
 @pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
@@ -282,7 +289,7 @@ T_VALUES = st.one_of(
 @given(ts=st.lists(T_VALUES, min_size=1, max_size=30), nu=T_NUS)
 @settings(max_examples=300, deadline=None)
 def test_t_cdf_array_equals_scalar_bit_for_bit(ts, nu):
-    assert _bits(student_t_cdf_array(ts, nu)) == _bits([student_t_cdf(t, nu) for t in ts])
+    assert _bits(student_t_cdf(ts, nu)) == _bits([reference_t.student_t_cdf(t, nu) for t in ts])
 
 
 SMALL_SHAPES = st.floats(min_value=1e-3, max_value=19.99)
@@ -311,7 +318,7 @@ def test_front_factor_of_an_array_equals_its_floats_bit_for_bit(xs, shapes):
     # Three branches: three lgammas, Stirling for one large shape, and
     # binomial_pmf's rows for two.
     a, b = shapes
-    got = _ln_front(np.array(xs), a, b, _each)
+    got = _ln_front(np.array(xs), a, b)
     assert _bits(got) == _bits([_ln_front(x, a, b) for x in xs])
 
 
@@ -426,6 +433,28 @@ def test_stirling_error_below_twenty_is_exact_to_1e_15():
     got = _stirling_corr_array(twice / 2.0)
     for value, t in zip(got.tolist(), twice.tolist()):
         assert abs(value - _stirling_error_at_half(t)) <= 1e-15, t / 2
+
+
+def _stirling_climb_all_lags(z: np.ndarray) -> np.ndarray:
+    # _stirling_climb with a step formed at every lag and the lags at and
+    # past each value's climb masked to 0 afterwards.
+    climb = np.ceil(_STIRLING_MIN - z)
+    lag = np.arange(_STIRLING_MIN)
+    y = z[:, None] + lag
+    steps = np.where(lag < climb[:, None], (y + 0.5) * _each(math.log1p, 1.0 / y) - 1.0, 0.0)
+    return _stirling_corr(z + climb) + steps[:, ::-1].cumsum(axis=1)[:, -1]
+
+
+def test_stirling_climb_equals_the_all_lags_form_bit_for_bit():
+    # Steps only below each value's climb, zeros past it: the same sums as
+    # masking steps formed at every lag, at z = 1..19, the multiples of 1/2
+    # below 20 and 5,000 random values.
+    z = np.concatenate((
+        np.arange(1.0, 20.0),
+        np.arange(1, 40) / 2.0,
+        np.random.default_rng(36).uniform(1e-3, _STIRLING_MIN, 5000),
+    ))
+    assert _bits(_stirling_climb(z)) == _bits(_stirling_climb_all_lags(z))
 
 
 PMF_RATES = st.one_of(
@@ -605,11 +634,40 @@ def test_beta_array_refuses_an_unconverged_lane():
             _beta_cf_array(np.array(lanes), 1e6, 4e6)
 
 
+@pytest.mark.parametrize("t", [1.5, -2, np.float64(1.5), np.float32(-0.25), np.int64(4)])
+@pytest.mark.parametrize("nu", [9.0, 9.5])
+def test_t_cdf_of_a_scalar_is_a_float(t, nu):
+    # On the finite sum (nu = 9) and the continued fraction (nu = 9.5).
+    value = student_t_cdf(t, nu)
+    assert type(value) is float
+    assert _bits([value]) == _bits(student_t_cdf([t], nu))
+
+
+@pytest.mark.parametrize("t", [[0.5, -40.0], np.array(-4.0), np.linspace(-40.0, 40.0, 6).reshape(2, 3)])
+@pytest.mark.parametrize("nu", [9.0, 9.5])
+def test_t_cdf_of_an_array_keeps_its_shape(t, nu):
+    # A list, a 0-d array and a 2-D array, each value what the flat call
+    # gives it.
+    values = student_t_cdf(t, nu)
+    assert isinstance(values, np.ndarray) and values.shape == np.shape(t)
+    assert _bits(values.ravel()) == _bits(student_t_cdf(np.ravel(t), nu))
+
+
+@example(ts=np.linspace(-60.0, 60.0, 41).tolist(), nu=9)
+@example(ts=np.linspace(-60.0, 60.0, 41).tolist(), nu=101)
+@given(ts=st.lists(T_VALUES, min_size=1, max_size=10), nu=T_NUS)
+@settings(max_examples=100, deadline=None)
+def test_t_cdf_elements_equal_their_own_calls(ts, nu):
+    # The tail series runs every element until the last stops, and the
+    # continued fraction drops each as it converges; neither moves a bit.
+    assert _bits(student_t_cdf(ts, nu)) == _bits([student_t_cdf([t], nu)[0] for t in ts])
+
+
 @pytest.mark.parametrize("nu", [3.0, 3.5])
 def test_t_cdf_array_refuses_nan_t(nu):
     # On the finite sum (nu = 3) and the continued fraction (nu = 3.5).
     with pytest.raises(DomainError, match="x must lie in"):
-        student_t_cdf_array([0.5, math.nan], nu)
+        student_t_cdf([0.5, math.nan], nu)
     with pytest.raises(DomainError):
         student_t_cdf(math.nan, nu)
 
@@ -655,9 +713,9 @@ def test_t_cdf_sum_matches_mpmath(nu):
     bound = 1e-15 if nu <= _T_SUM_MAX_NU else 5e-15
     body = np.linspace(0.0, 10.0, 41)[1:].tolist() + [math.nextafter(3.0, 0.0), math.nextafter(3.0, 4.0)]
     ts = body + np.geomspace(3.5, 1.3e154, 60).tolist()
-    lower = student_t_cdf_array([-t for t in ts], nu)
-    upper = student_t_cdf_array(ts, nu)
-    assert _bits(lower) == _bits([student_t_cdf(-t, nu) for t in ts])
+    lower = student_t_cdf([-t for t in ts], nu)
+    upper = student_t_cdf(ts, nu)
+    assert _bits(lower) == _bits([reference_t.student_t_cdf(-t, nu) for t in ts])
     for t, low, high in zip(ts, lower.tolist(), upper.tolist()):
         tail = _t_tail_mpmath(t, nu)
         assert abs(low - tail) <= bound and abs(high - (1 - tail)) <= bound, t
@@ -672,24 +730,24 @@ def test_t_cdf_sum_is_a_cdf(nu):
     # and T(t) + T(-t) = 1 exactly.
     half = np.linspace(0.0, 60.0, 6001)
     ts = np.concatenate((-half[::-1], half[1:]))
-    values = student_t_cdf_array(ts, nu)
+    values = student_t_cdf(ts, nu)
     assert ((values >= 0.0) & (values <= 1.0)).all()
     assert (np.diff(values) >= 0.0).all()
     assert (values + values[::-1] == 1.0).all()
     # No step down across the switch at |t| = 3 between the centre and the
     # tail series, at the edge and its neighbouring floats.
     edge = [math.nextafter(-3.0, -4.0), -3.0, 3.0, math.nextafter(3.0, 4.0)]
-    assert (np.diff(student_t_cdf_array(edge, nu)) >= 0.0).all()
+    assert (np.diff(student_t_cdf(edge, nu)) >= 0.0).all()
     # The stated values, with no floating-point warning where t^2
     # overflows (|t| > 1.3e154).
     stated = [0.0, -0.0, math.inf, -math.inf, 1.5e154, -1.5e154, 1e300, -1e300]
     expected = [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
-    assert _bits(student_t_cdf_array(stated, nu)) == _bits(expected)
+    assert _bits(student_t_cdf(stated, nu)) == _bits(expected)
     assert _bits([student_t_cdf(t, nu) for t in stated]) == _bits(expected)
     if nu == 1:
-        assert _bits(student_t_cdf_array([1.0, -1.0], nu)) == _bits([0.75, 0.25])
+        assert _bits(student_t_cdf([1.0, -1.0], nu)) == _bits([0.75, 0.25])
     with pytest.raises(DomainError, match="x must lie in"):
-        student_t_cdf_array([1.0, math.nan], nu)
+        student_t_cdf([1.0, math.nan], nu)
 
 
 NEAR_ZERO_T = [5e-324, 3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 1e3, 1e8]
@@ -706,7 +764,7 @@ def test_t_cdf_keeps_its_accuracy_near_zero(nu):
         exact = 0.5 + np.arctan(ts) / np.pi
     else:
         exact = sp.stdtr(nu, ts)
-    assert np.abs(student_t_cdf_array(ts, nu) - exact).max() <= 1e-12
+    assert np.abs(student_t_cdf(ts, nu) - exact).max() <= 1e-12
     assert max(abs(student_t_cdf(t, nu) - e) for t, e in zip(ts.tolist(), exact.tolist())) <= 1e-12
 
 
@@ -745,7 +803,7 @@ def test_t_cdf_rejects_bad_nu(nu):
         with pytest.raises(DomainError, match="degrees of freedom"):
             student_t_cdf(t, nu)
     with pytest.raises(DomainError, match="degrees of freedom"):
-        student_t_cdf_array([0.0, 1.0], nu)
+        student_t_cdf([0.0, 1.0], nu)
 
 
 # --- seeded streams ---
