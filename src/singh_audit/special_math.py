@@ -124,14 +124,15 @@ def _ln_front(x, a: float, b: float, y=None):
     that subtraction. Every log of a per-element value runs through
     ``math``, by ``_each`` for an array; the rest is numpy arithmetic,
     which rounds like Python floats, in the float's left-to-right order,
-    so every element equals a float call bit for bit. A plain three-lgamma evaluation loses ~1e-11
-    absolutely once the shapes reach 1e4, because each lgamma is only
-    correct to a few ulp of its own (huge) magnitude. With both shapes at
-    least 20 the factor is a b / (a + b) times the Binomial(a + b, x) term
-    at the real count a, one ``binomial_pmf`` row per element. With one
-    small shape, Stirling's formula for the large one cancels the large
-    terms analytically. Either way every computed term stays modest near
-    the region where the function is not saturated at 0 or 1.
+    so every element equals a float call bit for bit. A plain three-lgamma
+    evaluation loses ~1e-11 absolutely once the shapes reach 1e4, because
+    each lgamma is only correct to a few ulp of its own (huge) magnitude.
+    With both shapes at least 20 the factor is a b / (a + b) times the
+    Binomial(a + b, x) term at the real count a, one ``binomial_pmf`` row
+    per element. With one small shape, Stirling's formula for the large
+    one cancels the large terms analytically. Either way every computed
+    term stays modest near the region where the function is not saturated
+    at 0 or 1.
     """
     each = _each if isinstance(x, np.ndarray) else lambda fn, value: fn(value)
     if a >= _STIRLING_MIN and b >= _STIRLING_MIN:
