@@ -20,6 +20,10 @@ records the machine and the commit. With ``--against`` a second checkout
 order alternates, and each metric also gets how many pairs this checkout
 won, the ratio of the medians and the other checkout's interquartile
 range. A short smoke run is ``--repeats 1 --seconds 2 --no-tier1``.
+
+Once the file is written, the script exits 1 if any perfbench run reported
+a failed audit (a wrong output), naming the checkout, workload and repeat
+of each such run on stderr.
 """
 
 from __future__ import annotations
@@ -150,6 +154,17 @@ def pairs(change: dict, parent: dict) -> dict:
     return out
 
 
+def failed_runs(checkouts: dict[str, Path], runs: dict[str, dict]) -> list[str]:
+    """One line per perfbench run that reported a failed audit, in repeat order."""
+    return [
+        f"{label} ({checkouts[label]}), {workload}, repeat {r}: {count} failed audit(s)"
+        for label in checkouts
+        for workload in WORKLOADS
+        for r, count in enumerate(runs[label].get(f"{workload}.failed", []), 1)
+        if count
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -187,7 +202,10 @@ def main(argv=None) -> int:
         report["change_vs_parent"] = pairs(runs["change"], runs["parent"])
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"bench: wrote {args.out}", file=sys.stderr)
-    return 0
+    failed = failed_runs(checkouts, runs)
+    for line in failed:
+        print(f"bench: FAILED {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

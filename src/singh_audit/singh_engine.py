@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -220,8 +220,9 @@ class TargetSpec:
         component ``cdf.searchsorted(u, "right")`` of the normalised component
         CDF: since u < 1 = ``cdf[-1]``, that is the number of inner edges at or
         below u, counted in K - 1 comparison passes over the block, O(K) per
-        draw but no binary search of unsorted keys (16 times cheaper at K = 2).
-        A single component draws no picks.
+        draw but no binary search of unsorted keys: cheaper at the few
+        components of every preset, dearer at many (README gives the
+        crossover). A single component draws no picks.
 
         Each block is built in the buffer it was drawn into: a normal is
         scaled and shifted where it lies, a count-family row is written over
@@ -301,23 +302,33 @@ class SinghCurve:
         arr = np.asarray(self.required, dtype=np.float64).copy()
         if arr.ndim != 1 or arr.size < 1:
             raise DomainError("required values must be a non-empty 1-D list")
-        if np.isnan(arr).any():
-            raise DomainError("required values must not be NaN")
-        # Compare neighbours directly: a difference of two +inf is NaN.
-        if (arr[1:] < arr[:-1]).any():
-            raise DomainError("required values must be sorted ascending")
-        if arr[0] < 0.0 or ((arr > 1.0) & (arr < np.inf)).any():
-            raise DomainError("required values must lie in [0, 1] or be +inf")
+        # One proof of every condition below: a NaN fails a comparison (a
+        # lone NaN the first), so ascending neighbours and a first value of
+        # at least 0 leave no NaN, and the first value past 1 of an
+        # ascending array is +inf only if all that follow it are. Only a
+        # curve that fails it runs the checks one by one, for their message.
+        past_one = arr.searchsorted(1.0, "right")
+        if not ((arr[1:] >= arr[:-1]).all() and arr[0] >= 0.0
+                and (past_one == arr.size or arr[past_one] == np.inf)):
+            if np.isnan(arr).any():
+                raise DomainError("required values must not be NaN")
+            # Compare neighbours directly: a difference of two +inf is NaN.
+            if (arr[1:] < arr[:-1]).any():
+                raise DomainError("required values must be sorted ascending")
+            if arr[0] < 0.0 or ((arr > 1.0) & (arr < np.inf)).any():
+                raise DomainError("required values must lie in [0, 1] or be +inf")
         arr.flags.writeable = False
         object.__setattr__(self, "required", arr)
         if (self.weights is None) == (self.counts is None):
             raise DomainError("a curve takes counts or weights, exactly one of them")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64).copy()
-            if np.isnan(w).any():
-                raise DomainError("weights must not be NaN")
-            if w.shape != arr.shape or (w < 0.0).any() or w.sum() > 1.0 + 1e-9:
-                raise DomainError("weights must match values and total at most 1")
+            # The least weight and the total are NaN if any weight is.
+            if not (w.shape == arr.shape and w.min() >= 0.0 and w.sum() <= 1.0 + 1e-9):
+                if np.isnan(w).any():
+                    raise DomainError("weights must not be NaN")
+                if w.shape != arr.shape or (w < 0.0).any() or w.sum() > 1.0 + 1e-9:
+                    raise DomainError("weights must match values and total at most 1")
             w.flags.writeable = False
             object.__setattr__(self, "weights", w)
         else:
@@ -749,6 +760,20 @@ def _binomial_weights(n: int, p) -> np.ndarray:
     return binomial_pmf(p.reshape(-1), float(n), np.arange(n + 1.0)).reshape(p.shape + (n + 1,))
 
 
+@lru_cache(maxsize=1)
+def _shared_weights(n: int, p: float) -> np.ndarray:
+    """``_binomial_weights(n, p)``, read-only, kept for the next exact audit.
+
+    One entry, at most 80 KB (n <= ``MAX_ACCURATE_SHAPE``): the audits of
+    one target, whatever their structures, read one row, and the first
+    audit of another target forms its own. Equal keys give equal bits:
+    p = -0.0 and 0.0 both take the point mass at k = 0.
+    """
+    weights = _binomial_weights(n, p)
+    weights.flags.writeable = False
+    return weights
+
+
 def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     """Exact Singh result by enumerating the success count of a two-point target.
 
@@ -762,6 +787,11 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     pivot undefined, whatever their weight.
     Every kind is held to n <= ``MAX_ACCURATE_SHAPE``, the bound the count
     kinds meet through their Beta shapes, before any weight is formed.
+    The weights come from ``_shared_weights``: one read-only entry keyed on
+    (n, p), with the bits of ``_binomial_weights``, so the audits of one
+    target, Bernoulli or scaled-Bernoulli, form its row once. A sweep that
+    loops over targets outermost gains from it; one that loops over
+    structures outermost forms a row per audit, as without the entry.
     """
     if target.family not in COUNT_FAMILIES:
         raise UnsupportedTargetError("exact enumeration needs a bernoulli or scaled_bernoulli target")
@@ -775,7 +805,7 @@ def exact_singh_curve(structure: StructureSpec, target: TargetSpec, n: int):
     check_run_args(structure, target, n, m=1)
     if n > MAX_ACCURATE_SHAPE:
         raise DomainError(f"exact enumeration needs n <= {MAX_ACCURATE_SHAPE:g}, got n = {n}")
-    weights = _binomial_weights(n, target.p)
+    weights = _shared_weights(n, target.p)
     counts = np.arange(n + 1)
     columns = _atom_columns(structure, [target], n, np.zeros_like(counts), counts, weights)
     return _result(structure, [SinghCurve(values, weights=w) for _, values, w in columns])

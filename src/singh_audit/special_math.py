@@ -191,11 +191,11 @@ _LGAMMA_MAX_SIZE = 40.0
 # Counts per block between binomial_pmf's shared anchors: a term recurs at
 # most 31 steps from its anchor, a few ulps each, and the anchors cost one
 # saddle-point evaluation per 32 counts. A row of fewer than six blocks'
-# counts takes the saddle-point form at every count instead: forming one
-# row's anchors and runs costs about 90 us with its count table kept, as
-# much as ~180 counts do. Several rows per call recur more cheaply than
-# that, but the cutoff reads the row length alone, and moving it would
-# move the bits of rows of 41-191 counts.
+# counts takes the saddle-point form at every count instead: the cutoff
+# sits where forming a row's anchors and runs costs about as much as the
+# saddle-point terms it saves (README gives both costs). Several rows per
+# call recur more cheaply than that, but the cutoff reads the row length
+# alone, and moving it would move the bits of rows of 41-191 counts.
 _ANCHOR_STEP = 32
 _RECUR_MIN_COUNTS = 6 * _ANCHOR_STEP
 # Most count tables binomial_pmf keeps, each of one (size, first count,

@@ -12,6 +12,7 @@ from scipy import stats
 
 import reference_structures as reference
 from reference_global import expanded
+from singh_audit import singh_engine
 from singh_audit.global_engine import ParameterGrid, global_singh
 from singh_audit.singh_engine import (
     BLOCK,
@@ -285,11 +286,72 @@ def test_curve_validation():
         SinghCurve(np.array([0.1, 0.2]), weights=np.array([0.5, 0.5]), counts=np.array([1, 1]))
     with pytest.raises(DomainError, match="counts or weights, exactly one"):
         SinghCurve(np.array([0.1, 0.2]))
+    # The one-pass check falls back on the checks one by one, in this order.
+    with pytest.raises(DomainError, match="must not be NaN"):
+        ones(np.array([np.nan]))
+    with pytest.raises(DomainError, match="must not be NaN"):
+        ones(np.array([0.2, np.nan, 0.5]))
+    with pytest.raises(DomainError, match="sorted ascending"):
+        ones(np.array([0.4, -0.2]))
+    with pytest.raises(DomainError, match=r"lie in \[0, 1\]"):
+        ones(np.array([0.2, np.nextafter(1.0, 2.0), np.inf]))
+    with pytest.raises(DomainError, match=r"lie in \[0, 1\]"):
+        ones(np.array([-np.inf]))
+    with pytest.raises(DomainError, match="weights must not be NaN"):
+        SinghCurve(np.array([0.1, 0.2]), weights=np.array([np.nan]))
+    for weights in ([-0.1, 0.5], [0.5], [[0.5, 0.5]], [0.6, 0.5], [np.inf, 0.0]):
+        with pytest.raises(DomainError, match="weights must match values and total at most 1"):
+            SinghCurve(np.array([0.1, 0.2]), weights=np.array(weights))
+    # Valid edges: all atoms +inf, 1 before +inf, a weight of -0.0.
+    assert ones(np.array([np.inf, np.inf])).never_count == 2
+    assert ones(np.array([0.0, 1.0, np.inf])).never_count == 1
+    assert SinghCurve(np.array([0.1, 0.2]), weights=np.array([-0.0, 1.0])).never_count == 0.0
     # trailing +inf, +inf must pass the sort check without a RuntimeWarning
     c = curve_of(0.1, never=2)
     assert (c.m, c.never_count) == (3, 2)
     assert type(c.never_count) is int
     assert c.never_fraction == 2 / 3
+
+
+def _checked_one_by_one(values, weights) -> str | None:
+    """The message of the first check a curve fails, each check a pass of its own."""
+    arr = np.asarray(values, dtype=np.float64)
+    if np.isnan(arr).any():
+        return "required values must not be NaN"
+    if (arr[1:] < arr[:-1]).any():
+        return "required values must be sorted ascending"
+    if arr[0] < 0.0 or ((arr > 1.0) & (arr < np.inf)).any():
+        return "required values must lie in [0, 1] or be +inf"
+    w = np.asarray(weights, dtype=np.float64)
+    if np.isnan(w).any():
+        return "weights must not be NaN"
+    if w.shape != arr.shape or (w < 0.0).any() or w.sum() > 1.0 + 1e-9:
+        return "weights must match values and total at most 1"
+    return None
+
+
+EDGE_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), -1e-300, 0.5]
+
+
+@given(
+    values=st.lists(st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-0.5, 1.5)), min_size=1, max_size=6),
+    ascending=st.booleans(),
+    weights=st.lists(st.one_of(st.sampled_from([np.nan, -0.0, -1e-3, 0.0, 0.6]), st.floats(0.0, 0.4)),
+                     min_size=1, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_curve_checks_in_one_pass_as_one_by_one(values, ascending, weights):
+    # Sorting puts NaN last, where a lone NaN after valid values hides.
+    values = sorted(values, key=lambda v: (math.isnan(v), v)) if ascending else values
+    expected = _checked_one_by_one(values, weights)
+    if expected is None:
+        curve = SinghCurve(np.array(values), weights=np.array(weights))
+        assert curve.required.tobytes() == np.array(values).tobytes()
+        assert curve.weights.tobytes() == np.array(weights).tobytes()
+    else:
+        with pytest.raises(DomainError) as raised:
+            SinghCurve(np.array(values), weights=np.array(weights))
+        assert str(raised.value) == expected
 
 
 def test_weighted_never_fraction_is_probability_mass():
@@ -1185,6 +1247,88 @@ def test_exact_chebyshev_case_study_step():
     assert (curve.required[:5] == 0.0).all()
     assert eval_curve(curve, 0.95) == pytest.approx(1.0 - 0.8**5, abs=1e-12)
     assert curve.never_fraction == curve.never_count
+
+
+EXACT_SIZES = (30, 250, 1000)
+# Rates at both endpoints, one below 1e-3 and one inside; a scaled-Bernoulli
+# p must be positive, so Chebyshev runs at the other three.
+EXACT_RATES = (0.0, 1.0, 4e-4, 0.37)
+# sha256 of every curve's `required` and `weights` bytes and the repr of its
+# `classify` report, over EXACT_SIZES x EXACT_RATES, per exact-oracle kind.
+EXACT_DIGESTS = {
+    "jeffreys": "6111c1475dce5581ae2f9f70ccf48a2bd02276d8331f4569fdf20ad9e75c5b4d",
+    "clopper_pearson": "2d84f105fd93139d517b7fb174af143ff1ce6dcee92a4ec3cea97dacf6d4633c",
+    "cbox_c05": "f6ce87e403599e62e92799b86a259f632b1cc1545cba46d83b7138981344758c",
+    "cbox_c3": "4297bd9ab684767a9f793c3bc8aff696d11874f778618193f0df39d86ec5c1b5",
+    "chebyshev": "d321cbbc9afb9401ed51e3ca1ce0fd5e8e2bf94e8d5d0c6784f09e1dae016e3b",
+}
+EXACT_KINDS = {
+    "jeffreys": (StructureSpec("jeffreys"), TargetSpec.bernoulli),
+    "clopper_pearson": (StructureSpec("clopper_pearson"), TargetSpec.bernoulli),
+    "cbox_c05": (StructureSpec("scaled_cbox", c=0.5), TargetSpec.bernoulli),
+    "cbox_c3": (StructureSpec("scaled_cbox", c=3.0), TargetSpec.bernoulli),
+    "chebyshev": (StructureSpec("chebyshev_ucl"), lambda p: TargetSpec.scaled_bernoulli(p, 2.0)),
+}
+
+
+def _exact_digest(structure, target_of, rates) -> str:
+    digest = hashlib.sha256()
+    for n in EXACT_SIZES:
+        for p in rates:
+            result = exact_singh_curve(structure, target_of(p), n)
+            for curve in result.curves:
+                digest.update(curve.required.tobytes() + curve.weights.tobytes())
+            digest.update(repr(classify(result)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_KINDS))
+def test_exact_results_are_frozen(kind):
+    # The exact engine's bits: any change to the weights, the kernels, the
+    # atom order or classify shows here.
+    structure, target_of = EXACT_KINDS[kind]
+    rates = EXACT_RATES[1:] if kind == "chebyshev" else EXACT_RATES
+    assert _exact_digest(structure, target_of, rates) == EXACT_DIGESTS[kind]
+
+
+def _result_bits(result) -> bytes:
+    return b"".join(c.required.tobytes() + c.weights.tobytes() for c in result.curves)
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_KINDS))
+def test_shared_row_gives_the_bits_of_a_cold_cache(kind):
+    # Audits of A, B, then A again read the row of their own target: the
+    # one entry holds the last target's row, never another's.
+    structure, target_of = EXACT_KINDS[kind]
+    shared = singh_engine._shared_weights
+    targets = [target_of(0.37), target_of(4e-4), target_of(0.37)]
+    cold = []
+    for target in targets:
+        shared.cache_clear()
+        cold.append(_result_bits(exact_singh_curve(structure, target, 250)))
+    shared.cache_clear()
+    assert [_result_bits(exact_singh_curve(structure, t, 250)) for t in targets] == cold
+    assert shared.cache_info().hits == 0
+    # The audit after one of the same target reads its row.
+    assert _result_bits(exact_singh_curve(structure, targets[2], 250)) == cold[2]
+    assert shared.cache_info().hits == 1
+
+
+def test_shared_row_is_read_only_and_shared_across_families():
+    shared = singh_engine._shared_weights
+    shared.cache_clear()
+    jeffreys = exact_singh_curve(StructureSpec("jeffreys"), TargetSpec.bernoulli(0.3), 30)
+    chebyshev = exact_singh_curve(StructureSpec("chebyshev_ucl"), TargetSpec.scaled_bernoulli(0.3, 2.0), 30)
+    assert shared.cache_info()[:2] == (1, 1)
+    row = shared(30, 0.3)
+    assert row.tobytes() == _binomial_weights(30, 0.3).tobytes()
+    assert np.array_equal(np.sort(jeffreys.weights), np.sort(row))
+    assert np.array_equal(np.sort(chebyshev.weights), np.sort(row))
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 1.0
+    # -0.0 and 0.0 are one key: their rows are the same point mass.
+    for n in EXACT_SIZES:
+        assert _binomial_weights(n, -0.0).tobytes() == _binomial_weights(n, 0.0).tobytes()
 
 
 @pytest.mark.parametrize("theta0, endpoint", [(0.0, 0.0), (1.0, 1.0)])
